@@ -27,7 +27,6 @@ from .model import (
     check_causal,
     check_coprime,
     check_invertible,
-    kernel_from_eigenvalues,
     lag_polynomial_roots,
     model_autocovariance,
     model_autocovariance_table,
@@ -55,6 +54,7 @@ from .spectral import (
     ckl_truncation_error,
     covariance_kernel_eval,
     frequency_grid,
+    kernel_from_eigenvalues,
     kernel_l2_norm,
     operator_trace_norm,
     spectral_from_autocov,

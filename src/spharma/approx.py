@@ -28,16 +28,17 @@ from .model import (
     SpharmaModel,
     check_causal,
     check_invertible,
+    decay_length,
     model_autocovariance,
 )
 from .simulate import SimulationConfig, batch_means_se, simulate_spharma
 from .spectral import (
     DEFAULT_FREQ_INTERVALS,
-    TWO_PI,
-    abs2_on_circle,
     frequency_grid,
+    rational_density,
+    trapezoid_lags,
 )
-from .sphere import harmonic_values_at
+from .sphere import harmonic_values_at, stream_index
 
 DEFAULT_ORDER_CAP = 256
 _VAR_FLOOR = 1e-12
@@ -150,12 +151,7 @@ def _target_acv(target, depth):
     f = np.asarray(f, dtype=float)
     if depth > len(lam) // 4:
         warnings.warn("frequency grid is coarse for the requested lag depth")
-    w = np.empty(len(lam))
-    w[:] = lam[1] - lam[0]
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    ts = np.arange(depth + 1)
-    return np.cos(np.outer(ts, lam)) @ (f * w)
+    return trapezoid_lags(lam, f, depth)
 
 
 def _ma_depth(q):
@@ -270,14 +266,23 @@ def spectral_distance(f1, f2, norm="l2_kernel", lams=None):
         else:
             lams = f1.lambda_grid() if f1.form == "tabulated" else f2.lambda_grid()
     diff = f1.values(lams) - f2.values(lams)
-    deg = (2 * np.arange(f1.band_limit + 1) + 1)[:, None]
+    return _sup_operator_norm(diff, norm) + f1.tail_bound + f2.tail_bound
+
+
+def _sup_operator_norm(diff, norm):
+    """sup over lambda of the operator norm of per-multipole differences.
+
+    ``diff`` has shape (L+1, n_lams); ``l2_kernel`` is
+    sqrt(sum_l (2l+1) diff_l^2) and ``trace`` is sum_l (2l+1) |diff_l|.
+    """
+    deg = (2 * np.arange(len(diff)) + 1)[:, None]
     if norm == "l2_kernel":
         per_lam = np.sqrt((deg * diff**2).sum(axis=0))
     elif norm == "trace":
         per_lam = (deg * np.abs(diff)).sum(axis=0)
     else:
         raise ValueError("norm must be 'l2_kernel' or 'trace'")
-    return float(per_lam.max()) + f1.tail_bound + f2.tail_bound
+    return float(per_lam.max())
 
 
 def approximate_operator(target, eps, kind, norm="l2_kernel",
@@ -337,18 +342,23 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
                 grid_l = target.lam
                 c = _target_acv((grid_l, target.table[l]), depth)
             if kind == "ma":
-                theta, sigma2 = fit_ma(c, order)
-                row = sigma2 / TWO_PI * abs2_on_circle(np.r_[1.0, theta], lam)
+                try:
+                    theta, sigma2 = fit_ma(c, order)
+                except RuntimeError:
+                    # a non-invertible fit certifies nothing; try the next order
+                    continue
                 coeffs = (np.empty(0), theta)
             else:
                 phi, sigma2 = fit_ar(c, order)
-                row = sigma2 / TWO_PI / abs2_on_circle(np.r_[1.0, -phi], lam)
                 coeffs = (phi, np.empty(0))
+            row = rational_density(coeffs[0], coeffs[1], sigma2, lam)
             err = float(np.abs(row - F[l]).max())
             if best is None or err < best[0]:
                 best = (err, order, coeffs, sigma2, row)
             if err <= budget:
                 break
+        if best is None:
+            raise ValueError(f"no invertible MA fit at multipole {l}")
         err, order, coeffs, sigma2, row = best
         if err > budget:
             cap_reached = True
@@ -359,10 +369,9 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
         per_multipole.append((l, order, err))
 
     model = SpharmaModel(L, fitted_ar, fitted_ma, noise)
-    deg = (2 * np.arange(L + 1) + 1)[:, None]
     diff = fitted_rows - F
-    total_l2 = float(np.sqrt((deg * diff**2).sum(axis=0)).max()) + tail_error
-    total_trace = float((deg * np.abs(diff)).sum(axis=0).max()) + tail_error
+    total_l2 = _sup_operator_norm(diff, "l2_kernel") + tail_error
+    total_trace = _sup_operator_norm(diff, "trace") + tail_error
     total = total_l2 if norm == "l2_kernel" else total_trace
     cert = ApproximationCertificate(
         kind=kind, epsilon=eps, norm=norm, l_trunc=L,
@@ -409,10 +418,8 @@ class WoldResult:
     def spectral_density(self, lams):
         """f_l(lambda) = |psi_l(e^{-i lambda})|^2 sigma_l^2 / (2 pi)."""
         lams = np.asarray(lams, dtype=float)
-        out = np.empty((self.band_limit + 1, len(lams)))
-        for l in range(self.band_limit + 1):
-            out[l] = self.sigma2[l] / TWO_PI * abs2_on_circle(self.psi[l], lams)
-        return out
+        return np.vstack([rational_density(np.empty(0), psi[1:], sigma2, lams)
+                          for psi, sigma2 in zip(self.psi, self.sigma2)])
 
 
 def wold(acv, n_psi, variance_tol=1e-10):
@@ -497,10 +504,9 @@ def l2_omega_check(true_model, fitted_model, n_mc, seed,
         if mode == "ar":
             warmup = fitted_model.p
         else:
-            rep = check_causal(fitted_model)
-            warmup = (fitted_model.q if math.isinf(rep.min_root_modulus) else
-                      min(2000, int(math.ceil(math.log(1e-8)
-                                              / math.log(1.0 / rep.min_root_modulus)))))
+            xi = check_causal(fitted_model).min_root_modulus
+            warmup = (fitted_model.q if math.isinf(xi) else
+                      min(2000, decay_length(xi, 1e-8)))
     warmup = min(warmup, n_mc // 2)
 
     err = np.empty_like(series.values)
@@ -520,9 +526,7 @@ def l2_omega_check(true_model, fitted_model, n_mc, seed,
             err[rows] = a - signal.lfilter(b, den, z, axis=-1)
 
     Y = harmonic_values_at(L_true, node[0], node[1])
-    flat = np.concatenate([Y[l, L_true - l : L_true + l + 1]
-                           for l in range(L_true + 1)])
-    e_node = flat @ err
+    e_node = Y[stream_index(L_true)] @ err
     tail = e_node[warmup:] ** 2
     return L2CheckResult(float(tail.mean()), batch_means_se(tail),
                          len(tail), mode)

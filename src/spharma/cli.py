@@ -96,6 +96,10 @@ def cmd_simulate(args):
         print(f"model not causal at multipoles {report.offending_multipoles}",
               file=sys.stderr)
         return EXIT_INPUT
+    for t in args.snapshots or ():
+        if not (0 <= t < args.n):
+            print(f"snapshot index {t} out of range", file=sys.stderr)
+            return EXIT_INPUT
     config = simulate.SimulationConfig(seed=args.seed, n=args.n,
                                        burn_in=args.burn_in)
     series = simulate.simulate_spharma(model, config)
@@ -105,9 +109,6 @@ def cmd_simulate(args):
     if args.snapshots:
         grid = sphere.build_grid(model.band_limit)
         for t in args.snapshots:
-            if not (0 <= t < series.n):
-                print(f"snapshot index {t} out of range", file=sys.stderr)
-                return EXIT_INPUT
             snap = simulate.synthesize_field(series, grid, t)
             snap.to_csv(os.path.join(args.out, f"field_t{t}.csv"))
     print(f"wrote series ({series.n} steps, L={series.band_limit}) to {args.out}")
@@ -220,9 +221,8 @@ def _check_ckl(series, z_max=4.0):
     deg = 2 * np.arange(L + 1) + 1
     predicted = float(deg[l_cut + 1 :] @ acv.values[l_cut + 1 :, 0] / (4 * math.pi))
     node = (1.1, 2.4)
-    Y = sphere.harmonic_values_at(L, *node)
-    flat = np.concatenate([Y[l, L - l : L + l + 1] if l > l_cut
-                           else np.zeros(2 * l + 1) for l in range(L + 1)])
+    flat = sphere.harmonic_values_at(L, *node)[sphere.stream_index(L)]
+    flat[: (l_cut + 1) ** 2] = 0.0  # the truncated expansion keeps l <= l_cut
     err = (flat @ series.values) ** 2
     realized = float(err.mean())
     se = simulate.batch_means_se(err)

@@ -21,12 +21,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import signal
 
 from .spectral import (
-    TWO_PI,
     AutocovarianceSpectrum,
     SpectralEigenvalues,
-    abs2_on_circle,
+    kernel_from_eigenvalues,  # noqa: F401  (re-exported)
+    rational_density,
 )
 
 _DEGENERATE = 1e-14
@@ -155,20 +156,29 @@ def lag_polynomial_roots(coeffs, kind="ar"):
     return np.roots(poly[::-1])
 
 
+def min_root_modulus(coeffs, kind="ar"):
+    """Smallest root modulus of a lag polynomial; inf when it has no roots."""
+    roots = lag_polynomial_roots(coeffs, kind=kind)
+    return math.inf if len(roots) == 0 else float(np.abs(roots).min())
+
+
+def decay_length(root_modulus, tol):
+    """Smallest J with (1/root_modulus)^J <= tol: ceil(log tol / log rho).
+
+    An infinite modulus (no AR roots) means no AR memory, so the length is 0.
+    """
+    if math.isinf(root_modulus):
+        return 0
+    return int(math.ceil(math.log(tol) / math.log(1.0 / root_modulus)))
+
+
 def _root_margin_report(coeff_lists, margin, kind):
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
-    min_mod = math.inf
-    offending = []
-    for l, coeffs in enumerate(coeff_lists):
-        roots = lag_polynomial_roots(coeffs, kind=kind)
-        if len(roots) == 0:
-            continue
-        mod = float(np.abs(roots).min())
-        min_mod = min(min_mod, mod)
-        if mod < 1.0 + margin:
-            offending.append(l)
-    return CausalityReport(not offending, min_mod, offending, margin)
+    mods = [min_root_modulus(coeffs, kind) for coeffs in coeff_lists]
+    offending = [l for l, mod in enumerate(mods) if mod < 1.0 + margin]
+    return CausalityReport(not offending, min(mods, default=math.inf),
+                           offending, margin)
 
 
 def check_causal(model, margin=1e-6):
@@ -195,47 +205,32 @@ def check_coprime(model, tol=1e-8):
     return out
 
 
-def _multipole_root_margin(model, l):
-    roots = lag_polynomial_roots(model.ar[l], "ar")
-    return math.inf if len(roots) == 0 else float(np.abs(roots).min())
-
-
 def psi_coefficients(model, l, count):
     """Power-series coefficients psi_{l;0..count} of theta_l(z)/phi_l(z).
 
-    psi_0 = 1 and psi_j = theta_j [j <= q] + sum_{k<=min(j,p)} phi_k psi_{j-k}.
+    psi_0 = 1 and psi_j = theta_j [j <= q] + sum_{k<=min(j,p)} phi_k psi_{j-k}:
+    the impulse response of the ARMA filter theta_l(B)/phi_l(B).
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if _multipole_root_margin(model, l) <= 1.0:
+    if min_root_modulus(model.ar[l]) <= 1.0:
         raise ValueError(f"multipole {l} is not causal")
-    phi, theta = model.ar[l], model.ma[l]
-    psi = np.zeros(count + 1)
-    psi[0] = 1.0
-    for j in range(1, count + 1):
-        acc = theta[j - 1] if j <= len(theta) else 0.0
-        kmax = min(j, len(phi))
-        if kmax:
-            acc += phi[:kmax] @ psi[j - 1 :: -1][:kmax]
-        psi[j] = acc
-    return psi
+    impulse = np.zeros(count + 1)
+    impulse[0] = 1.0
+    return signal.lfilter(np.r_[1.0, model.ma[l]], np.r_[1.0, -model.ar[l]], impulse)
 
 
 def model_spectral_density(model, l, lam):
     """f_l(lambda) = C_{l;Z}/(2pi) * |theta_l(e^{i lam})|^2 / |phi_l(e^{i lam})|^2."""
     scalar = np.isscalar(lam) or np.ndim(lam) == 0
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    num = abs2_on_circle(np.r_[1.0, model.ma[l]], lam_arr)
-    den = abs2_on_circle(np.r_[1.0, -model.ar[l]], lam_arr)
-    if np.any(den < 1e-24):
-        raise ValueError(f"AR polynomial at l={l} vanishes on the unit circle")
-    out = model.noise[l] / TWO_PI * num / den
+    out = rational_density(model.ar[l], model.ma[l], model.noise[l], lam_arr)
     return float(out[0]) if scalar else out
 
 
 def _psi_truncation_order(model, l, tol=1e-12):
     """Smallest J with rho^J/(1-rho) * (1 + sum|theta|) below tol."""
-    xi = _multipole_root_margin(model, l)
+    xi = min_root_modulus(model.ar[l])
     q = len(model.ma[l])
     if math.isinf(xi):
         return q
@@ -243,7 +238,7 @@ def _psi_truncation_order(model, l, tol=1e-12):
         raise ValueError(f"multipole {l} is not causal")
     rho = 1.0 / xi
     env = 1.0 + float(np.abs(model.ma[l]).sum())
-    J = int(math.ceil(math.log(tol * (1.0 - rho) / env) / math.log(rho)))
+    J = decay_length(xi, tol * (1.0 - rho) / env)
     J = max(J, q + len(model.ar[l]) + 8)
     if J > 200000:
         warnings.warn(f"root margin at l={l} is tiny; capping psi expansion")
@@ -271,15 +266,3 @@ def model_autocovariance_table(model, max_lag):
     vals = np.vstack([model_autocovariance(model, l, max_lag)
                       for l in range(model.band_limit + 1)])
     return AutocovarianceSpectrum(model.band_limit, max_lag, vals)
-
-
-def kernel_from_eigenvalues(eigs, c):
-    """Isotropic kernel k(c) = sum_l eig_l (2l+1)/(4pi) P_l(c) from eigenvalues."""
-    from .sphere import legendre_all
-
-    eigs = np.asarray(eigs, dtype=float)
-    L = len(eigs) - 1
-    deg = 2 * np.arange(L + 1) + 1
-    coeff = eigs * deg / (4.0 * math.pi)
-    P = legendre_all(L, c)
-    return coeff @ P if np.ndim(P) > 1 else float(coeff @ P)

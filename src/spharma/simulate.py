@@ -17,27 +17,18 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import signal
 
-from .model import check_causal
+from .model import check_causal, decay_length
 from .spectral import TWO_PI, AutocovarianceSpectrum
-from .sphere import empty_coeffs, sht_inverse
+from .sphere import empty_coeffs, sht_inverse, stream_index
 
 _BURN_TARGET = 1e-10
 _BURN_CAP = 1_000_000
-
-
-def max_workers():
-    """Parallelism cap from SPHARMA_THREADS (default: serial)."""
-    raw = os.environ.get("SPHARMA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+_CRAMER_CHUNK_ROWS = 32  # streams per chunk of the band-split Gram matrix
 
 
 def row_index(l, m):
@@ -105,10 +96,8 @@ class HarmonicCoefficientSeries:
         """Dense (L+1, 2L+1) coefficient array at one time index."""
         if not (0 <= t < self.n):
             raise IndexError("time index out of range")
-        L = self.band_limit
-        out = empty_coeffs(L)
-        for l in range(L + 1):
-            out[l, L - l : L + l + 1] = self.block(l)[:, t]
+        out = empty_coeffs(self.band_limit)
+        out[stream_index(self.band_limit)] = self.values[:, t]
         return out
 
     def sidecar(self):
@@ -120,6 +109,8 @@ class HarmonicCoefficientSeries:
     def save(self, path):
         """Write raw little-endian float64 next to a ``.json`` sidecar."""
         path = str(path)
+        if _sidecar_path(path) == path:
+            raise ValueError(f"series path {path!r} would be overwritten by its sidecar")
         self.values.astype("<f8").tofile(path)
         with open(_sidecar_path(path), "w") as fh:
             json.dump(self.sidecar(), fh, indent=1)
@@ -166,17 +157,6 @@ def _noise_block(seed, l, scale, count):
     return scale * block
 
 
-def _parallel_over_l(fn, band_limit):
-    workers = max_workers()
-    ls = range(band_limit + 1)
-    if workers == 1:
-        for l in ls:
-            fn(l)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fn, ls))
-
-
 def simulate_white_noise(noise_spectrum, config):
     """Strong Gaussian spherical white noise with per-l variances C_{l;Z}."""
     noise_spectrum = np.asarray(noise_spectrum, dtype=float)
@@ -186,22 +166,16 @@ def simulate_white_noise(noise_spectrum, config):
     burn = config.burn_in or 0
     total = config.n + burn
     values = np.empty(((L + 1) ** 2, config.n))
-
-    def fill(l):
+    for l in range(L + 1):
         block = _noise_block(config.seed, l, math.sqrt(noise_spectrum[l]), total)
         values[l * l : l * l + 2 * l + 1] = block[:, burn:]
-
-    _parallel_over_l(fill, L)
     prov = {"seed": int(config.seed), "burn_in": burn,
             "noise_law": config.noise_law, "model_hash": None}
     return HarmonicCoefficientSeries(L, values, prov)
 
 
 def _auto_burn_in(model, report):
-    if model.p == 0:
-        return model.q
-    rho = 1.0 / report.min_root_modulus
-    burn = int(math.ceil(math.log(_BURN_TARGET) / math.log(rho)))
+    burn = decay_length(report.min_root_modulus, _BURN_TARGET)
     if burn > _BURN_CAP:
         warnings.warn("root margin implies a huge burn-in; capping at 1e6")
         burn = _BURN_CAP
@@ -225,8 +199,7 @@ def simulate_spharma(model, config, return_innovations=False):
     L = model.band_limit
     values = np.empty(((L + 1) ** 2, config.n))
     innov = np.empty_like(values) if return_innovations else None
-
-    def fill(l):
+    for l in range(L + 1):
         z = _noise_block(config.seed, l, math.sqrt(model.noise[l]), total)
         b = np.r_[1.0, model.ma[l]]
         a = np.r_[1.0, -model.ar[l]]
@@ -234,8 +207,6 @@ def simulate_spharma(model, config, return_innovations=False):
         values[l * l : l * l + 2 * l + 1] = out[:, burn:]
         if innov is not None:
             innov[l * l : l * l + 2 * l + 1] = z[:, burn:]
-
-    _parallel_over_l(fill, L)
     prov = {"seed": int(config.seed), "burn_in": int(burn),
             "noise_law": config.noise_law, "model_hash": model.content_hash()}
     series = HarmonicCoefficientSeries(L, values, prov)
@@ -328,22 +299,23 @@ def verify_cramer_orthogonality(series, n_bands, factor=1.5):
 
     lams = np.abs(2.0 * math.pi * np.fft.fftfreq(n))
     band_of = np.minimum((lams / math.pi * n_bands).astype(int), n_bands - 1)
-    spectra = np.fft.fft(series.values, axis=-1)
     lo, hi = n // 4, 3 * n // 4
-    comps = np.empty((n_bands, series.values.shape[0], hi - lo))
-    for b in range(n_bands):
-        masked = np.where(band_of[None, :] == b, spectra, 0.0)
-        comps[b] = np.fft.ifft(masked, axis=-1).real[:, lo:hi]
+    # Gram matrix of the band components, accumulated over chunks of streams
+    gram = np.zeros((n_bands, n_bands))
+    for start in range(0, series.values.shape[0], _CRAMER_CHUNK_ROWS):
+        spectra = np.fft.fft(series.values[start : start + _CRAMER_CHUNK_ROWS], axis=-1)
+        comps = np.empty((n_bands, len(spectra), hi - lo))
+        for b in range(n_bands):
+            masked = np.where(band_of[None, :] == b, spectra, 0.0)
+            comps[b] = np.fft.ifft(masked, axis=-1).real[:, lo:hi]
+        comps = comps.reshape(n_bands, -1)
+        gram += comps @ comps.T
 
-    norms = np.sqrt((comps**2).sum(axis=(1, 2)))
-    max_corr = 0.0
-    for b in range(n_bands):
-        for c in range(b + 1, n_bands):
-            denom = norms[b] * norms[c]
-            if denom == 0.0:
-                continue
-            corr = float(np.abs((comps[b] * comps[c]).sum()) / denom)
-            max_corr = max(max_corr, corr)
+    norms = np.sqrt(np.diag(gram))
+    upper = np.triu_indices(n_bands, 1)
+    denom = np.outer(norms, norms)[upper]
+    corr = np.abs(gram[upper])[denom != 0.0] / denom[denom != 0.0]
+    max_corr = float(corr.max(initial=0.0))
     return CramerReport(n_bands, max_corr, threshold, max_corr < threshold)
 
 

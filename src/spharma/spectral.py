@@ -48,6 +48,42 @@ def abs2_on_circle(coeffs, lams):
     return re * re + im * im
 
 
+def rational_density(ar, ma, noise, lams):
+    """noise/(2pi) * |theta(e^{i lam})|^2 / |phi(e^{i lam})|^2 on ``lams``.
+
+    ``ar`` and ``ma`` are the coefficients of phi(z) = 1 - ar_1 z - ... and
+    theta(z) = 1 + ma_1 z + ...; an empty array contributes the constant 1.
+    """
+    num = abs2_on_circle(np.r_[1.0, ma], lams)
+    den = abs2_on_circle(np.r_[1.0, -ar], lams)
+    if np.any(den < 1e-24):
+        raise ValueError("AR polynomial vanishes on the unit circle")
+    return noise / TWO_PI * num / den
+
+
+def kernel_from_eigenvalues(eigs, c):
+    """Isotropic kernel k(c) = sum_l eig_l (2l+1)/(4pi) P_l(c) from eigenvalues."""
+    eigs = np.asarray(eigs, dtype=float)
+    L = len(eigs) - 1
+    deg = 2 * np.arange(L + 1) + 1
+    coeff = deg / (4.0 * math.pi) * eigs
+    P = legendre_all(L, c)
+    return coeff @ P if np.ndim(P) > 1 else float(coeff @ P)
+
+
+def trapezoid_lags(lam, f, max_lag):
+    """Trapezoid rule for integral f(lambda) cos(t lambda), t = 0..max_lag.
+
+    ``lam`` is a uniform grid; ``f`` holds one tabulated spectrum of shape
+    ``(len(lam),)`` or one per row, shape ``(rows, len(lam))``.
+    """
+    w = np.full(len(lam), lam[1] - lam[0])
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    ts = np.arange(max_lag + 1)
+    return (np.cos(np.outer(ts, lam)) @ (f * w).T).T
+
+
 def _geometric_tail(last, prev):
     """Tail estimate sum_{t>T} |c_t| from the last two stored magnitudes."""
     last, prev = abs(last), abs(prev)
@@ -185,14 +221,8 @@ class SpectralEigenvalues:
             lams = self.lambda_grid()
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         if self.form == "rational":
-            out = np.empty((self.band_limit + 1, len(lams)))
-            for l, (ar, ma, noise) in enumerate(self.entries):
-                num = abs2_on_circle(np.r_[1.0, ma], lams)
-                den = abs2_on_circle(np.r_[1.0, -ar], lams)
-                if np.any(den < 1e-24):
-                    raise ValueError(f"AR polynomial vanishes on the unit circle at l={l}")
-                out[l] = noise / TWO_PI * num / den
-            return out
+            return np.vstack([rational_density(ar, ma, noise, lams)
+                              for ar, ma, noise in self.entries])
         if lams.shape == self.lam.shape and np.allclose(lams, self.lam):
             return self.table
         return np.vstack([np.interp(lams, self.lam, row) for row in self.table])
@@ -238,11 +268,7 @@ def covariance_kernel_eval(acv, t, c):
     """Covariance kernel r_t at inner product c: Legendre synthesis of C_l(t)."""
     if abs(t) > acv.max_lag:
         raise ValueError("lag out of range")
-    L = acv.band_limit
-    deg = 2 * np.arange(L + 1) + 1
-    coeff = deg / (4.0 * math.pi) * acv.values[:, abs(t)]
-    P = legendre_all(L, c)
-    return coeff @ P if np.ndim(P) > 1 else float(coeff @ P)
+    return kernel_from_eigenvalues(acv.values[:, abs(t)], c)
 
 
 def kernel_l2_norm(acv, t):
@@ -318,14 +344,7 @@ def autocov_from_spectral(spec, t, check_tol=1e-9):
 def autocov_table(spec, max_lag):
     """AutocovarianceSpectrum with lags 0..max_lag recovered from a spectrum."""
     lam = spec.lambda_grid()
-    F = spec.values(lam)
-    ts = np.arange(max_lag + 1)
-    cos_tab = np.cos(np.outer(ts, lam))
-    # trapezoid weights on the uniform grid
-    w = np.full(len(lam), lam[1] - lam[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    vals = (F * w) @ cos_tab.T
+    vals = trapezoid_lags(lam, spec.values(lam), max_lag)
     # sum_{l>L} (2l+1) C_l(0) <= 2pi * sup_lambda tail of the trace sum
     return AutocovarianceSpectrum(spec.band_limit, max_lag, vals,
                                   tail_bound=TWO_PI * spec.tail_bound)

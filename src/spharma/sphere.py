@@ -292,6 +292,18 @@ def empty_coeffs(band_limit):
     return np.zeros((band_limit + 1, 2 * band_limit + 1))
 
 
+def stream_index(band_limit):
+    """Index into the dense ``(L+1, 2L+1)`` layout for each stream row.
+
+    Stream rows are ordered ``l*(l+1)+m`` (l ascending, m from -l to l), so
+    ``dense[stream_index(L)]`` flattens a coefficient array into stream order
+    and ``dense[stream_index(L)] = column`` scatters one back.
+    """
+    ls = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
+    ms = np.arange(len(ls)) - ls * (ls + 1)
+    return ls, band_limit + ms
+
+
 def _check_coeff_shape(coeffs):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 2 or coeffs.shape[1] != 2 * coeffs.shape[0] - 1:

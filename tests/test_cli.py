@@ -66,6 +66,13 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(fh))
         assert {"colat", "lon", "value"} == set(rows[0])
 
+    def test_snapshot_out_of_range_writes_nothing(self, tmp_path, model_path):
+        out = tmp_path / "run"
+        code = run("simulate", "--model", model_path, "--n", 20, "--seed", 1,
+                   "--out", out, "--snapshots", "0,20")
+        assert code == cli.EXIT_INPUT
+        assert not (out / "series.bin").exists()
+
     def test_io_failure_exits_3(self, tmp_path, model_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
@@ -178,6 +185,18 @@ class TestApproximateCommand:
         assert code == cli.EXIT_BUDGET
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["passed"] is False and cert["order_cap_reached"] is True
+
+    def test_non_invertible_ma_orders_are_skipped(self, tmp_path):
+        # psi_1 = 1.2 makes the order-1 innovations fit non-invertible; the
+        # escalation moves past it instead of ending in a traceback
+        target = tmp_path / "arma.json"
+        SpharmaModel.uniform(2, ar=[0.8], ma=[0.4], noise=1.0).save(target)
+        out = tmp_path / "fit"
+        code = run("approximate", "--target", target, "--eps", 0.01,
+                   "--kind", "ma", "--out", out)
+        assert code in (cli.EXIT_OK, cli.EXIT_BUDGET)
+        cert = json.loads((out / "certificate.json").read_text())
+        assert all(row["order"] != 1 for row in cert["per_multipole"])
 
     def test_nonpositive_eps_exits_2(self, tmp_path, model_path):
         code = run("approximate", "--target", model_path, "--eps", -1.0,

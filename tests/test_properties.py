@@ -1,0 +1,68 @@
+"""Property tests over random causal ARMA models with p, q <= 3."""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spharma import spectral
+from spharma.model import SpharmaModel, model_autocovariance_table, psi_coefficients
+
+
+@st.composite
+def lag_poly(draw, max_order=3, min_root=1.25, max_root=3.0):
+    """Ascending coefficients of c(z) with c(0) = 1 and all roots of modulus
+    in [min_root, max_root], built from real roots and conjugate pairs."""
+    budget = draw(st.integers(0, max_order))
+    coeffs = np.array([1.0])
+    while budget > 0:
+        r = draw(st.floats(min_root, max_root))
+        if budget >= 2 and draw(st.booleans()):
+            w = draw(st.floats(0.0, math.pi))
+            factor = np.array([1.0, -2.0 * math.cos(w) / r, 1.0 / r**2])
+            budget -= 2
+        else:
+            r *= draw(st.sampled_from([-1.0, 1.0]))
+            factor = np.array([1.0, -1.0 / r])
+            budget -= 1
+        coeffs = np.convolve(coeffs, factor)
+    return coeffs
+
+
+@st.composite
+def causal_arma(draw):
+    phi = -draw(lag_poly())[1:]
+    theta = draw(lag_poly())[1:]
+    noise = draw(st.floats(0.1, 10.0))
+    return SpharmaModel(0, [phi], [theta], np.array([noise]))
+
+
+def recursion_oracle(phi, theta, count):
+    """psi_0 = 1, psi_j = theta_j [j <= q] + sum_{k <= min(j, p)} phi_k psi_{j-k}."""
+    psi = np.zeros(count + 1)
+    psi[0] = 1.0
+    for j in range(1, count + 1):
+        acc = theta[j - 1] if j <= len(theta) else 0.0
+        kmax = min(j, len(phi))
+        if kmax:
+            acc += phi[:kmax] @ psi[j - 1 :: -1][:kmax]
+        psi[j] = acc
+    return psi
+
+
+@settings(max_examples=60, deadline=None)
+@given(causal_arma())
+def test_psi_weights_satisfy_the_arma_recursion(model):
+    psi = psi_coefficients(model, 0, 200)
+    oracle = recursion_oracle(model.ar[0], model.ma[0], 200)
+    assert np.abs(psi - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(causal_arma())
+def test_lags_and_frequencies_are_a_fourier_pair(model):
+    max_lag = 20
+    exact = model_autocovariance_table(model, max_lag).values
+    back = spectral.autocov_table(model.spectral(), max_lag).values
+    assert np.abs(back - exact).max() <= 1e-11 * exact[:, 0].max()

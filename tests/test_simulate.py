@@ -234,6 +234,22 @@ class TestCramerOrthogonality:
         rep = sim.verify_cramer_orthogonality(series, 1)
         assert rep.passed and rep.max_abs_correlation == 0.0
 
+    def test_chunked_gram_matches_dense_band_split(self):
+        # 49 streams span several chunks; compare with the direct pairwise sums
+        series = sim.simulate_spharma(SpharmaModel.uniform(6, ar=[0.7]),
+                                      sim.SimulationConfig(seed=3, n=1024))
+        n, n_bands = series.n, 4
+        lams = np.abs(2.0 * math.pi * np.fft.fftfreq(n))
+        band_of = np.minimum((lams / math.pi * n_bands).astype(int), n_bands - 1)
+        spectra = np.fft.fft(series.values, axis=-1)
+        comps = [np.fft.ifft(np.where(band_of == b, spectra, 0.0), axis=-1).real
+                 [:, n // 4 : 3 * n // 4] for b in range(n_bands)]
+        expected = max(abs((comps[b] * comps[c]).sum())
+                       / math.sqrt((comps[b] ** 2).sum() * (comps[c] ** 2).sum())
+                       for b in range(n_bands) for c in range(b + 1, n_bands))
+        got = sim.verify_cramer_orthogonality(series, n_bands).max_abs_correlation
+        assert abs(got - expected) <= 1e-12 * expected
+
     def test_short_series_rejected(self):
         series = sim.HarmonicCoefficientSeries(0, np.zeros((1, 512)))
         with pytest.raises(ValueError):
@@ -275,12 +291,32 @@ class TestSeriesIo:
         assert sl[1, 2] == 3.0  # (1, +1) -> row 3
 
 
-def test_thread_env_does_not_change_output(ar1_model, monkeypatch):
-    cfg = sim.SimulationConfig(seed=41, n=300)
-    base = sim.simulate_spharma(ar1_model, cfg)
-    monkeypatch.setenv("SPHARMA_THREADS", "4")
-    threaded = sim.simulate_spharma(ar1_model, cfg)
-    assert np.array_equal(base.values, threaded.values)
+def test_streams_do_not_depend_on_the_band_limit():
+    # each (l, m) stream has its own RNG key, so adding multipoles (more
+    # work, scheduled differently) leaves the existing streams untouched
+    cfg = sim.SimulationConfig(seed=41, n=300, burn_in=25)
+    L = 3
+    small = sim.simulate_spharma(SpharmaModel.uniform(L, ar=[0.5], ma=[0.2]), cfg)
+    large = sim.simulate_spharma(SpharmaModel.uniform(L + 3, ar=[0.5], ma=[0.2]), cfg)
+    assert np.array_equal(small.values, large.values[: (L + 1) ** 2])
+
+
+def test_all_zero_ar_has_no_ar_memory():
+    # p = 1 but phi(z) = 1 has no roots: burn-in is max(p, q), not log(0)
+    model = SpharmaModel.uniform(2, ar=[0.0])
+    cfg = sim.SimulationConfig(seed=9, n=40)
+    series = sim.simulate_spharma(model, cfg)
+    assert series.provenance["burn_in"] == 1
+    white = sim.simulate_white_noise(model.noise,
+                                     sim.SimulationConfig(seed=9, n=40, burn_in=1))
+    assert np.array_equal(series.values, white.values)
+
+
+def test_sidecar_may_not_overwrite_the_data(tmp_path):
+    series = sim.HarmonicCoefficientSeries(0, np.zeros((1, 4)))
+    with pytest.raises(ValueError):
+        series.save(tmp_path / "series.json")
+    assert not (tmp_path / "series.json").exists()
 
 
 def test_burn_in_is_a_pure_shift():

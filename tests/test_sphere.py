@@ -106,6 +106,12 @@ class TestRealSphHarm:
                 assert abs(packed[l, L + m]
                            - sphere.real_sph_harm(l, m, colat, lon)) < 1e-13
 
+    def test_stream_index_follows_row_order(self):
+        L = 4
+        ls, cols = sphere.stream_index(L)
+        rows = [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]
+        assert list(zip(ls, cols - L)) == rows
+
 
 class TestGrid:
     def test_trivial_band_limit(self):
