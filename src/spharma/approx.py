@@ -3,7 +3,11 @@
 Scalar machinery per multipole: the innovations algorithm (one-step
 prediction coefficients and errors from an autocovariance sequence) and the
 Durbin-Levinson solution of the Yule-Walker equations, cf. Brockwell & Davis,
-"Time Series: Theory and Methods", chapters 5 and 8.
+"Time Series: Theory and Methods", chapters 5 and 8. The innovations rows
+are the Cholesky factor of the Toeplitz matrix of C(0..n), computed by the
+Schur algorithm (Kailath & Sayed, "Fast Reliable Algorithms for Matrices
+with Structure", SIAM 1999, ch. 1) in O(n^2) time; the last row alone,
+which the MA fits and the Wold decomposition read, takes O(n) memory.
 
 Operator-level machinery: given target spectral eigenvalues f_l(lambda) and
 a tolerance eps, fit an invertible MA(q) or causal AR(p) per multipole,
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal
-from scipy.linalg import solve_triangular
 
 from .model import (
     SpharmaModel,
@@ -45,40 +48,66 @@ _VAR_FLOOR = 1e-12
 
 
 def _innovations_core(c, depth, floor=None):
-    """Shared innovations recursion state.
+    """Columns of the innovations factor by the Schur algorithm.
 
-    Returns ``(A, v)`` where ``A[i, j] = theta_{i, i-j} * v_j`` for j < i with
-    ``A[i, i] = v_i``, and ``v`` holds the one-step prediction variances. The
-    last predictor row is ``theta_{n, j} = A[n, n-j] / v[n-j]``.
+    The innovations rows of C(0..depth) are the rows of the factorisation
+    T = L diag(v) L^T of the Toeplitz matrix T[i, j] = C(|i - j|), with L
+    unit lower triangular and ``theta_{i, i-k} = L[i, k]``. Schur's
+    algorithm (Kailath & Sayed, "Fast Reliable Algorithms for Matrices with
+    Structure", ch. 1) computes that factor column by column from two
+    generator vectors, in O(depth^2) time and O(depth) memory: ``a`` starts
+    as C(0..depth) and ``b`` as C(1..depth); at step k, ``a`` is column k of
+    ``L diag(v)`` on rows k..depth, so ``v_k = a[0]``. Shifting ``a`` down
+    one row and rotating with the reflection coefficient ``g = b[0] / v_k``
+    gives the next pair, with ``v_{k+1} = v_k (1 - g^2)``.
+
+    Yields column k of ``L diag(v)``, rows k..depth, for k = 0..depth. The
+    arrays are fresh at each step, so callers may keep them.
+
+    A step with |g| >= 1 is the nonpositive-variance case: T is not positive
+    definite. With ``floor=None`` it raises ``ValueError`` naming the step
+    k + 1. With a floor it warns and scales ``b`` so that |g| becomes
+    sqrt(max(0, 1 - floor / v_k)), so ``v_{k+1} = min(floor, v_k)`` and
+    every v stays positive. Scaling ``b`` by s adds the positive
+    semidefinite matrix (1 - s^2) B B^T / v_k to the Schur complement left
+    after step k, B the lower triangular Toeplitz matrix of ``b``: the later
+    rows are those of that regularised matrix, not of T.
     """
     c = np.asarray(c, dtype=float)
     if len(c) < depth + 1:
         raise ValueError("autocovariance sequence shorter than recursion depth")
     if c[0] <= 0.0:
         raise ValueError("C(0) must be positive")
-    v = np.empty(depth + 1)
-    A = np.zeros((depth + 1, depth + 1))
-    v[0] = c[0]
-    A[0, 0] = c[0]
-    for i in range(1, depth + 1):
-        rhs = c[i:0:-1]
-        x = solve_triangular(A[:i, :i], rhs, lower=True)
-        vi = c[0] - (x * x) @ v[:i]
-        if vi <= 0.0:
+    a = c[: depth + 1].copy()
+    b = a[1:]
+    for k in range(depth):
+        yield a
+        head, v = a[:-1], a[0]
+        g = b[0] / v
+        floored = abs(g) >= 1.0
+        if floored:
             if floor is None:
                 raise ValueError(
-                    f"innovations variance nonpositive at step {i}: "
+                    f"innovations variance nonpositive at step {k + 1}: "
                     "input is not a positive definite autocovariance")
-            warnings.warn(f"flooring nonpositive innovations variance at step {i}")
-            vi = floor
-        v[i] = vi
-        A[i, :i] = x * v[:i]
-        A[i, i] = vi
-    return A, v
+            warnings.warn(
+                f"flooring nonpositive innovations variance at step {k + 1}")
+            clipped = math.copysign(math.sqrt(max(0.0, 1.0 - floor / v)), g)
+            b = b * (clipped / g)
+            g = clipped
+        a, b = head - g * b, (b - g * head)[1:]
+        if floored:
+            # exact where floor / v is below the rounding unit, so the
+            # rotation would round v_{k+1} to zero
+            a[0] = min(floor, v)
+    yield a
 
 
 def innovations(c, floor=None):
     """Innovations algorithm on an autocovariance sequence C(0..n).
+
+    Runs the Schur recursion of ``_innovations_core`` in O(n^2) time; the
+    returned triangle itself takes O(n^2) memory.
 
     Parameters
     ----------
@@ -86,7 +115,8 @@ def innovations(c, floor=None):
         Autocovariances C(0), ..., C(n) with C(0) > 0.
     floor : float, optional
         If given, nonpositive prediction variances are floored at this value
-        with a warning instead of raising (for noisy empirical inputs).
+        with a warning instead of raising (for noisy empirical inputs); see
+        ``_innovations_core`` for what the later rows hold.
 
     Returns
     -------
@@ -99,18 +129,28 @@ def innovations(c, floor=None):
     """
     c = np.asarray(c, dtype=float)
     depth = len(c) - 1
-    A, v = _innovations_core(c, depth, floor=floor)
-    theta = np.zeros_like(A)
-    for i in range(1, depth + 1):
-        theta[i, 1 : i + 1] = A[i, i - 1 :: -1][:i] / v[i - 1 :: -1][:i]
+    factor = np.zeros((depth + 1, depth + 1))
+    for k, col in enumerate(_innovations_core(c, depth, floor=floor)):
+        factor[k:, k] = col
+    v = factor.diagonal().copy()
+    rows, cols = np.tril_indices(depth + 1, -1)
+    theta = np.zeros_like(factor)
+    theta[rows, rows - cols] = factor[rows, cols] / v[cols]
     return theta, v
 
 
 def _innovations_last_row(c, depth, floor=None):
-    """theta_{depth, 1..depth} and v_depth without building the full triangle."""
-    A, v = _innovations_core(c, depth, floor=floor)
-    last = A[depth, depth - 1 :: -1][:depth] / v[depth - 1 :: -1][:depth]
-    return last, v
+    """theta_{depth, 1..depth} and v_0..v_depth in O(depth) memory.
+
+    Keeps only the last-row entry of each Schur column:
+    ``theta_{depth, depth-k} = a_k[depth] / v_k``.
+    """
+    last = np.empty(depth + 1)
+    v = np.empty(depth + 1)
+    for k, col in enumerate(_innovations_core(c, depth, floor=floor)):
+        last[k] = col[-1]
+        v[k] = col[0]
+    return (last[:depth] / v[:depth])[::-1], v
 
 
 def durbin_levinson(c, order):
@@ -325,22 +365,23 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
         # fixed point: never fit below its own order
         start = 0
         if target.form == "rational":
-            t_ar, t_ma, _ = target.entries[l]
+            t_ar, t_ma, t_noise = target.entries[l]
             if kind == "ma" and len(t_ar) == 0:
                 start = len(t_ma)
             elif kind == "ar" and len(t_ma) == 0:
                 start = len(t_ar)
+            probe = SpharmaModel(0, [t_ar], [t_ma], np.array([t_noise]))
+            lags = np.empty(0)
         for order in _order_schedule(order_cap, start):
             depth = _ma_depth(order) if kind == "ma" else order
             if target.form == "rational":
-                # exact lags straight from the rational form
-                probe = SpharmaModel(0, [target.entries[l][0]],
-                                     [target.entries[l][1]],
-                                     np.array([target.entries[l][2]]))
-                c = model_autocovariance(probe, 0, depth)
+                # exact lags straight from the rational form; they are
+                # prefix-stable, so shallower orders read a prefix
+                if depth >= len(lags):
+                    lags = model_autocovariance(probe, 0, depth)
+                c = lags[: depth + 1]
             else:
-                grid_l = target.lam
-                c = _target_acv((grid_l, target.table[l]), depth)
+                c = _target_acv((target.lam, target.table[l]), depth)
             if kind == "ma":
                 try:
                     theta, sigma2 = fit_ma(c, order)

@@ -74,6 +74,25 @@ class TestInnovations:
             _, v = approx.innovations(c, floor=1e-12)
         assert np.all(v > 0)
 
+    @pytest.mark.parametrize("c, step", [
+        ([1.0, 0.99, 0.0, 0.0], 2),
+        # AR(1) lags to lag 2, so positive definite up to there
+        ([1.0, 0.99, 0.99**2, 0.5, 0.0], 3),
+    ])
+    def test_nonpositive_step_is_pinned(self, c, step):
+        c = np.array(c)
+        with pytest.raises(ValueError, match=f"at step {step}:"):
+            approx.innovations(c)
+        with pytest.raises(ValueError, match=f"at step {step}:"):
+            approx._innovations_last_row(c, len(c) - 1)
+        with pytest.warns(UserWarning) as record:
+            _, v = approx.innovations(c, floor=1e-12)
+        assert str(record[0].message).endswith(f"at step {step}")
+        _, exact = approx.innovations(c[:step])
+        assert np.array_equal(v[:step], exact)
+        assert v[step] == 1e-12
+        assert np.all(v > 0)
+
 
 class TestDurbinLevinson:
     def test_ar1_exact(self):

@@ -5,9 +5,15 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular, toeplitz
 
-from spharma import spectral
-from spharma.model import SpharmaModel, model_autocovariance_table, psi_coefficients
+from spharma import approx, spectral
+from spharma.model import (
+    SpharmaModel,
+    model_autocovariance,
+    model_autocovariance_table,
+    psi_coefficients,
+)
 
 
 @st.composite
@@ -66,3 +72,50 @@ def test_lags_and_frequencies_are_a_fourier_pair(model):
     exact = model_autocovariance_table(model, max_lag).values
     back = spectral.autocov_table(model.spectral(), max_lag).values
     assert np.abs(back - exact).max() <= 1e-11 * exact[:, 0].max()
+
+
+def triangular_solve_oracle(c):
+    """Innovations recursion with one triangular solve per step (cubic in n).
+
+    Row i solves ``L[:i, :i] diag(v[:i]) x = C(i..1)`` for
+    ``x = theta_{i, i..1}`` and sets ``v_i = C(0) - sum_k x_k^2 v_k``.
+    """
+    depth = len(c) - 1
+    A = np.zeros((depth + 1, depth + 1))
+    theta = np.zeros_like(A)
+    v = np.empty(depth + 1)
+    A[0, 0] = v[0] = c[0]
+    for i in range(1, depth + 1):
+        x = solve_triangular(A[:i, :i], c[i:0:-1], lower=True)
+        v[i] = c[0] - (x * x) @ v[:i]
+        A[i, :i] = x * v[:i]
+        A[i, i] = v[i]
+        theta[i, 1 : i + 1] = x[::-1]
+    return theta, v
+
+
+@settings(max_examples=40, deadline=None)
+@given(causal_arma(), st.integers(1, 300))
+def test_schur_innovations_match_the_triangular_solve(model, depth):
+    c = model_autocovariance(model, 0, depth)
+    theta, v = approx.innovations(c)
+    oracle_theta, oracle_v = triangular_solve_oracle(c)
+    scale = np.abs(oracle_theta).max() or 1.0
+    assert np.abs(theta - oracle_theta).max() <= 1e-10 * scale
+    # the oracle's v_i = C(0) - sum cancels, so its error scales with C(0)
+    assert np.abs(v - oracle_v).max() <= 1e-12 * c[0]
+    last, last_v = approx._innovations_last_row(c, depth)
+    assert np.array_equal(last, theta[depth, 1:])
+    assert np.array_equal(last_v, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(causal_arma(), st.integers(1, 300))
+def test_innovations_factor_rebuilds_the_toeplitz_matrix(model, depth):
+    c = model_autocovariance(model, 0, depth)
+    theta, v = approx.innovations(c)
+    rows, cols = np.tril_indices(depth + 1, -1)
+    unit = np.eye(depth + 1)
+    unit[rows, cols] = theta[rows, rows - cols]
+    rebuilt = (unit * v) @ unit.T
+    assert np.abs(rebuilt - toeplitz(c)).max() <= 1e-12 * c[0]
