@@ -25,10 +25,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .model import (
     SpharmaModel,
+    arma_filter,
     check_causal,
     check_invertible,
     decay_length,
@@ -376,9 +376,10 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
             depth = _ma_depth(order) if kind == "ma" else order
             if target.form == "rational":
                 # exact lags straight from the rational form; they are
-                # prefix-stable, so shallower orders read a prefix
+                # prefix-stable, so one call fetches ahead and the next
+                # orders of the schedule read a prefix
                 if depth >= len(lags):
-                    lags = model_autocovariance(probe, 0, depth)
+                    lags = model_autocovariance(probe, 0, max(4 * depth, 32))
                 c = lags[: depth + 1]
             else:
                 c = _target_acv((target.lam, target.table[l]), depth)
@@ -559,12 +560,9 @@ def l2_omega_check(true_model, fitted_model, n_mc, seed,
             err[rows] = a - z
             continue
         if mode == "ar":
-            phi = fitted_model.ar[l]
-            err[rows] = signal.lfilter(np.r_[1.0, -phi], [1.0], a, axis=-1) - z
+            err[rows] = arma_filter([], -fitted_model.ar[l], a) - z
         else:
-            b = np.r_[1.0, fitted_model.ma[l]]
-            den = np.r_[1.0, -fitted_model.ar[l]]
-            err[rows] = a - signal.lfilter(b, den, z, axis=-1)
+            err[rows] = a - arma_filter(fitted_model.ar[l], fitted_model.ma[l], z)
 
     Y = harmonic_values_at(L_true, node[0], node[1])
     e_node = Y[stream_index(L_true)] @ err

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
 
 from .spectral import (
     AutocovarianceSpectrum,
@@ -31,6 +30,7 @@ from .spectral import (
 )
 
 _DEGENERATE = 1e-14
+_FILTER_BLOCK = 128  # arma_filter cuts time into blocks of max(p, 128) samples
 
 
 def canonical_hash(payload):
@@ -217,7 +217,82 @@ def psi_coefficients(model, l, count):
         raise ValueError(f"multipole {l} is not causal")
     impulse = np.zeros(count + 1)
     impulse[0] = 1.0
-    return signal.lfilter(np.r_[1.0, model.ma[l]], np.r_[1.0, -model.ar[l]], impulse)
+    return arma_filter(model.ar[l], model.ma[l], impulse)
+
+
+def _ar_in_blocks(ar, w, length):
+    """AR recursion from a zero state along axis 0 of ``w``, in place.
+
+    w[j] += ar_1 w[j-1] + ... + ar_p w[j-p] for j < length, term by term in
+    that order; every other axis is an independent recursion.
+    """
+    for j in range(1, length):
+        for k in range(1, min(j, len(ar)) + 1):
+            w[j] += ar[k - 1] * w[j - k]
+
+
+def arma_filter(ar, ma, x):
+    """Apply theta(B)/phi(B) along the last axis of ``x`` from a zero state.
+
+    y_t = ar_1 y_{t-1} + ... + ar_p y_{t-p} + x_t + ma_1 x_{t-1} + ...
+    + ma_q x_{t-q}, with x and y zero before t = 0. The MA part is q shifted
+    adds. For the AR part, time is cut into blocks of B = max(p, 128)
+    samples: the recursion runs over the B positions of all blocks at once,
+    each block from a zero state; then the last p outputs are carried from
+    block to block, and each block gets its homogeneous response to the
+    carried outputs of the block before. B depends on p alone and every step
+    is elementwise, so each output depends neither on the other rows of
+    ``x`` nor on its length: filtering a prefix gives a prefix of the
+    output, bit for bit. Trailing zero AR coefficients are dropped.
+    """
+    ar = np.trim_zeros(np.asarray(ar, dtype=float), "b")
+    ma = np.asarray(ma, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    p = len(ar)
+    B = max(p, _FILTER_BLOCK)
+    nb = -(-n // B)
+    rows = x.reshape(math.prod(x.shape[:-1]), n)
+    u = np.zeros((len(rows), nb * B if p else n))
+    u[:, :n] = rows
+    for k in range(1, min(len(ma), n - 1) + 1):
+        u[:, k:n] += ma[k - 1] * rows[:, : n - k]
+    if p == 0 or n == 0:
+        return u.reshape(x.shape)
+    # (position in block, row, block): each step is one contiguous slice;
+    # the transpose goes in tiles of 64 blocks, which keeps it in cache
+    flat = u.reshape(len(rows) * nb, B)
+    w = np.empty((B, len(flat)))
+    for i in range(0, len(flat), 64):
+        w[:, i : i + 64] = flat[i : i + 64].T
+    w = w.reshape(B, len(rows), nb)
+    _ar_in_blocks(ar, w, min(n, B))
+    if nb > 1:
+        # g[:, i - 1]: a block's response to y_{-i} = 1, which is the
+        # recursion driven by ar_{i+j} at positions j = 0..p-i
+        g = np.zeros((B, p))
+        for i in range(1, p + 1):
+            g[: p - i + 1, i - 1] = ar[i - 1 :]
+        _ar_in_blocks(ar, g, B)
+        # carried[b, i - 1]: y_{-i} seen by block b + 1, i.e. output B - i
+        # of block b
+        last = np.arange(B - 1, B - p - 1, -1)
+        carried = np.ascontiguousarray(w[last].transpose(2, 0, 1))
+        g_last = [g[last, i, None] for i in range(p)]
+        for b in range(1, nb):
+            prev = carried[b - 1]
+            corr = g_last[0] * prev[0]
+            for i in range(1, p):
+                corr += g_last[i] * prev[i]
+            carried[b] += corr
+        state = [np.ascontiguousarray(carried[:-1, i].T) for i in range(p)]
+        for j in range(B):
+            corr = g[j, 0] * state[0]
+            for i in range(1, p):
+                corr += g[j, i] * state[i]
+            w[j, :, 1:] += corr
+    y = np.ascontiguousarray(w.reshape(B, len(flat)).T)
+    return y.reshape(len(rows), nb * B)[:, :n].reshape(x.shape)
 
 
 def model_spectral_density(model, l, lam):

@@ -20,9 +20,8 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import signal
 
-from .model import check_causal, decay_length
+from .model import arma_filter, check_causal, decay_length
 from .spectral import TWO_PI, AutocovarianceSpectrum
 from .sphere import empty_coeffs, sht_inverse, stream_index
 
@@ -201,9 +200,7 @@ def simulate_spharma(model, config, return_innovations=False):
     innov = np.empty_like(values) if return_innovations else None
     for l in range(L + 1):
         z = _noise_block(config.seed, l, math.sqrt(model.noise[l]), total)
-        b = np.r_[1.0, model.ma[l]]
-        a = np.r_[1.0, -model.ar[l]]
-        out = signal.lfilter(b, a, z, axis=-1)
+        out = arma_filter(model.ar[l], model.ma[l], z)
         values[l * l : l * l + 2 * l + 1] = out[:, burn:]
         if innov is not None:
             innov[l * l : l * l + 2 * l + 1] = z[:, burn:]

@@ -28,6 +28,7 @@ import numpy as np
 from .sphere import legendre_all
 
 DEFAULT_FREQ_INTERVALS = 4096
+_LAG_CHUNK = 256  # lags per block of the cosine table in trapezoid_lags
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,8 +81,12 @@ def trapezoid_lags(lam, f, max_lag):
     w = np.full(len(lam), lam[1] - lam[0])
     w[0] *= 0.5
     w[-1] *= 0.5
+    fw = (f * w).T
     ts = np.arange(max_lag + 1)
-    return (np.cos(np.outer(ts, lam)) @ (f * w).T).T
+    # the cosine table is built _LAG_CHUNK lags at a time, so its memory
+    # does not grow with max_lag
+    return np.concatenate([np.cos(np.outer(ts[i : i + _LAG_CHUNK], lam)) @ fw
+                           for i in range(0, max_lag + 1, _LAG_CHUNK)]).T
 
 
 def _geometric_tail(last, prev):

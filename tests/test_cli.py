@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spharma
 from spharma import cli, simulate
 from spharma.model import SpharmaModel
 
@@ -252,3 +256,15 @@ def test_config_hash_stable_and_distinct(tmp_path, model_path):
     h2 = json.loads((out2 / "series.json").read_text())["config_hash"]
     h3 = json.loads((out3 / "series.json").read_text())["config_hash"]
     assert h1 == h2 != h3
+
+
+def test_cli_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; scipy is a test oracle
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(spharma.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, spharma.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

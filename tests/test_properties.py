@@ -6,10 +6,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular, toeplitz
+from scipy.signal import lfilter
 
 from spharma import approx, spectral
 from spharma.model import (
+    _FILTER_BLOCK,
     SpharmaModel,
+    arma_filter,
     model_autocovariance,
     model_autocovariance_table,
     psi_coefficients,
@@ -74,6 +77,15 @@ def test_lags_and_frequencies_are_a_fourier_pair(model):
     assert np.abs(back - exact).max() <= 1e-11 * exact[:, 0].max()
 
 
+@settings(max_examples=40, deadline=None)
+@given(causal_arma(), st.integers(0, 300))
+def test_model_autocovariance_prefix_is_stable(model, max_lag):
+    # approximate_operator fetches lags ahead and reads prefixes of them
+    longer = model_autocovariance(model, 0, 4 * max_lag + 32)
+    assert np.array_equal(longer[: max_lag + 1],
+                          model_autocovariance(model, 0, max_lag))
+
+
 def triangular_solve_oracle(c):
     """Innovations recursion with one triangular solve per step (cubic in n).
 
@@ -119,3 +131,78 @@ def test_innovations_factor_rebuilds_the_toeplitz_matrix(model, depth):
     unit[rows, cols] = theta[rows, rows - cols]
     rebuilt = (unit * v) @ unit.T
     assert np.abs(rebuilt - toeplitz(c)).max() <= 1e-12 * c[0]
+
+
+def lfilter_oracle(ar, ma, x):
+    return lfilter(np.r_[1.0, ma], np.r_[1.0, -np.asarray(ar)], x, axis=-1)
+
+
+@st.composite
+def filter_input(draw, max_n=3 * _FILTER_BLOCK + 7):
+    """A causal ARMA(p, q) with p, q <= 3 and a (rows, n) Gaussian input."""
+    model = draw(causal_arma())
+    rows = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max_n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = np.random.default_rng(seed).standard_normal((rows, n))
+    return model.ar[0], model.ma[0], x
+
+
+@settings(max_examples=80, deadline=None)
+@given(filter_input())
+def test_arma_filter_matches_lfilter(case):
+    ar, ma, x = case
+    ref = lfilter_oracle(ar, ma, x)
+    assert np.abs(arma_filter(ar, ma, x) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_input(), st.data())
+def test_arma_filter_prefix_is_stable(case, data):
+    ar, ma, x = case
+    m = data.draw(st.integers(0, x.shape[-1]))
+    assert np.array_equal(arma_filter(ar, ma, x[:, :m]),
+                          arma_filter(ar, ma, x)[:, :m])
+
+
+@settings(max_examples=60, deadline=None)
+@given(filter_input())
+def test_arma_filter_rows_are_independent(case):
+    ar, ma, x = case
+    together = arma_filter(ar, ma, x)
+    for row, out in zip(x, together):
+        assert np.array_equal(arma_filter(ar, ma, row), out)
+
+
+def test_arma_filter_edge_lengths():
+    rng = np.random.default_rng(5)
+    ar, ma = np.array([0.5, -0.3, 0.2]), np.array([0.4, 0.1])
+    for n in (1, 2, _FILTER_BLOCK - 1, _FILTER_BLOCK, _FILTER_BLOCK + 1):
+        x = rng.standard_normal((2, n))
+        ref = lfilter_oracle(ar, ma, x)
+        assert np.abs(arma_filter(ar, ma, x) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert arma_filter(ar, ma, np.ones(1)).tolist() == [1.0]
+    assert arma_filter(ar, ma, np.empty((3, 0))).shape == (3, 0)
+
+
+def test_arma_filter_orders_beyond_the_block():
+    # order 256, as an AR(256) fit read as an MA in l2_omega_check, and an
+    # AR part longer than the default block; sum |ar| < 1 keeps it causal
+    rng = np.random.default_rng(6)
+    long = rng.uniform(-1.0, 1.0, 2 * _FILTER_BLOCK)
+    long *= 0.9 / np.abs(long).sum()
+    x = rng.standard_normal((3, 5 * _FILTER_BLOCK + 3))
+    for ar, ma in (([], long), (long[:200], [0.3]), (long[:200], long)):
+        ref = lfilter_oracle(ar, ma, x)
+        out = arma_filter(ar, ma, x)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(arma_filter(ar, ma, x[:, :150]), out[:, :150])
+
+
+def test_arma_filter_without_ar_part():
+    x = np.random.default_rng(7).standard_normal((2, 300))
+    assert np.array_equal(arma_filter([], [], x), x)
+    assert np.array_equal(arma_filter([0.0], [], x), x)
+    assert np.array_equal(arma_filter([0.0], [0.5], x), arma_filter([], [0.5], x))
+    assert np.array_equal(arma_filter([0.7, 0.0], [0.5], x),
+                          arma_filter([0.7], [0.5], x))

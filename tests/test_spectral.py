@@ -253,3 +253,17 @@ class TestInvariants:
         tab.save(tpath)
         back = SpectralEigenvalues.load(tpath)
         assert np.allclose(back.table, tab.table)
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_chunked_trapezoid_lags_match_one_table(monkeypatch, rows):
+    lam = spectral.frequency_grid(512)
+    F = SpharmaModel.uniform(2, ar=[0.95], ma=[0.3]).spectral().values(lam)
+    f = F[0] if rows is None else F[:rows]
+    max_lag = 300
+    monkeypatch.setattr(spectral, "_LAG_CHUNK", max_lag + 1)
+    whole = spectral.trapezoid_lags(lam, f, max_lag)
+    monkeypatch.setattr(spectral, "_LAG_CHUNK", 7)
+    chunked = spectral.trapezoid_lags(lam, f, max_lag)
+    assert chunked.shape == whole.shape
+    assert np.abs(chunked - whole).max() <= 1e-14 * np.abs(whole).max()
