@@ -116,6 +116,10 @@ def cmd_simulate(args):
 
 
 def cmd_spectrum(args):
+    if args.max_lag < 0:
+        raise InputError("max lag must be nonnegative")
+    if args.n_lambda < 1:
+        raise InputError("n-lambda must be at least 1")
     if args.model:
         model = _truncate_model(_load_model(args.model), args.lmax)
         acv = None
@@ -216,14 +220,16 @@ def _check_ckl(series, z_max=4.0):
     if L < 1:
         return {"name": "ckl_truncation", "statistic": 0.0, "threshold": z_max,
                 "passed": True}
-    l_cut = max(0, L - 2)
-    acv = simulate.empirical_autocov(series, 0)
-    deg = 2 * np.arange(L + 1) + 1
-    predicted = float(deg[l_cut + 1 :] @ acv.values[l_cut + 1 :, 0] / (4 * math.pi))
+    # The truncated expansion keeps the rows of l <= L - 2, so its error is
+    # the tail. The predicted variance, sum_{l > L-2} (2l+1) C_hat_l(0) / 4pi,
+    # is the tail's sum of squares over 4 pi n: summed row by row, so the
+    # tail is not copied, and rounded once.
+    rows = (max(0, L - 2) + 1) ** 2
+    tail = series.values[rows:]
+    predicted = math.fsum((row * row).sum() for row in tail) / (4 * math.pi * series.n)
     node = (1.1, 2.4)
     flat = sphere.harmonic_values_at(L, *node)[sphere.stream_index(L)]
-    flat[: (l_cut + 1) ** 2] = 0.0  # the truncated expansion keeps l <= l_cut
-    err = (flat @ series.values) ** 2
+    err = (flat[rows:] @ tail) ** 2
     realized = float(err.mean())
     se = simulate.batch_means_se(err)
     z = abs(realized - predicted) / max(se, 1e-300)

@@ -220,20 +220,41 @@ def synthesize_field(series, grid, t):
     return sht_inverse(series.slice_at(t), grid, time_index=t)
 
 
+def _fft_length(m):
+    """Smallest 5-smooth integer 2^a 3^b 5^c that is at least m >= 1."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def empirical_autocov(series, max_lag):
     """Moment estimator pooling the 2l+1 streams of each multipole.
 
     C_hat_l(t) = sum_m sum_{s} a_{l,m}(s+t) a_{l,m}(s) / ((2l+1)(n-t)).
+
+    The lag sums are one real FFT per multipole: the power spectra of the
+    streams, zero-padded to at least n + max_lag so that no lag wraps round,
+    are summed over m and transformed back.
     """
+    if max_lag < 0:
+        raise ValueError("max_lag must be nonnegative")
     if max_lag >= series.n:
         raise ValueError("max_lag must be below the series length")
     L, n = series.band_limit, series.n
+    nfft = _fft_length(n + max_lag)
+    counts = n - np.arange(max_lag + 1)
     out = np.empty((L + 1, max_lag + 1))
     for l in range(L + 1):
-        block = series.block(l)
-        for t in range(max_lag + 1):
-            prods = block[:, t:] * block[:, : n - t]
-            out[l, t] = prods.sum() / ((2 * l + 1) * (n - t))
+        spec = np.fft.rfft(series.block(l), nfft, axis=-1)
+        power = (spec.real**2 + spec.imag**2).sum(axis=0)
+        lag_sums = np.fft.irfft(power, nfft)[: max_lag + 1]
+        out[l] = lag_sums / ((2 * l + 1) * counts)
     return AutocovarianceSpectrum(L, max_lag, out)
 
 
@@ -294,17 +315,24 @@ def verify_cramer_orthogonality(series, n_bands, factor=1.5):
     if n_bands == 1:
         return CramerReport(1, 0.0, threshold, True)
 
-    lams = np.abs(2.0 * math.pi * np.fft.fftfreq(n))
+    # The series is real, so a band is a run of the n//2 + 1 bins of
+    # lambda >= 0 (|lambda| grows with the bin) and its component is one
+    # inverse real FFT of the spectra with every other bin zeroed.
+    lams = 2.0 * math.pi * np.fft.rfftfreq(n)
     band_of = np.minimum((lams / math.pi * n_bands).astype(int), n_bands - 1)
+    edges = np.searchsorted(band_of, np.arange(n_bands + 1))
     lo, hi = n // 4, 3 * n // 4
     # Gram matrix of the band components, accumulated over chunks of streams
     gram = np.zeros((n_bands, n_bands))
     for start in range(0, series.values.shape[0], _CRAMER_CHUNK_ROWS):
-        spectra = np.fft.fft(series.values[start : start + _CRAMER_CHUNK_ROWS], axis=-1)
+        spectra = np.fft.rfft(series.values[start : start + _CRAMER_CHUNK_ROWS], axis=-1)
         comps = np.empty((n_bands, len(spectra), hi - lo))
+        masked = np.zeros_like(spectra)
         for b in range(n_bands):
-            masked = np.where(band_of[None, :] == b, spectra, 0.0)
-            comps[b] = np.fft.ifft(masked, axis=-1).real[:, lo:hi]
+            band = slice(edges[b], edges[b + 1])
+            masked[:, band] = spectra[:, band]
+            comps[b] = np.fft.irfft(masked, n, axis=-1)[:, lo:hi]
+            masked[:, band] = 0.0
         comps = comps.reshape(n_bands, -1)
         gram += comps @ comps.T
 

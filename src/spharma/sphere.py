@@ -264,13 +264,14 @@ class FieldSnapshot:
             raise ValueError("field values must be finite")
 
     def to_csv(self, path):
+        # the bytes csv.writer writes: no repr of a float needs quoting
+        lons = [f"{ph!r}," for ph in self.grid.longitudes.tolist()]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["colat", "lon", "value"])
-            for i, th in enumerate(self.grid.colatitudes):
-                for j, ph in enumerate(self.grid.longitudes):
-                    writer.writerow([repr(float(th)), repr(float(ph)),
-                                     repr(float(self.values[i, j]))])
+            fh.write("colat,lon,value\r\n")
+            for th, row in zip(self.grid.colatitudes.tolist(), self.values):
+                head = f"{th!r},"
+                fh.write("".join([f"{head}{lon}{v!r}\r\n"
+                                  for lon, v in zip(lons, row.tolist())]))
 
     @classmethod
     def from_csv(cls, path, grid, time_index=0):

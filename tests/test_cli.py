@@ -146,6 +146,24 @@ class TestSpectrumCommand:
                 assert abs(float(row["C"]) - expect) < 0.05
 
 
+    @pytest.mark.parametrize("flags", [("--max-lag", -1), ("--n-lambda", 0),
+                                       ("--n-lambda", -3)],
+                             ids=["max-lag=-1", "n-lambda=0", "n-lambda=-3"])
+    @pytest.mark.parametrize("source", ["--model", "--series"])
+    def test_bad_sizes_exit_2_before_any_output(self, tmp_path, model_path,
+                                                source, flags, capsys):
+        run_dir = tmp_path / "run"
+        run("simulate", "--model", model_path, "--n", 64, "--seed", 2,
+            "--out", run_dir)
+        path = model_path if source == "--model" else run_dir / "series.bin"
+        out = tmp_path / "spec"
+        code = run("spectrum", source, path, "--out", out, *flags)
+        assert code == cli.EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "must be" in err and "Traceback" not in err
+
+
 class TestApproximateCommand:
     def test_pass_and_artifacts(self, tmp_path, model_path):
         out = tmp_path / "fit"

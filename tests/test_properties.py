@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular, toeplitz
 from scipy.signal import lfilter
 
-from spharma import approx, spectral
+from spharma import approx, simulate, spectral
 from spharma.model import (
     _FILTER_BLOCK,
     SpharmaModel,
@@ -206,3 +206,69 @@ def test_arma_filter_without_ar_part():
     assert np.array_equal(arma_filter([0.0], [0.5], x), arma_filter([], [0.5], x))
     assert np.array_equal(arma_filter([0.7, 0.0], [0.5], x),
                           arma_filter([0.7], [0.5], x))
+
+
+def lag_loop_oracle(series, max_lag):
+    """The direct moment estimator: one pass over the streams per lag."""
+    L, n = series.band_limit, series.n
+    out = np.empty((L + 1, max_lag + 1))
+    for l in range(L + 1):
+        block = series.block(l)
+        for t in range(max_lag + 1):
+            prods = block[:, t:] * block[:, : n - t]
+            out[l, t] = prods.sum() / ((2 * l + 1) * (n - t))
+    return out
+
+
+@st.composite
+def coefficient_series(draw, max_n=600):
+    """A (L+1)^2-row series, L <= 3, whose rows differ in scale and colour."""
+    L = draw(st.integers(0, 3))
+    n = draw(st.integers(1, max_n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(((L + 1) ** 2, n + 2))
+    x = (x[:, 2:] + 0.8 * x[:, 1:-1] - 0.3 * x[:, :-2])
+    x *= rng.uniform(0.01, 100.0, ((L + 1) ** 2, 1))
+    return simulate.HarmonicCoefficientSeries(L, x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coefficient_series(), st.data())
+def test_fft_autocov_matches_the_lag_loop(series, data):
+    max_lag = data.draw(st.integers(0, series.n // 4))
+    got = simulate.empirical_autocov(series, max_lag).values
+    oracle = lag_loop_oracle(series, max_lag)
+    assert np.all(np.abs(got - oracle) <= 1e-14 * oracle[:, :1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 3), st.integers(1, 600), st.data())
+def test_fft_autocov_of_zeros_is_exactly_zero(L, n, data):
+    max_lag = data.draw(st.integers(0, n - 1))
+    series = simulate.HarmonicCoefficientSeries(L, np.zeros(((L + 1) ** 2, n)))
+    assert not np.any(simulate.empirical_autocov(series, max_lag).values)
+
+
+def smooth_5(k):
+    for p in (2, 3, 5):
+        while k % p == 0:
+            k //= p
+    return k == 1
+
+
+def assert_next_5_smooth(m):
+    got = simulate._fft_length(m)
+    assert got >= m and smooth_5(got)
+    assert not any(smooth_5(k) for k in range(m, got))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**7))
+def test_fft_length_is_the_next_5_smooth_integer(m):
+    assert_next_5_smooth(m)
+
+
+def test_fft_length_small_values():
+    for m in range(1, 2000):
+        assert_next_5_smooth(m)

@@ -174,6 +174,11 @@ class TestEmpiricalAutocov:
         with pytest.raises(ValueError):
             sim.empirical_autocov(series, 10)
 
+    def test_negative_lag_rejected(self):
+        series = sim.HarmonicCoefficientSeries(0, np.zeros((1, 10)))
+        with pytest.raises(ValueError):
+            sim.empirical_autocov(series, -1)
+
     def test_consistent_with_periodogram_mass(self, ar1_series):
         # circular smoothing preserves total periodogram mass: the mean over
         # frequencies times 2 pi is exactly the lag-0 moment estimate
@@ -235,20 +240,22 @@ class TestCramerOrthogonality:
         assert rep.passed and rep.max_abs_correlation == 0.0
 
     def test_chunked_gram_matches_dense_band_split(self):
-        # 49 streams span several chunks; compare with the direct pairwise sums
-        series = sim.simulate_spharma(SpharmaModel.uniform(6, ar=[0.7]),
-                                      sim.SimulationConfig(seed=3, n=1024))
-        n, n_bands = series.n, 4
-        lams = np.abs(2.0 * math.pi * np.fft.fftfreq(n))
-        band_of = np.minimum((lams / math.pi * n_bands).astype(int), n_bands - 1)
-        spectra = np.fft.fft(series.values, axis=-1)
-        comps = [np.fft.ifft(np.where(band_of == b, spectra, 0.0), axis=-1).real
-                 [:, n // 4 : 3 * n // 4] for b in range(n_bands)]
-        expected = max(abs((comps[b] * comps[c]).sum())
-                       / math.sqrt((comps[b] ** 2).sum() * (comps[c] ** 2).sum())
-                       for b in range(n_bands) for c in range(b + 1, n_bands))
-        got = sim.verify_cramer_orthogonality(series, n_bands).max_abs_correlation
-        assert abs(got - expected) <= 1e-12 * expected
+        # 49 streams span several chunks; compare with the direct pairwise
+        # sums of complex-FFT band components, at even and odd lengths
+        model = SpharmaModel.uniform(6, ar=[0.7])
+        for n in (1024, 1025, 1031):
+            series = sim.simulate_spharma(model, sim.SimulationConfig(seed=3, n=n))
+            n_bands = 4
+            lams = np.abs(2.0 * math.pi * np.fft.fftfreq(n))
+            band_of = np.minimum((lams / math.pi * n_bands).astype(int), n_bands - 1)
+            spectra = np.fft.fft(series.values, axis=-1)
+            comps = [np.fft.ifft(np.where(band_of == b, spectra, 0.0), axis=-1).real
+                     [:, n // 4 : 3 * n // 4] for b in range(n_bands)]
+            expected = max(abs((comps[b] * comps[c]).sum())
+                           / math.sqrt((comps[b] ** 2).sum() * (comps[c] ** 2).sum())
+                           for b in range(n_bands) for c in range(b + 1, n_bands))
+            got = sim.verify_cramer_orthogonality(series, n_bands).max_abs_correlation
+            assert abs(got - expected) <= 1e-12 * expected
 
     def test_short_series_rejected(self):
         series = sim.HarmonicCoefficientSeries(0, np.zeros((1, 512)))

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -246,6 +247,24 @@ class TestCsv:
         sphere.coeffs_to_csv(coeffs, path)
         back = sphere.coeffs_from_csv(path)
         assert np.array_equal(back, coeffs)
+
+    def test_field_csv_bytes_match_csv_writer(self, tmp_path):
+        g = sphere.build_grid(5)
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((g.n_lat, g.n_lon)) * 10.0 ** rng.integers(
+            -20, 20, (g.n_lat, g.n_lon))
+        values[0, :3] = (0.0, -0.0, 1e300)
+        path = tmp_path / "field.csv"
+        sphere.FieldSnapshot(g, values).to_csv(path)
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["colat", "lon", "value"])
+            for i, th in enumerate(g.colatitudes):
+                for j, ph in enumerate(g.longitudes):
+                    writer.writerow([repr(float(th)), repr(float(ph)),
+                                     repr(float(values[i, j]))])
+        assert path.read_bytes() == oracle.read_bytes()
 
     def test_field_csv_roundtrip(self, tmp_path):
         g = sphere.build_grid(3)
