@@ -198,9 +198,9 @@ def _check_stationarity(series, n_windows=8, z_max=4.0):
 def _check_isotropy(series, z_max=5.0):
     worst = 0.0
     for l in range(1, series.band_limit + 1):
-        block = series.block(l)
-        variances = (block**2).mean(axis=1)
-        ses = np.array([simulate.batch_means_se(row**2) for row in block])
+        squares = series.block(l) ** 2
+        variances = squares.mean(axis=1)
+        ses = simulate.batch_means_se(squares)
         pooled = variances.mean()
         z = np.abs(variances - pooled) / np.maximum(ses, 1e-300)
         worst = max(worst, float(z.max()))

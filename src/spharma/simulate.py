@@ -2,7 +2,8 @@
 
 Every (l, m) coefficient stream draws from its own counter-based RNG stream
 (Philox keyed by ``(seed, l*(l+1)+m)``), so output is bit-reproducible for a
-given seed no matter how the per-multipole work is scheduled. ARMA recursions
+given seed no matter how the per-multipole work is scheduled. One Philox
+object is re-keyed for each stream rather than built anew. ARMA recursions
 start from a zero state and discard a certified geometric burn-in.
 
 Series layout: rows indexed by ``l*(l+1)+m`` (l ascending, m from -l to l),
@@ -143,17 +144,33 @@ def _sidecar_path(path):
     return stem + ".json"
 
 
-def _stream_normal(seed, l, m, count):
-    bitgen = np.random.Philox(key=[int(seed), row_index(l, m)])
-    return np.random.Generator(bitgen).standard_normal(count)
+def _stream_normals(keys, count):
+    """``(len(keys), count)`` standard normals, row i from Philox key ``keys[i]``.
+
+    One bit generator serves every stream: for each ``(seed, row)`` key its
+    state is set to that key, counter zero and an empty buffer, the state
+    ``Philox(key=...)`` starts from, and the normals are drawn straight into
+    the stream's row. The key is taken as two exact 64-bit words.
+    """
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": None},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out = np.empty((len(keys), count))
+    for row, key in zip(out, keys):
+        state["state"]["key"] = np.array(key, dtype=np.uint64)
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    return out
 
 
 def _noise_block(seed, l, scale, count):
     """(2l+1, count) innovations for multipole l at standard deviation scale."""
-    block = np.empty((2 * l + 1, count))
-    for idx, m in enumerate(range(-l, l + 1)):
-        block[idx] = _stream_normal(seed, l, m, count)
-    return scale * block
+    seed = int(seed)
+    block = _stream_normals([(seed, row) for row in range(l * l, (l + 1) ** 2)], count)
+    block *= scale
+    return block
 
 
 def simulate_white_noise(noise_spectrum, config):
@@ -345,9 +362,15 @@ def verify_cramer_orthogonality(series, n_bands, factor=1.5):
 
 
 def batch_means_se(x, n_batches=64):
-    """Standard error of the mean of a correlated series via batch means."""
+    """Standard error of the mean of a correlated series via batch means.
+
+    A 2-D ``x`` holds one series per row and gives one standard error per
+    row, each the value the row alone gives.
+    """
     x = np.asarray(x, dtype=float)
-    n_batches = min(n_batches, len(x))
-    usable = (len(x) // n_batches) * n_batches
-    means = x[:usable].reshape(n_batches, -1).mean(axis=1)
-    return float(means.std(ddof=1) / math.sqrt(n_batches))
+    n = x.shape[-1]
+    n_batches = min(n_batches, n)
+    usable = (n // n_batches) * n_batches
+    means = x[..., :usable].reshape(x.shape[:-1] + (n_batches, -1)).mean(axis=-1)
+    se = means.std(axis=-1, ddof=1) / math.sqrt(n_batches)
+    return float(se) if x.ndim == 1 else se

@@ -22,6 +22,14 @@ Coefficient arrays are dense with shape ``(L+1, 2L+1)`` and layout
 Grids are Gauss-Legendre in colatitude (nodes in cos theta) crossed with
 equiangular longitudes, the minimal node counts that integrate every product
 ``Y_{l,m} * Y_{l',m'}`` with ``l, l' <= L`` exactly.
+
+A grid tabulates Q_{l,m} at its colatitude nodes once, packed by order: block
+m has shape ``(n_lat, L+1-m)``, one contiguous row of Q_{m..L,m} per node, so
+no storage goes to the zeros at m > l. Both transforms work one order at a
+time on these blocks: the inverse forms the per-m cosine and sine sums over l
+with two matrix-vector products per block, then multiplies them by the
+longitude trigonometric tables; the forward transform runs the same steps
+backwards.
 """
 
 from __future__ import annotations
@@ -101,6 +109,30 @@ def _normalized_assoc_legendre(l_max, m, x):
     return out
 
 
+def _legendre_by_degree(l_max, x):
+    """Yield Q_{l,0..l}(x), shape ``(l+1,) + shape(x)``, for l = 0..l_max.
+
+    The recurrence of `_normalized_assoc_legendre` run for every order at
+    once, one array step per degree, with the same floating-point operations
+    in the same order, so each value is bit-identical to it.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    prev = q = np.full((1,) + x.shape, 1.0 / math.sqrt(FOUR_PI))
+    yield q
+    for l in range(1, l_max + 1):
+        nxt = np.empty((l + 1,) + x.shape)
+        m = np.arange(l - 1).reshape((-1,) + (1,) * x.ndim)
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((2.0 * l + 1.0) * (l - 1.0 + m) * (l - 1.0 - m))
+                    / ((2.0 * l - 3.0) * (l * l - m * m)))
+        nxt[: l - 1] = a * x * q[: l - 1] - b * prev[: l - 1]
+        nxt[l - 1] = math.sqrt(2 * (l - 1) + 3.0) * x * q[l - 1]
+        nxt[l] = math.sqrt((2 * l + 1) / (2.0 * l)) * s * q[l - 1]
+        prev, q = q, nxt
+        yield q
+
+
 def real_sph_harm(l, m, colat, lon):
     """Real orthonormal spherical harmonic Y_{l,m}(colat, lon).
 
@@ -124,17 +156,14 @@ def real_sph_harm(l, m, colat, lon):
 def harmonic_values_at(l_max, colat, lon):
     """All Y_{l,m}(colat, lon) for l <= l_max, packed as ``(L+1, 2L+1)``."""
     out = np.zeros((l_max + 1, 2 * l_max + 1))
-    x = np.cos(float(colat))
-    for m in range(l_max + 1):
-        q = _normalized_assoc_legendre(l_max, m, x)[:, 0]
-        ls = np.arange(m, l_max + 1)
-        if m == 0:
-            out[ls, l_max] = q
-        else:
-            c = math.sqrt(2.0) * math.cos(m * lon)
-            s = math.sqrt(2.0) * math.sin(m * lon)
-            out[ls, l_max + m] = q * c
-            out[ls, l_max - m] = q * s
+    root2 = math.sqrt(2.0)
+    c = np.array([root2 * math.cos(m * lon) for m in range(1, l_max + 1)])
+    s = np.array([root2 * math.sin(m * lon) for m in range(1, l_max + 1)])
+    for l, q in enumerate(_legendre_by_degree(l_max, np.cos(float(colat)))):
+        q = q[:, 0]
+        out[l, l_max] = q[0]
+        out[l, l_max + 1 : l_max + l + 1] = q[1:] * c[:l]
+        out[l, l_max - l : l_max] = (q[1:] * s[:l])[::-1]
     return out
 
 
@@ -174,14 +203,26 @@ class SphereGrid:
         return len(self.longitudes)
 
     def _legendre_table(self):
-        """Q_{l,m} at the grid nodes, shape (L+1, L+1, n_lat), zero for m > l."""
+        """Q_{l,m} at the colatitude nodes, packed by order m.
+
+        A list of L+1 blocks, views into one buffer of
+        ``n_lat (L+1)(L+2)/2`` floats: block m has shape ``(n_lat, L+1-m)``
+        and row i holds Q_{m,m}, ..., Q_{L,m} at node i, contiguous. Built on
+        first use, one degree at a time for every order at once.
+        """
         if "Q" not in self._tables:
-            L = self.band_limit
+            L, n = self.band_limit, self.n_lat
+            m = np.arange(L + 1)
+            width = L + 1 - m
+            start = np.concatenate(([0], np.cumsum(n * width)))
+            flat = np.empty(start[-1])
+            # flat position of Q_{l,m} at node i is base[m, i] + l
+            base = start[:-1, None] + width[:, None] * np.arange(n) - m[:, None]
             x = np.cos(self.colatitudes)
-            Q = np.zeros((L + 1, L + 1, self.n_lat))
-            for m in range(L + 1):
-                Q[m:, m, :] = _normalized_assoc_legendre(L, m, x)
-            self._tables["Q"] = Q
+            for l, q in enumerate(_legendre_by_degree(L, x)):
+                flat[base[: l + 1] + l] = q
+            self._tables["Q"] = [flat[start[k] : start[k + 1]].reshape(n, L + 1 - k)
+                                 for k in range(L + 1)]
         return self._tables["Q"]
 
     def _trig_tables(self):
@@ -241,11 +282,28 @@ def build_grid(band_limit, n_lat=None, n_lon=None):
         raise ValueError("band_limit must be nonnegative")
     n_lat = n_lat if n_lat is not None else band_limit + 1
     n_lon = n_lon if n_lon is not None else max(2 * band_limit + 1, 1)
-    x, w = np.polynomial.legendre.leggauss(n_lat)
+    x, _ = np.polynomial.legendre.leggauss(n_lat)
     # leggauss orders ascending in x; colatitude descends as x grows
     colats = np.arccos(x)
     lons = 2.0 * math.pi * np.arange(n_lon) / n_lon
-    return SphereGrid(colats, w, lons, band_limit)
+    return SphereGrid(colats, _gauss_weights(n_lat, x), lons, band_limit)
+
+
+def _gauss_weights(n, x):
+    """Gauss-Legendre weights 2 / ((1 - r^2) P_n'(r)^2) at the roots r near x.
+
+    ``x`` holds the roots of P_n rounded to float64, as ``leggauss`` returns
+    them; its own weights come from derivatives at the unrefined roots and
+    are off by about 1e-11 relative at n = 129. Here the weight is taken at
+    the exact root r = x + delta, delta = -P_n(x) / P_n'(x), to first order
+    in delta: P_n' varies by about n^2 ulps over the rounding of a root.
+    """
+    P = legendre_all(n, x)
+    s = 1.0 - x * x
+    d1 = n * (P[n - 1] - x * P[n]) / s
+    d2 = (2.0 * x * d1 - n * (n + 1) * P[n]) / s
+    delta = -P[n] / d1
+    return 2.0 / ((s - 2.0 * x * delta) * (d1 + delta * d2) ** 2)
 
 
 @dataclass
@@ -326,19 +384,17 @@ def sht_forward(fieldsnap, band_limit=None):
     Q = grid._legendre_table()
     cos_t, sin_t = grid._trig_tables()
     lon_w = 2.0 * math.pi / grid.n_lon
-    # G[m, i] = sum_j f(i, j) * trig(m, j) * lon_w
-    Gc = (fieldsnap.values @ cos_t.T).T * lon_w
-    Gs = (fieldsnap.values @ sin_t.T).T * lon_w
-    wv = grid.colat_weights
+    # G[m, i] = sum_j f(i, j) * trig(m, j) * lon_w * w_i
+    wv = grid.colat_weights * lon_w
+    Gc = (fieldsnap.values @ cos_t[: L + 1].T).T * wv
+    Gs = (fieldsnap.values @ sin_t[: L + 1].T).T * wv
     out = empty_coeffs(L)
+    out[:, L] = Gc[0] @ Q[0][:, : L + 1]
     root2 = math.sqrt(2.0)
-    for m in range(L + 1):
-        proj = Q[m : L + 1, m, :] * wv[None, :]
-        if m == 0:
-            out[:, L] = proj @ Gc[0]
-        else:
-            out[m:, L + m] = root2 * (proj @ Gc[m])
-            out[m:, L - m] = root2 * (proj @ Gs[m])
+    for m in range(1, L + 1):
+        q = Q[m][:, : L + 1 - m]
+        out[m:, L + m] = root2 * (Gc[m] @ q)
+        out[m:, L - m] = root2 * (Gs[m] @ q)
     return out
 
 
@@ -350,17 +406,16 @@ def sht_inverse(coeffs, grid, time_index=0):
         raise ValueError("coefficient multipole exceeds grid band limit")
     Q = grid._legendre_table()
     cos_t, sin_t = grid._trig_tables()
+    # per-order sums over l at each colatitude, then over m by one matmul each
+    cos_sums = np.zeros((L + 1, grid.n_lat))
+    sin_sums = np.zeros((L + 1, grid.n_lat))
+    cos_sums[0] = Q[0][:, : L + 1] @ coeffs[:, L]
     root2 = math.sqrt(2.0)
-    values = np.zeros((grid.n_lat, grid.n_lon))
-    for m in range(L + 1):
-        qm = Q[m : L + 1, m, :]
-        if m == 0:
-            ac = coeffs[:, L] @ qm
-            values += np.outer(ac, cos_t[0])
-        else:
-            ac = root2 * (coeffs[m:, L + m] @ qm)
-            as_ = root2 * (coeffs[m:, L - m] @ qm)
-            values += np.outer(ac, cos_t[m]) + np.outer(as_, sin_t[m])
+    for m in range(1, L + 1):
+        q = Q[m][:, : L + 1 - m]
+        cos_sums[m] = root2 * (q @ coeffs[m:, L + m])
+        sin_sums[m] = root2 * (q @ coeffs[m:, L - m])
+    values = cos_sums.T @ cos_t[: L + 1] + sin_sums.T @ sin_t[: L + 1]
     return FieldSnapshot(grid, values, time_index)
 
 

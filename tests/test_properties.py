@@ -272,3 +272,27 @@ def test_fft_length_is_the_next_5_smooth_integer(m):
 def test_fft_length_small_values():
     for m in range(1, 2000):
         assert_next_5_smooth(m)
+
+
+def fresh_philox_oracle(seed, row, count):
+    """Draws of a Philox built for one stream, the key given as exact words."""
+    bitgen = np.random.Philox(key=np.array([seed, row], dtype=np.uint64))
+    return np.random.Generator(bitgen).standard_normal(count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**20)),
+                min_size=1, max_size=12, unique=True),
+       st.integers(0, 40), st.randoms(use_true_random=False))
+def test_reused_philox_matches_fresh_generators_in_any_order(keys, count, rnd):
+    # one generator re-keyed stream after stream, in a shuffled order, draws
+    # what a fresh generator per stream draws: no stream depends on the ones
+    # drawn before it
+    keys = list(keys)
+    rnd.shuffle(keys)
+    drawn = simulate._stream_normals(keys, count)
+    for (seed, row), got in zip(keys, drawn):
+        assert np.array_equal(got, fresh_philox_oracle(seed, row, count))
+    reordered = keys[::-1]
+    again = simulate._stream_normals(reordered, count)
+    assert np.array_equal(again, drawn[::-1])

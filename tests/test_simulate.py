@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +58,49 @@ class TestWhiteNoise:
                                      sim.SimulationConfig(seed=1, n=10))
 
 
+class TestRngStreams:
+    # sha256 of series.bin for uniform ARMA(2,1), L=6, n=50: the 64-bit seed
+    # has its top bit set and is exact in float64, so the digest was the same
+    # before and after the generator was reused and the key made exact
+    GOLDEN_SEED = 2**63 + 12288
+    GOLDEN_SHA256 = "dcbdbdfd3c9d59f547af29ae2370a87979a39a3cbf63a35d41270f0bcd4606dd"
+
+    def test_golden_series_bytes(self, tmp_path):
+        model = SpharmaModel.uniform(6, ar=[0.5, -0.3], ma=[0.4])
+        series = sim.simulate_spharma(
+            model, sim.SimulationConfig(seed=self.GOLDEN_SEED, n=50))
+        assert series.provenance["burn_in"] == 39
+        path = tmp_path / "series.bin"
+        series.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_SHA256
+
+    def test_large_seeds_keep_all_64_bits(self):
+        # seeds at or above 2^63 once went through float64 on their way into
+        # the key: 2^63 + 12345 drew the streams of 2^63 + 12288, and
+        # 2^64 - 1 those of seed 0
+        def noise(seed):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cfg = sim.SimulationConfig(seed=seed, n=20)
+                return sim.simulate_white_noise(np.ones(3), cfg).values
+
+        assert not np.array_equal(noise(2**63 + 12345), noise(2**63 + 12288))
+        assert not np.array_equal(noise(2**64 - 1), noise(0))
+        top = np.random.Generator(np.random.Philox(
+            key=np.array([2**64 - 1, 5], dtype=np.uint64))).standard_normal(20)
+        assert np.array_equal(noise(2**64 - 1)[5], top)
+
+    def test_white_noise_rows_are_fresh_philox_streams(self):
+        series = sim.simulate_white_noise(
+            np.array([1.0, 4.0]), sim.SimulationConfig(seed=9, n=30, burn_in=7))
+        for l in range(2):
+            for m in range(-l, l + 1):
+                gen = np.random.Generator(
+                    np.random.Philox(key=[9, sim.row_index(l, m)]))
+                expected = math.sqrt([1.0, 4.0][l]) * gen.standard_normal(37)[7:]
+                assert np.array_equal(series.get(l, m), expected)
+
+
 class TestSpharmaRecursion:
     def test_degenerate_model_equals_white_noise(self):
         cfg = sim.SimulationConfig(seed=21, n=500)
@@ -105,6 +150,15 @@ class TestSpharmaRecursion:
         ses = np.array([sim.batch_means_se(row**2) for row in block])
         pooled = variances.mean()
         assert np.all(np.abs(variances - pooled) < 5.0 * ses)
+
+    def test_batch_means_se_rows_match_single_series(self, ar1_series):
+        squares = ar1_series.block(3) ** 2
+        for n_batches in (64, 7, 1000000):
+            rows = sim.batch_means_se(squares, n_batches)
+            assert rows.shape == (7,)
+            singles = [sim.batch_means_se(row, n_batches) for row in squares]
+            assert np.array_equal(rows, singles)
+        assert isinstance(sim.batch_means_se(squares[0]), float)
 
 
 class TestFieldSynthesis:

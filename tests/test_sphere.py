@@ -107,6 +107,23 @@ class TestRealSphHarm:
                 assert abs(packed[l, L + m]
                            - sphere.real_sph_harm(l, m, colat, lon)) < 1e-13
 
+    def test_harmonic_values_at_matches_per_order_recurrence(self):
+        # bit for bit the values of one per-order recurrence per m
+        rng = np.random.default_rng(41)
+        for L in (0, 1, 2, 9, 40):
+            colat, lon = float(rng.uniform(0, math.pi)), float(rng.uniform(0, 7))
+            packed = sphere.harmonic_values_at(L, colat, lon)
+            expected = np.zeros((L + 1, 2 * L + 1))
+            x = np.cos(colat)
+            for m in range(L + 1):
+                q = sphere._normalized_assoc_legendre(L, m, x)[:, 0]
+                if m == 0:
+                    expected[:, L] = q
+                else:
+                    expected[m:, L + m] = q * (math.sqrt(2.0) * math.cos(m * lon))
+                    expected[m:, L - m] = q * (math.sqrt(2.0) * math.sin(m * lon))
+            assert np.array_equal(packed, expected)
+
     def test_stream_index_follows_row_order(self):
         L = 4
         ls, cols = sphere.stream_index(L)
@@ -160,6 +177,27 @@ class TestGrid:
             back = sphere.sht_forward(sphere.sht_inverse(coeffs, g))
             assert np.abs(back - coeffs).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 129])
+    def test_gauss_weights_match_a_40_digit_reference(self, n):
+        mpmath = pytest.importorskip("mpmath")
+
+        def legendre_and_derivative(t):
+            p0, p1 = mpmath.mpf(1), t
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+            return p1, n * (p0 - t * p1) / (1 - t * t)
+
+        g = sphere.build_grid(n - 1)
+        with mpmath.workdps(40):
+            for x, w in zip(np.cos(g.colatitudes), g.colat_weights):
+                r = mpmath.mpf(float(x))
+                for _ in range(4):
+                    p, dp = legendre_and_derivative(r)
+                    r -= p / dp
+                _, dp = legendre_and_derivative(r)
+                exact = 2 / ((1 - r * r) * dp * dp)
+                assert abs(w / exact - 1) < 1e-13
+
     def test_json_roundtrip(self, tmp_path):
         g = sphere.build_grid(4)
         path = tmp_path / "grid.json"
@@ -173,6 +211,63 @@ class TestGrid:
         with pytest.raises(ValueError):
             sphere.SphereGrid(np.array([0.5]), np.array([2.0]),
                               np.array([0.0]), band_limit=3)
+
+
+class TestPackedLegendreTable:
+    @pytest.mark.parametrize("L", [0, 1, 2, 17, 128])
+    def test_blocks_match_per_order_recurrence(self, L):
+        g = sphere.build_grid(L)
+        blocks = g._legendre_table()
+        x = np.cos(g.colatitudes)
+        assert len(blocks) == L + 1
+        for m, block in enumerate(blocks):
+            assert block.shape == (g.n_lat, L + 1 - m)
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, sphere._normalized_assoc_legendre(L, m, x).T)
+
+    def test_blocks_share_one_packed_buffer(self):
+        L = 20
+        g = sphere.build_grid(L, n_lat=23)
+        blocks = g._legendre_table()
+        base = blocks[0].base
+        assert all(b.base is base for b in blocks)
+        assert base.nbytes == g.n_lat * (L + 1) * (L + 2) // 2 * 8
+        assert g._legendre_table() is blocks
+
+    def test_roundtrip_at_band_limit_128(self):
+        rng = np.random.default_rng(128)
+        L = 128
+        g = sphere.build_grid(L)
+        coeffs = sphere.empty_coeffs(L)
+        coeffs[sphere.stream_index(L)] = rng.standard_normal((L + 1) ** 2)
+        back = sphere.sht_forward(sphere.sht_inverse(coeffs, g))
+        assert np.abs(back - coeffs).max() < 1e-12
+
+    def test_inverse_matches_direct_synthesis_at_random_nodes(self):
+        rng = np.random.default_rng(5)
+        L = 24
+        colat, lon = random_angles(rng, 3 * L)
+        g = sphere.SphereGrid(np.sort(colat[: L + 3]), np.ones(L + 3),
+                              lon[: 2 * L + 5], L)
+        coeffs = sphere.empty_coeffs(L)
+        coeffs[sphere.stream_index(L)] = rng.standard_normal((L + 1) ** 2)
+        values = sphere.sht_inverse(coeffs, g).values
+        TH, PH = np.meshgrid(g.colatitudes, g.longitudes, indexing="ij")
+        direct = sum(coeffs[l, L + m] * sphere.real_sph_harm(l, m, TH, PH)
+                     for l in range(L + 1) for m in range(-l, l + 1))
+        assert np.abs(values - direct).max() < 1e-12 * np.abs(direct).max()
+
+    def test_transforms_below_the_grid_band_limit(self):
+        rng = np.random.default_rng(8)
+        L, Lg = 5, 11
+        g = sphere.build_grid(Lg)
+        coeffs = sphere.empty_coeffs(L)
+        coeffs[sphere.stream_index(L)] = rng.standard_normal((L + 1) ** 2)
+        padded = sphere.empty_coeffs(Lg)
+        padded[: L + 1, Lg - L : Lg + L + 1] = coeffs
+        field = sphere.sht_inverse(coeffs, g)
+        assert np.abs(field.values - sphere.sht_inverse(padded, g).values).max() < 1e-13
+        assert np.abs(sphere.sht_forward(field, band_limit=L) - coeffs).max() < 1e-13
 
 
 class TestTransforms:
