@@ -176,34 +176,16 @@ def durbin_levinson(c, order):
     return phi, float(v)
 
 
-def _target_acv(target, depth):
-    """Autocovariances C(0..depth) from a per-multipole target.
-
-    Accepts a 1-D autocovariance array (used as-is, must be long enough) or a
-    ``(lambda_grid, f_values)`` pair integrated by trapezoid quadrature.
-    """
-    if isinstance(target, np.ndarray) and target.ndim == 1:
-        if len(target) < depth + 1:
-            raise ValueError("autocovariance target shorter than required depth")
-        return target[: depth + 1]
-    lam, f = target
-    lam = np.asarray(lam, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if depth > len(lam) // 4:
-        warnings.warn("frequency grid is coarse for the requested lag depth")
-    return trapezoid_lags(lam, f, depth)
-
-
 def _ma_depth(q):
     return max(200, 20 * q)
 
 
-def fit_ma(target, q, depth=None):
-    """Invertible MA(q) fit by the innovations recursion.
+def fit_ma(c, q, depth=None):
+    """Invertible MA(q) fit by the innovations recursion on lags C(0..).
 
-    The last-row coefficients theta_{n,1..q} at depth n = max(200, 20q)
-    approximate the Wold coefficients; the noise variance uses the
-    variance-matching normalization
+    The last-row coefficients theta_{n,1..q} at depth n = max(200, 20q),
+    or less if ``c`` is shorter, approximate the Wold coefficients; the
+    noise variance uses the variance-matching normalization
 
         sigma^2 = (1 + theta_1^2 + ... + theta_q^2)^{-1} * integral(f)
 
@@ -213,12 +195,10 @@ def fit_ma(target, q, depth=None):
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    depth = depth or _ma_depth(q)
-    if isinstance(target, np.ndarray) and target.ndim == 1 and len(target) - 1 < depth:
-        depth = len(target) - 1
+    c = np.asarray(c, dtype=float)
+    depth = min(depth or _ma_depth(q), len(c) - 1)
     if depth < q:
         raise ValueError("not enough autocovariance lags for the requested order")
-    c = _target_acv(target, depth)
     if q == 0:
         return np.empty(0), float(c[0])
     last, _ = _innovations_last_row(c, depth, floor=_VAR_FLOOR)
@@ -230,11 +210,13 @@ def fit_ma(target, q, depth=None):
     return theta, sigma2
 
 
-def fit_ar(target, p):
-    """Causal AR(p) fit from the Yule-Walker equations. Returns (phi, sigma2)."""
+def fit_ar(c, p):
+    """Causal AR(p) Yule-Walker fit on lags C(0..n), n >= p: (phi, sigma2)."""
     if p < 0:
         raise ValueError("p must be nonnegative")
-    c = _target_acv(target, p)
+    c = np.asarray(c, dtype=float)
+    if len(c) < p + 1:
+        raise ValueError("autocovariance target shorter than required depth")
     if p == 0:
         return np.empty(0), float(c[0])
     phi, v = durbin_levinson(c, p)
@@ -278,6 +260,16 @@ class ApproximationCertificate:
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh, indent=1)
+
+
+def _multipole_lags(target, l, max_lag):
+    """C_l(0..max_lag) of a target: exact for a rational one, trapezoid
+    lags of the table for a tabulated one. Both are prefix-stable."""
+    if target.form == "rational":
+        ar, ma, noise = target.entries[l]
+        probe = SpharmaModel(0, [ar], [ma], np.array([noise]))
+        return model_autocovariance(probe, 0, max_lag)
+    return trapezoid_lags(target.lam, target.table[l], max_lag)
 
 
 def _order_schedule(cap, start=0):
@@ -359,30 +351,28 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     fitted_rows = np.empty_like(F)
     cap_reached = False
 
+    # a tabulated target resolves lags up to about a quarter of its grid
+    resolved = math.inf if target.form == "rational" else len(target.lam) // 4
     for l in range(L + 1):
         best = None
         # a rational target that is already purely of the requested kind is a
         # fixed point: never fit below its own order
         start = 0
         if target.form == "rational":
-            t_ar, t_ma, t_noise = target.entries[l]
+            t_ar, t_ma, _ = target.entries[l]
             if kind == "ma" and len(t_ar) == 0:
                 start = len(t_ma)
             elif kind == "ar" and len(t_ma) == 0:
                 start = len(t_ar)
-            probe = SpharmaModel(0, [t_ar], [t_ma], np.array([t_noise]))
-            lags = np.empty(0)
-        for order in _order_schedule(order_cap, start):
-            depth = _ma_depth(order) if kind == "ma" else order
-            if target.form == "rational":
-                # exact lags straight from the rational form; they are
-                # prefix-stable, so one call fetches ahead and the next
-                # orders of the schedule read a prefix
-                if depth >= len(lags):
-                    lags = model_autocovariance(probe, 0, max(4 * depth, 32))
-                c = lags[: depth + 1]
-            else:
-                c = _target_acv((target.lam, target.table[l]), depth)
+        schedule = _order_schedule(order_cap, start)
+        depths = [_ma_depth(o) if kind == "ma" else o for o in schedule]
+        # the lags are prefix-stable: one fetch at the deepest depth of the
+        # schedule, and each order reads a prefix
+        lags = _multipole_lags(target, l, max(depths))
+        for order, depth in zip(schedule, depths):
+            if depth > resolved:
+                warnings.warn("frequency grid is coarse for the requested lag depth")
+            c = lags[: depth + 1]
             if kind == "ma":
                 try:
                     theta, sigma2 = fit_ma(c, order)
@@ -429,8 +419,10 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
 class WoldResult:
     """Per-multipole Wold coefficients and innovation variances.
 
-    ``residual_per_l`` is C_l(0) - sigma_l^2 * sum_j psi_{l;j}^2; a residual
-    clearly above the psi truncation level signals a deterministic component.
+    ``residual_per_l`` is C_l(0) - sigma_l^2 * sum_{j <= n_psi} psi_{l;j}^2.
+    For a purely nondeterministic multipole that is the dropped tail
+    sigma_l^2 * sum_{j > n_psi} psi_{l;j}^2; a residual clearly above it
+    signals a deterministic component.
     """
 
     psi: np.ndarray

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -303,38 +302,30 @@ def model_spectral_density(model, l, lam):
     return float(out[0]) if scalar else out
 
 
-def _psi_truncation_order(model, l, tol=1e-12):
-    """Smallest J with rho^J/(1-rho) * (1 + sum|theta|) below tol."""
-    xi = min_root_modulus(model.ar[l])
-    q = len(model.ma[l])
-    if math.isinf(xi):
-        return q
-    if xi <= 1.0:
-        raise ValueError(f"multipole {l} is not causal")
-    rho = 1.0 / xi
-    env = 1.0 + float(np.abs(model.ma[l]).sum())
-    J = decay_length(xi, tol * (1.0 - rho) / env)
-    J = max(J, q + len(model.ar[l]) + 8)
-    if J > 200000:
-        warnings.warn(f"root margin at l={l} is tiny; capping psi expansion")
-        J = 200000
-    return J
-
-
 def model_autocovariance(model, l, max_lag):
-    """Exact C_l(0..max_lag) = C_{l;Z} sum_j psi_j psi_{j+t}, certified tail.
+    """Exact C_l(0..max_lag) of a causal multipole (Brockwell & Davis 3.3, method 3).
 
-    The psi series is truncated where its geometric envelope drops below
-    1e-12 (from the multipole's root margin), so the returned values carry
-    no visible truncation error for the margins in scope.
+    With phi_0 = -1 and theta_0 = 1, C(k) - sum_i phi_i C(k-i) = C_{l;Z} r_k,
+    where r_k = sum_{j>=k} theta_j psi_{j-k} is zero for k > q. The equations
+    for k = 0..p, with C(-k) = C(k), are a (p+1) x (p+1) system for C(0..p)
+    that needs only psi_0..psi_q; the later lags run the same equations as a
+    zero-state AR filter. Nothing is truncated, and the solve does not depend
+    on max_lag, so the lags are prefix-stable bit for bit.
     """
-    J = _psi_truncation_order(model, l)
-    psi = psi_coefficients(model, l, J + max_lag)
-    head = psi[: J + 1]
-    out = np.empty(max_lag + 1)
-    for t in range(max_lag + 1):
-        out[t] = head @ psi[t : t + J + 1]
-    return model.noise[l] * out
+    ar = np.trim_zeros(model.ar[l], "b")
+    p, q = len(ar), len(model.ma[l])
+    phi_poly = np.r_[1.0, -ar]
+    psi = psi_coefficients(model, l, q)
+    # r_k is entry q + k of theta convolved with psi reversed
+    r = np.convolve(np.r_[1.0, model.ma[l]], psi[::-1])[q:]
+    k = np.arange(p + 1)
+    system = np.zeros((p + 1, p + 1))
+    np.add.at(system, (k[:, None], np.abs(k[:, None] - k)), phi_poly)
+    head = np.linalg.solve(system, np.r_[r, np.zeros(p)][: p + 1])
+    # the filter's input: the left-hand sides, kept to their nonnegative lags
+    e = np.r_[np.convolve(head, phi_poly)[: p + 1], r[p + 1 :]]
+    drive = np.r_[e, np.zeros(max_lag + 1)][: max_lag + 1]
+    return model.noise[l] * arma_filter(ar, [], drive)
 
 
 def model_autocovariance_table(model, max_lag):

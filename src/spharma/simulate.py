@@ -111,7 +111,7 @@ class HarmonicCoefficientSeries:
         path = str(path)
         if _sidecar_path(path) == path:
             raise ValueError(f"series path {path!r} would be overwritten by its sidecar")
-        self.values.astype("<f8").tofile(path)
+        self.values.astype("<f8", copy=False).tofile(path)
         with open(_sidecar_path(path), "w") as fh:
             json.dump(self.sidecar(), fh, indent=1)
 

@@ -11,9 +11,9 @@ covariance kernel at lag t is the Legendre synthesis
     r_t(x, y) = sum_l (2l+1)/(4pi) * C_l(t) * P_l(<x, y>).
 
 Frequencies live on [-pi, pi]; frequency integrals use the composite
-trapezoid rule on a uniform grid (spectrally accurate for these smooth
-periodic integrands). Band tails above the stored band limit are carried as
-explicit ``tail_bound`` metadata rather than silently dropped.
+trapezoid rule on ``frequency_grid(N)``, where it and the sum over lags are a
+length-N DFT pair. Band tails above the stored band limit are carried
+as explicit ``tail_bound`` metadata rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .sphere import legendre_all
 
 DEFAULT_FREQ_INTERVALS = 4096
-_LAG_CHUNK = 256  # lags per block of the cosine table in trapezoid_lags
+_GRID_ATOL = 1e-12  # rounding allowed in a stored frequency grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,21 +72,39 @@ def kernel_from_eigenvalues(eigs, c):
     return coeff @ P if np.ndim(P) > 1 else float(coeff @ P)
 
 
+def _check_grid(lam):
+    """Raise unless ``lam`` is ``frequency_grid(N)``, N >= 1, to rounding."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1 or len(lam) < 2:
+        raise ValueError("frequency grid needs at least two nodes")
+    if not np.abs(lam - frequency_grid(len(lam) - 1)).max() <= _GRID_ATOL:
+        raise ValueError("frequency grid must be frequency_grid(N): uniform "
+                         "on [-pi, pi], endpoints included")
+
+
+def _trapezoid_sums(f, t):
+    """Trapezoid sums of f(lambda) exp(i t lambda) on frequency_grid(N) at lags t.
+
+    exp(i t lambda_k) = (-1)^t exp(2 pi i t k / N) and the end nodes meet on
+    the circle, so the sums are (-1)^t 2 pi times the inverse DFT of
+    (f_0 + f_N) / 2, f_1, ..., f_{N-1}, read with period N.
+    """
+    n = f.shape[-1] - 1
+    g = f[..., :n].copy()
+    g[..., 0] = 0.5 * (f[..., 0] + f[..., n])
+    return np.where(t % 2, -TWO_PI, TWO_PI) * np.fft.ifft(g, axis=-1)[..., t % n]
+
+
 def trapezoid_lags(lam, f, max_lag):
     """Trapezoid rule for integral f(lambda) cos(t lambda), t = 0..max_lag.
 
-    ``lam`` is a uniform grid; ``f`` holds one tabulated spectrum of shape
-    ``(len(lam),)`` or one per row, shape ``(rows, len(lam))``.
+    ``lam`` is ``frequency_grid(N)``; ``f`` holds one tabulated spectrum of
+    shape ``(len(lam),)`` or one per row, shape ``(rows, len(lam))``. One
+    FFT per row gives every lag; the lags have period N.
     """
-    w = np.full(len(lam), lam[1] - lam[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    fw = (f * w).T
-    ts = np.arange(max_lag + 1)
-    # the cosine table is built _LAG_CHUNK lags at a time, so its memory
-    # does not grow with max_lag
-    return np.concatenate([np.cos(np.outer(ts[i : i + _LAG_CHUNK], lam)) @ fw
-                           for i in range(0, max_lag + 1, _LAG_CHUNK)]).T
+    _check_grid(lam)
+    return _trapezoid_sums(np.asarray(f, dtype=float),
+                           np.arange(max_lag + 1)).real
 
 
 def _geometric_tail(last, prev):
@@ -168,7 +186,8 @@ class SpectralEigenvalues:
     """Eigenvalues f_l(lambda) of the spectral density operator.
 
     Either rational per multipole (ARMA form ``noise/(2pi) |theta|^2/|phi|^2``
-    on the unit circle) or tabulated on a stored frequency grid. ``tail_bound``
+    on the unit circle) or tabulated on a stored frequency grid, which must be
+    ``frequency_grid(N)`` to rounding (``ValueError`` otherwise). ``tail_bound``
     bounds sup_lambda sum_{l > band_limit} (2l+1) f_l(lambda).
     """
 
@@ -192,6 +211,7 @@ class SpectralEigenvalues:
             self.lam = None
             self.table = None
         elif form == "tabulated":
+            _check_grid(lambda_grid)
             self.lam = np.asarray(lambda_grid, dtype=float)
             self.table = np.asarray(table, dtype=float)
             if self.table.shape != (self.band_limit + 1, len(self.lam)):
@@ -235,7 +255,7 @@ class SpectralEigenvalues:
     def integral_per_l(self):
         """integral of f_l over [-pi, pi] per multipole (equals C_l(0))."""
         lam = self.lambda_grid()
-        return np.trapezoid(self.values(lam), lam, axis=1)
+        return trapezoid_lags(lam, self.values(lam), 0)[:, 0]
 
     def to_json(self):
         payload = {"schema": 1, "form": self.form, "band_limit": self.band_limit,
@@ -300,11 +320,16 @@ def spectral_from_autocov(acv, n_intervals=None, tail_tol=1e-8):
     and sets the clipping allowance for truncation-induced negatives. Values
     below that allowance raise, so genuinely invalid inputs are not masked.
     """
-    lam = frequency_grid(n_intervals or DEFAULT_FREQ_INTERVALS)
+    n = n_intervals or DEFAULT_FREQ_INTERVALS
+    lam = frequency_grid(n)
     L, T = acv.band_limit, acv.max_lag
-    t = np.arange(1, T + 1)
-    cos_tab = np.cos(np.outer(lam, t))
-    f = (acv.values[:, 0][None, :] + 2.0 * cos_tab @ acv.values[:, 1:].T).T / TWO_PI
+    # f(lambda_k) = (1/2pi) sum_t C(|t|) (-1)^t exp(-2 pi i t k / N): the DFT
+    # of the signed lags t = -T..T folded into bins t mod N, read with period N
+    t = np.arange(-T, T + 1)
+    folded = np.zeros((L + 1, n))
+    np.add.at(folded, (slice(None), t % n),
+              acv.values[:, np.abs(t)] * np.where(t % 2, -1.0, 1.0))
+    f = np.fft.fft(folded, axis=-1).real[:, np.arange(n + 1) % n] / TWO_PI
 
     tail = 0.0
     if T >= 2:
@@ -334,15 +359,16 @@ def autocov_from_spectral(spec, t, check_tol=1e-9):
     """
     lam = spec.lambda_grid()
     F = spec.values(lam)
-    ct = np.cos(t * lam)
-    out = np.trapezoid(F * ct, lam, axis=1)
-    imag = np.trapezoid(F * np.sin(t * lam), lam, axis=1)
+    both = _trapezoid_sums(F, np.array([t]))[:, 0]
+    out = both.real
     scale = max(1.0, np.abs(out).max())
-    if np.abs(imag).max() > 1e-8 * scale:
+    if np.abs(both.imag).max() > 1e-8 * scale:
         warnings.warn("imaginary residual in inversion integral is not negligible")
-    coarse = np.trapezoid(F[:, ::2] * ct[::2], lam[::2], axis=1)
-    if np.abs(out - coarse).max() > max(check_tol * scale, 1e-12):
-        warnings.warn(f"frequency quadrature may not have converged at lag {t}")
+    if len(lam) % 2:
+        # every other node is frequency_grid(N / 2)
+        coarse = _trapezoid_sums(F[:, ::2], np.array([t]))[:, 0].real
+        if np.abs(out - coarse).max() > max(check_tol * scale, 1e-12):
+            warnings.warn(f"frequency quadrature may not have converged at lag {t}")
     return out
 
 

@@ -220,6 +220,25 @@ class TestApproximateCommand:
         cert = json.loads((out / "certificate.json").read_text())
         assert all(row["order"] != 1 for row in cert["per_multipole"])
 
+    @pytest.mark.parametrize("grid", ["nonuniform", "half_circle"])
+    def test_tabulated_target_off_frequency_grid_exits_2(self, tmp_path, grid,
+                                                         capsys):
+        u = np.linspace(-1.0, 1.0, 2049)
+        lam = {"nonuniform": np.pi * (0.6 * u + 0.4 * u**3),
+               "half_circle": np.linspace(-np.pi, 0.5 * np.pi, 2049)}[grid]
+        f = SpharmaModel.uniform(0, ar=[0.5]).spectral().values(lam)
+        target = tmp_path / "tab.json"
+        target.write_text(json.dumps({
+            "schema": 1, "form": "tabulated", "band_limit": 0,
+            "tail_bound": 0.0, "lambda_grid": lam.tolist(), "f": f.tolist()}))
+        out = tmp_path / "fit"
+        code = run("approximate", "--target", target, "--eps", 0.01,
+                   "--kind", "ma", "--out", out)
+        assert code == cli.EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "frequency_grid" in err and "Traceback" not in err
+
     def test_nonpositive_eps_exits_2(self, tmp_path, model_path):
         code = run("approximate", "--target", model_path, "--eps", -1.0,
                    "--kind", "ma", "--out", tmp_path / "x")

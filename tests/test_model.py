@@ -191,6 +191,26 @@ class TestAutocovariance:
             c0 = md.model_autocovariance(m, l, 0)[0]
             assert abs(integrals[l] - c0) < 1e-8
 
+    @pytest.mark.parametrize("phi", [0.9, 0.99, 0.999, 0.9999, 0.99995, 0.99999])
+    @pytest.mark.parametrize("theta", [0.3, -0.7])
+    def test_arma11_matches_40_digit_closed_form(self, phi, theta):
+        # C(0) = s (1 + 2 phi theta + theta^2) / (1 - phi^2),
+        # C(1) = s (1 + phi theta)(phi + theta) / (1 - phi^2),
+        # C(k) = phi^(k-1) C(1); AR roots at modulus 1.1 down to 1.00001
+        mp = pytest.importorskip("mpmath")
+        max_lag = 5120
+        m = SpharmaModel.uniform(0, ar=[phi], ma=[theta], noise=1.3)
+        got = md.model_autocovariance(m, 0, max_lag)
+        with mp.workdps(40):
+            P, T, S = mp.mpf(phi), mp.mpf(theta), mp.mpf(1.3)
+            c0 = S * (1 + 2 * P * T + T * T) / (1 - P * P)
+            ck = S * (1 + P * T) * (P + T) / (1 - P * P)
+            err = abs(mp.mpf(got[0]) - c0)
+            for k in range(1, max_lag + 1):
+                err = max(err, abs(mp.mpf(got[k]) - ck))
+                ck *= P
+            assert err <= 1e-12 * c0
+
     def test_psi_square_sum_identity(self):
         m = SpharmaModel.uniform(0, ar=[0.5, 0.2], ma=[0.4], noise=2.0)
         psi = md.psi_coefficients(m, 0, 400)

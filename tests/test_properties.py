@@ -1,6 +1,7 @@
 """Property tests over random causal ARMA models with p, q <= 3."""
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -78,9 +79,46 @@ def test_lags_and_frequencies_are_a_fourier_pair(model):
 
 
 @settings(max_examples=40, deadline=None)
+@given(causal_arma())
+def test_lags_survive_the_round_trip_through_the_frequency_grid(model):
+    # spectral_from_autocov and trapezoid_lags are one DFT and its inverse
+    # on frequency_grid(N): with 2 max_lag < N no lag aliases, and the roots
+    # lie at modulus >= 1.25, so the lags beyond max_lag = 1000 are below
+    # 1e-80 of C(0)
+    max_lag = 1000
+    lags = model_autocovariance(model, 0, max_lag)
+    acv = spectral.AutocovarianceSpectrum(0, max_lag, lags[None, :])
+    with warnings.catch_warnings():
+        # lags of complex roots need not shrink from one lag to the next,
+        # which the two-lag tail estimate flags; the tail is negligible here
+        warnings.simplefilter("ignore")
+        spec = spectral.spectral_from_autocov(acv)
+    back = spectral.trapezoid_lags(spec.lam, spec.table, max_lag)[0]
+    assert np.abs(back - lags).max() <= 1e-13 * lags[0]
+
+
+def psi_sum_oracle(model, l, max_lag, terms):
+    """C_{l;Z} sum_{j < terms} psi_j psi_{j+t}, the truncated Wold sum."""
+    psi = psi_coefficients(model, l, terms + max_lag)
+    return model.noise[l] * np.array(
+        [psi[:terms] @ psi[t : t + terms] for t in range(max_lag + 1)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(causal_arma())
+def test_model_autocovariance_matches_the_psi_sum(model):
+    # roots at modulus >= 1.25 with multiplicity <= 3: the psi weights beyond
+    # 600 terms are below 1e-50 of the largest
+    exact = model_autocovariance(model, 0, 60)
+    oracle = psi_sum_oracle(model, 0, 60, 600)
+    assert np.abs(exact - oracle).max() <= 1e-12 * oracle[0]
+
+
+@settings(max_examples=40, deadline=None)
 @given(causal_arma(), st.integers(0, 300))
 def test_model_autocovariance_prefix_is_stable(model, max_lag):
-    # approximate_operator fetches lags ahead and reads prefixes of them
+    # approximate_operator computes each multipole's lags once, at the
+    # deepest depth of its order schedule, and each order reads a prefix
     longer = model_autocovariance(model, 0, 4 * max_lag + 32)
     assert np.array_equal(longer[: max_lag + 1],
                           model_autocovariance(model, 0, max_lag))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -327,6 +328,20 @@ class TestSeriesIo:
         assert np.array_equal(back.values, series.values)
         assert back.provenance["seed"] == 37
         assert back.provenance["model_hash"] == ar1_model.content_hash()
+
+    def test_save_holds_no_second_copy(self, tmp_path):
+        # an 8 MB series: writing it once copied it whole through astype
+        series = sim.HarmonicCoefficientSeries(3, np.ones((16, 65536)))
+        path = tmp_path / "series.bin"
+        tracemalloc.start()
+        try:
+            series.save(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < series.values.nbytes // 8
+        assert np.array_equal(np.fromfile(path, dtype="<f8").reshape(16, -1),
+                              series.values)
 
     def test_csv_export(self, tmp_path):
         series = sim.HarmonicCoefficientSeries(

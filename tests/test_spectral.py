@@ -255,15 +255,73 @@ class TestInvariants:
         assert np.allclose(back.table, tab.table)
 
 
-@pytest.mark.parametrize("rows", [None, 3])
-def test_chunked_trapezoid_lags_match_one_table(monkeypatch, rows):
-    lam = spectral.frequency_grid(512)
-    F = SpharmaModel.uniform(2, ar=[0.95], ma=[0.3]).spectral().values(lam)
-    f = F[0] if rows is None else F[:rows]
-    max_lag = 300
-    monkeypatch.setattr(spectral, "_LAG_CHUNK", max_lag + 1)
-    whole = spectral.trapezoid_lags(lam, f, max_lag)
-    monkeypatch.setattr(spectral, "_LAG_CHUNK", 7)
-    chunked = spectral.trapezoid_lags(lam, f, max_lag)
-    assert chunked.shape == whole.shape
-    assert np.abs(chunked - whole).max() <= 1e-14 * np.abs(whole).max()
+class TestTabulatedLags:
+    def test_lags_match_a_40_digit_trapezoid_sum(self):
+        # the trapezoid sum of the stored table, with exact nodes
+        # -pi + 2 pi k / N, summed at 40 digits
+        mp = pytest.importorskip("mpmath")
+        n = 4096
+        lam = spectral.frequency_grid(n)
+        f = SpharmaModel.uniform(0, ar=[0.95]).spectral().values(lam)[0]
+        lags = (0, 1, 2047, 5000)
+        got = spectral.trapezoid_lags(lam, f, max(lags))
+        with mp.workdps(40):
+            h = 2 * mp.pi / n
+            nodes = [-mp.pi + h * k for k in range(n + 1)]
+            weights = [mp.mpf(x) for x in f]
+            weights[0] /= 2
+            weights[-1] /= 2
+            for t in lags:
+                exact = h * mp.fsum(w * mp.cos(t * x) for w, x in zip(weights, nodes))
+                if t == 0:
+                    c0 = exact
+                assert abs(mp.mpf(got[t]) - exact) <= 1e-15 * c0
+
+    def test_lags_are_periodic_in_the_grid_size(self):
+        lam = spectral.frequency_grid(64)
+        f = SpharmaModel.uniform(1, ar=[0.5], ma=[0.2]).spectral().values(lam)
+        c = spectral.trapezoid_lags(lam, f, 200)
+        assert c.shape == (2, 201)
+        assert np.array_equal(c[:, 64:128], c[:, :64])
+        assert np.abs(c[:, 1:32] - c[:, 63:32:-1]).max() <= 1e-15 * c[:, 0].max()
+
+
+def ar1_half_density(lam):
+    return SpharmaModel.uniform(0, ar=[0.5]).spectral().values(lam)
+
+
+def nonuniform_grid():
+    """Symmetric 2049-node grid on [-pi, pi], denser in the middle."""
+    u = np.linspace(-1.0, 1.0, 2049)
+    return math.pi * (0.6 * u + 0.4 * u**3)
+
+
+class TestGridCheck:
+    def test_nonuniform_grid_rejected(self):
+        # trapezoid weights lam[1] - lam[0] once made C(0) = 3.06 of this
+        # AR(1) table, whose exact C(0) is 4/3
+        lam = nonuniform_grid()
+        with pytest.raises(ValueError, match="frequency_grid"):
+            SpectralEigenvalues.tabulated(lam, ar1_half_density(lam))
+        with pytest.raises(ValueError, match="frequency_grid"):
+            spectral.trapezoid_lags(lam, ar1_half_density(lam)[0], 2)
+
+    @pytest.mark.parametrize("lo, hi", [(-math.pi, 0.5 * math.pi),
+                                        (0.0, 2.0 * math.pi),
+                                        (-3.0, 3.0)])
+    def test_grid_not_spanning_minus_pi_to_pi_rejected(self, lo, hi):
+        lam = np.linspace(lo, hi, 2049)
+        with pytest.raises(ValueError, match="frequency_grid"):
+            SpectralEigenvalues.tabulated(lam, np.ones((1, len(lam))))
+
+    @pytest.mark.parametrize("lam", [[0.0], [], [[-math.pi, math.pi]]])
+    def test_degenerate_grids_rejected(self, lam):
+        with pytest.raises(ValueError, match="frequency grid"):
+            SpectralEigenvalues.tabulated(lam, np.ones((1, np.size(lam))))
+
+    def test_grid_to_rounding_accepted(self):
+        n = 1000
+        lam = -math.pi + 2.0 * math.pi * np.arange(n + 1) / n
+        assert not np.array_equal(lam, spectral.frequency_grid(n))
+        spec = SpectralEigenvalues.tabulated(lam, ar1_half_density(lam))
+        assert abs(spec.integral_per_l()[0] - 4.0 / 3.0) < 1e-12
