@@ -30,21 +30,18 @@ from .model import (
     SpharmaModel,
     arma_filter,
     check_causal,
-    check_invertible,
     decay_length,
+    min_root_modulus,
     model_autocovariance,
 )
 from .simulate import SimulationConfig, batch_means_se, simulate_spharma
-from .spectral import (
-    DEFAULT_FREQ_INTERVALS,
-    frequency_grid,
-    rational_density,
-    trapezoid_lags,
-)
+from .spectral import frequency_grid, rational_density, trapezoid_lags
 from .sphere import harmonic_values_at, stream_index
 
 DEFAULT_ORDER_CAP = 256
 _VAR_FLOOR = 1e-12
+_WOLD_VARIANCE_TOL = 1e-10  # wold: least innovation variance, relative to C_l(0)
+_L2_CHECK_NODE = (1.047197551196598, 0.8)  # l2_omega_check: (colat, lon)
 
 
 def _innovations_core(c, depth, floor=None):
@@ -159,6 +156,8 @@ def durbin_levinson(c, order):
     Returns ``(phi, v)`` with the AR coefficients and the one-step prediction
     variance. Raises on inputs that are not positive definite.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     c = np.asarray(c, dtype=float)
     if len(c) < order + 1:
         raise ValueError("need autocovariances up to the requested order")
@@ -180,7 +179,7 @@ def _ma_depth(q):
     return max(200, 20 * q)
 
 
-def fit_ma(c, q, depth=None):
+def fit_ma(c, q):
     """Invertible MA(q) fit by the innovations recursion on lags C(0..).
 
     The last-row coefficients theta_{n,1..q} at depth n = max(200, 20q),
@@ -196,7 +195,7 @@ def fit_ma(c, q, depth=None):
     if q < 0:
         raise ValueError("q must be nonnegative")
     c = np.asarray(c, dtype=float)
-    depth = min(depth or _ma_depth(q), len(c) - 1)
+    depth = min(_ma_depth(q), len(c) - 1)
     if depth < q:
         raise ValueError("not enough autocovariance lags for the requested order")
     if q == 0:
@@ -204,23 +203,14 @@ def fit_ma(c, q, depth=None):
     last, _ = _innovations_last_row(c, depth, floor=_VAR_FLOOR)
     theta = last[:q]
     sigma2 = float(c[0] / (1.0 + theta @ theta))
-    probe = SpharmaModel(0, [np.empty(0)], [theta], np.array([1.0]))
-    if not check_invertible(probe, margin=0.0).causal:
+    if min_root_modulus(theta, "ma") < 1.0:
         raise RuntimeError("innovations fit produced a non-invertible MA polynomial")
     return theta, sigma2
 
 
 def fit_ar(c, p):
     """Causal AR(p) Yule-Walker fit on lags C(0..n), n >= p: (phi, sigma2)."""
-    if p < 0:
-        raise ValueError("p must be nonnegative")
-    c = np.asarray(c, dtype=float)
-    if len(c) < p + 1:
-        raise ValueError("autocovariance target shorter than required depth")
-    if p == 0:
-        return np.empty(0), float(c[0])
-    phi, v = durbin_levinson(c, p)
-    return phi, v
+    return durbin_levinson(c, p)
 
 
 @dataclass
@@ -266,9 +256,7 @@ def _multipole_lags(target, l, max_lag):
     """C_l(0..max_lag) of a target: exact for a rational one, trapezoid
     lags of the table for a tabulated one. Both are prefix-stable."""
     if target.form == "rational":
-        ar, ma, noise = target.entries[l]
-        probe = SpharmaModel(0, [ar], [ma], np.array([noise]))
-        return model_autocovariance(probe, 0, max_lag)
+        return model_autocovariance(target.model, l, max_lag)
     return trapezoid_lags(target.lam, target.table[l], max_lag)
 
 
@@ -318,12 +306,12 @@ def _sup_operator_norm(diff, norm):
 
 
 def approximate_operator(target, eps, kind, norm="l2_kernel",
-                         order_cap=DEFAULT_ORDER_CAP, n_intervals=None):
+                         order_cap=DEFAULT_ORDER_CAP):
     """Fit an invertible SPHMA(q) or causal SPHAR(p) within eps of the target.
 
     The full stored band is retained (its above-band tail must already fit
     the eps/2 tail budget); each multipole's order is doubled until the sup
-    error over the frequency grid fits the proof budget eps / (2 (L+1)^2) or
+    error over ``frequency_grid()`` fits the proof budget eps / (2 (L+1)^2) or
     the order cap is hit. The certificate records per-multipole sup errors
     and the realized totals in both norms; it passes iff the total in the
     requested norm is at most eps.
@@ -337,7 +325,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     if norm not in ("l2_kernel", "trace"):
         raise ValueError("norm must be 'l2_kernel' or 'trace'")
     L = target.band_limit
-    lam = frequency_grid(n_intervals or DEFAULT_FREQ_INTERVALS)
+    lam = frequency_grid()
     F = target.values(lam)
     budget = eps / (2.0 * (L + 1) ** 2)
     tail_error = target.tail_bound
@@ -359,7 +347,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
         # fixed point: never fit below its own order
         start = 0
         if target.form == "rational":
-            t_ar, t_ma, _ = target.entries[l]
+            t_ar, t_ma = target.model.ar[l], target.model.ma[l]
             if kind == "ma" and len(t_ar) == 0:
                 start = len(t_ma)
             elif kind == "ar" and len(t_ma) == 0:
@@ -428,7 +416,6 @@ class WoldResult:
     psi: np.ndarray
     sigma2: np.ndarray
     residual_per_l: np.ndarray
-    min_variance_tol: float
 
     @property
     def band_limit(self):
@@ -456,12 +443,12 @@ class WoldResult:
                           for psi, sigma2 in zip(self.psi, self.sigma2)])
 
 
-def wold(acv, n_psi, variance_tol=1e-10):
+def wold(acv, n_psi):
     """Wold decomposition per multipole from an autocovariance table.
 
     Runs the innovations recursion to a depth well beyond ``n_psi`` and reads
     off psi_{l;j} = theta_{depth,j} and sigma_l^2 = v_depth. Multipoles whose
-    innovation variance collapses below ``variance_tol * C_l(0)`` are
+    innovation variance collapses below ``_WOLD_VARIANCE_TOL * C_l(0)`` are
     rejected (deterministic subprocess).
     """
     if n_psi < 0:
@@ -478,13 +465,13 @@ def wold(acv, n_psi, variance_tol=1e-10):
     for l in range(L + 1):
         c = acv.values[l]
         last, v = _innovations_last_row(c, depth)
-        if v[-1] < variance_tol * c[0]:
+        if v[-1] < _WOLD_VARIANCE_TOL * c[0]:
             raise ValueError(f"innovation variance vanishes at multipole {l}")
         psi[l, 0] = 1.0
         psi[l, 1:] = last[:n_psi]
         sigma2[l] = v[-1]
         residual[l] = c[0] - sigma2[l] * (psi[l] @ psi[l])
-    return WoldResult(psi, sigma2, residual, variance_tol)
+    return WoldResult(psi, sigma2, residual)
 
 
 def h_step_error(w, h):
@@ -506,8 +493,7 @@ class L2CheckResult:
     mode: str
 
 
-def l2_omega_check(true_model, fitted_model, n_mc, seed,
-                   node=(1.047197551196598, 0.8), warmup=None):
+def l2_omega_check(true_model, fitted_model, n_mc, seed):
     """Mean-square error of reconstructing the field from shared innovations.
 
     The true model is simulated together with its innovations; the fitted
@@ -519,8 +505,10 @@ def l2_omega_check(true_model, fitted_model, n_mc, seed,
       reconstruction error directly;
     * general ARMA: the fitted recursion is run on the innovations.
 
-    The error field is evaluated at ``node`` = (colat, lon) and averaged over
-    time after a warm-up; the standard error comes from batch means.
+    The error field is evaluated at ``_L2_CHECK_NODE`` = (colat, lon) and
+    averaged over time after a warm-up (the fitted AR order for an AR fit,
+    else the MA order or the decay length of the AR roots, at most 2000 and
+    half the run); the standard error comes from batch means.
     """
     if not check_causal(true_model).causal:
         raise ValueError("true model is not causal")
@@ -534,13 +522,12 @@ def l2_omega_check(true_model, fitted_model, n_mc, seed,
     L_true, L_fit = true_model.band_limit, fitted_model.band_limit
     mode = ("ma" if fitted_model.p == 0 else
             "ar" if fitted_model.q == 0 else "arma")
-    if warmup is None:
-        if mode == "ar":
-            warmup = fitted_model.p
-        else:
-            xi = check_causal(fitted_model).min_root_modulus
-            warmup = (fitted_model.q if math.isinf(xi) else
-                      min(2000, decay_length(xi, 1e-8)))
+    if mode == "ar":
+        warmup = fitted_model.p
+    else:
+        xi = check_causal(fitted_model).min_root_modulus
+        warmup = (fitted_model.q if math.isinf(xi) else
+                  min(2000, decay_length(xi, 1e-8)))
     warmup = min(warmup, n_mc // 2)
 
     err = np.empty_like(series.values)
@@ -556,7 +543,7 @@ def l2_omega_check(true_model, fitted_model, n_mc, seed,
         else:
             err[rows] = a - arma_filter(fitted_model.ar[l], fitted_model.ma[l], z)
 
-    Y = harmonic_values_at(L_true, node[0], node[1])
+    Y = harmonic_values_at(L_true, *_L2_CHECK_NODE)
     e_node = Y[stream_index(L_true)] @ err
     tail = e_node[warmup:] ** 2
     return L2CheckResult(float(tail.mean()), batch_means_se(tail),

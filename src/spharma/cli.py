@@ -44,7 +44,7 @@ def _load_model(path):
         raise InputError(f"model file not found: {path}")
     try:
         return SpharmaModel.load(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"invalid model JSON: {exc}") from exc
 
 
@@ -52,13 +52,13 @@ def _load_target(path):
     """Spectral target: either a spectrum JSON or a model JSON."""
     if not os.path.exists(path):
         raise InputError(f"target file not found: {path}")
-    with open(path) as fh:
-        payload = json.load(fh)
     try:
+        with open(path) as fh:
+            payload = json.load(fh)
         if "entries" in payload and "form" not in payload:
             return SpharmaModel.from_json(payload).spectral()
         return spectral.SpectralEigenvalues.from_json(payload)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"invalid spectral target: {exc}") from exc
 
 

@@ -29,6 +29,7 @@ from .spectral import (
 )
 
 _DEGENERATE = 1e-14
+_COPRIME_TOL = 1e-8  # check_coprime: least distance between AR and MA roots
 _FILTER_BLOCK = 128  # arma_filter cuts time into blocks of max(p, 128) samples
 
 
@@ -48,6 +49,8 @@ class SpharmaModel:
     noise: np.ndarray
 
     def __post_init__(self):
+        if self.band_limit < 0:
+            raise ValueError("band_limit must be nonnegative")
         n = self.band_limit + 1
         if len(self.ar) != n or len(self.ma) != n:
             raise ValueError("need one AR and one MA coefficient array per l")
@@ -56,6 +59,8 @@ class SpharmaModel:
         self.noise = np.asarray(self.noise, dtype=float)
         if self.noise.shape != (n,):
             raise ValueError("noise must hold one positive power per l")
+        if not all(np.isfinite(a).all() for a in self.ar + self.ma + [self.noise]):
+            raise ValueError("coefficients and noise powers must be finite")
         if np.any(self.noise <= 0.0):
             raise ValueError("noise powers C_{l;Z} must be strictly positive")
 
@@ -83,11 +88,9 @@ class SpharmaModel:
                    [np.asarray(ma, dtype=float)] * (band_limit + 1),
                    noise_arr)
 
-    def spectral(self, tail_bound=0.0):
-        """Exact rational spectral eigenvalues of the model."""
-        entries = [(self.ar[l], self.ma[l], float(self.noise[l]))
-                   for l in range(self.band_limit + 1)]
-        return SpectralEigenvalues.rational(entries, tail_bound=tail_bound)
+    def spectral(self):
+        """Exact rational spectral eigenvalues of the model, no band tail."""
+        return SpectralEigenvalues.rational(self)
 
     def to_json(self):
         return {
@@ -102,12 +105,18 @@ class SpharmaModel:
 
     @classmethod
     def from_json(cls, payload):
+        """Read ``to_json`` output: each l from 0 to band_limit exactly once."""
         L = int(payload["band_limit"])
         ar = [np.empty(0)] * (L + 1)
         ma = [np.empty(0)] * (L + 1)
         noise = np.full(L + 1, np.nan)
+        seen = set()
         for entry in payload["entries"]:
             l = int(entry["l"])
+            if not 0 <= l <= L or l in seen:
+                raise ValueError(f"model JSON entry l={l}: each l from 0 to {L} "
+                                 "must appear exactly once")
+            seen.add(l)
             ar[l] = np.asarray(entry["ar"], dtype=float)
             ma[l] = np.asarray(entry["ma"], dtype=float)
             noise[l] = float(entry["noise"])
@@ -190,17 +199,15 @@ def check_invertible(model, margin=1e-6):
     return _root_margin_report(model.ma, margin, "ma")
 
 
-def check_coprime(model, tol=1e-8):
-    """Per-l flag: every AR root at distance > tol from every MA root."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+def check_coprime(model):
+    """Per-l flag: every AR root at distance > ``_COPRIME_TOL`` from every MA root."""
     out = np.ones(model.band_limit + 1, dtype=bool)
     for l in range(model.band_limit + 1):
         ra = lag_polynomial_roots(model.ar[l], "ar")
         rm = lag_polynomial_roots(model.ma[l], "ma")
         if len(ra) and len(rm):
             dist = np.abs(ra[:, None] - rm[None, :]).min()
-            out[l] = dist > tol
+            out[l] = dist > _COPRIME_TOL
     return out
 
 

@@ -22,13 +22,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import arma_filter, check_causal, decay_length
+from .model import SpharmaModel, arma_filter, check_causal, decay_length
 from .spectral import TWO_PI, AutocovarianceSpectrum
 from .sphere import empty_coeffs, sht_inverse, stream_index
 
 _BURN_TARGET = 1e-10
 _BURN_CAP = 1_000_000
 _CRAMER_CHUNK_ROWS = 32  # streams per chunk of the band-split Gram matrix
+_CRAMER_FACTOR = 1.5  # verify_cramer_orthogonality: threshold 3 * factor / sqrt(n)
+_NOISE_LAW = "gaussian"  # the only innovation law; recorded in every sidecar
 
 
 def row_index(l, m):
@@ -44,21 +46,18 @@ class SimulationConfig:
 
     ``burn_in=None`` requests the automatic choice: for a causal model with
     root margin xi the burn-in satisfies (1/xi)^burn <= 1e-10 (zero for pure
-    moving averages beyond the MA order).
+    moving averages beyond the MA order). Innovations are Gaussian.
     """
 
     seed: int
     n: int
     burn_in: int | None = None
-    noise_law: str = "gaussian"
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.burn_in is not None and self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
-        if self.noise_law != "gaussian":
-            raise ValueError(f"unsupported noise law {self.noise_law!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in 64 bits")
 
@@ -174,20 +173,11 @@ def _noise_block(seed, l, scale, count):
 
 
 def simulate_white_noise(noise_spectrum, config):
-    """Strong Gaussian spherical white noise with per-l variances C_{l;Z}."""
-    noise_spectrum = np.asarray(noise_spectrum, dtype=float)
-    if np.any(noise_spectrum <= 0.0):
-        raise ValueError("white noise variances must be positive")
-    L = len(noise_spectrum) - 1
-    burn = config.burn_in or 0
-    total = config.n + burn
-    values = np.empty(((L + 1) ** 2, config.n))
-    for l in range(L + 1):
-        block = _noise_block(config.seed, l, math.sqrt(noise_spectrum[l]), total)
-        values[l * l : l * l + 2 * l + 1] = block[:, burn:]
-    prov = {"seed": int(config.seed), "burn_in": burn,
-            "noise_law": config.noise_law, "model_hash": None}
-    return HarmonicCoefficientSeries(L, values, prov)
+    """Strong Gaussian spherical white noise with per-l variances C_{l;Z}.
+
+    Simulated as the SPHARMA(0, 0) model of those noise powers.
+    """
+    return simulate_spharma(SpharmaModel.white_noise(noise_spectrum), config)
 
 
 def _auto_burn_in(model, report):
@@ -222,7 +212,7 @@ def simulate_spharma(model, config, return_innovations=False):
         if innov is not None:
             innov[l * l : l * l + 2 * l + 1] = z[:, burn:]
     prov = {"seed": int(config.seed), "burn_in": int(burn),
-            "noise_law": config.noise_law, "model_hash": model.content_hash()}
+            "noise_law": _NOISE_LAW, "model_hash": model.content_hash()}
     series = HarmonicCoefficientSeries(L, values, prov)
     if not return_innovations:
         return series
@@ -314,21 +304,21 @@ class CramerReport:
     passed: bool
 
 
-def verify_cramer_orthogonality(series, n_bands, factor=1.5):
+def verify_cramer_orthogonality(series, n_bands):
     """Check that distinct-band components of the series are uncorrelated.
 
     [-pi, pi] is split into ``n_bands`` symmetric bands of |lambda|; each
     stream is band-passed by DFT masking and correlations are pooled over
     streams on the middle half of the window (the full window correlation
     vanishes identically by Parseval, carrying no information). Passes when
-    the largest absolute correlation is below ``3 * factor / sqrt(n)``.
+    the largest absolute correlation is below ``3 * _CRAMER_FACTOR / sqrt(n)``.
     """
     if n_bands < 1:
         raise ValueError("n_bands must be at least 1")
     n = series.n
     if n < 1024:
         raise ValueError("orthogonality check needs at least 1024 samples")
-    threshold = 3.0 * factor / math.sqrt(n)
+    threshold = 3.0 * _CRAMER_FACTOR / math.sqrt(n)
     if n_bands == 1:
         return CramerReport(1, 0.0, threshold, True)
 

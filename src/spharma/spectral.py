@@ -29,6 +29,8 @@ from .sphere import legendre_all
 
 DEFAULT_FREQ_INTERVALS = 4096
 _GRID_ATOL = 1e-12  # rounding allowed in a stored frequency grid
+_SPECTRAL_TAIL_TOL = 1e-8  # spectral_from_autocov: lag tail that warns
+_QUADRATURE_CHECK_TOL = 1e-9  # autocov_from_spectral: coarse-grid mismatch that warns
 
 TWO_PI = 2.0 * math.pi
 
@@ -185,13 +187,14 @@ class AutocovarianceSpectrum:
 class SpectralEigenvalues:
     """Eigenvalues f_l(lambda) of the spectral density operator.
 
-    Either rational per multipole (ARMA form ``noise/(2pi) |theta|^2/|phi|^2``
-    on the unit circle) or tabulated on a stored frequency grid, which must be
-    ``frequency_grid(N)`` to rounding (``ValueError`` otherwise). ``tail_bound``
-    bounds sup_lambda sum_{l > band_limit} (2l+1) f_l(lambda).
+    Either rational per multipole, ``noise/(2pi) |theta|^2/|phi|^2`` on the
+    unit circle with the coefficients and noise powers of the SPHARMA model
+    kept as ``model``, or tabulated on a stored frequency grid, which must be
+    ``frequency_grid(N)`` to rounding (``ValueError`` otherwise).
+    ``tail_bound`` bounds sup_lambda sum_{l > band_limit} (2l+1) f_l(lambda).
     """
 
-    def __init__(self, band_limit, form, *, entries=None, lambda_grid=None,
+    def __init__(self, band_limit, form, *, model=None, lambda_grid=None,
                  table=None, tail_bound=0.0):
         self.band_limit = int(band_limit)
         self.form = form
@@ -199,15 +202,9 @@ class SpectralEigenvalues:
         if self.tail_bound < 0.0:
             raise ValueError("tail_bound must be nonnegative")
         if form == "rational":
-            if entries is None or len(entries) != self.band_limit + 1:
-                raise ValueError("rational form needs one (ar, ma, noise) per l")
-            self.entries = [
-                (np.asarray(ar, dtype=float), np.asarray(ma, dtype=float), float(noise))
-                for ar, ma, noise in entries
-            ]
-            for _, _, noise in self.entries:
-                if noise <= 0.0:
-                    raise ValueError("noise power must be positive")
+            if model is None or model.band_limit != self.band_limit:
+                raise ValueError("rational form needs a model of the same band limit")
+            self.model = model
             self.lam = None
             self.table = None
         elif form == "tabulated":
@@ -218,13 +215,14 @@ class SpectralEigenvalues:
                 raise ValueError("table must have shape (band_limit+1, len(grid))")
             if np.any(self.table < 0.0):
                 raise ValueError("spectral eigenvalues must be nonnegative")
-            self.entries = None
+            self.model = None
         else:
             raise ValueError("form must be 'rational' or 'tabulated'")
 
     @classmethod
-    def rational(cls, entries, tail_bound=0.0):
-        return cls(len(entries) - 1, "rational", entries=entries, tail_bound=tail_bound)
+    def rational(cls, model, tail_bound=0.0):
+        """Exact spectral eigenvalues of a ``SpharmaModel``."""
+        return cls(model.band_limit, "rational", model=model, tail_bound=tail_bound)
 
     @classmethod
     def tabulated(cls, lambda_grid, table, tail_bound=0.0):
@@ -232,10 +230,11 @@ class SpectralEigenvalues:
         return cls(table.shape[0] - 1, "tabulated", lambda_grid=lambda_grid,
                    table=table, tail_bound=tail_bound)
 
-    def lambda_grid(self, n_intervals=None):
+    def lambda_grid(self):
+        """The stored grid, or ``frequency_grid()`` for a rational spectrum."""
         if self.form == "tabulated":
             return self.lam
-        return frequency_grid(n_intervals or DEFAULT_FREQ_INTERVALS)
+        return frequency_grid()
 
     def values(self, lams=None):
         """f_l on ``lams`` (default: the natural grid), shape (L+1, n_lams).
@@ -246,8 +245,9 @@ class SpectralEigenvalues:
             lams = self.lambda_grid()
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         if self.form == "rational":
+            m = self.model
             return np.vstack([rational_density(ar, ma, noise, lams)
-                              for ar, ma, noise in self.entries])
+                              for ar, ma, noise in zip(m.ar, m.ma, m.noise)])
         if lams.shape == self.lam.shape and np.allclose(lams, self.lam):
             return self.table
         return np.vstack([np.interp(lams, self.lam, row) for row in self.table])
@@ -261,10 +261,7 @@ class SpectralEigenvalues:
         payload = {"schema": 1, "form": self.form, "band_limit": self.band_limit,
                    "tail_bound": self.tail_bound}
         if self.form == "rational":
-            payload["rational"] = [
-                {"l": l, "ar": ar.tolist(), "ma": ma.tolist(), "noise": noise}
-                for l, (ar, ma, noise) in enumerate(self.entries)
-            ]
+            payload["rational"] = self.model.to_json()["entries"]
         else:
             payload["lambda_grid"] = self.lam.tolist()
             payload["f"] = self.table.tolist()
@@ -272,12 +269,19 @@ class SpectralEigenvalues:
 
     @classmethod
     def from_json(cls, payload):
+        """Read ``to_json`` output. Rational rows are model entries, each l
+        from 0 to ``band_limit`` once; a tabulated ``f`` has ``band_limit + 1``
+        rows. ``ValueError`` otherwise."""
+        from .model import SpharmaModel
+
         tail = float(payload.get("tail_bound", 0.0))
         if payload["form"] == "rational":
-            rows = sorted(payload["rational"], key=lambda r: r["l"])
-            entries = [(r["ar"], r["ma"], r["noise"]) for r in rows]
-            return cls.rational(entries, tail_bound=tail)
-        return cls.tabulated(payload["lambda_grid"], payload["f"], tail_bound=tail)
+            model = SpharmaModel.from_json({"band_limit": payload["band_limit"],
+                                            "entries": payload["rational"]})
+            return cls.rational(model, tail_bound=tail)
+        return cls(payload["band_limit"], payload["form"],
+                   lambda_grid=payload["lambda_grid"], table=payload["f"],
+                   tail_bound=tail)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -312,15 +316,16 @@ def operator_trace_norm(spec, lam):
     return float(tr[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else tr
 
 
-def spectral_from_autocov(acv, n_intervals=None, tail_tol=1e-8):
+def spectral_from_autocov(acv):
     """Tabulate f_l(lambda) = (1/2pi) sum_{|t|<=max_lag} e^{-it lambda} C_l(t).
 
-    The sum over stored lags is exact; a geometric estimate of the dropped
-    tail triggers a warning above ``tail_tol`` (relative to the peak value)
-    and sets the clipping allowance for truncation-induced negatives. Values
-    below that allowance raise, so genuinely invalid inputs are not masked.
+    The table is on ``frequency_grid()``. The sum over stored lags is exact;
+    a geometric estimate of the dropped tail triggers a warning above
+    ``_SPECTRAL_TAIL_TOL`` (relative to the peak value) and sets the clipping
+    allowance for truncation-induced negatives. Values below that allowance
+    raise, so genuinely invalid inputs are not masked.
     """
-    n = n_intervals or DEFAULT_FREQ_INTERVALS
+    n = DEFAULT_FREQ_INTERVALS
     lam = frequency_grid(n)
     L, T = acv.band_limit, acv.max_lag
     # f(lambda_k) = (1/2pi) sum_t C(|t|) (-1)^t exp(-2 pi i t k / N): the DFT
@@ -340,7 +345,7 @@ def spectral_from_autocov(acv, n_intervals=None, tail_tol=1e-8):
     if not math.isfinite(tail):
         warnings.warn("stored autocovariances do not decay; spectral tail unbounded")
         tail = scale
-    elif tail / math.pi > tail_tol * scale:
+    elif tail / math.pi > _SPECTRAL_TAIL_TOL * scale:
         warnings.warn(
             f"autocovariance truncation tail estimate {tail:.3g} exceeds tolerance")
     allowance = tail / math.pi + 1e-12 * scale
@@ -350,12 +355,12 @@ def spectral_from_autocov(acv, n_intervals=None, tail_tol=1e-8):
     return SpectralEigenvalues.tabulated(lam, f, tail_bound=acv.tail_bound)
 
 
-def autocov_from_spectral(spec, t, check_tol=1e-9):
+def autocov_from_spectral(spec, t):
     """C_l(t) = integral of f_l(lambda) e^{i t lambda} by trapezoid quadrature.
 
     Real parts are returned; for symmetric spectra the imaginary residual
     vanishes and quadrature convergence is checked against a half-resolution
-    pass (mismatch beyond ``check_tol`` relative emits a warning).
+    pass (mismatch beyond ``_QUADRATURE_CHECK_TOL`` relative emits a warning).
     """
     lam = spec.lambda_grid()
     F = spec.values(lam)
@@ -367,7 +372,7 @@ def autocov_from_spectral(spec, t, check_tol=1e-9):
     if len(lam) % 2:
         # every other node is frequency_grid(N / 2)
         coarse = _trapezoid_sums(F[:, ::2], np.array([t]))[:, 0].real
-        if np.abs(out - coarse).max() > max(check_tol * scale, 1e-12):
+        if np.abs(out - coarse).max() > max(_QUADRATURE_CHECK_TOL * scale, 1e-12):
             warnings.warn(f"frequency quadrature may not have converged at lag {t}")
     return out
 

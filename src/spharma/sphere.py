@@ -276,12 +276,14 @@ class SphereGrid:
             return cls.from_json(json.load(fh))
 
 
-def build_grid(band_limit, n_lat=None, n_lon=None):
-    """Minimal exact quadrature grid for fields band-limited at ``band_limit``."""
+def build_grid(band_limit, n_lat=None):
+    """Minimal exact quadrature grid for fields band-limited at ``band_limit``:
+    ``n_lat`` Gauss-Legendre colatitudes (``band_limit + 1`` by default) and
+    ``2 * band_limit + 1`` equiangular longitudes."""
     if band_limit < 0:
         raise ValueError("band_limit must be nonnegative")
     n_lat = n_lat if n_lat is not None else band_limit + 1
-    n_lon = n_lon if n_lon is not None else max(2 * band_limit + 1, 1)
+    n_lon = 2 * band_limit + 1
     x, _ = np.polynomial.legendre.leggauss(n_lat)
     # leggauss orders ascending in x; colatitude descends as x grows
     colats = np.arccos(x)

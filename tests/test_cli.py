@@ -305,3 +305,68 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def _command(name, path, out):
+    """argv of a command that reads the JSON at ``path`` and writes to ``out``."""
+    return {"simulate": ["simulate", "--model", path, "--n", 10, "--out", out],
+            "spectrum": ["spectrum", "--model", path, "--out", out],
+            "approximate": ["approximate", "--target", path, "--eps", 0.05,
+                            "--kind", "ma", "--out", out]}[name]
+
+
+def _entry(l):
+    return {"l": l, "ar": [0.5], "ma": [], "noise": 1.0}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("ls", [(0, 2), (0, -1), (0, 0)],
+                             ids=["above-band", "negative", "repeated"])
+    @pytest.mark.parametrize("command", ["simulate", "approximate"])
+    def test_bad_multipole_index_exits_2(self, tmp_path, command, ls, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"schema": 1, "band_limit": 1,
+                                    "entries": [_entry(l) for l in ls]}))
+        out = tmp_path / "out"
+        assert run(*_command(command, path, out)) == cli.EXIT_INPUT
+        assert not out.exists()
+        assert "exactly once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("band_limit, ls", [(1, (0, 2)), (3, (0, 0))],
+                             ids=["l-above-band", "repeated-l"])
+    def test_rational_spectrum_bad_multipole_index_exits_2(self, tmp_path,
+                                                           band_limit, ls):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"schema": 1, "form": "rational",
+                                    "band_limit": band_limit, "tail_bound": 0.0,
+                                    "rational": [_entry(l) for l in ls]}))
+        out = tmp_path / "out"
+        assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
+        assert not out.exists()
+
+    def test_tabulated_band_limit_mismatch_exits_2(self, tmp_path):
+        lam = spharma.frequency_grid(64)
+        f = SpharmaModel.uniform(1, ar=[0.5]).spectral().values(lam)
+        path = tmp_path / "tab.json"
+        path.write_text(json.dumps({"schema": 1, "form": "tabulated",
+                                    "band_limit": 5, "tail_bound": 0.0,
+                                    "lambda_grid": lam.tolist(), "f": f.tolist()}))
+        out = tmp_path / "out"
+        assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
+        assert not out.exists()
+
+    @pytest.mark.parametrize("band_limit, entries", [
+        (0, 5), (0, [{"l": None, "ar": [], "ma": [], "noise": 1.0}]), (-1, []),
+        (0, [{"l": 0, "ar": [], "ma": [], "noise": float("inf")}])],
+        ids=["entries-number", "l-null", "negative-band-limit", "infinite-noise"])
+    @pytest.mark.parametrize("command", ["simulate", "spectrum", "approximate"])
+    def test_malformed_model_json_exits_2(self, tmp_path, command, band_limit,
+                                          entries, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"schema": 1, "band_limit": band_limit,
+                                    "entries": entries}))
+        out = tmp_path / "out"
+        assert run(*_command(command, path, out)) == cli.EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "invalid" in err and "Traceback" not in err

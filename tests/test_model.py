@@ -57,6 +57,38 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpharmaModel.from_json(payload)
 
+    @pytest.mark.parametrize("ls", [(0, 2), (0, -1), (0, 0), (0, 1, 1)],
+                             ids=["above-band", "negative", "repeated",
+                                  "repeated-last"])
+    def test_load_rejects_bad_multipole_indices(self, ls):
+        payload = {"schema": 1, "band_limit": 1,
+                   "entries": [{"l": l, "ar": [0.5], "ma": [], "noise": 1.0}
+                               for l in ls]}
+        with pytest.raises(ValueError, match="exactly once"):
+            SpharmaModel.from_json(payload)
+
+    def test_load_rejects_negative_band_limit(self):
+        with pytest.raises(ValueError, match="band_limit"):
+            SpharmaModel.from_json({"schema": 1, "band_limit": -1, "entries": []})
+
+    @pytest.mark.parametrize("ar, noise", [([math.nan], 1.0), ([], math.inf),
+                                           ([], math.nan)])
+    def test_rejects_non_finite_values(self, ar, noise):
+        with pytest.raises(ValueError, match="finite"):
+            SpharmaModel.uniform(1, ar=ar, noise=noise)
+
+    @pytest.mark.parametrize("band_limit, ls", [(1, (0, 2)), (3, (0, 0))],
+                             ids=["l-above-band", "repeated-l"])
+    def test_rational_spectrum_rejects_bad_multipole_indices(self, band_limit, ls):
+        # a rational spectrum file holds model entries and is read by the
+        # model's reader, so it gets the same check
+        payload = {"schema": 1, "form": "rational", "band_limit": band_limit,
+                   "tail_bound": 0.0,
+                   "rational": [{"l": l, "ar": [0.1 * (l + 1)], "ma": [],
+                                 "noise": 1.0} for l in ls]}
+        with pytest.raises(ValueError, match="exactly once"):
+            spectral.SpectralEigenvalues.from_json(payload)
+
 
 class TestCausality:
     def test_ar1_root(self):

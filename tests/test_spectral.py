@@ -254,6 +254,26 @@ class TestInvariants:
         back = SpectralEigenvalues.load(tpath)
         assert np.allclose(back.table, tab.table)
 
+    def test_rational_file_format_is_pinned(self, tmp_path):
+        # a rational spectrum file byte for byte as save() has always written it
+        text = ('{"schema": 1, "form": "rational", "band_limit": 1, '
+                '"tail_bound": 0.125, "rational": ['
+                '{"l": 0, "ar": [0.5, -0.2], "ma": [0.3], "noise": 1.0}, '
+                '{"l": 1, "ar": [], "ma": [0.4], "noise": 0.25}]}')
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        SpectralEigenvalues.load(path).save(path)
+        assert path.read_text() == text
+        model = SpharmaModel(1, [[0.5, -0.2], []], [[0.3], [0.4]], [1.0, 0.25])
+        assert model.spectral().to_json()["rational"] == model.to_json()["entries"]
+
+    def test_tabulated_band_limit_must_match_rows(self):
+        lam = spectral.frequency_grid(16)
+        payload = SpectralEigenvalues.tabulated(lam, np.ones((2, len(lam)))).to_json()
+        payload["band_limit"] = 5
+        with pytest.raises(ValueError, match="band_limit"):
+            SpectralEigenvalues.from_json(payload)
+
 
 class TestTabulatedLags:
     def test_lags_match_a_40_digit_trapezoid_sum(self):
