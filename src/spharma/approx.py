@@ -318,8 +318,8 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
 
     Returns ``(model, certificate)``.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if kind not in ("ma", "ar"):
         raise ValueError("kind must be 'ma' or 'ar'")
     if norm not in ("l2_kernel", "trace"):
@@ -512,7 +512,8 @@ def l2_omega_check(true_model, fitted_model, n_mc, seed):
     """
     if not check_causal(true_model).causal:
         raise ValueError("true model is not causal")
-    if fitted_model.p > 0 and not check_causal(fitted_model).causal:
+    fitted_report = check_causal(fitted_model)
+    if not fitted_report.causal:
         raise ValueError("fitted model is not causal")
     if fitted_model.band_limit > true_model.band_limit:
         raise ValueError("fitted band limit exceeds the true model's")
@@ -525,7 +526,7 @@ def l2_omega_check(true_model, fitted_model, n_mc, seed):
     if mode == "ar":
         warmup = fitted_model.p
     else:
-        xi = check_causal(fitted_model).min_root_modulus
+        xi = fitted_report.min_root_modulus
         warmup = (fitted_model.q if math.isinf(xi) else
                   min(2000, decay_length(xi, 1e-8)))
     warmup = min(warmup, n_mc // 2)

@@ -9,7 +9,6 @@ byte-stable and comparable.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -18,13 +17,21 @@ import sys
 import numpy as np
 
 from . import approx, simulate, spectral, sphere
-from .model import SpharmaModel, canonical_hash, check_causal
+from .model import (SpharmaModel, canonical_hash, check_causal,
+                    model_autocovariance_table)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
+
+# verify: each check passes while its statistic is below its z_max
+_STATIONARITY_WINDOWS = 8
+_STATIONARITY_Z_MAX = 4.0
+_ISOTROPY_Z_MAX = 5.0
+_CKL_Z_MAX = 4.0
+_CKL_NODE = (1.1, 2.4)  # ckl: (colat, lon) of the node the error is taken at
 
 
 class InputError(Exception):
@@ -60,13 +67,6 @@ def _load_target(path):
         return spectral.SpectralEigenvalues.from_json(payload)
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"invalid spectral target: {exc}") from exc
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _truncate_model(model, lmax):
@@ -122,10 +122,7 @@ def cmd_spectrum(args):
         raise InputError("n-lambda must be at least 1")
     if args.model:
         model = _truncate_model(_load_model(args.model), args.lmax)
-        acv = None
         try:
-            from .model import model_autocovariance_table
-
             acv = model_autocovariance_table(model, args.max_lag)
         except ValueError as exc:
             print(f"cannot evaluate model spectrum: {exc}", file=sys.stderr)
@@ -143,21 +140,18 @@ def cmd_spectrum(args):
     os.makedirs(args.out, exist_ok=True)
     chash = _config_hash(args, "spectrum")
     L = acv.band_limit
-    rows = [(l, t, repr(float(acv.values[l, t])))
-            for l in range(L + 1) for t in range(acv.max_lag + 1)]
-    _write_csv(os.path.join(args.out, "autocovariance.csv"), ["l", "t", "C"], rows)
+    ls = [str(l) for l in range(L + 1)]
+    sphere.write_csv(os.path.join(args.out, "autocovariance.csv"), ["l", "t", "C"],
+                     ls, [str(t) for t in range(acv.max_lag + 1)], acv.values)
 
     lam = spectral.frequency_grid(args.n_lambda)
-    F = spec.values(lam)
-    rows = [(l, repr(float(lam[k])), repr(float(F[l, k])))
-            for l in range(L + 1) for k in range(len(lam))]
-    _write_csv(os.path.join(args.out, "spectral_density.csv"),
-               ["l", "lambda", "f"], rows)
+    lams = [repr(x) for x in lam.tolist()]
+    sphere.write_csv(os.path.join(args.out, "spectral_density.csv"),
+                     ["l", "lambda", "f"], ls, lams, spec.values(lam))
 
     trace = spectral.operator_trace_norm(spec, lam)
-    _write_csv(os.path.join(args.out, "trace_norm.csv"), ["lambda", "trace"],
-               [(repr(float(lam[k])), repr(float(trace[k])))
-                for k in range(len(lam))])
+    sphere.write_csv(os.path.join(args.out, "trace_norm.csv"), ["lambda", "trace"],
+                     lams, [""], trace[:, None])
     with open(os.path.join(args.out, "spectrum_meta.json"), "w") as fh:
         json.dump({"schema": 1, "config_hash": chash, "band_limit": L,
                    "max_lag": acv.max_lag}, fh, indent=1)
@@ -184,18 +178,25 @@ def cmd_approximate(args):
     return EXIT_OK
 
 
-def _check_stationarity(series, n_windows=8, z_max=4.0):
+def _check_stationarity(series):
+    # a window's standard error: spread of its stream means, batch means at L = 0
+    if series.n < 2 * _STATIONARITY_WINDOWS:
+        raise ValueError("stationarity check needs at least "
+                         f"{2 * _STATIONARITY_WINDOWS} samples")
     means = []
-    for chunk in np.array_split(series.values, n_windows, axis=1):
+    for chunk in np.array_split(series.values, _STATIONARITY_WINDOWS, axis=1):
         per_stream = chunk.mean(axis=1)
-        se = per_stream.std(ddof=1) / math.sqrt(len(per_stream))
+        if len(per_stream) > 1:
+            se = per_stream.std(ddof=1) / math.sqrt(len(per_stream))
+        else:
+            se = simulate.batch_means_se(chunk[0])
         means.append(abs(per_stream.mean()) / max(se, 1e-300))
     worst = float(max(means))
-    return {"name": "stationarity", "statistic": worst, "threshold": z_max,
-            "passed": worst < z_max}
+    return {"name": "stationarity", "statistic": worst,
+            "threshold": _STATIONARITY_Z_MAX, "passed": worst < _STATIONARITY_Z_MAX}
 
 
-def _check_isotropy(series, z_max=5.0):
+def _check_isotropy(series):
     worst = 0.0
     for l in range(1, series.band_limit + 1):
         squares = series.block(l) ** 2
@@ -204,8 +205,8 @@ def _check_isotropy(series, z_max=5.0):
         pooled = variances.mean()
         z = np.abs(variances - pooled) / np.maximum(ses, 1e-300)
         worst = max(worst, float(z.max()))
-    return {"name": "isotropy", "statistic": worst, "threshold": z_max,
-            "passed": worst < z_max}
+    return {"name": "isotropy", "statistic": worst,
+            "threshold": _ISOTROPY_Z_MAX, "passed": worst < _ISOTROPY_Z_MAX}
 
 
 def _check_cramer(series, n_bands):
@@ -214,12 +215,12 @@ def _check_cramer(series, n_bands):
             "threshold": rep.threshold, "passed": rep.passed}
 
 
-def _check_ckl(series, z_max=4.0):
+def _check_ckl(series):
     """Realized vs predicted truncation error two multipoles below the band."""
     L = series.band_limit
     if L < 1:
-        return {"name": "ckl_truncation", "statistic": 0.0, "threshold": z_max,
-                "passed": True}
+        return {"name": "ckl_truncation", "statistic": 0.0,
+                "threshold": _CKL_Z_MAX, "passed": True}
     # The truncated expansion keeps the rows of l <= L - 2, so its error is
     # the tail. The predicted variance, sum_{l > L-2} (2l+1) C_hat_l(0) / 4pi,
     # is the tail's sum of squares over 4 pi n: summed row by row, so the
@@ -227,14 +228,13 @@ def _check_ckl(series, z_max=4.0):
     rows = (max(0, L - 2) + 1) ** 2
     tail = series.values[rows:]
     predicted = math.fsum((row * row).sum() for row in tail) / (4 * math.pi * series.n)
-    node = (1.1, 2.4)
-    flat = sphere.harmonic_values_at(L, *node)[sphere.stream_index(L)]
+    flat = sphere.harmonic_values_at(L, *_CKL_NODE)[sphere.stream_index(L)]
     err = (flat[rows:] @ tail) ** 2
     realized = float(err.mean())
     se = simulate.batch_means_se(err)
     z = abs(realized - predicted) / max(se, 1e-300)
-    return {"name": "ckl_truncation", "statistic": z, "threshold": z_max,
-            "passed": z < z_max}
+    return {"name": "ckl_truncation", "statistic": z, "threshold": _CKL_Z_MAX,
+            "passed": z < _CKL_Z_MAX}
 
 
 def cmd_verify(args):
@@ -318,18 +318,9 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "eps", None) is not None and args.eps <= 0:
-        print("eps must be positive", file=sys.stderr)
-        return EXIT_INPUT
-    if getattr(args, "n", None) is not None and args.n < 1:
-        print("n must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
-    except InputError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -13,7 +13,6 @@ row-major as little-endian float64, with a JSON sidecar.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -24,7 +23,7 @@ import numpy as np
 
 from .model import SpharmaModel, arma_filter, check_causal, decay_length
 from .spectral import TWO_PI, AutocovarianceSpectrum
-from .sphere import empty_coeffs, sht_inverse, stream_index
+from .sphere import empty_coeffs, sht_inverse, stream_index, write_csv
 
 _BURN_TARGET = 1e-10
 _BURN_CAP = 1_000_000
@@ -128,14 +127,10 @@ class HarmonicCoefficientSeries:
         return cls(L, raw.reshape((L + 1) ** 2, n), prov)
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["l", "m", "t", "value"])
-            for l in range(self.band_limit + 1):
-                for m in range(-l, l + 1):
-                    row = self.get(l, m)
-                    for t in range(self.n):
-                        writer.writerow([l, m, t, repr(float(row[t]))])
+        L = self.band_limit
+        write_csv(path, ["l", "m", "t", "value"],
+                  [f"{l},{m}" for l in range(L + 1) for m in range(-l, l + 1)],
+                  [str(t) for t in range(self.n)], self.values)
 
 
 def _sidecar_path(path):

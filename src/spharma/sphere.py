@@ -324,14 +324,9 @@ class FieldSnapshot:
             raise ValueError("field values must be finite")
 
     def to_csv(self, path):
-        # the bytes csv.writer writes: no repr of a float needs quoting
-        lons = [f"{ph!r}," for ph in self.grid.longitudes.tolist()]
-        with open(path, "w", newline="") as fh:
-            fh.write("colat,lon,value\r\n")
-            for th, row in zip(self.grid.colatitudes.tolist(), self.values):
-                head = f"{th!r},"
-                fh.write("".join([f"{head}{lon}{v!r}\r\n"
-                                  for lon, v in zip(lons, row.tolist())]))
+        write_csv(path, ["colat", "lon", "value"],
+                  [repr(th) for th in self.grid.colatitudes.tolist()],
+                  [repr(ph) for ph in self.grid.longitudes.tolist()], self.values)
 
     @classmethod
     def from_csv(cls, path, grid, time_index=0):
@@ -421,16 +416,33 @@ def sht_inverse(coeffs, grid, time_index=0):
     return FieldSnapshot(grid, values, time_index)
 
 
+def write_csv(path, header, row_labels, col_labels, values):
+    """Write ``values[i, j]`` as a ``row_labels[i],col_labels[j],repr`` line.
+
+    A label is one or more comma-joined fields and an empty column label adds
+    none, so ``col_labels=[""]`` writes ``row,value`` lines. Float ``repr``
+    round-trips exactly; lines end in CRLF and nothing is quoted: the bytes of
+    the CSV module's default dialect, as no int or float repr needs quotes.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(row_labels), len(col_labels)):
+        raise ValueError("labels do not match the value array")
+    cols = [f"{c}," if c else "" for c in col_labels]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for r, row in zip(row_labels, values):
+            head = f"{r},"
+            fh.write("".join([f"{head}{c}{v!r}\r\n"
+                              for c, v in zip(cols, row.tolist())]))
+
+
 def coeffs_to_csv(coeffs, path):
     """Write coefficients as ``l,m,value`` rows."""
     coeffs = _check_coeff_shape(coeffs)
     L = coeffs.shape[0] - 1
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "m", "value"])
-        for l in range(L + 1):
-            for m in range(-l, l + 1):
-                writer.writerow([l, m, repr(float(coeffs[l, L + m]))])
+    write_csv(path, ["l", "m", "value"],
+              [f"{l},{m}" for l in range(L + 1) for m in range(-l, l + 1)],
+              [""], coeffs[stream_index(L)][:, None])
 
 
 def coeffs_from_csv(path):

@@ -56,6 +56,14 @@ class TestSimulateCommand:
         assert code == cli.EXIT_INPUT
         assert "multipoles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_n_exits_2(self, tmp_path, model_path, n, capsys):
+        out = tmp_path / "x"
+        assert run("simulate", "--model", model_path, "--n", n,
+                   "--out", out) == cli.EXIT_INPUT
+        assert not out.exists()
+        assert "n must be at least 1" in capsys.readouterr().err
+
     def test_missing_model_exits_2(self, tmp_path):
         code = run("simulate", "--model", tmp_path / "nope.json", "--n", 10,
                    "--out", tmp_path / "x")
@@ -239,10 +247,15 @@ class TestApproximateCommand:
         err = capsys.readouterr().err
         assert "frequency_grid" in err and "Traceback" not in err
 
-    def test_nonpositive_eps_exits_2(self, tmp_path, model_path):
-        code = run("approximate", "--target", model_path, "--eps", -1.0,
-                   "--kind", "ma", "--out", tmp_path / "x")
+    @pytest.mark.parametrize("eps", ["-1.0", "nan", "inf"],
+                             ids=["negative", "nan", "inf"])
+    def test_invalid_eps_exits_2(self, tmp_path, model_path, eps, capsys):
+        out = tmp_path / "x"
+        code = run("approximate", "--target", model_path, "--eps", eps,
+                   "--kind", "ma", "--out", out)
         assert code == cli.EXIT_INPUT
+        assert not out.exists()
+        assert "eps must be positive and finite" in capsys.readouterr().err
 
 
 class TestVerifyCommand:
@@ -282,6 +295,31 @@ class TestVerifyCommand:
     def test_missing_series_exits_2(self, tmp_path):
         code = run("verify", "--series", tmp_path / "nope.bin")
         assert code == cli.EXIT_INPUT
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_stream_stationarity_is_finite(self, tmp_path):
+        model = tmp_path / "model.json"
+        SpharmaModel.uniform(0, ar=[0.4], noise=1.0).save(model)
+        run("simulate", "--model", model, "--n", 4096, "--seed", 13,
+            "--out", tmp_path / "run")
+        out = tmp_path / "ver"
+        code = run("verify", "--series", tmp_path / "run" / "series.bin",
+                   "--checks", "stationarity", "--out", out)
+        assert code == cli.EXIT_OK
+        check, = json.loads((out / "verify_report.json").read_text())["checks"]
+        assert np.isfinite(check["statistic"]) and check["passed"] is True
+
+    @pytest.mark.parametrize("n", [5, 15])
+    def test_short_series_stationarity_exits_2(self, tmp_path, model_path, n,
+                                               capsys):
+        run("simulate", "--model", model_path, "--n", n, "--seed", 13,
+            "--out", tmp_path / "run")
+        out = tmp_path / "ver"
+        code = run("verify", "--series", tmp_path / "run" / "series.bin",
+                   "--checks", "stationarity", "--out", out)
+        assert code == cli.EXIT_INPUT
+        assert not out.exists()
+        assert "at least 16 samples" in capsys.readouterr().err
 
 
 def test_config_hash_stable_and_distinct(tmp_path, model_path):

@@ -1,10 +1,12 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from spharma import sphere
+from spharma import cli, simulate, spectral, sphere
+from spharma.model import SpharmaModel, model_autocovariance_table
 
 FOUR_PI = 4.0 * math.pi
 
@@ -331,6 +333,96 @@ class TestTransforms:
             sphere.FieldSnapshot(g, np.zeros((2, 2)))
 
 
+def _edge_values(rng, shape):
+    """Mantissas at exponents 1e-20..1e20, led by 0.0, -0.0, 1e300, 5e-324."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape)
+    values.flat[:4] = (0.0, -0.0, 1e300, 5e-324)
+    return values
+
+
+def _field_table(tmp_path):
+    g = sphere.build_grid(5)
+    values = _edge_values(np.random.default_rng(8), (g.n_lat, g.n_lon))
+    sphere.FieldSnapshot(g, values).to_csv(tmp_path / "field.csv")
+    return [("field.csv", ["colat", "lon", "value"],
+             [(repr(float(th)), repr(float(ph)), repr(float(values[i, j])))
+              for i, th in enumerate(g.colatitudes)
+              for j, ph in enumerate(g.longitudes)])]
+
+
+def _series_table(tmp_path):
+    series = simulate.HarmonicCoefficientSeries(
+        2, _edge_values(np.random.default_rng(9), (9, 7)))
+    series.to_csv(tmp_path / "series.csv")
+    return [("series.csv", ["l", "m", "t", "value"],
+             [(l, m, t, repr(float(series.get(l, m)[t])))
+              for l in range(3) for m in range(-l, l + 1) for t in range(7)])]
+
+
+def _coeffs_table(tmp_path):
+    L = 4
+    coeffs = sphere.empty_coeffs(L)
+    coeffs[sphere.stream_index(L)] = _edge_values(np.random.default_rng(10),
+                                                  (L + 1) ** 2)
+    sphere.coeffs_to_csv(coeffs, tmp_path / "coeffs.csv")
+    return [("coeffs.csv", ["l", "m", "value"],
+             [(l, m, repr(float(coeffs[l, L + m])))
+              for l in range(L + 1) for m in range(-l, l + 1)])]
+
+
+def _spectrum_tables(acv, spec, n_lambda):
+    """The three ``spectrum`` tables, formatted cell by cell."""
+    L = acv.band_limit
+    lam = spectral.frequency_grid(n_lambda)
+    F = spec.values(lam)
+    trace = spectral.operator_trace_norm(spec, lam)
+    return [
+        ("autocovariance.csv", ["l", "t", "C"],
+         [(l, t, repr(float(acv.values[l, t])))
+          for l in range(L + 1) for t in range(acv.max_lag + 1)]),
+        ("spectral_density.csv", ["l", "lambda", "f"],
+         [(l, repr(float(lam[k])), repr(float(F[l, k])))
+          for l in range(L + 1) for k in range(len(lam))]),
+        ("trace_norm.csv", ["lambda", "trace"],
+         [(repr(float(lam[k])), repr(float(trace[k]))) for k in range(len(lam))]),
+    ]
+
+
+def _spectrum_model_tables(tmp_path):
+    # noise powers from 1e-20 to 1e20, AR and MA terms of both signs
+    model = SpharmaModel(4, [[-0.5], [0.3], [], [0.9, -0.2], [-0.7]],
+                         [[0.4], [], [-0.5], [], [-0.3]],
+                         [1e-20, 1e-10, 1.0, 1e10, 1e20])
+    model.save(tmp_path / "model.json")
+    assert cli.main(["spectrum", "--model", str(tmp_path / "model.json"),
+                     "--max-lag", "6", "--n-lambda", "16",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    return _spectrum_tables(model_autocovariance_table(model, 6),
+                            model.spectral(), 16)
+
+
+def _spectrum_series_tables(tmp_path):
+    # stream scales from 1e-10 to 1e10, so C_l(t) spans 1e-20 to 1e20
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((9, 256)) * 10.0 ** rng.integers(-10, 11, (9, 1))
+    series = simulate.HarmonicCoefficientSeries(2, values)
+    series.save(tmp_path / "series.bin")
+    with warnings.catch_warnings():
+        # white noise over 6 lags: the spectral tail bound warns
+        warnings.simplefilter("ignore", UserWarning)
+        assert cli.main(["spectrum", "--series", str(tmp_path / "series.bin"),
+                         "--max-lag", "6", "--n-lambda", "16",
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+        acv = simulate.empirical_autocov(series, 6)
+        spec = spectral.spectral_from_autocov(acv)
+    return _spectrum_tables(acv, spec, 16)
+
+
+_CSV_WRITERS = {"field": _field_table, "series": _series_table,
+                "coeffs": _coeffs_table, "spectrum-model": _spectrum_model_tables,
+                "spectrum-series": _spectrum_series_tables}
+
+
 class TestCsv:
     def test_coeff_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -343,23 +435,17 @@ class TestCsv:
         back = sphere.coeffs_from_csv(path)
         assert np.array_equal(back, coeffs)
 
-    def test_field_csv_bytes_match_csv_writer(self, tmp_path):
-        g = sphere.build_grid(5)
-        rng = np.random.default_rng(8)
-        values = rng.standard_normal((g.n_lat, g.n_lon)) * 10.0 ** rng.integers(
-            -20, 20, (g.n_lat, g.n_lon))
-        values[0, :3] = (0.0, -0.0, 1e300)
-        path = tmp_path / "field.csv"
-        sphere.FieldSnapshot(g, values).to_csv(path)
-        oracle = tmp_path / "oracle.csv"
-        with open(oracle, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["colat", "lon", "value"])
-            for i, th in enumerate(g.colatitudes):
-                for j, ph in enumerate(g.longitudes):
-                    writer.writerow([repr(float(th)), repr(float(ph)),
-                                     repr(float(values[i, j]))])
-        assert path.read_bytes() == oracle.read_bytes()
+    @pytest.mark.parametrize("writer", sorted(_CSV_WRITERS))
+    def test_bytes_match_csv_writer(self, tmp_path, writer):
+        # every table the package writes: the bytes csv.writer writes for
+        # rows of ints and float reprs
+        for name, header, rows in _CSV_WRITERS[writer](tmp_path):
+            oracle = tmp_path / "oracle.csv"
+            with open(oracle, "w", newline="") as fh:
+                csv_writer = csv.writer(fh)
+                csv_writer.writerow(header)
+                csv_writer.writerows(rows)
+            assert (tmp_path / name).read_bytes() == oracle.read_bytes(), name
 
     def test_field_csv_roundtrip(self, tmp_path):
         g = sphere.build_grid(3)
