@@ -39,7 +39,6 @@ from .simulate import (
     SimulationConfig,
     batch_means_se,
     empirical_autocov,
-    periodogram,
     simulate_spharma,
     simulate_white_noise,
     synthesize_field,

@@ -19,7 +19,6 @@ the sup over frequency evaluated on a shared grid.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -246,10 +245,6 @@ class ApproximationCertificate:
             "passed": self.passed,
             "order_cap_reached": self.order_cap_reached,
         }
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
 
 
 def _multipole_lags(target, l, max_lag):

@@ -55,6 +55,15 @@ def _load_model(path):
         raise InputError(f"invalid model JSON: {exc}") from exc
 
 
+def _load_series(path):
+    try:
+        return simulate.HarmonicCoefficientSeries.load(path)
+    except FileNotFoundError as exc:
+        raise InputError(f"series file not found: {exc.filename}") from exc
+    except ValueError as exc:
+        raise InputError(f"invalid series: {exc}") from exc
+
+
 def _load_target(path):
     """Spectral target: either a spectrum JSON or a model JSON."""
     if not os.path.exists(path):
@@ -129,8 +138,7 @@ def cmd_spectrum(args):
             return EXIT_INPUT
         spec = model.spectral()
     else:
-        series = _truncate_series(
-            simulate.HarmonicCoefficientSeries.load(args.series), args.lmax)
+        series = _truncate_series(_load_series(args.series), args.lmax)
         if args.max_lag >= series.n:
             print("max lag exceeds series length", file=sys.stderr)
             return EXIT_INPUT
@@ -238,11 +246,7 @@ def _check_ckl(series):
 
 
 def cmd_verify(args):
-    try:
-        series = simulate.HarmonicCoefficientSeries.load(args.series)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"cannot load series: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    series = _load_series(args.series)
     known = {"stationarity": lambda: _check_stationarity(series),
              "isotropy": lambda: _check_isotropy(series),
              "cramer": lambda: _check_cramer(series, args.bands),

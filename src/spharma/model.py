@@ -24,7 +24,6 @@ import numpy as np
 from .spectral import (
     AutocovarianceSpectrum,
     SpectralEigenvalues,
-    kernel_from_eigenvalues,  # noqa: F401  (re-exported)
     rational_density,
 )
 

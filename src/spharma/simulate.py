@@ -22,8 +22,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .model import SpharmaModel, arma_filter, check_causal, decay_length
-from .spectral import TWO_PI, AutocovarianceSpectrum
-from .sphere import empty_coeffs, sht_inverse, stream_index, write_csv
+from .spectral import AutocovarianceSpectrum
+from .sphere import empty_coeffs, sht_inverse, stream_index
 
 _BURN_TARGET = 1e-10
 _BURN_CAP = 1_000_000
@@ -118,19 +118,18 @@ class HarmonicCoefficientSeries:
         path = str(path)
         with open(_sidecar_path(path)) as fh:
             meta = json.load(fh)
-        L, n = int(meta["band_limit"]), int(meta["n"])
+        if not (isinstance(meta, dict)
+                and all(type(meta.get(k)) is int for k in ("band_limit", "n"))
+                and meta["band_limit"] >= 0 and meta["n"] >= 1):
+            raise ValueError("series sidecar must be a JSON object with integer "
+                             "band_limit >= 0 and n >= 1")
+        L, n = meta["band_limit"], meta["n"]
         raw = np.fromfile(path, dtype="<f8")
         if raw.size != (L + 1) ** 2 * n:
             raise ValueError("series file size does not match sidecar")
         prov = {k: v for k, v in meta.items()
                 if k not in ("schema", "band_limit", "n", "dtype", "layout")}
         return cls(L, raw.reshape((L + 1) ** 2, n), prov)
-
-    def to_csv(self, path):
-        L = self.band_limit
-        write_csv(path, ["l", "m", "t", "value"],
-                  [f"{l},{m}" for l in range(L + 1) for m in range(-l, l + 1)],
-                  [str(t) for t in range(self.n)], self.values)
 
 
 def _sidecar_path(path):
@@ -260,35 +259,6 @@ def empirical_autocov(series, max_lag):
     return AutocovarianceSpectrum(L, max_lag, out)
 
 
-def periodogram(series, l, bandwidth):
-    """Smoothed periodogram estimate of f_l on the DFT frequencies.
-
-    Raw per-m periodograms |DFT|^2/(2 pi n) are averaged over the 2l+1
-    streams and smoothed circularly with a modified Daniell window whose
-    full width is ``bandwidth`` radians.
-
-    Returns
-    -------
-    (lams, f_hat) : frequencies in [-pi, pi) ascending and estimates.
-    """
-    n = series.n
-    if n < 64:
-        raise ValueError("periodogram needs at least 64 samples")
-    if not (0.0 < bandwidth <= math.pi):
-        raise ValueError("bandwidth must lie in (0, pi]")
-    block = series.block(l)
-    raw = (np.abs(np.fft.fft(block, axis=-1)) ** 2).mean(axis=0) / (TWO_PI * n)
-    half = max(1, int(round(bandwidth * n / (4.0 * math.pi))))
-    kernel = np.full(2 * half + 1, 1.0 / (2 * half))
-    kernel[0] = kernel[-1] = 1.0 / (4 * half)
-    # circular smoothing via zero-phase convolution in the frequency index
-    padded = np.r_[raw[-half:], raw, raw[:half]]
-    smooth = np.convolve(padded, kernel, mode="valid")
-    lams = 2.0 * math.pi * np.fft.fftfreq(n)
-    order = np.argsort(lams)
-    return lams[order], smooth[order]
-
-
 @dataclass
 class CramerReport:
     """Empirical orthogonality of distinct frequency-band components."""
@@ -350,10 +320,12 @@ def batch_means_se(x, n_batches=64):
     """Standard error of the mean of a correlated series via batch means.
 
     A 2-D ``x`` holds one series per row and gives one standard error per
-    row, each the value the row alone gives.
+    row, each the value the row alone gives. ``ValueError`` below 2 samples.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
+    if n < 2:
+        raise ValueError("batch means need at least 2 samples")
     n_batches = min(n_batches, n)
     usable = (n // n_batches) * n_batches
     means = x[..., :usable].reshape(x.shape[:-1] + (n_batches, -1)).mean(axis=-1)

@@ -156,33 +156,6 @@ class AutocovarianceSpectrum:
         deg = 2 * np.arange(self.band_limit + 1) + 1
         return float(deg @ self.values[:, 0])
 
-    def to_json(self):
-        return {
-            "schema": 1,
-            "band_limit": self.band_limit,
-            "max_lag": self.max_lag,
-            "C": self.values.tolist(),
-            "tail_bound": self.tail_bound,
-        }
-
-    @classmethod
-    def from_json(cls, payload):
-        return cls(
-            band_limit=int(payload["band_limit"]),
-            max_lag=int(payload["max_lag"]),
-            values=np.asarray(payload["C"], dtype=float),
-            tail_bound=float(payload.get("tail_bound", 0.0)),
-        )
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 class SpectralEigenvalues:
     """Eigenvalues f_l(lambda) of the spectral density operator.

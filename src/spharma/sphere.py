@@ -34,8 +34,6 @@ backwards.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -241,40 +239,6 @@ class SphereGrid:
         lon_w = 2.0 * math.pi / self.n_lon
         return float(self.colat_weights @ values.sum(axis=1)) * lon_w
 
-    def node_dot(self, i, j, k, l):
-        """Euclidean inner product of grid nodes (i, j) and (k, l)."""
-        t1, t2 = self.colatitudes[i], self.colatitudes[k]
-        dphi = self.longitudes[j] - self.longitudes[l]
-        return math.cos(t1) * math.cos(t2) + math.sin(t1) * math.sin(t2) * math.cos(dphi)
-
-    def to_json(self):
-        return {
-            "schema": 1,
-            "colatitudes": self.colatitudes.tolist(),
-            "weights": self.colat_weights.tolist(),
-            "n_lon": self.n_lon,
-            "band_limit": self.band_limit,
-        }
-
-    @classmethod
-    def from_json(cls, payload):
-        n_lon = int(payload["n_lon"])
-        return cls(
-            colatitudes=np.asarray(payload["colatitudes"], dtype=float),
-            colat_weights=np.asarray(payload["weights"], dtype=float),
-            longitudes=2.0 * math.pi * np.arange(n_lon) / n_lon,
-            band_limit=int(payload["band_limit"]),
-        )
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 def build_grid(band_limit, n_lat=None):
     """Minimal exact quadrature grid for fields band-limited at ``band_limit``:
@@ -327,20 +291,6 @@ class FieldSnapshot:
         write_csv(path, ["colat", "lon", "value"],
                   [repr(th) for th in self.grid.colatitudes.tolist()],
                   [repr(ph) for ph in self.grid.longitudes.tolist()], self.values)
-
-    @classmethod
-    def from_csv(cls, path, grid, time_index=0):
-        values = np.full((grid.n_lat, grid.n_lon), np.nan)
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                th, ph = float(row["colat"]), float(row["lon"])
-                i = int(np.argmin(np.abs(grid.colatitudes - th)))
-                j = int(np.argmin(np.abs(grid.longitudes - ph)))
-                values[i, j] = float(row["value"])
-        if np.any(np.isnan(values)):
-            raise ValueError("CSV does not cover every grid node")
-        return cls(grid, values, time_index)
 
 
 def empty_coeffs(band_limit):
@@ -419,10 +369,10 @@ def sht_inverse(coeffs, grid, time_index=0):
 def write_csv(path, header, row_labels, col_labels, values):
     """Write ``values[i, j]`` as a ``row_labels[i],col_labels[j],repr`` line.
 
-    A label is one or more comma-joined fields and an empty column label adds
-    none, so ``col_labels=[""]`` writes ``row,value`` lines. Float ``repr``
-    round-trips exactly; lines end in CRLF and nothing is quoted: the bytes of
-    the CSV module's default dialect, as no int or float repr needs quotes.
+    An empty column label adds no field, so ``col_labels=[""]`` writes
+    ``row,value`` lines. Float ``repr`` round-trips exactly; lines end in CRLF
+    and nothing is quoted: the bytes of the CSV module's default dialect, as
+    no int or float repr needs quotes.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (len(row_labels), len(col_labels)):
@@ -434,25 +384,3 @@ def write_csv(path, header, row_labels, col_labels, values):
             head = f"{r},"
             fh.write("".join([f"{head}{c}{v!r}\r\n"
                               for c, v in zip(cols, row.tolist())]))
-
-
-def coeffs_to_csv(coeffs, path):
-    """Write coefficients as ``l,m,value`` rows."""
-    coeffs = _check_coeff_shape(coeffs)
-    L = coeffs.shape[0] - 1
-    write_csv(path, ["l", "m", "value"],
-              [f"{l},{m}" for l in range(L + 1) for m in range(-l, l + 1)],
-              [""], coeffs[stream_index(L)][:, None])
-
-
-def coeffs_from_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append((int(row["l"]), int(row["m"]), float(row["value"])))
-    L = max(r[0] for r in rows)
-    out = empty_coeffs(L)
-    for l, m, v in rows:
-        out[l, L + m] = v
-    return out

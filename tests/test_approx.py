@@ -270,14 +270,10 @@ class TestApproximateOperator:
         assert not cert.passed
         assert cert.per_multipole[0][1] <= 4
 
-    def test_certificate_json(self, tmp_path):
+    def test_certificate_json(self):
         target = SpharmaModel.uniform(1, ar=[0.4], noise=1.0).spectral()
         _, cert = approx.approximate_operator(target, 0.1, "ma")
-        path = tmp_path / "cert.json"
-        cert.save(path)
-        import json
-
-        payload = json.loads(path.read_text())
+        payload = cert.to_json()
         assert payload["passed"] is True
         assert payload["schema"] == 1
         assert {"l", "order", "sup_error"} <= set(payload["per_multipole"][0])

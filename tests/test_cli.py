@@ -321,6 +321,53 @@ class TestVerifyCommand:
         assert not out.exists()
         assert "at least 16 samples" in capsys.readouterr().err
 
+    def test_one_sample_isotropy_and_ckl_exit_2(self, tmp_path, model_path,
+                                                capsys):
+        # one sample leaves batch means no spread to estimate
+        run("simulate", "--model", model_path, "--n", 1, "--seed", 13,
+            "--out", tmp_path / "run")
+        out = tmp_path / "ver"
+        code = run("verify", "--series", tmp_path / "run" / "series.bin",
+                   "--checks", "isotropy,ckl", "--out", out)
+        assert code == cli.EXIT_INPUT
+        assert not out.exists()
+        assert "at least 2 samples" in capsys.readouterr().err
+
+
+def _series_command(name, path, out):
+    """argv of a command that reads the series at ``path``."""
+    return {"spectrum": ["spectrum", "--series", path, "--max-lag", 2,
+                         "--out", out],
+            "verify": ["verify", "--series", path, "--out", out]}[name]
+
+
+def _break_sidecar(sidecar, defect):
+    meta = json.loads(sidecar.read_text())
+    if defect == "missing-sidecar":
+        sidecar.unlink()
+    elif defect == "no-band-limit":
+        del meta["band_limit"]
+        sidecar.write_text(json.dumps(meta))
+    else:
+        sidecar.write_text(json.dumps(list(meta.items())))
+
+
+@pytest.mark.parametrize("defect", ["missing-series", "missing-sidecar",
+                                    "no-band-limit", "not-an-object"])
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_malformed_series_exits_2(tmp_path, model_path, command, defect, capsys):
+    run("simulate", "--model", model_path, "--n", 32, "--seed", 1,
+        "--out", tmp_path / "run")
+    series = tmp_path / "run" / "series.bin"
+    if defect == "missing-series":
+        series = tmp_path / "run" / "nope.bin"
+    else:
+        _break_sidecar(tmp_path / "run" / "series.json", defect)
+    out = tmp_path / "out"
+    assert run(*_series_command(command, series, out)) == cli.EXIT_INPUT
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
 
 def test_config_hash_stable_and_distinct(tmp_path, model_path):
     out1, out2, out3 = tmp_path / "1", tmp_path / "2", tmp_path / "3"

@@ -161,6 +161,12 @@ class TestSpharmaRecursion:
             assert np.array_equal(rows, singles)
         assert isinstance(sim.batch_means_se(squares[0]), float)
 
+    def test_batch_means_se_needs_two_samples(self):
+        for x in (np.ones(1), np.ones((3, 1))):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                sim.batch_means_se(x)
+        assert np.isfinite(sim.batch_means_se(np.array([0.0, 1.0])))
+
 
 class TestFieldSynthesis:
     def test_zero_coefficients(self):
@@ -201,7 +207,9 @@ class TestFieldSynthesis:
             snap = sim.synthesize_field(ar1_series, grid, t)
             a[t], b[t] = snap.values[i1, j1], snap.values[i2, j2]
         acv = sim.empirical_autocov(ar1_series, 0)
-        c = grid.node_dot(i1, j1, i2, j2)
+        t1, t2 = grid.colatitudes[i1], grid.colatitudes[i2]
+        dphi = grid.longitudes[j1] - grid.longitudes[j2]
+        c = math.cos(t1) * math.cos(t2) + math.sin(t1) * math.sin(t2) * math.cos(dphi)
         expected = spectral.covariance_kernel_eval(acv, 0, c)
         prods = a * b
         se = sim.batch_means_se(prods, 50)
@@ -233,49 +241,6 @@ class TestEmpiricalAutocov:
         series = sim.HarmonicCoefficientSeries(0, np.zeros((1, 10)))
         with pytest.raises(ValueError):
             sim.empirical_autocov(series, -1)
-
-    def test_consistent_with_periodogram_mass(self, ar1_series):
-        # circular smoothing preserves total periodogram mass: the mean over
-        # frequencies times 2 pi is exactly the lag-0 moment estimate
-        _, fh = sim.periodogram(ar1_series, 1, 0.25)
-        acv = sim.empirical_autocov(ar1_series, 0)
-        assert abs(fh.mean() * 2 * math.pi - acv.values[1, 0]) < 1e-8
-
-
-class TestPeriodogram:
-    def test_zero_series(self):
-        series = sim.HarmonicCoefficientSeries(0, np.zeros((1, 256)))
-        _, fh = sim.periodogram(series, 0, 0.3)
-        assert np.abs(fh).max() == 0.0
-
-    def test_white_noise_mean_level(self):
-        n = 16384
-        series = sim.simulate_white_noise(np.array([2.0]),
-                                          sim.SimulationConfig(seed=19, n=n))
-        _, fh = sim.periodogram(series, 0, 0.5)
-        level = 2.0 / (2 * math.pi)
-        assert abs(fh.mean() - level) < 3.0 * level * math.sqrt(2.0 / n) * 10
-
-    def test_ar1_peak_value(self):
-        n = 16384
-        model = SpharmaModel.uniform(0, ar=[0.5], noise=1.0)
-        series = sim.simulate_spharma(model, sim.SimulationConfig(seed=23, n=n))
-        lams, fh = sim.periodogram(series, 0, 0.1)
-        k0 = int(np.argmin(np.abs(lams)))
-        assert abs(fh[k0] - 2.0 / math.pi) < 0.15 * 2.0 / math.pi
-
-    def test_bandwidth_validation(self):
-        series = sim.HarmonicCoefficientSeries(0, np.zeros((1, 256)))
-        with pytest.raises(ValueError):
-            sim.periodogram(series, 0, 0.0)
-        with pytest.raises(ValueError):
-            sim.periodogram(series, 0, 4.0)
-
-    def test_minimum_length(self):
-        series = sim.HarmonicCoefficientSeries(0, np.zeros((1, 32)))
-        with pytest.raises(ValueError):
-            sim.periodogram(series, 0, 0.3)
-
 
 class TestCramerOrthogonality:
     def test_white_noise_bands(self):
@@ -342,20 +307,6 @@ class TestSeriesIo:
         assert peak < series.values.nbytes // 8
         assert np.array_equal(np.fromfile(path, dtype="<f8").reshape(16, -1),
                               series.values)
-
-    def test_csv_export(self, tmp_path):
-        series = sim.HarmonicCoefficientSeries(
-            1, np.arange(8.0).reshape(4, 2))
-        path = tmp_path / "series.csv"
-        series.to_csv(path)
-        import csv as csvmod
-
-        with open(path, newline="") as fh:
-            rows = list(csvmod.DictReader(fh))
-        assert len(rows) == 8
-        got = [r for r in rows
-               if r["l"] == "1" and r["m"] == "-1" and r["t"] == "0"]
-        assert float(got[0]["value"]) == series.get(1, -1)[0]
 
     def test_slice_layout(self):
         vals = np.arange(4.0)[:, None] * np.ones((4, 2))

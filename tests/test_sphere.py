@@ -200,15 +200,6 @@ class TestGrid:
                 exact = 2 / ((1 - r * r) * dp * dp)
                 assert abs(w / exact - 1) < 1e-13
 
-    def test_json_roundtrip(self, tmp_path):
-        g = sphere.build_grid(4)
-        path = tmp_path / "grid.json"
-        g.save(path)
-        g2 = sphere.SphereGrid.load(path)
-        assert np.allclose(g.colatitudes, g2.colatitudes)
-        assert np.allclose(g.colat_weights, g2.colat_weights)
-        assert g2.band_limit == 4 and g2.n_lon == g.n_lon
-
     def test_invalid_grid_rejected(self):
         with pytest.raises(ValueError):
             sphere.SphereGrid(np.array([0.5]), np.array([2.0]),
@@ -350,26 +341,6 @@ def _field_table(tmp_path):
               for j, ph in enumerate(g.longitudes)])]
 
 
-def _series_table(tmp_path):
-    series = simulate.HarmonicCoefficientSeries(
-        2, _edge_values(np.random.default_rng(9), (9, 7)))
-    series.to_csv(tmp_path / "series.csv")
-    return [("series.csv", ["l", "m", "t", "value"],
-             [(l, m, t, repr(float(series.get(l, m)[t])))
-              for l in range(3) for m in range(-l, l + 1) for t in range(7)])]
-
-
-def _coeffs_table(tmp_path):
-    L = 4
-    coeffs = sphere.empty_coeffs(L)
-    coeffs[sphere.stream_index(L)] = _edge_values(np.random.default_rng(10),
-                                                  (L + 1) ** 2)
-    sphere.coeffs_to_csv(coeffs, tmp_path / "coeffs.csv")
-    return [("coeffs.csv", ["l", "m", "value"],
-             [(l, m, repr(float(coeffs[l, L + m])))
-              for l in range(L + 1) for m in range(-l, l + 1)])]
-
-
 def _spectrum_tables(acv, spec, n_lambda):
     """The three ``spectrum`` tables, formatted cell by cell."""
     L = acv.band_limit
@@ -418,23 +389,11 @@ def _spectrum_series_tables(tmp_path):
     return _spectrum_tables(acv, spec, 16)
 
 
-_CSV_WRITERS = {"field": _field_table, "series": _series_table,
-                "coeffs": _coeffs_table, "spectrum-model": _spectrum_model_tables,
+_CSV_WRITERS = {"field": _field_table, "spectrum-model": _spectrum_model_tables,
                 "spectrum-series": _spectrum_series_tables}
 
 
 class TestCsv:
-    def test_coeff_csv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        L = 4
-        coeffs = sphere.empty_coeffs(L)
-        for l in range(L + 1):
-            coeffs[l, L - l : L + l + 1] = rng.standard_normal(2 * l + 1)
-        path = tmp_path / "coeffs.csv"
-        sphere.coeffs_to_csv(coeffs, path)
-        back = sphere.coeffs_from_csv(path)
-        assert np.array_equal(back, coeffs)
-
     @pytest.mark.parametrize("writer", sorted(_CSV_WRITERS))
     def test_bytes_match_csv_writer(self, tmp_path, writer):
         # every table the package writes: the bytes csv.writer writes for
@@ -446,12 +405,3 @@ class TestCsv:
                 csv_writer.writerow(header)
                 csv_writer.writerows(rows)
             assert (tmp_path / name).read_bytes() == oracle.read_bytes(), name
-
-    def test_field_csv_roundtrip(self, tmp_path):
-        g = sphere.build_grid(3)
-        rng = np.random.default_rng(6)
-        field = sphere.FieldSnapshot(g, rng.standard_normal((g.n_lat, g.n_lon)))
-        path = tmp_path / "field.csv"
-        field.to_csv(path)
-        back = sphere.FieldSnapshot.from_csv(path, g)
-        assert np.array_equal(back.values, field.values)
