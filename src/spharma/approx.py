@@ -162,16 +162,19 @@ def durbin_levinson(c, order):
         raise ValueError("need autocovariances up to the requested order")
     if c[0] <= 0.0:
         raise ValueError("C(0) must be positive")
-    phi = np.empty(0)
+    # phi_{k-1} is buf[:k-1]; step k overwrites it in place with phi_k
+    buf = np.empty(order)
     v = c[0]
     for k in range(1, order + 1):
+        phi = buf[: k - 1]
         acc = c[k] - phi @ c[k - 1 : 0 : -1] if k > 1 else c[1]
         kappa = acc / v
         if not (abs(kappa) < 1.0):
             raise ValueError("input is not a positive definite autocovariance")
-        phi = np.r_[phi - kappa * phi[::-1], kappa]
+        phi -= kappa * phi[::-1]
+        buf[k - 1] = kappa
         v = v * (1.0 - kappa * kappa)
-    return phi, float(v)
+    return buf, float(v)
 
 
 def _ma_depth(q):

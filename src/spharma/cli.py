@@ -1,7 +1,8 @@
 """Command-line front end: simulate, spectrum, approximate, verify.
 
 Exit codes: 0 ok, 2 invalid input, 3 I/O failure, 4 order budget exhausted,
-5 verification failure. All JSON outputs carry ``"schema": 1`` and the hash
+5 verification failure. All JSON outputs carry ``"schema": 1``, and all but
+``approximate``'s ``fitted_model.json`` (a plain model file) carry the hash
 of the invoking configuration, so reruns with identical configs are
 byte-stable and comparable.
 """
@@ -204,7 +205,15 @@ def _check_stationarity(series):
             "threshold": _STATIONARITY_Z_MAX, "passed": worst < _STATIONARITY_Z_MAX}
 
 
+def _skipped(name, threshold):
+    """A check with nothing to test below L = 1: it passes and says so."""
+    return {"name": name, "statistic": 0.0, "threshold": threshold,
+            "passed": True, "skipped": True}
+
+
 def _check_isotropy(series):
+    if series.band_limit < 1:
+        return _skipped("isotropy", _ISOTROPY_Z_MAX)
     worst = 0.0
     for l in range(1, series.band_limit + 1):
         squares = series.block(l) ** 2
@@ -227,8 +236,7 @@ def _check_ckl(series):
     """Realized vs predicted truncation error two multipoles below the band."""
     L = series.band_limit
     if L < 1:
-        return {"name": "ckl_truncation", "statistic": 0.0,
-                "threshold": _CKL_Z_MAX, "passed": True}
+        return _skipped("ckl_truncation", _CKL_Z_MAX)
     # The truncated expansion keeps the rows of l <= L - 2, so its error is
     # the tail. The predicted variance, sum_{l > L-2} (2l+1) C_hat_l(0) / 4pi,
     # is the tail's sum of squares over 4 pi n: summed row by row, so the
@@ -265,8 +273,11 @@ def cmd_verify(args):
         with open(os.path.join(args.out, "verify_report.json"), "w") as fh:
             json.dump(report, fh, indent=1)
     for r in results:
-        print(f"{r['name']}: {'pass' if r['passed'] else 'FAIL'} "
-              f"(stat {r['statistic']:.4g} vs {r['threshold']:.4g})")
+        if r.get("skipped"):
+            print(f"{r['name']}: skipped (needs L >= 1)")
+        else:
+            print(f"{r['name']}: {'pass' if r['passed'] else 'FAIL'} "
+                  f"(stat {r['statistic']:.4g} vs {r['threshold']:.4g})")
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 

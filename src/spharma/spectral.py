@@ -41,14 +41,21 @@ def frequency_grid(n_intervals=DEFAULT_FREQ_INTERVALS):
 
 
 def abs2_on_circle(coeffs, lams):
-    """|p(e^{i*lambda})|^2 for the real polynomial p(z) = sum_k coeffs[k] z^k."""
+    """|p(e^{i*lambda})|^2 for the real polynomial p(z) = sum_k coeffs[k] z^k.
+
+    Horner's rule on z = exp(i*lambda): one complex exp per node, then one
+    multiply-add per coefficient. The rounding error is about
+    (deg+1) eps (sum_k |coeffs[k]|)^2, so values far below that scale (near
+    a root on the circle) carry little relative accuracy. Empty ``coeffs``
+    give zeros.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    k = np.arange(len(coeffs))
-    arg = np.multiply.outer(lams, k)
-    re = np.cos(arg) @ coeffs
-    im = np.sin(arg) @ coeffs
-    return re * re + im * im
+    z = np.exp(1j * np.asarray(lams, dtype=float))
+    p = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        p *= z
+        p += c
+    return p.real**2 + p.imag**2
 
 
 def rational_density(ar, ma, noise, lams):

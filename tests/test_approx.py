@@ -116,6 +116,31 @@ class TestDurbinLevinson:
         with pytest.raises(ValueError):
             approx.durbin_levinson(np.array([1.0, 1.2]), 1)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise_equal_to_concatenating_recursion(self, seed):
+        # reference: the same recursion with phi rebuilt by np.r_ each step
+        def reference(c, order):
+            phi = np.empty(0)
+            v = c[0]
+            for k in range(1, order + 1):
+                acc = c[k] - phi @ c[k - 1 : 0 : -1] if k > 1 else c[1]
+                kappa = acc / v
+                phi = np.r_[phi - kappa * phi[::-1], kappa]
+                v = v * (1.0 - kappa * kappa)
+            return phi, float(v)
+
+        rng = np.random.default_rng(seed)
+        for order in (0, 1, 2, 3, 17, 64, int(rng.integers(100, 257)), 256):
+            # biased sample autocovariances are positive definite
+            x = rng.standard_normal(order + 300)
+            x = np.convolve(x, rng.uniform(-1.0, 1.0, 4), mode="valid")
+            c = np.correlate(x, x, mode="full")[len(x) - 1 :][: order + 1] / len(x)
+            phi, v = approx.durbin_levinson(c, order)
+            ref_phi, ref_v = reference(c, order)
+            assert phi.shape == (order,)
+            assert phi.tobytes() == ref_phi.tobytes()
+            assert v == ref_v
+
 
 class TestFitMa:
     def test_recovers_ma1(self):

@@ -333,6 +333,39 @@ class TestVerifyCommand:
         assert not out.exists()
         assert "at least 2 samples" in capsys.readouterr().err
 
+    def test_isotropy_and_ckl_skipped_below_l1(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        SpharmaModel.uniform(0, ar=[0.4], noise=1.0).save(model)
+        run("simulate", "--model", model, "--n", 2048, "--seed", 13,
+            "--out", tmp_path / "run")
+        capsys.readouterr()
+        out = tmp_path / "ver"
+        code = run("verify", "--series", tmp_path / "run" / "series.bin",
+                   "--checks", "isotropy,ckl", "--out", out)
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "isotropy: skipped (needs L >= 1)",
+            "ckl_truncation: skipped (needs L >= 1)"]
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["passed"] is True
+        for check in report["checks"]:
+            assert check["skipped"] is True and check["passed"] is True
+
+    def test_isotropy_and_ckl_run_from_l1(self, tmp_path, model_path, capsys):
+        run("simulate", "--model", model_path, "--n", 2048, "--seed", 13,
+            "--out", tmp_path / "run")
+        capsys.readouterr()
+        out = tmp_path / "ver"
+        code = run("verify", "--series", tmp_path / "run" / "series.bin",
+                   "--checks", "isotropy,ckl", "--out", out)
+        assert code == cli.EXIT_OK
+        checks = json.loads((out / "verify_report.json").read_text())["checks"]
+        assert [set(c) for c in checks] == [
+            {"name", "statistic", "threshold", "passed"}] * 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{c['name']}: pass (stat {c['statistic']:.4g} vs "
+            f"{c['threshold']:.4g})" for c in checks]
+
 
 def _series_command(name, path, out):
     """argv of a command that reads the series at ``path``."""

@@ -4,12 +4,18 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular, toeplitz
 from scipy.signal import lfilter
 
 from spharma import approx, simulate, spectral
+
+try:
+    import mpmath
+except ImportError:  # the abs2_on_circle property needs a 40-digit reference
+    mpmath = None
 from spharma.model import (
     _FILTER_BLOCK,
     SpharmaModel,
@@ -334,3 +340,40 @@ def test_reused_philox_matches_fresh_generators_in_any_order(keys, count, rnd):
     reordered = keys[::-1]
     again = simulate._stream_normals(reordered, count)
     assert np.array_equal(again, drawn[::-1])
+
+
+@st.composite
+def circle_polynomial(draw):
+    """Real coefficients of degree 0..256, flat or geometrically decaying."""
+    deg = draw(st.integers(0, 256))
+    coeffs = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=deg + 1,
+                                    max_size=deg + 1)))
+    decay = draw(st.sampled_from([1.0, 0.99, 0.9, 0.5]))
+    return coeffs * decay ** np.arange(deg + 1)
+
+
+def abs2_oracle(coeffs, lam):
+    """|p(e^{i lam})|^2 by Horner's rule in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        z = mpmath.expj(mpmath.mpf(lam))
+        p = mpmath.mpc(0)
+        for c in coeffs[::-1]:
+            p = p * z + mpmath.mpf(c)
+        return float(abs(p) ** 2)
+
+
+@pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+@settings(max_examples=40, deadline=None)
+@given(circle_polynomial(),
+       st.lists(st.one_of(st.integers(0, 4096),
+                          st.floats(-1e6, 1e6, allow_nan=False)),
+                min_size=1, max_size=6))
+def test_abs2_on_circle_matches_a_40_digit_evaluation(coeffs, picks):
+    # integer picks index frequency_grid(4096); its end nodes +-pi always run
+    grid = spectral.frequency_grid(4096)
+    lams = np.array([grid[0], grid[-1]]
+                    + [grid[x] if isinstance(x, int) else x for x in picks])
+    got = spectral.abs2_on_circle(coeffs, lams)
+    want = np.array([abs2_oracle(coeffs, lam) for lam in lams])
+    bound = 8 * len(coeffs) * np.finfo(float).eps * np.abs(coeffs).sum() ** 2
+    assert np.abs(got - want).max() <= bound

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from spharma import spectral
-from spharma.model import SpharmaModel, model_autocovariance_table
+from spharma.model import (SpharmaModel, model_autocovariance_table,
+                           model_spectral_density)
 from spharma.spectral import AutocovarianceSpectrum, SpectralEigenvalues
 
 FOUR_PI = 4.0 * math.pi
@@ -340,3 +341,26 @@ class TestGridCheck:
         assert not np.array_equal(lam, spectral.frequency_grid(n))
         spec = SpectralEigenvalues.tabulated(lam, ar1_half_density(lam))
         assert abs(spec.integral_per_l()[0] - 4.0 / 3.0) < 1e-12
+
+
+class TestCircleEvaluation:
+    def test_empty_coefficients_give_zeros(self):
+        lam = spectral.frequency_grid(8)
+        assert np.array_equal(spectral.abs2_on_circle([], lam), np.zeros(9))
+        assert spectral.abs2_on_circle(np.empty(0), 0.3) == 0.0
+
+    def test_scalar_frequency_gives_python_float(self):
+        m = SpharmaModel.uniform(1, ar=[0.5], ma=[0.3], noise=2.0)
+        got = model_spectral_density(m, 1, np.float64(0.7))
+        assert type(got) is float
+        assert type(model_spectral_density(m, 0, np.array(0.7))) is float
+        z = complex(math.cos(0.7), math.sin(0.7))
+        want = 2.0 / (2 * math.pi) * abs(1 + 0.3 * z) ** 2 / abs(1 - 0.5 * z) ** 2
+        assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("ar", [[1.0], [-1.0], [0.0, 1.0]])
+    def test_ar_root_on_the_circle_rejected(self, ar):
+        # roots at lambda = 0, pi and +-pi/2, all nodes of frequency_grid(4096)
+        with pytest.raises(ValueError, match="vanishes on the unit circle"):
+            spectral.rational_density(np.array(ar), np.empty(0), 1.0,
+                                      spectral.frequency_grid())
