@@ -35,7 +35,7 @@ from .model import (
 )
 from .simulate import SimulationConfig, batch_means_se, simulate_spharma
 from .spectral import frequency_grid, rational_density, trapezoid_lags
-from .sphere import harmonic_values_at, stream_index
+from .sphere import harmonic_values_at
 
 DEFAULT_ORDER_CAP = 256
 _VAR_FLOOR = 1e-12
@@ -322,6 +322,8 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
         raise ValueError("kind must be 'ma' or 'ar'")
     if norm not in ("l2_kernel", "trace"):
         raise ValueError("norm must be 'l2_kernel' or 'trace'")
+    if order_cap < 0:
+        raise ValueError("order_cap must be nonnegative")
     L = target.band_limit
     lam = frequency_grid()
     F = target.values(lam)
@@ -339,6 +341,11 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
 
     # a tabulated target resolves lags up to about a quarter of its grid
     resolved = math.inf if target.form == "rational" else len(target.lam) // 4
+    depth_of = _ma_depth if kind == "ma" else (lambda order: order)
+    # the lags are prefix-stable, so each order reads a prefix of one fetch
+    # as deep as the default cap needs; only an escalation past it fetches
+    # again, as deep as its order needs
+    fetch_depth = depth_of(min(order_cap, DEFAULT_ORDER_CAP))
     for l in range(L + 1):
         best = None
         # a rational target that is already purely of the requested kind is a
@@ -350,14 +357,13 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
                 start = len(t_ma)
             elif kind == "ar" and len(t_ma) == 0:
                 start = len(t_ar)
-        schedule = _order_schedule(order_cap, start)
-        depths = [_ma_depth(o) if kind == "ma" else o for o in schedule]
-        # the lags are prefix-stable: one fetch at the deepest depth of the
-        # schedule, and each order reads a prefix
-        lags = _multipole_lags(target, l, max(depths))
-        for order, depth in zip(schedule, depths):
+        lags = np.empty(0)
+        for order in _order_schedule(order_cap, start):
+            depth = depth_of(order)
             if depth > resolved:
                 warnings.warn("frequency grid is coarse for the requested lag depth")
+            if depth >= len(lags):
+                lags = _multipole_lags(target, l, max(depth, fetch_depth))
             c = lags[: depth + 1]
             if kind == "ma":
                 try:
@@ -542,8 +548,7 @@ def l2_omega_check(true_model, fitted_model, n_mc, seed):
         else:
             err[rows] = a - arma_filter(fitted_model.ar[l], fitted_model.ma[l], z)
 
-    Y = harmonic_values_at(L_true, *_L2_CHECK_NODE)
-    e_node = Y[stream_index(L_true)] @ err
+    e_node = harmonic_values_at(L_true, *_L2_CHECK_NODE) @ err
     tail = e_node[warmup:] ** 2
     return L2CheckResult(float(tail.mean()), batch_means_se(tail),
                          len(tail), mode)

@@ -72,6 +72,8 @@ def _load_target(path):
     try:
         with open(path) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise InputError("invalid spectral target: not a JSON object")
         if "entries" in payload and "form" not in payload:
             return SpharmaModel.from_json(payload).spectral()
         return spectral.SpectralEigenvalues.from_json(payload)
@@ -244,8 +246,7 @@ def _check_ckl(series):
     rows = (max(0, L - 2) + 1) ** 2
     tail = series.values[rows:]
     predicted = math.fsum((row * row).sum() for row in tail) / (4 * math.pi * series.n)
-    flat = sphere.harmonic_values_at(L, *_CKL_NODE)[sphere.stream_index(L)]
-    err = (flat[rows:] @ tail) ** 2
+    err = (sphere.harmonic_values_at(L, *_CKL_NODE)[rows:] @ tail) ** 2
     realized = float(err.mean())
     se = simulate.batch_means_se(err)
     z = abs(realized - predicted) / max(se, 1e-300)

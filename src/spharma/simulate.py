@@ -7,7 +7,9 @@ object is re-keyed for each stream rather than built anew. ARMA recursions
 start from a zero state and discard a certified geometric burn-in.
 
 Series layout: rows indexed by ``l*(l+1)+m`` (l ascending, m from -l to l),
-time along the second axis. On disk a series is that array flattened
+time along the second axis. That row order is the package's one coefficient
+layout, so a column ``values[:, t]`` is the coefficient vector that
+``sphere.sht_inverse`` synthesizes. On disk a series is that array flattened
 row-major as little-endian float64, with a JSON sidecar.
 """
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .model import SpharmaModel, arma_filter, check_causal, decay_length
 from .spectral import AutocovarianceSpectrum
-from .sphere import empty_coeffs, sht_inverse, stream_index
+from .sphere import sht_inverse
 
 _BURN_TARGET = 1e-10
 _BURN_CAP = 1_000_000
@@ -89,14 +91,6 @@ class HarmonicCoefficientSeries:
     def block(self, l):
         """All 2l+1 streams of multipole l, shape (2l+1, n)."""
         return self.values[l * l : l * l + 2 * l + 1]
-
-    def slice_at(self, t):
-        """Dense (L+1, 2L+1) coefficient array at one time index."""
-        if not (0 <= t < self.n):
-            raise IndexError("time index out of range")
-        out = empty_coeffs(self.band_limit)
-        out[stream_index(self.band_limit)] = self.values[:, t]
-        return out
 
     def sidecar(self):
         meta = {"schema": 1, "band_limit": self.band_limit, "n": self.n,
@@ -215,10 +209,10 @@ def simulate_spharma(model, config, return_innovations=False):
 
 
 def synthesize_field(series, grid, t):
-    """Spatial field snapshot of the time-t coefficient slice."""
-    if grid.band_limit < series.band_limit:
-        raise ValueError("grid band limit below series band limit")
-    return sht_inverse(series.slice_at(t), grid, time_index=t)
+    """Spatial field snapshot of the time-t coefficient column."""
+    if not (0 <= t < series.n):
+        raise IndexError("time index out of range")
+    return sht_inverse(series.values[:, t], grid)
 
 
 def _fft_length(m):

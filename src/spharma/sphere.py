@@ -16,8 +16,9 @@ Condon-Shortley phase is recovered by
     Y^c_{l,m}  = (-1)^m (Y_{l,m} + i Y_{l,-m}) / sqrt(2),   m > 0
     Y^c_{l,-m} = (Y_{l,m} - i Y_{l,-m}) / sqrt(2),          m > 0.
 
-Coefficient arrays are dense with shape ``(L+1, 2L+1)`` and layout
-``coeffs[l, L+m]``; entries with ``|m| > l`` must be zero.
+Coefficients at band limit L are one vector of (L+1)^2 entries in stream
+order: a_{l,m} at entry ``l*(l+1)+m``, l ascending and m from -l to l, the
+row order of a coefficient series.
 
 Grids are Gauss-Legendre in colatitude (nodes in cos theta) crossed with
 equiangular longitudes, the minimal node counts that integrate every product
@@ -152,16 +153,17 @@ def real_sph_harm(l, m, colat, lon):
 
 
 def harmonic_values_at(l_max, colat, lon):
-    """All Y_{l,m}(colat, lon) for l <= l_max, packed as ``(L+1, 2L+1)``."""
-    out = np.zeros((l_max + 1, 2 * l_max + 1))
+    """All Y_{l,m}(colat, lon) for l <= l_max, a vector in stream order."""
+    out = np.empty((l_max + 1) ** 2)
     root2 = math.sqrt(2.0)
     c = np.array([root2 * math.cos(m * lon) for m in range(1, l_max + 1)])
     s = np.array([root2 * math.sin(m * lon) for m in range(1, l_max + 1)])
     for l, q in enumerate(_legendre_by_degree(l_max, np.cos(float(colat)))):
         q = q[:, 0]
-        out[l, l_max] = q[0]
-        out[l, l_max + 1 : l_max + l + 1] = q[1:] * c[:l]
-        out[l, l_max - l : l_max] = (q[1:] * s[:l])[::-1]
+        centre = l * (l + 1)
+        out[centre] = q[0]
+        out[centre + 1 : centre + l + 1] = q[1:] * c[:l]
+        out[centre - l : centre] = (q[1:] * s[:l])[::-1]
     return out
 
 
@@ -274,11 +276,10 @@ def _gauss_weights(n, x):
 
 @dataclass
 class FieldSnapshot:
-    """Real field values on a SphereGrid at one time index."""
+    """Real field values on a SphereGrid."""
 
     grid: SphereGrid
     values: np.ndarray
-    time_index: int = 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -293,36 +294,13 @@ class FieldSnapshot:
                   [repr(ph) for ph in self.grid.longitudes.tolist()], self.values)
 
 
-def empty_coeffs(band_limit):
-    """Zero coefficient array in the dense ``(L+1, 2L+1)`` layout."""
-    return np.zeros((band_limit + 1, 2 * band_limit + 1))
-
-
-def stream_index(band_limit):
-    """Index into the dense ``(L+1, 2L+1)`` layout for each stream row.
-
-    Stream rows are ordered ``l*(l+1)+m`` (l ascending, m from -l to l), so
-    ``dense[stream_index(L)]`` flattens a coefficient array into stream order
-    and ``dense[stream_index(L)] = column`` scatters one back.
-    """
-    ls = np.repeat(np.arange(band_limit + 1), 2 * np.arange(band_limit + 1) + 1)
-    ms = np.arange(len(ls)) - ls * (ls + 1)
-    return ls, band_limit + ms
-
-
-def _check_coeff_shape(coeffs):
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[1] != 2 * coeffs.shape[0] - 1:
-        raise ValueError("coefficient array must have shape (L+1, 2L+1)")
-    return coeffs
-
-
 def sht_forward(fieldsnap, band_limit=None):
     """Forward spherical harmonic transform by separated quadrature.
 
     Longitude trigonometric sums first, then Gauss-Legendre colatitude
     quadrature. Exact for fields band-limited at the grid band limit;
-    spectral content above it aliases into the returned coefficients.
+    spectral content above it aliases into the returned coefficients, a
+    stream-order vector.
     """
     grid = fieldsnap.grid
     L = grid.band_limit if band_limit is None else band_limit
@@ -335,35 +313,42 @@ def sht_forward(fieldsnap, band_limit=None):
     wv = grid.colat_weights * lon_w
     Gc = (fieldsnap.values @ cos_t[: L + 1].T).T * wv
     Gs = (fieldsnap.values @ sin_t[: L + 1].T).T * wv
-    out = empty_coeffs(L)
-    out[:, L] = Gc[0] @ Q[0][:, : L + 1]
+    ls = np.arange(L + 1)
+    centre = ls * (ls + 1)  # entry of a_{l,0}
+    out = np.empty((L + 1) ** 2)
+    out[centre] = Gc[0] @ Q[0][:, : L + 1]
     root2 = math.sqrt(2.0)
     for m in range(1, L + 1):
         q = Q[m][:, : L + 1 - m]
-        out[m:, L + m] = root2 * (Gc[m] @ q)
-        out[m:, L - m] = root2 * (Gs[m] @ q)
+        out[centre[m:] + m] = root2 * (Gc[m] @ q)
+        out[centre[m:] - m] = root2 * (Gs[m] @ q)
     return out
 
 
-def sht_inverse(coeffs, grid, time_index=0):
-    """Synthesize the band-limited field sum(a_{l,m} Y_{l,m}) on grid nodes."""
-    coeffs = _check_coeff_shape(coeffs)
-    L = coeffs.shape[0] - 1
+def sht_inverse(coeffs, grid):
+    """Synthesize the band-limited field sum(a_{l,m} Y_{l,m}) on grid nodes
+    from a stream-order coefficient vector."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    L = math.isqrt(coeffs.size) - 1
+    if coeffs.ndim != 1 or L < 0 or (L + 1) ** 2 != coeffs.size:
+        raise ValueError("coefficients must be a vector of (L+1)^2 entries")
     if L > grid.band_limit:
         raise ValueError("coefficient multipole exceeds grid band limit")
     Q = grid._legendre_table()
     cos_t, sin_t = grid._trig_tables()
+    ls = np.arange(L + 1)
+    centre = ls * (ls + 1)  # entry of a_{l,0}
     # per-order sums over l at each colatitude, then over m by one matmul each
     cos_sums = np.zeros((L + 1, grid.n_lat))
     sin_sums = np.zeros((L + 1, grid.n_lat))
-    cos_sums[0] = Q[0][:, : L + 1] @ coeffs[:, L]
+    cos_sums[0] = Q[0][:, : L + 1] @ coeffs[centre]
     root2 = math.sqrt(2.0)
     for m in range(1, L + 1):
         q = Q[m][:, : L + 1 - m]
-        cos_sums[m] = root2 * (q @ coeffs[m:, L + m])
-        sin_sums[m] = root2 * (q @ coeffs[m:, L - m])
+        cos_sums[m] = root2 * (q @ coeffs[centre[m:] + m])
+        sin_sums[m] = root2 * (q @ coeffs[centre[m:] - m])
     values = cos_sums.T @ cos_t[: L + 1] + sin_sums.T @ sin_t[: L + 1]
-    return FieldSnapshot(grid, values, time_index)
+    return FieldSnapshot(grid, values)
 
 
 def write_csv(path, header, row_labels, col_labels, values):

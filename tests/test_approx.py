@@ -246,6 +246,19 @@ class TestSpectralDistance:
             approx.spectral_distance(f1, f2)
 
 
+@pytest.fixture()
+def lag_depths(monkeypatch):
+    """The max_lag of every lag fetch that approximate_operator makes."""
+    depths = []
+
+    def fetch(model, l, max_lag):
+        depths.append(max_lag)
+        return model_autocovariance(model, l, max_lag)
+
+    monkeypatch.setattr(approx, "model_autocovariance", fetch)
+    return depths
+
+
 class TestApproximateOperator:
     def test_fixed_point_on_exact_ma2(self):
         target_model = SpharmaModel.uniform(3, ma=[0.5, 0.2], noise=1.1)
@@ -294,6 +307,35 @@ class TestApproximateOperator:
         assert cert.order_cap_reached
         assert not cert.passed
         assert cert.per_multipole[0][1] <= 4
+
+    @pytest.mark.parametrize("kind, cap", [("ma", approx.DEFAULT_ORDER_CAP),
+                                           ("ma", 10**9), ("ar", 64), ("ar", 10**5)])
+    def test_one_lag_fetch_per_multipole(self, lag_depths, kind, cap):
+        # no escalation here goes past order 16, so whatever the cap, each
+        # multipole fetches once, as deep as the default cap's schedule needs
+        target = SpharmaModel.uniform(1, ar=[0.5], noise=1.0).spectral()
+        _, cert = approx.approximate_operator(target, 1e-2, kind, order_cap=cap)
+        assert cert.passed and cert.order <= 16
+        order = min(cap, approx.DEFAULT_ORDER_CAP)
+        assert lag_depths == [approx._ma_depth(order) if kind == "ma" else order] * 2
+
+    def test_escalation_past_the_default_cap_fetches_deeper(self, lag_depths,
+                                                            monkeypatch):
+        target = SpharmaModel.uniform(0, ma=[0.99], noise=1.0).spectral()
+        fitted, cert = approx.approximate_operator(target, 1e-3, "ar", order_cap=1024)
+        assert cert.order == 512 and lag_depths == [256, 512]
+        # the same fit as from one fetch at the deepest depth the cap allows
+        monkeypatch.setattr(approx, "model_autocovariance",
+                            lambda m, l, k: model_autocovariance(m, l, 1024))
+        deep_fitted, deep_cert = approx.approximate_operator(target, 1e-3, "ar",
+                                                             order_cap=1024)
+        assert deep_cert == cert
+        assert deep_fitted.content_hash() == fitted.content_hash()
+
+    def test_negative_order_cap_rejected(self):
+        target = SpharmaModel.uniform(0, ar=[0.5], noise=1.0).spectral()
+        with pytest.raises(ValueError, match="order_cap must be nonnegative"):
+            approx.approximate_operator(target, 1e-2, "ma", order_cap=-1)
 
     def test_certificate_json(self):
         target = SpharmaModel.uniform(1, ar=[0.4], noise=1.0).spectral()

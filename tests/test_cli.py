@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spharma
-from spharma import cli, simulate
+from spharma import approx, cli, simulate
 from spharma.model import SpharmaModel
 
 
@@ -215,6 +215,29 @@ class TestApproximateCommand:
         assert code == cli.EXIT_BUDGET
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["passed"] is False and cert["order_cap_reached"] is True
+
+    def test_huge_order_cap_same_certificate(self, tmp_path):
+        # lags are fetched as deep as the escalation goes, not as deep as the
+        # cap would allow (149 GiB of lags at this cap)
+        target = tmp_path / "ar1.json"
+        SpharmaModel.uniform(1, ar=[0.5], noise=1.0).save(target)
+        certs = []
+        for cap in (approx.DEFAULT_ORDER_CAP, 10**9):
+            out = tmp_path / f"fit{cap}"
+            assert run("approximate", "--target", target, "--eps", 1e-2, "--kind",
+                       "ma", "--order-cap", cap, "--out", out) == cli.EXIT_OK
+            cert = json.loads((out / "certificate.json").read_text())
+            del cert["config_hash"]
+            certs.append(cert)
+        assert certs[0] == certs[1]
+
+    def test_negative_order_cap_exits_2(self, tmp_path, model_path, capsys):
+        out = tmp_path / "fit"
+        code = run("approximate", "--target", model_path, "--eps", 0.05,
+                   "--kind", "ma", "--order-cap", -1, "--out", out)
+        assert code == cli.EXIT_INPUT
+        assert not out.exists()
+        assert "order_cap must be nonnegative" in capsys.readouterr().err
 
     def test_non_invertible_ma_orders_are_skipped(self, tmp_path):
         # psi_1 = 1.2 makes the order-1 innovations fit non-invertible; the
@@ -461,6 +484,16 @@ class TestMalformedInputs:
         out = tmp_path / "out"
         assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [[1, 2], "abc"], ids=["list", "string"])
+    def test_target_not_an_object_exits_2(self, tmp_path, payload, capsys):
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "not a JSON object" in err and "Traceback" not in err
 
     def test_tabulated_band_limit_mismatch_exits_2(self, tmp_path):
         lam = spharma.frequency_grid(64)

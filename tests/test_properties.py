@@ -1,4 +1,5 @@
-"""Property tests over random causal ARMA models with p, q <= 3."""
+"""Property tests over random causal ARMA models with p, q <= 3, and of the
+spherical harmonic transforms."""
 
 import math
 import warnings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular, toeplitz
 from scipy.signal import lfilter
 
-from spharma import approx, simulate, spectral
+from spharma import approx, simulate, spectral, sphere
 
 try:
     import mpmath
@@ -377,3 +378,27 @@ def test_abs2_on_circle_matches_a_40_digit_evaluation(coeffs, picks):
     want = np.array([abs2_oracle(coeffs, lam) for lam in lams])
     bound = 8 * len(coeffs) * np.finfo(float).eps * np.abs(coeffs).sum() ** 2
     assert np.abs(got - want).max() <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 8), st.integers(0, 8),
+       st.integers(0, 2**32 - 1), st.integers(-10, 10),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                min_size=1, max_size=4))
+def test_sht_round_trip_in_stream_order(L, extra_band, extra_lat, seed, scale,
+                                        nodes):
+    # band limit L on a grid of band limit Lg >= L with n_lat >= Lg + 1 nodes
+    Lg = L + extra_band
+    grid = sphere.build_grid(Lg, Lg + 1 + extra_lat)
+    a = np.random.default_rng(seed).standard_normal((L + 1) ** 2) * 10.0**scale
+    field = sphere.sht_inverse(a, grid)
+    back = sphere.sht_forward(field, band_limit=L)
+    assert np.abs(back - a).max() <= 1e-10 * np.abs(a).max()
+    # the pointwise evaluator reads the same layout at the grid's own nodes
+    padded = np.zeros((Lg + 1) ** 2)
+    padded[: len(a)] = a
+    for u, v in nodes:
+        i, j = int(u * (grid.n_lat - 1)), int(v * (grid.n_lon - 1))
+        direct = sphere.harmonic_values_at(Lg, grid.colatitudes[i],
+                                           grid.longitudes[j]) @ padded
+        assert abs(direct - field.values[i, j]) <= 1e-10 * np.abs(a).sum()

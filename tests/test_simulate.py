@@ -179,11 +179,18 @@ class TestFieldSynthesis:
         grid = build_grid(ar1_series.band_limit)
         snap = sim.synthesize_field(ar1_series, grid, 17)
         back = sht_forward(snap)
-        assert np.abs(back - ar1_series.slice_at(17)).max() < 1e-10
+        assert np.abs(back - ar1_series.values[:, 17]).max() < 1e-10
 
     def test_grid_band_limit_enforced(self, ar1_series):
         with pytest.raises(ValueError):
             sim.synthesize_field(ar1_series, build_grid(2), 0)
+
+    @pytest.mark.parametrize("t", [-1, 3])
+    def test_time_index_out_of_range(self, t):
+        # a negative index must not wrap round to the end of the series
+        series = sim.HarmonicCoefficientSeries(1, np.ones((4, 3)))
+        with pytest.raises(IndexError):
+            sim.synthesize_field(series, build_grid(1), t)
 
     def test_node_variance_matches_kernel(self, ar1_model, ar1_series):
         grid = build_grid(ar1_series.band_limit)
@@ -307,15 +314,6 @@ class TestSeriesIo:
         assert peak < series.values.nbytes // 8
         assert np.array_equal(np.fromfile(path, dtype="<f8").reshape(16, -1),
                               series.values)
-
-    def test_slice_layout(self):
-        vals = np.arange(4.0)[:, None] * np.ones((4, 2))
-        series = sim.HarmonicCoefficientSeries(1, vals)
-        sl = series.slice_at(0)
-        assert sl[0, 1] == 0.0  # (0, 0) -> row 0
-        assert sl[1, 0] == 1.0  # (1, -1) -> row 1
-        assert sl[1, 1] == 2.0  # (1, 0) -> row 2
-        assert sl[1, 2] == 3.0  # (1, +1) -> row 3
 
 
 def test_streams_do_not_depend_on_the_band_limit():

@@ -106,7 +106,7 @@ class TestRealSphHarm:
         packed = sphere.harmonic_values_at(L, colat, lon)
         for l in range(L + 1):
             for m in range(-l, l + 1):
-                assert abs(packed[l, L + m]
+                assert abs(packed[l * (l + 1) + m]
                            - sphere.real_sph_harm(l, m, colat, lon)) < 1e-13
 
     def test_harmonic_values_at_matches_per_order_recurrence(self):
@@ -115,22 +115,17 @@ class TestRealSphHarm:
         for L in (0, 1, 2, 9, 40):
             colat, lon = float(rng.uniform(0, math.pi)), float(rng.uniform(0, 7))
             packed = sphere.harmonic_values_at(L, colat, lon)
-            expected = np.zeros((L + 1, 2 * L + 1))
+            expected = np.zeros((L + 1) ** 2)
+            centre = np.arange(L + 1) * np.arange(1, L + 2)
             x = np.cos(colat)
             for m in range(L + 1):
                 q = sphere._normalized_assoc_legendre(L, m, x)[:, 0]
                 if m == 0:
-                    expected[:, L] = q
+                    expected[centre] = q
                 else:
-                    expected[m:, L + m] = q * (math.sqrt(2.0) * math.cos(m * lon))
-                    expected[m:, L - m] = q * (math.sqrt(2.0) * math.sin(m * lon))
+                    expected[centre[m:] + m] = q * (math.sqrt(2.0) * math.cos(m * lon))
+                    expected[centre[m:] - m] = q * (math.sqrt(2.0) * math.sin(m * lon))
             assert np.array_equal(packed, expected)
-
-    def test_stream_index_follows_row_order(self):
-        L = 4
-        ls, cols = sphere.stream_index(L)
-        rows = [(l, m) for l in range(L + 1) for m in range(-l, l + 1)]
-        assert list(zip(ls, cols - L)) == rows
 
 
 class TestGrid:
@@ -174,8 +169,8 @@ class TestGrid:
         for _ in range(8):
             l = int(rng.integers(0, L + 1))
             m = int(rng.integers(-l, l + 1))
-            coeffs = sphere.empty_coeffs(L)
-            coeffs[l, L + m] = 1.0
+            coeffs = np.zeros((L + 1) ** 2)
+            coeffs[l * (l + 1) + m] = 1.0
             back = sphere.sht_forward(sphere.sht_inverse(coeffs, g))
             assert np.abs(back - coeffs).max() < 1e-10
 
@@ -231,8 +226,7 @@ class TestPackedLegendreTable:
         rng = np.random.default_rng(128)
         L = 128
         g = sphere.build_grid(L)
-        coeffs = sphere.empty_coeffs(L)
-        coeffs[sphere.stream_index(L)] = rng.standard_normal((L + 1) ** 2)
+        coeffs = rng.standard_normal((L + 1) ** 2)
         back = sphere.sht_forward(sphere.sht_inverse(coeffs, g))
         assert np.abs(back - coeffs).max() < 1e-12
 
@@ -242,11 +236,10 @@ class TestPackedLegendreTable:
         colat, lon = random_angles(rng, 3 * L)
         g = sphere.SphereGrid(np.sort(colat[: L + 3]), np.ones(L + 3),
                               lon[: 2 * L + 5], L)
-        coeffs = sphere.empty_coeffs(L)
-        coeffs[sphere.stream_index(L)] = rng.standard_normal((L + 1) ** 2)
+        coeffs = rng.standard_normal((L + 1) ** 2)
         values = sphere.sht_inverse(coeffs, g).values
         TH, PH = np.meshgrid(g.colatitudes, g.longitudes, indexing="ij")
-        direct = sum(coeffs[l, L + m] * sphere.real_sph_harm(l, m, TH, PH)
+        direct = sum(coeffs[l * (l + 1) + m] * sphere.real_sph_harm(l, m, TH, PH)
                      for l in range(L + 1) for m in range(-l, l + 1))
         assert np.abs(values - direct).max() < 1e-12 * np.abs(direct).max()
 
@@ -254,10 +247,9 @@ class TestPackedLegendreTable:
         rng = np.random.default_rng(8)
         L, Lg = 5, 11
         g = sphere.build_grid(Lg)
-        coeffs = sphere.empty_coeffs(L)
-        coeffs[sphere.stream_index(L)] = rng.standard_normal((L + 1) ** 2)
-        padded = sphere.empty_coeffs(Lg)
-        padded[: L + 1, Lg - L : Lg + L + 1] = coeffs
+        coeffs = rng.standard_normal((L + 1) ** 2)
+        padded = np.zeros((Lg + 1) ** 2)
+        padded[: (L + 1) ** 2] = coeffs
         field = sphere.sht_inverse(coeffs, g)
         assert np.abs(field.values - sphere.sht_inverse(padded, g).values).max() < 1e-13
         assert np.abs(sphere.sht_forward(field, band_limit=L) - coeffs).max() < 1e-13
@@ -268,8 +260,8 @@ class TestTransforms:
         g = sphere.build_grid(6)
         field = sphere.FieldSnapshot(g, np.full((g.n_lat, g.n_lon), 2.5))
         coeffs = sphere.sht_forward(field)
-        assert abs(coeffs[0, 6] - 2.5 * math.sqrt(FOUR_PI)) < 1e-12
-        coeffs[0, 6] = 0.0
+        assert abs(coeffs[0] - 2.5 * math.sqrt(FOUR_PI)) < 1e-12
+        coeffs[0] = 0.0
         assert np.abs(coeffs).max() < 1e-12
 
     def test_single_harmonic_projection(self):
@@ -277,26 +269,24 @@ class TestTransforms:
         TH, PH = np.meshgrid(g.colatitudes, g.longitudes, indexing="ij")
         field = sphere.FieldSnapshot(g, sphere.real_sph_harm(3, -2, TH, PH))
         coeffs = sphere.sht_forward(field)
-        assert abs(coeffs[3, 5 - 2] - 1.0) < 1e-12
-        coeffs[3, 5 - 2] = 0.0
+        assert abs(coeffs[3 * 4 - 2] - 1.0) < 1e-12
+        coeffs[3 * 4 - 2] = 0.0
         assert np.abs(coeffs).max() < 1e-12
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(17)
         L = 16
         g = sphere.build_grid(L)
-        coeffs = sphere.empty_coeffs(L)
-        for l in range(L + 1):
-            coeffs[l, L - l : L + l + 1] = rng.standard_normal(2 * l + 1)
+        coeffs = rng.standard_normal((L + 1) ** 2)
         back = sphere.sht_forward(sphere.sht_inverse(coeffs, g))
         assert np.abs(back - coeffs).max() < 1e-10
 
     def test_zero_and_constant_synthesis(self):
         g = sphere.build_grid(3)
-        zero = sphere.sht_inverse(sphere.empty_coeffs(3), g)
+        zero = sphere.sht_inverse(np.zeros(16), g)
         assert np.abs(zero.values).max() == 0.0
-        coeffs = sphere.empty_coeffs(3)
-        coeffs[0, 3] = math.sqrt(FOUR_PI)
+        coeffs = np.zeros(16)
+        coeffs[0] = math.sqrt(FOUR_PI)
         ones = sphere.sht_inverse(coeffs, g)
         assert np.abs(ones.values - 1.0).max() < 1e-13
 
@@ -304,19 +294,23 @@ class TestTransforms:
         rng = np.random.default_rng(23)
         L = 12
         g = sphere.build_grid(L)
-        coeffs = sphere.empty_coeffs(L)
-        for l in range(L + 1):
-            coeffs[l, L - l : L + l + 1] = rng.standard_normal(2 * l + 1)
+        coeffs = rng.standard_normal((L + 1) ** 2)
         field = sphere.sht_inverse(coeffs, g)
         assert abs(g.integrate(field.values**2) - (coeffs**2).sum()) < 1e-10
 
     def test_band_limit_errors(self):
         g = sphere.build_grid(2)
         with pytest.raises(ValueError):
-            sphere.sht_inverse(sphere.empty_coeffs(3), g)
+            sphere.sht_inverse(np.zeros(16), g)
         field = sphere.FieldSnapshot(g, np.zeros((g.n_lat, g.n_lon)))
         with pytest.raises(ValueError):
             sphere.sht_forward(field, band_limit=5)
+
+    @pytest.mark.parametrize("coeffs", [np.zeros(0), np.zeros(8), np.zeros((4, 4))],
+                             ids=["empty", "not-a-square", "two-dimensional"])
+    def test_coefficients_must_be_a_stream_vector(self, coeffs):
+        with pytest.raises(ValueError):
+            sphere.sht_inverse(coeffs, sphere.build_grid(3))
 
     def test_field_grid_mismatch(self):
         g = sphere.build_grid(2)
