@@ -4,19 +4,17 @@ Simulation of SPHARMA(p, q) processes per multipole, exact second-order
 spectral calculus (angular power spectra, spectral density eigenvalues,
 trace norms), and constructive approximation of arbitrary target spectral
 density operators by invertible moving-average or causal autoregressive
-models with certified error, including the Wold/innovations machinery.
+models with certified error, and the Wold decomposition as an SPHMA model.
 """
 
 from .approx import (
     ApproximationCertificate,
     L2CheckResult,
-    WoldResult,
     approximate_operator,
     durbin_levinson,
     fit_ar,
     fit_ma,
     h_step_error,
-    innovations,
     l2_omega_check,
     spectral_distance,
     wold,
@@ -30,7 +28,6 @@ from .model import (
     lag_polynomial_roots,
     model_autocovariance,
     model_autocovariance_table,
-    model_spectral_density,
     psi_coefficients,
 )
 from .simulate import (

@@ -4,10 +4,13 @@ Scalar machinery per multipole: the innovations algorithm (one-step
 prediction coefficients and errors from an autocovariance sequence) and the
 Durbin-Levinson solution of the Yule-Walker equations, cf. Brockwell & Davis,
 "Time Series: Theory and Methods", chapters 5 and 8. The innovations rows
-are the Cholesky factor of the Toeplitz matrix of C(0..n), computed by the
-Schur algorithm (Kailath & Sayed, "Fast Reliable Algorithms for Matrices
-with Structure", SIAM 1999, ch. 1) in O(n^2) time; the last row alone,
-which the MA fits and the Wold decomposition read, takes O(n) memory.
+are the Cholesky factor of the Toeplitz matrix of C(0..n); the Schur
+algorithm (Kailath & Sayed, "Fast Reliable Algorithms for Matrices with
+Structure", SIAM 1999, ch. 1) computes the last row, which the MA fits and
+the Wold decomposition read, in O(n^2) time and O(n) memory. The Wold
+decomposition truncated at n_psi terms is returned as an SPHMA(n_psi)
+``SpharmaModel``, so its spectral density and h-step prediction errors are
+those of any model.
 
 Operator-level machinery: given target spectral eigenvalues f_l(lambda) and
 a tolerance eps, fit an invertible MA(q) or causal AR(p) per multipole,
@@ -32,6 +35,7 @@ from .model import (
     decay_length,
     min_root_modulus,
     model_autocovariance,
+    psi_coefficients,
 )
 from .simulate import SimulationConfig, batch_means_se, simulate_spharma
 from .spectral import frequency_grid, rational_density, trapezoid_lags
@@ -43,8 +47,8 @@ _WOLD_VARIANCE_TOL = 1e-10  # wold: least innovation variance, relative to C_l(0
 _L2_CHECK_NODE = (1.047197551196598, 0.8)  # l2_omega_check: (colat, lon)
 
 
-def _innovations_core(c, depth, floor=None):
-    """Columns of the innovations factor by the Schur algorithm.
+def _innovations_last_row(c, depth, floor=None):
+    """theta_{depth, 1..depth} and v_0..v_depth by the Schur algorithm.
 
     The innovations rows of C(0..depth) are the rows of the factorisation
     T = L diag(v) L^T of the Toeplitz matrix T[i, j] = C(|i - j|), with L
@@ -53,21 +57,21 @@ def _innovations_core(c, depth, floor=None):
     Structure", ch. 1) computes that factor column by column from two
     generator vectors, in O(depth^2) time and O(depth) memory: ``a`` starts
     as C(0..depth) and ``b`` as C(1..depth); at step k, ``a`` is column k of
-    ``L diag(v)`` on rows k..depth, so ``v_k = a[0]``. Shifting ``a`` down
-    one row and rotating with the reflection coefficient ``g = b[0] / v_k``
-    gives the next pair, with ``v_{k+1} = v_k (1 - g^2)``.
-
-    Yields column k of ``L diag(v)``, rows k..depth, for k = 0..depth. The
-    arrays are fresh at each step, so callers may keep them.
+    ``L diag(v)`` on rows k..depth, so ``v_k = a[0]`` and
+    ``theta_{depth, depth-k} = a[-1] / v_k``. Shifting ``a`` down one row
+    and rotating with the reflection coefficient ``g = b[0] / v_k`` gives
+    the next pair, with ``v_{k+1} = v_k (1 - g^2)``. Row i of the triangle
+    is the last row at depth i.
 
     A step with |g| >= 1 is the nonpositive-variance case: T is not positive
     definite. With ``floor=None`` it raises ``ValueError`` naming the step
-    k + 1. With a floor it warns and scales ``b`` so that |g| becomes
-    sqrt(max(0, 1 - floor / v_k)), so ``v_{k+1} = min(floor, v_k)`` and
-    every v stays positive. Scaling ``b`` by s adds the positive
-    semidefinite matrix (1 - s^2) B B^T / v_k to the Schur complement left
-    after step k, B the lower triangular Toeplitz matrix of ``b``: the later
-    rows are those of that regularised matrix, not of T.
+    k + 1. With a floor (for noisy empirical inputs) it warns and scales
+    ``b`` so that |g| becomes sqrt(max(0, 1 - floor / v_k)), so
+    ``v_{k+1} = min(floor, v_k)`` and every v stays positive. Scaling ``b``
+    by s adds the positive semidefinite matrix (1 - s^2) B B^T / v_k to the
+    Schur complement left after step k, B the lower triangular Toeplitz
+    matrix of ``b``: the later rows are those of that regularised matrix,
+    not of T.
     """
     c = np.asarray(c, dtype=float)
     if len(c) < depth + 1:
@@ -76,10 +80,13 @@ def _innovations_core(c, depth, floor=None):
         raise ValueError("C(0) must be positive")
     a = c[: depth + 1].copy()
     b = a[1:]
+    last = np.empty(depth)
+    v = np.empty(depth + 1)
     for k in range(depth):
-        yield a
-        head, v = a[:-1], a[0]
-        g = b[0] / v
+        head, vk = a[:-1], a[0]
+        last[k] = a[-1]
+        v[k] = vk
+        g = b[0] / vk
         floored = abs(g) >= 1.0
         if floored:
             if floor is None:
@@ -88,65 +95,16 @@ def _innovations_core(c, depth, floor=None):
                     "input is not a positive definite autocovariance")
             warnings.warn(
                 f"flooring nonpositive innovations variance at step {k + 1}")
-            clipped = math.copysign(math.sqrt(max(0.0, 1.0 - floor / v)), g)
+            clipped = math.copysign(math.sqrt(max(0.0, 1.0 - floor / vk)), g)
             b = b * (clipped / g)
             g = clipped
         a, b = head - g * b, (b - g * head)[1:]
         if floored:
             # exact where floor / v is below the rounding unit, so the
             # rotation would round v_{k+1} to zero
-            a[0] = min(floor, v)
-    yield a
-
-
-def innovations(c, floor=None):
-    """Innovations algorithm on an autocovariance sequence C(0..n).
-
-    Runs the Schur recursion of ``_innovations_core`` in O(n^2) time; the
-    returned triangle itself takes O(n^2) memory.
-
-    Parameters
-    ----------
-    c : array_like
-        Autocovariances C(0), ..., C(n) with C(0) > 0.
-    floor : float, optional
-        If given, nonpositive prediction variances are floored at this value
-        with a warning instead of raising (for noisy empirical inputs); see
-        ``_innovations_core`` for what the later rows hold.
-
-    Returns
-    -------
-    theta : ndarray, shape (n+1, n+1)
-        One-step predictor coefficients; ``theta[k, j]`` holds theta_{k,j}
-        for 1 <= j <= k, zeros elsewhere.
-    v : ndarray, shape (n+1,)
-        Mean-square one-step prediction errors v_0, ..., v_n; non-increasing
-        toward the innovation variance.
-    """
-    c = np.asarray(c, dtype=float)
-    depth = len(c) - 1
-    factor = np.zeros((depth + 1, depth + 1))
-    for k, col in enumerate(_innovations_core(c, depth, floor=floor)):
-        factor[k:, k] = col
-    v = factor.diagonal().copy()
-    rows, cols = np.tril_indices(depth + 1, -1)
-    theta = np.zeros_like(factor)
-    theta[rows, rows - cols] = factor[rows, cols] / v[cols]
-    return theta, v
-
-
-def _innovations_last_row(c, depth, floor=None):
-    """theta_{depth, 1..depth} and v_0..v_depth in O(depth) memory.
-
-    Keeps only the last-row entry of each Schur column:
-    ``theta_{depth, depth-k} = a_k[depth] / v_k``.
-    """
-    last = np.empty(depth + 1)
-    v = np.empty(depth + 1)
-    for k, col in enumerate(_innovations_core(c, depth, floor=floor)):
-        last[k] = col[-1]
-        v[k] = col[0]
-    return (last[:depth] / v[:depth])[::-1], v
+            a[0] = min(floor, vk)
+    v[depth] = a[0]
+    return (last / v[:depth])[::-1], v
 
 
 def durbin_levinson(c, order):
@@ -407,46 +365,6 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     return model, cert
 
 
-@dataclass
-class WoldResult:
-    """Per-multipole Wold coefficients and innovation variances.
-
-    ``residual_per_l`` is C_l(0) - sigma_l^2 * sum_{j <= n_psi} psi_{l;j}^2.
-    For a purely nondeterministic multipole that is the dropped tail
-    sigma_l^2 * sum_{j > n_psi} psi_{l;j}^2; a residual clearly above it
-    signals a deterministic component.
-    """
-
-    psi: np.ndarray
-    sigma2: np.ndarray
-    residual_per_l: np.ndarray
-
-    @property
-    def band_limit(self):
-        return self.psi.shape[0] - 1
-
-    @property
-    def n_psi(self):
-        return self.psi.shape[1] - 1
-
-    @property
-    def sigma2_total(self):
-        """One-step prediction error sum_l (2l+1) sigma_l^2."""
-        deg = 2 * np.arange(self.band_limit + 1) + 1
-        return float(deg @ self.sigma2)
-
-    @property
-    def residual_total(self):
-        deg = 2 * np.arange(self.band_limit + 1) + 1
-        return float(deg @ self.residual_per_l)
-
-    def spectral_density(self, lams):
-        """f_l(lambda) = |psi_l(e^{-i lambda})|^2 sigma_l^2 / (2 pi)."""
-        lams = np.asarray(lams, dtype=float)
-        return np.vstack([rational_density(np.empty(0), psi[1:], sigma2, lams)
-                          for psi, sigma2 in zip(self.psi, self.sigma2)])
-
-
 def wold(acv, n_psi):
     """Wold decomposition per multipole from an autocovariance table.
 
@@ -454,6 +372,13 @@ def wold(acv, n_psi):
     off psi_{l;j} = theta_{depth,j} and sigma_l^2 = v_depth. Multipoles whose
     innovation variance collapses below ``_WOLD_VARIANCE_TOL * C_l(0)`` are
     rejected (deterministic subprocess).
+
+    Returns ``(model, residual_per_l)``: the SPHMA(n_psi) model with MA
+    coefficients psi_{l;1..n_psi} and noise powers sigma_l^2, and
+    C_l(0) - sigma_l^2 * sum_{j <= n_psi} psi_{l;j}^2. For a purely
+    nondeterministic multipole that residual is the dropped tail
+    sigma_l^2 * sum_{j > n_psi} psi_{l;j}^2; a residual clearly above it
+    signals a deterministic component.
     """
     if n_psi < 0:
         raise ValueError("n_psi must be nonnegative")
@@ -463,7 +388,7 @@ def wold(acv, n_psi):
     if depth < max(200, n_psi + 150):
         warnings.warn("few autocovariance lags; Wold coefficients may be biased")
     L = acv.band_limit
-    psi = np.empty((L + 1, n_psi + 1))
+    ma = []
     sigma2 = np.empty(L + 1)
     residual = np.empty(L + 1)
     for l in range(L + 1):
@@ -471,20 +396,22 @@ def wold(acv, n_psi):
         last, v = _innovations_last_row(c, depth)
         if v[-1] < _WOLD_VARIANCE_TOL * c[0]:
             raise ValueError(f"innovation variance vanishes at multipole {l}")
-        psi[l, 0] = 1.0
-        psi[l, 1:] = last[:n_psi]
+        psi = np.r_[1.0, last[:n_psi]]
+        ma.append(psi[1:])
         sigma2[l] = v[-1]
-        residual[l] = c[0] - sigma2[l] * (psi[l] @ psi[l])
-    return WoldResult(psi, sigma2, residual)
+        residual[l] = c[0] - sigma2[l] * (psi @ psi)
+    return SpharmaModel(L, [np.empty(0)] * (L + 1), ma, sigma2), residual
 
 
-def h_step_error(w, h):
-    """h-step prediction error sum_l (2l+1) sigma_l^2 sum_{j<h} psi_{l;j}^2."""
+def h_step_error(model, h):
+    """h-step prediction error sum_l (2l+1) sigma_l^2 sum_{j<h} psi_{l;j}^2
+    of a causal model."""
     if h < 1:
         raise ValueError("h must be at least 1")
-    deg = 2 * np.arange(w.band_limit + 1) + 1
-    head = w.psi[:, : min(h, w.n_psi + 1)]
-    return float(deg @ (w.sigma2 * (head * head).sum(axis=1)))
+    L = model.band_limit
+    deg = 2 * np.arange(L + 1) + 1
+    head = np.vstack([psi_coefficients(model, l, h - 1) for l in range(L + 1)])
+    return float(deg @ (model.noise * (head * head).sum(axis=1)))
 
 
 @dataclass

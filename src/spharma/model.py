@@ -21,11 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (
-    AutocovarianceSpectrum,
-    SpectralEigenvalues,
-    rational_density,
-)
+from .spectral import AutocovarianceSpectrum, SpectralEigenvalues
 
 _DEGENERATE = 1e-14
 _COPRIME_TOL = 1e-8  # check_coprime: least distance between AR and MA roots
@@ -298,14 +294,6 @@ def arma_filter(ar, ma, x):
             w[j, :, 1:] += corr
     y = np.ascontiguousarray(w.reshape(B, len(flat)).T)
     return y.reshape(len(rows), nb * B)[:, :n].reshape(x.shape)
-
-
-def model_spectral_density(model, l, lam):
-    """f_l(lambda) = C_{l;Z}/(2pi) * |theta_l(e^{i lam})|^2 / |phi_l(e^{i lam})|^2."""
-    scalar = np.isscalar(lam) or np.ndim(lam) == 0
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    out = rational_density(model.ar[l], model.ma[l], model.noise[l], lam_arr)
-    return float(out[0]) if scalar else out
 
 
 def model_autocovariance(model, l, max_lag):

@@ -147,8 +147,8 @@ class AutocovarianceSpectrum:
             raise ValueError("values must have shape (band_limit+1, max_lag+1)")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("autocovariances must be finite")
-        if self.tail_bound < 0.0:
-            raise ValueError("tail_bound must be nonnegative")
+        if not 0.0 <= self.tail_bound < math.inf:
+            raise ValueError("tail_bound must be finite and nonnegative")
         lag0 = self.values[:, 0]
         if np.any(lag0 < -1e-12 * (1.0 + np.abs(self.values).max())):
             raise ValueError("lag-0 autocovariances must be nonnegative")
@@ -179,8 +179,8 @@ class SpectralEigenvalues:
         self.band_limit = int(band_limit)
         self.form = form
         self.tail_bound = float(tail_bound)
-        if self.tail_bound < 0.0:
-            raise ValueError("tail_bound must be nonnegative")
+        if not 0.0 <= self.tail_bound < math.inf:
+            raise ValueError("tail_bound must be finite and nonnegative")
         if form == "rational":
             if model is None or model.band_limit != self.band_limit:
                 raise ValueError("rational form needs a model of the same band limit")
@@ -193,6 +193,8 @@ class SpectralEigenvalues:
             self.table = np.asarray(table, dtype=float)
             if self.table.shape != (self.band_limit + 1, len(self.lam)):
                 raise ValueError("table must have shape (band_limit+1, len(grid))")
+            if not np.all(np.isfinite(self.table)):
+                raise ValueError("spectral eigenvalues must be finite")
             if np.any(self.table < 0.0):
                 raise ValueError("spectral eigenvalues must be nonnegative")
             self.model = None

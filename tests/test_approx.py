@@ -37,27 +37,27 @@ class TestInnovations:
     def test_white_noise(self):
         c = np.zeros(6)
         c[0] = 2.5
-        theta, v = approx.innovations(c)
-        assert np.abs(theta).max() == 0.0
+        last, v = approx._innovations_last_row(c, 5)
+        assert np.abs(last).max() == 0.0
         assert np.allclose(v, 2.5)
 
     def test_ma1_converges_to_invertible_root(self):
         c = ma1_acv(0.5, 1.0, 60)
-        theta, v = approx.innovations(c)
+        last, v = approx._innovations_last_row(c, 60)
         oracle = invertible_ma1_from_rho(c[1] / c[0])
         assert abs(oracle - 0.5) < 1e-12
-        assert abs(theta[60, 1] - oracle) < 1e-8
+        assert abs(last[0] - oracle) < 1e-8
         assert abs(v[60] - 1.0) < 1e-8
 
     def test_ar1_prediction_error(self):
         c = (4.0 / 3.0) * 0.5 ** np.arange(41)
-        _, v = approx.innovations(c)
+        _, v = approx._innovations_last_row(c, 40)
         assert abs(v[40] - 1.0) < 1e-10
 
     def test_variances_monotone_nonincreasing(self):
         m = SpharmaModel.uniform(0, ar=[0.4], ma=[0.3], noise=1.0)
         c = model_autocovariance(m, 0, 50)
-        _, v = approx.innovations(c)
+        _, v = approx._innovations_last_row(c, 50)
         assert np.all(np.diff(v) <= 1e-12)
         assert v[-1] > 0.9
 
@@ -66,12 +66,12 @@ class TestInnovations:
         assert np.linalg.eigvalsh(
             np.array([[1, 0.99, 0], [0.99, 1, 0.99], [0, 0.99, 1]])).min() < 0
         with pytest.raises(ValueError):
-            approx.innovations(c)
+            approx._innovations_last_row(c, 3)
 
     def test_flooring_mode_warns(self):
         c = np.array([1.0, 0.99, 0.0, 0.0])
         with pytest.warns(UserWarning):
-            _, v = approx.innovations(c, floor=1e-12)
+            _, v = approx._innovations_last_row(c, 3, floor=1e-12)
         assert np.all(v > 0)
 
     @pytest.mark.parametrize("c, step", [
@@ -82,13 +82,11 @@ class TestInnovations:
     def test_nonpositive_step_is_pinned(self, c, step):
         c = np.array(c)
         with pytest.raises(ValueError, match=f"at step {step}:"):
-            approx.innovations(c)
-        with pytest.raises(ValueError, match=f"at step {step}:"):
             approx._innovations_last_row(c, len(c) - 1)
         with pytest.warns(UserWarning) as record:
-            _, v = approx.innovations(c, floor=1e-12)
+            _, v = approx._innovations_last_row(c, len(c) - 1, floor=1e-12)
         assert str(record[0].message).endswith(f"at step {step}")
-        _, exact = approx.innovations(c[:step])
+        _, exact = approx._innovations_last_row(c[:step], step - 1)
         assert np.array_equal(v[:step], exact)
         assert v[step] == 1e-12
         assert np.all(v > 0)
@@ -365,25 +363,25 @@ class TestWold:
     def test_ar1(self):
         m = SpharmaModel.uniform(1, ar=[0.5], noise=2.0)
         acv = model_autocovariance_table(m, 300)
-        w = approx.wold(acv, 30)
-        assert np.abs(w.psi[0] - 0.5 ** np.arange(31)).max() < 1e-6
-        assert np.abs(w.sigma2 - 2.0).max() < 1e-6
-        assert abs(w.residual_total) < 1e-6
+        w, residual = approx.wold(acv, 30)
+        assert w.p == 0 and w.q == 30
+        assert np.abs(w.ma[0] - 0.5 ** np.arange(1, 31)).max() < 1e-6
+        assert np.abs(w.noise - 2.0).max() < 1e-6
+        assert abs((2 * np.arange(2) + 1) @ residual) < 1e-6
 
     def test_white_noise(self):
         m = SpharmaModel.white_noise(np.array([1.5, 0.5]))
         acv = model_autocovariance_table(m, 250)
-        w = approx.wold(acv, 10)
-        assert np.allclose(w.psi[:, 0], 1.0)
-        assert np.abs(w.psi[:, 1:]).max() < 1e-12
-        assert np.allclose(w.sigma2, [1.5, 0.5])
+        w, _ = approx.wold(acv, 10)
+        assert max(np.abs(ma).max() for ma in w.ma) < 1e-12
+        assert np.allclose(w.noise, [1.5, 0.5])
 
     def test_spectral_identity(self):
         m = SpharmaModel.uniform(2, ar=[0.45, 0.2], ma=[0.3], noise=1.3)
         acv = model_autocovariance_table(m, 400)
-        w = approx.wold(acv, 120)
+        w, _ = approx.wold(acv, 120)
         lam = frequency_grid(512)
-        assert np.abs(w.spectral_density(lam) - m.spectral().values(lam)).max() < 1e-4
+        assert np.abs(w.spectral().values(lam) - m.spectral().values(lam)).max() < 1e-4
 
     def test_deterministic_component_rejected(self):
         # a_{l,m}(t) = X cos(lambda0 t) + Y sin(lambda0 t) is deterministic;
@@ -401,20 +399,27 @@ class TestWold:
 class TestHStep:
     def test_one_step_is_sigma_total(self):
         m = SpharmaModel.uniform(1, ar=[0.5], noise=1.0)
-        w = approx.wold(model_autocovariance_table(m, 250), 50)
-        assert abs(approx.h_step_error(w, 1) - w.sigma2_total) < 1e-12
+        w, _ = approx.wold(model_autocovariance_table(m, 250), 50)
+        assert abs(approx.h_step_error(w, 1) - np.array([1, 3]) @ w.noise) < 1e-12
+        assert approx.h_step_error(m, 1) == 4.0
 
     def test_two_step_single_multipole(self):
         m = SpharmaModel.uniform(0, ar=[0.5], noise=1.0)
-        w = approx.wold(model_autocovariance_table(m, 250), 50)
+        w, _ = approx.wold(model_autocovariance_table(m, 250), 50)
         assert abs(approx.h_step_error(w, 2) - 1.25) < 1e-6
+        assert approx.h_step_error(m, 2) == 1.25
 
     def test_converges_to_total_variance(self):
         m = SpharmaModel.uniform(0, ar=[0.5], noise=1.0)
-        w = approx.wold(model_autocovariance_table(m, 250), 80)
+        w, _ = approx.wold(model_autocovariance_table(m, 250), 80)
         errs = [approx.h_step_error(w, h) for h in (1, 2, 5, 10, 40)]
         assert all(b >= a for a, b in zip(errs, errs[1:]))
         assert abs(errs[-1] - 4.0 / 3.0) < 1e-6
+
+    def test_non_causal_model_rejected(self):
+        m = SpharmaModel.uniform(0, ar=[1.5], noise=1.0)
+        with pytest.raises(ValueError, match="not causal"):
+            approx.h_step_error(m, 2)
 
 
 class TestL2OmegaCheck:

@@ -270,6 +270,25 @@ class TestApproximateCommand:
         err = capsys.readouterr().err
         assert "frequency_grid" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("cap, code", [(4, cli.EXIT_BUDGET),
+                                           (approx.DEFAULT_ORDER_CAP, cli.EXIT_OK)])
+    def test_trace_norm_certificate(self, tmp_path, model_path, cap, code):
+        # at order 4 the fit meets eps = 0.05 in the kernel-L2 norm but not
+        # in the trace norm
+        codes, certs = {}, {}
+        for norm in ("trace", "l2"):
+            out = tmp_path / norm
+            codes[norm] = run("approximate", "--target", model_path, "--eps",
+                              0.05, "--kind", "ma", "--norm", norm,
+                              "--order-cap", cap, "--out", out)
+            certs[norm] = json.loads((out / "certificate.json").read_text())
+        cert = certs["trace"]
+        assert codes == {"trace": code, "l2": cli.EXIT_OK}
+        assert cert["norm"] == "trace"
+        assert cert["passed"] is (cert["total_trace"] <= cert["epsilon"])
+        assert cert["passed"] is (code == cli.EXIT_OK)
+        assert cert["config_hash"] != certs["l2"]["config_hash"]
+
     @pytest.mark.parametrize("eps", ["-1.0", "nan", "inf"],
                              ids=["negative", "nan", "inf"])
     def test_invalid_eps_exits_2(self, tmp_path, model_path, eps, capsys):
@@ -494,6 +513,41 @@ class TestMalformedInputs:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "not a JSON object" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("form", ["rational", "tabulated"])
+    @pytest.mark.parametrize("tail", ["NaN", "Infinity"])
+    def test_non_finite_tail_bound_exits_2(self, tmp_path, form, tail, capsys):
+        lam = spharma.frequency_grid(64)
+        payload = {"schema": 1, "form": form, "band_limit": 0, "tail_bound": 0.0}
+        if form == "rational":
+            payload["rational"] = [_entry(0)]
+        else:
+            f = SpharmaModel.uniform(0, ar=[0.5]).spectral().values(lam)
+            payload.update(lambda_grid=lam.tolist(), f=f.tolist())
+        path = tmp_path / "target.json"
+        # the JSON module writes and reads NaN and Infinity as bare tokens
+        path.write_text(json.dumps(payload).replace('"tail_bound": 0.0',
+                                                    f'"tail_bound": {tail}'))
+        out = tmp_path / "out"
+        assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "invalid spectral target" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_table_entry_exits_2(self, tmp_path, bad, capsys):
+        lam = spharma.frequency_grid(64)
+        f = SpharmaModel.uniform(0, ar=[0.5]).spectral().values(lam)
+        f[0, 7] = bad
+        path = tmp_path / "tab.json"
+        path.write_text(json.dumps({"schema": 1, "form": "tabulated",
+                                    "band_limit": 0, "tail_bound": 0.0,
+                                    "lambda_grid": lam.tolist(), "f": f.tolist()}))
+        out = tmp_path / "out"
+        assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "invalid spectral target" in err and "finite" in err
 
     def test_tabulated_band_limit_mismatch_exits_2(self, tmp_path):
         lam = spharma.frequency_grid(64)

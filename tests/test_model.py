@@ -177,23 +177,29 @@ class TestPsi:
 class TestSpectralDensity:
     def test_sphar1_closed_form(self):
         m = SpharmaModel.uniform(2, ar=[0.5], noise=1.0)
-        got = md.model_spectral_density(m, 1, 0.0)
+        got = m.spectral().values(0.0)[1, 0]
         assert abs(got - 2.0 / math.pi) < 1e-14
 
     def test_flat_for_white_noise(self):
         m = SpharmaModel.white_noise(np.array([2 * math.pi]))
         lam = np.linspace(-math.pi, math.pi, 9)
-        assert np.abs(md.model_spectral_density(m, 0, lam) - 1.0).max() < 1e-14
+        assert np.abs(m.spectral().values(lam)[0] - 1.0).max() < 1e-14
 
     def test_ma1_at_pi(self):
         m = SpharmaModel.uniform(0, ma=[0.5], noise=1.0)
-        got = md.model_spectral_density(m, 0, math.pi)
+        got = m.spectral().values(math.pi)[0, 0]
         assert abs(got - 0.125 / math.pi) < 1e-15
+
+    def test_arma11_closed_form(self):
+        m = SpharmaModel.uniform(1, ar=[0.5], ma=[0.3], noise=2.0)
+        z = complex(math.cos(0.7), math.sin(0.7))
+        want = 2.0 / (2 * math.pi) * abs(1 + 0.3 * z) ** 2 / abs(1 - 0.5 * z) ** 2
+        assert m.spectral().values(0.7)[1, 0] == pytest.approx(want, rel=1e-14)
 
     def test_unit_circle_pole_rejected(self):
         m = SpharmaModel.uniform(0, ar=[1.0], noise=1.0)
         with pytest.raises(ValueError):
-            md.model_spectral_density(m, 0, 0.0)
+            m.spectral().values(0.0)
 
 
 class TestAutocovariance:

@@ -21,6 +21,7 @@ from spharma.model import (
     _FILTER_BLOCK,
     SpharmaModel,
     arma_filter,
+    min_root_modulus,
     model_autocovariance,
     model_autocovariance_table,
     psi_coefficients,
@@ -53,6 +54,17 @@ def causal_arma(draw):
     theta = draw(lag_poly())[1:]
     noise = draw(st.floats(0.1, 10.0))
     return SpharmaModel(0, [phi], [theta], np.array([noise]))
+
+
+@st.composite
+def causal_sphere_arma(draw):
+    """L <= 2 and, per multipole, AR and MA orders <= 2 drawn as in
+    ``causal_arma``."""
+    L = draw(st.integers(0, 2))
+    ar = [-draw(lag_poly(max_order=2))[1:] for _ in range(L + 1)]
+    ma = [draw(lag_poly(max_order=2))[1:] for _ in range(L + 1)]
+    noise = draw(st.lists(st.floats(0.1, 10.0), min_size=L + 1, max_size=L + 1))
+    return SpharmaModel(L, ar, ma, np.array(noise))
 
 
 def recursion_oracle(phi, theta, count):
@@ -151,31 +163,85 @@ def triangular_solve_oracle(c):
     return theta, v
 
 
+def innovations_triangle(c):
+    """theta_{i, 1..i} in row i of an (n+1, n+1) array, and v_0..v_n: row i
+    is the last row of the innovations recursion at depth i."""
+    depth = len(c) - 1
+    theta = np.zeros((depth + 1, depth + 1))
+    for i in range(1, depth + 1):
+        theta[i, 1 : i + 1], v = approx._innovations_last_row(c, i)
+    return theta, v
+
+
 @settings(max_examples=40, deadline=None)
 @given(causal_arma(), st.integers(1, 300))
 def test_schur_innovations_match_the_triangular_solve(model, depth):
     c = model_autocovariance(model, 0, depth)
-    theta, v = approx.innovations(c)
+    theta, v = innovations_triangle(c)
     oracle_theta, oracle_v = triangular_solve_oracle(c)
     scale = np.abs(oracle_theta).max() or 1.0
     assert np.abs(theta - oracle_theta).max() <= 1e-10 * scale
     # the oracle's v_i = C(0) - sum cancels, so its error scales with C(0)
     assert np.abs(v - oracle_v).max() <= 1e-12 * c[0]
-    last, last_v = approx._innovations_last_row(c, depth)
-    assert np.array_equal(last, theta[depth, 1:])
-    assert np.array_equal(last_v, v)
+    # a shallower recursion runs the same steps, so its variances are a prefix
+    _, short_v = approx._innovations_last_row(c, depth // 2)
+    assert np.array_equal(short_v, v[: depth // 2 + 1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(causal_arma(), st.integers(1, 300))
 def test_innovations_factor_rebuilds_the_toeplitz_matrix(model, depth):
     c = model_autocovariance(model, 0, depth)
-    theta, v = approx.innovations(c)
+    theta, v = innovations_triangle(c)
     rows, cols = np.tril_indices(depth + 1, -1)
     unit = np.eye(depth + 1)
     unit[rows, cols] = theta[rows, rows - cols]
     rebuilt = (unit * v) @ unit.T
     assert np.abs(rebuilt - toeplitz(c)).max() <= 1e-12 * c[0]
+
+
+def spectral_condition_bound(model, l):
+    """Bound on max f_l / min f_l from the root margin: each root r of the
+    AR or MA polynomial of multipole l gives a factor |1 - e^{i lambda} / r|
+    in [1 - 1/|r|, 1 + 1/|r|]."""
+    rho = 1.0 / min(min_root_modulus(model.ar[l], "ar"),
+                    min_root_modulus(model.ma[l], "ma"))
+    order = len(model.ar[l]) + len(model.ma[l])
+    return ((1.0 + rho) / (1.0 - rho)) ** (2 * order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(causal_sphere_arma(), st.integers(0, 60))
+def test_wold_model_reproduces_the_target(model, n_psi):
+    # Every root lies at modulus >= 1.25, so |psi_j| <= 4 (j + 1) 0.8^j and
+    # the sums over psi_0..psi_{n_psi + 1000} miss less than 1e-90 of the
+    # series. The innovations coefficients theta_{depth, j} converge to
+    # psi_j geometrically in depth - j; at depth >= max(200, n_psi + 150)
+    # what is left is rounding. The Schur recursion is backward stable, so
+    # its forward error is at most about depth * eps times the condition
+    # number of the Toeplitz matrix, which max f_l / min f_l bounds.
+    depth = max(200, n_psi + 150)
+    w, _ = approx.wold(model_autocovariance_table(model, depth), n_psi)
+    L = model.band_limit
+    rounding = depth * np.finfo(float).eps * np.array(
+        [spectral_condition_bound(model, l) for l in range(L + 1)])
+    deg = 2 * np.arange(L + 1) + 1
+    # the h-step errors of both share psi_0..psi_{h-1} for h <= n_psi + 1
+    c0 = model_autocovariance_table(model, 0).values[:, 0]
+    for h in range(1, n_psi + 2):
+        assert (abs(approx.h_step_error(w, h) - approx.h_step_error(model, h))
+                <= deg @ (rounding * c0))
+    # |f - f_w| = sigma^2 / 2pi * ||psi(z)|^2 - |psi_w(z)|^2|
+    # <= sigma^2 / 2pi * (|psi(z)| + |psi_w(z)|) |psi(z) - psi_w(z)|, with
+    # |psi(z)| <= S = sum |psi_j| and |psi(z) - psi_w(z)| <= T, the tail
+    # past n_psi, plus the rounding of psi_w
+    lam = spectral.frequency_grid(512)
+    err = np.abs(w.spectral().values(lam) - model.spectral().values(lam))
+    for l in range(L + 1):
+        psi = np.abs(psi_coefficients(model, l, n_psi + 1000))
+        S, T = psi.sum(), psi[n_psi + 1 :].sum()
+        bound = model.noise[l] / (2 * math.pi) * S * (2 * T + rounding[l] * S)
+        assert err[l].max() <= bound
 
 
 def lfilter_oracle(ar, ma, x):

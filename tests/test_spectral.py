@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from spharma import spectral
-from spharma.model import (SpharmaModel, model_autocovariance_table,
-                           model_spectral_density)
+from spharma.model import SpharmaModel, model_autocovariance_table
 from spharma.spectral import AutocovarianceSpectrum, SpectralEigenvalues
 
 FOUR_PI = 4.0 * math.pi
@@ -234,6 +233,24 @@ class TestInvariants:
         with pytest.raises(ValueError):
             AutocovarianceSpectrum(0, 0, vals)
 
+    @pytest.mark.parametrize("tail", [math.nan, math.inf, -0.5])
+    def test_validation_rejects_bad_tail_bound(self, tail):
+        with pytest.raises(ValueError, match="tail_bound"):
+            AutocovarianceSpectrum(0, 0, np.array([[1.0]]), tail_bound=tail)
+        model = SpharmaModel.uniform(0, ar=[0.5])
+        with pytest.raises(ValueError, match="tail_bound"):
+            SpectralEigenvalues.rational(model, tail_bound=tail)
+        lam = spectral.frequency_grid(16)
+        with pytest.raises(ValueError, match="tail_bound"):
+            SpectralEigenvalues.tabulated(lam, np.ones((1, 17)), tail_bound=tail)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_validation_rejects_non_finite_table(self, bad):
+        table = np.ones((1, 17))
+        table[0, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpectralEigenvalues.tabulated(spectral.frequency_grid(16), table)
+
     def test_json_roundtrips(self, tmp_path):
         acv = geometric_acv(2, 3, [1.0, 0.5, 0.2], [0.5, 0.4, 0.3])
         spec = SpharmaModel.uniform(2, ar=[0.4], noise=2.0).spectral()
@@ -348,15 +365,6 @@ class TestCircleEvaluation:
         lam = spectral.frequency_grid(8)
         assert np.array_equal(spectral.abs2_on_circle([], lam), np.zeros(9))
         assert spectral.abs2_on_circle(np.empty(0), 0.3) == 0.0
-
-    def test_scalar_frequency_gives_python_float(self):
-        m = SpharmaModel.uniform(1, ar=[0.5], ma=[0.3], noise=2.0)
-        got = model_spectral_density(m, 1, np.float64(0.7))
-        assert type(got) is float
-        assert type(model_spectral_density(m, 0, np.array(0.7))) is float
-        z = complex(math.cos(0.7), math.sin(0.7))
-        want = 2.0 / (2 * math.pi) * abs(1 + 0.3 * z) ** 2 / abs(1 - 0.5 * z) ** 2
-        assert got == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("ar", [[1.0], [-1.0], [0.0, 1.0]])
     def test_ar_root_on_the_circle_rejected(self, ar):
