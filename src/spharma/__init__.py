@@ -45,7 +45,6 @@ from .spectral import (
     AutocovarianceSpectrum,
     SpectralEigenvalues,
     SummabilityReport,
-    autocov_from_spectral,
     autocov_table,
     ckl_truncation_error,
     covariance_kernel_eval,

@@ -37,7 +37,8 @@ from .model import (
     model_autocovariance,
     psi_coefficients,
 )
-from .simulate import SimulationConfig, batch_means_se, simulate_spharma
+from .simulate import (SimulationConfig, batch_means_se, simulate_spharma,
+                       simulate_white_noise)
 from .spectral import frequency_grid, rational_density, trapezoid_lags
 from .sphere import harmonic_values_at
 
@@ -427,8 +428,9 @@ class L2CheckResult:
 def l2_omega_check(true_model, fitted_model, n_mc, seed):
     """Mean-square error of reconstructing the field from shared innovations.
 
-    The true model is simulated together with its innovations; the fitted
-    model is then driven by those same innovation streams:
+    The true model is simulated, and its innovations are drawn again from
+    the same Philox streams and burn-in as white noise of its noise powers;
+    the fitted model is then driven by those innovation streams:
 
     * pure MA fit: reconstruction z(t) + sum_j theta_j z(t-j) per stream
       (plus the bare z(t) for multipoles above the fitted band limit);
@@ -449,8 +451,9 @@ def l2_omega_check(true_model, fitted_model, n_mc, seed):
     if fitted_model.band_limit > true_model.band_limit:
         raise ValueError("fitted band limit exceeds the true model's")
 
-    config = SimulationConfig(seed=seed, n=n_mc)
-    series, innov = simulate_spharma(true_model, config, return_innovations=True)
+    series = simulate_spharma(true_model, SimulationConfig(seed=seed, n=n_mc))
+    innov = simulate_white_noise(true_model.noise, SimulationConfig(
+        seed=seed, n=n_mc, burn_in=series.provenance["burn_in"]))
     L_true, L_fit = true_model.band_limit, fitted_model.band_limit
     mode = ("ma" if fitted_model.p == 0 else
             "ar" if fitted_model.q == 0 else "arma")

@@ -261,12 +261,11 @@ def cmd_verify(args):
              "cramer": lambda: _check_cramer(series, args.bands),
              "ckl": lambda: _check_ckl(series)}
     names = args.checks.split(",") if args.checks else list(known)
-    results = []
-    for name in names:
-        if name not in known:
-            print(f"unknown check {name!r}", file=sys.stderr)
-            return EXIT_INPUT
-        results.append(known[name]())
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown check {unknown[0]!r}", file=sys.stderr)
+        return EXIT_INPUT
+    results = [known[name]() for name in names]
     report = {"schema": 1, "config_hash": _config_hash(args, "verify"),
               "checks": results, "passed": all(r["passed"] for r in results)}
     if args.out:

@@ -115,7 +115,7 @@ class SpharmaModel:
             ar[l] = np.asarray(entry["ar"], dtype=float)
             ma[l] = np.asarray(entry["ma"], dtype=float)
             noise[l] = float(entry["noise"])
-        if np.any(np.isnan(noise)):
+        if len(seen) != L + 1:
             raise ValueError("model JSON missing entries for some multipoles")
         return cls(L, ar, ma, noise)
 

@@ -176,13 +176,15 @@ def _auto_burn_in(model, report):
     return max(burn, model.p, model.q)
 
 
-def simulate_spharma(model, config, return_innovations=False):
-    """Simulate a causal SPHARMA model; optionally return its innovations.
+def simulate_spharma(model, config):
+    """Simulate a causal SPHARMA model as a coefficient series.
 
     Per stream the recursion a(t) = sum phi_k a(t-k) + z(t) + sum theta_k
-    z(t-k) runs from a zero state; the burn-in prefix (explicit or automatic)
-    is discarded from both outputs, after which the marginal variance agrees
-    with C_l(0) to within the geometric burn-in bound.
+    z(t-k) runs from a zero state; the burn-in prefix (explicit or automatic,
+    recorded as ``provenance["burn_in"]``) is discarded, after which the
+    marginal variance agrees with C_l(0) to within the geometric burn-in
+    bound. The innovations z are ``simulate_white_noise(model.noise, ...)``
+    with the same seed and that burn-in.
     """
     report = check_causal(model)
     if not report.causal:
@@ -192,20 +194,13 @@ def simulate_spharma(model, config, return_innovations=False):
     total = config.n + burn
     L = model.band_limit
     values = np.empty(((L + 1) ** 2, config.n))
-    innov = np.empty_like(values) if return_innovations else None
     for l in range(L + 1):
         z = _noise_block(config.seed, l, math.sqrt(model.noise[l]), total)
         out = arma_filter(model.ar[l], model.ma[l], z)
         values[l * l : l * l + 2 * l + 1] = out[:, burn:]
-        if innov is not None:
-            innov[l * l : l * l + 2 * l + 1] = z[:, burn:]
     prov = {"seed": int(config.seed), "burn_in": int(burn),
             "noise_law": _NOISE_LAW, "model_hash": model.content_hash()}
-    series = HarmonicCoefficientSeries(L, values, prov)
-    if not return_innovations:
-        return series
-    z_prov = dict(prov, role="innovations")
-    return series, HarmonicCoefficientSeries(L, innov, z_prov)
+    return HarmonicCoefficientSeries(L, values, prov)
 
 
 def synthesize_field(series, grid, t):
@@ -271,12 +266,17 @@ def verify_cramer_orthogonality(series, n_bands):
     streams on the middle half of the window (the full window correlation
     vanishes identically by Parseval, carrying no information). Passes when
     the largest absolute correlation is below ``3 * _CRAMER_FACTOR / sqrt(n)``.
+    ``ValueError`` above n // 2 + 1 bands, the bins of a real FFT: more
+    would leave some band empty.
     """
     if n_bands < 1:
         raise ValueError("n_bands must be at least 1")
     n = series.n
     if n < 1024:
         raise ValueError("orthogonality check needs at least 1024 samples")
+    if n_bands > n // 2 + 1:
+        raise ValueError(f"at most n // 2 + 1 = {n // 2 + 1} bands for "
+                         f"{n} samples, got {n_bands}")
     threshold = 3.0 * _CRAMER_FACTOR / math.sqrt(n)
     if n_bands == 1:
         return CramerReport(1, 0.0, threshold, True)

@@ -30,7 +30,6 @@ from .sphere import legendre_all
 DEFAULT_FREQ_INTERVALS = 4096
 _GRID_ATOL = 1e-12  # rounding allowed in a stored frequency grid
 _SPECTRAL_TAIL_TOL = 1e-8  # spectral_from_autocov: lag tail that warns
-_QUADRATURE_CHECK_TOL = 1e-9  # autocov_from_spectral: coarse-grid mismatch that warns
 
 TWO_PI = 2.0 * math.pi
 
@@ -91,29 +90,24 @@ def _check_grid(lam):
                          "on [-pi, pi], endpoints included")
 
 
-def _trapezoid_sums(f, t):
-    """Trapezoid sums of f(lambda) exp(i t lambda) on frequency_grid(N) at lags t.
-
-    exp(i t lambda_k) = (-1)^t exp(2 pi i t k / N) and the end nodes meet on
-    the circle, so the sums are (-1)^t 2 pi times the inverse DFT of
-    (f_0 + f_N) / 2, f_1, ..., f_{N-1}, read with period N.
-    """
-    n = f.shape[-1] - 1
-    g = f[..., :n].copy()
-    g[..., 0] = 0.5 * (f[..., 0] + f[..., n])
-    return np.where(t % 2, -TWO_PI, TWO_PI) * np.fft.ifft(g, axis=-1)[..., t % n]
-
-
 def trapezoid_lags(lam, f, max_lag):
     """Trapezoid rule for integral f(lambda) cos(t lambda), t = 0..max_lag.
 
     ``lam`` is ``frequency_grid(N)``; ``f`` holds one tabulated spectrum of
-    shape ``(len(lam),)`` or one per row, shape ``(rows, len(lam))``. One
-    FFT per row gives every lag; the lags have period N.
+    shape ``(len(lam),)`` or one per row, shape ``(rows, len(lam))``.
+    exp(i t lambda_k) = (-1)^t exp(2 pi i t k / N) and the end nodes meet on
+    the circle, so the sums are (-1)^t 2 pi times the inverse DFT of
+    (f_0 + f_N) / 2, f_1, ..., f_{N-1}: one FFT per row gives every lag, and
+    the lags have period N.
     """
     _check_grid(lam)
-    return _trapezoid_sums(np.asarray(f, dtype=float),
-                           np.arange(max_lag + 1)).real
+    f = np.asarray(f, dtype=float)
+    t = np.arange(max_lag + 1)
+    n = f.shape[-1] - 1
+    g = f[..., :n].copy()
+    g[..., 0] = 0.5 * (f[..., 0] + f[..., n])
+    sign = np.where(t % 2, -TWO_PI, TWO_PI)
+    return (sign * np.fft.ifft(g, axis=-1)[..., t % n]).real
 
 
 def _geometric_tail(last, prev):
@@ -234,11 +228,6 @@ class SpectralEigenvalues:
             return self.table
         return np.vstack([np.interp(lams, self.lam, row) for row in self.table])
 
-    def integral_per_l(self):
-        """integral of f_l over [-pi, pi] per multipole (equals C_l(0))."""
-        lam = self.lambda_grid()
-        return trapezoid_lags(lam, self.values(lam), 0)[:, 0]
-
     def to_json(self):
         payload = {"schema": 1, "form": self.form, "band_limit": self.band_limit,
                    "tail_bound": self.tail_bound}
@@ -337,30 +326,9 @@ def spectral_from_autocov(acv):
     return SpectralEigenvalues.tabulated(lam, f, tail_bound=acv.tail_bound)
 
 
-def autocov_from_spectral(spec, t):
-    """C_l(t) = integral of f_l(lambda) e^{i t lambda} by trapezoid quadrature.
-
-    Real parts are returned; for symmetric spectra the imaginary residual
-    vanishes and quadrature convergence is checked against a half-resolution
-    pass (mismatch beyond ``_QUADRATURE_CHECK_TOL`` relative emits a warning).
-    """
-    lam = spec.lambda_grid()
-    F = spec.values(lam)
-    both = _trapezoid_sums(F, np.array([t]))[:, 0]
-    out = both.real
-    scale = max(1.0, np.abs(out).max())
-    if np.abs(both.imag).max() > 1e-8 * scale:
-        warnings.warn("imaginary residual in inversion integral is not negligible")
-    if len(lam) % 2:
-        # every other node is frequency_grid(N / 2)
-        coarse = _trapezoid_sums(F[:, ::2], np.array([t]))[:, 0].real
-        if np.abs(out - coarse).max() > max(_QUADRATURE_CHECK_TOL * scale, 1e-12):
-            warnings.warn(f"frequency quadrature may not have converged at lag {t}")
-    return out
-
-
 def autocov_table(spec, max_lag):
-    """AutocovarianceSpectrum with lags 0..max_lag recovered from a spectrum."""
+    """Lags C_l(t) = integral of e^{i t lambda} f_l(lambda), t = 0..max_lag,
+    by ``trapezoid_lags`` on the spectrum's grid."""
     lam = spec.lambda_grid()
     vals = trapezoid_lags(lam, spec.values(lam), max_lag)
     # sum_{l>L} (2l+1) C_l(0) <= 2pi * sup_lambda tail of the trace sum
@@ -424,7 +392,7 @@ def ckl_truncation_error(spec, l_trunc):
     """
     if l_trunc > spec.band_limit:
         raise ValueError("l_trunc exceeds band limit")
-    integrals = spec.integral_per_l()
+    integrals = autocov_table(spec, 0).values[:, 0]
     deg = 2 * np.arange(spec.band_limit + 1) + 1
     inside = deg[l_trunc + 1 :] @ integrals[l_trunc + 1 :] / (4.0 * math.pi)
     tail = spec.tail_bound * TWO_PI / (4.0 * math.pi)

@@ -334,6 +334,37 @@ class TestVerifyCommand:
                    "--checks", "nonsense")
         assert code == cli.EXIT_INPUT
 
+    def test_unknown_check_exits_before_any_check_runs(self, tmp_path,
+                                                       model_path, monkeypatch):
+        run("simulate", "--model", model_path, "--n", 2048, "--seed", 19,
+            "--out", tmp_path / "run")
+
+        def never(*args):
+            raise AssertionError("a check ran before the names were validated")
+
+        monkeypatch.setattr(cli, "_check_cramer", never)
+        code = run("verify", "--series", tmp_path / "run" / "series.bin",
+                   "--checks", "cramer,bogus")
+        assert code == cli.EXIT_INPUT
+
+    def test_more_bands_than_frequency_bins_exits_2(self, tmp_path):
+        # a real FFT of 1024 samples has 513 bins, one per band at most
+        model = tmp_path / "model.json"
+        SpharmaModel.uniform(0, ar=[0.4], noise=1.0).save(model)
+        run("simulate", "--model", model, "--n", 1024, "--seed", 13,
+            "--out", tmp_path / "run")
+        series = tmp_path / "run" / "series.bin"
+        code = run("verify", "--series", series, "--checks", "cramer",
+                   "--bands", 514, "--out", tmp_path / "too_many")
+        assert code == cli.EXIT_INPUT
+        assert not (tmp_path / "too_many" / "verify_report.json").exists()
+        code = run("verify", "--series", series, "--checks", "cramer",
+                   "--bands", 513, "--out", tmp_path / "one_bin_each")
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY)
+        check, = json.loads(
+            (tmp_path / "one_bin_each" / "verify_report.json").read_text())["checks"]
+        assert check["name"] == "cramer_orthogonality"
+
     def test_missing_series_exits_2(self, tmp_path):
         code = run("verify", "--series", tmp_path / "nope.bin")
         assert code == cli.EXIT_INPUT
@@ -559,6 +590,17 @@ class TestMalformedInputs:
         out = tmp_path / "out"
         assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "spectrum", "approximate"])
+    def test_nan_noise_is_reported_as_not_finite(self, tmp_path, command, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"schema": 1, "band_limit": 0, "entries": [
+            {"l": 0, "ar": [], "ma": [], "noise": float("nan")}]}))
+        out = tmp_path / "out"
+        assert run(*_command(command, path, out)) == cli.EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "finite" in err and "missing" not in err
 
     @pytest.mark.parametrize("band_limit, entries", [
         (0, 5), (0, [{"l": None, "ar": [], "ma": [], "noise": 1.0}]), (-1, []),

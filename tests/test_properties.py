@@ -244,6 +244,34 @@ def test_wold_model_reproduces_the_target(model, n_psi):
         assert err[l].max() <= bound
 
 
+@st.composite
+def pure_target(draw):
+    """A kind and a pure AR or pure MA target of that kind: L <= 2 and, per
+    multipole, a polynomial drawn by ``lag_poly``."""
+    L = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["ar", "ma"]))
+    polys = [draw(lag_poly())[1:] for _ in range(L + 1)]
+    noise = draw(st.lists(st.floats(0.1, 10.0), min_size=L + 1, max_size=L + 1))
+    none = [np.empty(0)] * (L + 1)
+    if kind == "ar":
+        return kind, SpharmaModel(L, [-p for p in polys], none, np.array(noise))
+    return kind, SpharmaModel(L, none, polys, np.array(noise))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pure_target())
+def test_exact_pure_targets_are_fixed_points(case):
+    kind, target = case
+    fitted, cert = approx.approximate_operator(target.spectral(), 1e-3, kind)
+    assert cert.passed
+    own = target.ar if kind == "ar" else target.ma
+    got = fitted.ar if kind == "ar" else fitted.ma
+    assert [order for _, order, _ in cert.per_multipole] == [len(c) for c in own]
+    for l in range(target.band_limit + 1):
+        assert np.abs(got[l] - own[l]).max(initial=0.0) <= 1e-10
+    assert np.abs(fitted.noise / target.noise - 1.0).max() <= 1e-10
+
+
 def lfilter_oracle(ar, ma, x):
     return lfilter(np.r_[1.0, ma], np.r_[1.0, -np.asarray(ar)], x, axis=-1)
 

@@ -127,13 +127,15 @@ class TestFourierPair:
         lam = spectral.frequency_grid(256)
         spec = SpectralEigenvalues.tabulated(lam, np.full((1, len(lam)),
                                                           1.0 / (2 * math.pi)))
-        assert abs(spectral.autocov_from_spectral(spec, 0)[0] - 1.0) < 1e-12
-        assert abs(spectral.autocov_from_spectral(spec, 1)[0]) < 1e-12
+        back = spectral.autocov_table(spec, 1).values[0]
+        assert abs(back[0] - 1.0) < 1e-12
+        assert abs(back[1]) < 1e-12
 
     def test_inversion_ar1(self):
         spec = SpharmaModel.uniform(0, ar=[0.5], noise=0.75).spectral()
-        assert abs(spectral.autocov_from_spectral(spec, 0)[0] - 1.0) < 1e-10
-        assert abs(spectral.autocov_from_spectral(spec, 1)[0] - 0.5) < 1e-10
+        back = spectral.autocov_table(spec, 1).values[0]
+        assert abs(back[0] - 1.0) < 1e-10
+        assert abs(back[1] - 0.5) < 1e-10
 
     def test_roundtrip_geometric(self):
         rng = np.random.default_rng(2)
@@ -143,16 +145,9 @@ class TestFourierPair:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             spec = spectral.spectral_from_autocov(acv)
+        back = spectral.autocov_table(spec, 50).values
         for t in (0, 1, 7, 50):
-            back = spectral.autocov_from_spectral(spec, t)
-            assert np.abs(back - acv.values[:, t]).max() < 1e-8
-
-    def test_autocov_table_matches_single_lags(self):
-        spec = SpharmaModel.uniform(1, ar=[0.3], ma=[0.2], noise=1.0).spectral()
-        table = spectral.autocov_table(spec, 5)
-        for t in range(6):
-            single = spectral.autocov_from_spectral(spec, t)
-            assert np.abs(table.values[:, t] - single).max() < 1e-12
+            assert np.abs(back[:, t] - acv.values[:, t]).max() < 1e-8
 
     def test_significant_negative_rejected(self):
         vals = np.array([[1.0, 0.9]])  # 1 + 1.8 cos(lam) dips well below 0
@@ -357,7 +352,7 @@ class TestGridCheck:
         lam = -math.pi + 2.0 * math.pi * np.arange(n + 1) / n
         assert not np.array_equal(lam, spectral.frequency_grid(n))
         spec = SpectralEigenvalues.tabulated(lam, ar1_half_density(lam))
-        assert abs(spec.integral_per_l()[0] - 4.0 / 3.0) < 1e-12
+        assert abs(spectral.autocov_table(spec, 0).values[0, 0] - 4.0 / 3.0) < 1e-12
 
 
 class TestCircleEvaluation:
