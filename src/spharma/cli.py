@@ -1,7 +1,8 @@
 """Command-line front end: simulate, spectrum, approximate, verify.
 
-Exit codes: 0 ok, 2 invalid input, 3 I/O failure, 4 order budget exhausted,
-5 verification failure. All JSON outputs carry ``"schema": 1``, and all but
+Exit codes: 0 ok, 2 invalid input (sizes too large to allocate included),
+3 I/O failure, 4 order budget exhausted, 5 verification failure. All JSON
+outputs carry ``"schema": 1``, and all but
 ``approximate``'s ``fitted_model.json`` (a plain model file) carry the hash
 of the invoking configuration, so reruns with identical configs are
 byte-stable and comparable.
@@ -148,19 +149,21 @@ def cmd_spectrum(args):
         acv = simulate.empirical_autocov(series, args.max_lag)
         spec = spectral.spectral_from_autocov(acv)
 
+    # every table is computed before the output directory is made, so a
+    # failure leaves no partial directory behind
+    lam = spectral.frequency_grid(args.n_lambda)
+    density = spec.values(lam)
+    trace = spectral.operator_trace_norm(spec, lam)
+    lams = [repr(x) for x in lam.tolist()]
+
     os.makedirs(args.out, exist_ok=True)
     chash = _config_hash(args, "spectrum")
     L = acv.band_limit
     ls = [str(l) for l in range(L + 1)]
     sphere.write_csv(os.path.join(args.out, "autocovariance.csv"), ["l", "t", "C"],
                      ls, [str(t) for t in range(acv.max_lag + 1)], acv.values)
-
-    lam = spectral.frequency_grid(args.n_lambda)
-    lams = [repr(x) for x in lam.tolist()]
     sphere.write_csv(os.path.join(args.out, "spectral_density.csv"),
-                     ["l", "lambda", "f"], ls, lams, spec.values(lam))
-
-    trace = spectral.operator_trace_norm(spec, lam)
+                     ["l", "lambda", "f"], ls, lams, density)
     sphere.write_csv(os.path.join(args.out, "trace_norm.csv"), ["lambda", "trace"],
                      lams, [""], trace[:, None])
     with open(os.path.join(args.out, "spectrum_meta.json"), "w") as fh:
@@ -337,6 +340,9 @@ def main(argv=None):
         return args.func(args)
     except (InputError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"sizes too large to allocate: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)

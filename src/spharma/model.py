@@ -176,9 +176,20 @@ def decay_length(root_modulus, tol):
 
 
 def _root_margin_report(coeff_lists, margin, kind):
+    """Least root modulus per multipole against 1 + margin.
+
+    The roots of each distinct coefficient row are found once: a model with
+    the same coefficients at every l pays one eigenvalue problem, not L+1.
+    """
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
-    mods = [min_root_modulus(coeffs, kind) for coeffs in coeff_lists]
+    by_row = {}
+    mods = []
+    for coeffs in coeff_lists:
+        row = coeffs.tobytes()
+        if row not in by_row:
+            by_row[row] = min_root_modulus(coeffs, kind)
+        mods.append(by_row[row])
     offending = [l for l, mod in enumerate(mods) if mod < 1.0 + margin]
     return CausalityReport(not offending, min(mods, default=math.inf),
                            offending, margin)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import SpharmaModel, arma_filter, check_causal, decay_length
+from .model import (_FILTER_BLOCK, SpharmaModel, arma_filter, check_causal,
+                    decay_length)
 from .spectral import AutocovarianceSpectrum
 from .sphere import sht_inverse
 
@@ -31,6 +32,7 @@ _BURN_TARGET = 1e-10
 _BURN_CAP = 1_000_000
 _CRAMER_CHUNK_ROWS = 32  # streams per chunk of the band-split Gram matrix
 _CRAMER_FACTOR = 1.5  # verify_cramer_orthogonality: threshold 3 * factor / sqrt(n)
+_RUN_SAMPLES = 1 << 18  # cap on one filter call's padded buffer in simulate_spharma
 _NOISE_LAW = "gaussian"  # the only innovation law; recorded in every sidecar
 
 
@@ -137,16 +139,18 @@ def _stream_normals(keys, count):
     One bit generator serves every stream: for each ``(seed, row)`` key its
     state is set to that key, counter zero and an empty buffer, the state
     ``Philox(key=...)`` starts from, and the normals are drawn straight into
-    the stream's row. The key is taken as two exact 64-bit words.
+    the stream's row. The state is one dict of plain Python lists whose two
+    key words are rewritten per stream: Python ints hold the 64-bit words
+    exactly, and the state setter reads them without building an array.
     """
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    zero = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": None},
-             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = [0, 0]
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     out = np.empty((len(keys), count))
-    for row, key in zip(out, keys):
-        state["state"]["key"] = np.array(key, dtype=np.uint64)
+    for row, (key[0], key[1]) in zip(out, keys):
         bitgen.state = state
         gen.standard_normal(out=row)
     return out
@@ -176,6 +180,28 @@ def _auto_burn_in(model, report):
     return max(burn, model.p, model.q)
 
 
+def _filter_runs(model, total):
+    """Consecutive multipoles, as ``range``s, that share one ``arma_filter`` call.
+
+    Multipoles join a run while their trimmed AR and their MA coefficients
+    are bitwise equal to the run's and the buffer ``arma_filter`` allocates
+    for the run stays within ``_RUN_SAMPLES``: rows x total samples, with
+    p > 0 rounded up to whole blocks of max(p, 128). A multipole above the
+    cap is a run of its own.
+    """
+    starts, prev = [], None
+    for l in range(model.band_limit + 1):
+        ar = np.trim_zeros(model.ar[l], "b")
+        row = (ar.tobytes(), model.ma[l].tobytes())
+        block = max(len(ar), _FILTER_BLOCK)
+        width = -(-total // block) * block if len(ar) else total
+        if row != prev or ((l + 1) ** 2 - starts[-1] ** 2) * width > _RUN_SAMPLES:
+            starts.append(l)
+        prev = row
+    ends = starts[1:] + [model.band_limit + 1]
+    return [range(lo, hi) for lo, hi in zip(starts, ends)]
+
+
 def simulate_spharma(model, config):
     """Simulate a causal SPHARMA model as a coefficient series.
 
@@ -184,7 +210,10 @@ def simulate_spharma(model, config):
     recorded as ``provenance["burn_in"]``) is discarded, after which the
     marginal variance agrees with C_l(0) to within the geometric burn-in
     bound. The innovations z are ``simulate_white_noise(model.noise, ...)``
-    with the same seed and that burn-in.
+    with the same seed and that burn-in. Consecutive multipoles with the
+    same coefficients are filtered together, in runs of bounded size
+    (``_filter_runs``); ``arma_filter`` treats each row on its own, so the
+    series is bit for bit the one a filter call per multipole gives.
     """
     report = check_causal(model)
     if not report.causal:
@@ -194,10 +223,12 @@ def simulate_spharma(model, config):
     total = config.n + burn
     L = model.band_limit
     values = np.empty(((L + 1) ** 2, config.n))
-    for l in range(L + 1):
-        z = _noise_block(config.seed, l, math.sqrt(model.noise[l]), total)
-        out = arma_filter(model.ar[l], model.ma[l], z)
-        values[l * l : l * l + 2 * l + 1] = out[:, burn:]
+    for run in _filter_runs(model, total):
+        blocks = [_noise_block(config.seed, l, math.sqrt(model.noise[l]), total)
+                  for l in run]
+        z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        out = arma_filter(model.ar[run[0]], model.ma[run[0]], z)
+        values[run[0] ** 2 : (run[-1] + 1) ** 2] = out[:, burn:]
     prov = {"seed": int(config.seed), "burn_in": int(burn),
             "noise_law": _NOISE_LAW, "model_hash": model.content_hash()}
     return HarmonicCoefficientSeries(L, values, prov)

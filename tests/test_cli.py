@@ -486,6 +486,22 @@ def test_config_hash_stable_and_distinct(tmp_path, model_path):
     assert h1 == h2 != h3
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", 10**12),
+    ("simulate", "--n", 10, "--burn-in", 10**12),
+    ("spectrum", "--max-lag", 10**12),
+    ("spectrum", "--n-lambda", 10**12),
+], ids=["simulate-n", "simulate-burn-in", "spectrum-max-lag", "spectrum-n-lambda"])
+def test_sizes_too_large_to_allocate_exit_2(tmp_path, model_path, argv, capsys):
+    # each asks numpy for terabytes, which it refuses before touching memory
+    out = tmp_path / "out"
+    code = run(argv[0], "--model", model_path, *argv[1:], "--out", out)
+    assert code == cli.EXIT_INPUT
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "allocate" in err and "Traceback" not in err
+
+
 def test_cli_import_does_not_load_scipy():
     # numpy is the only runtime dependency; scipy is a test oracle
     env = dict(os.environ)

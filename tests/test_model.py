@@ -129,6 +129,46 @@ class TestCausality:
         rep = md.check_invertible(SpharmaModel.uniform(1, ar=[0.5], noise=1.0))
         assert rep.causal and math.isinf(rep.min_root_modulus)
 
+    # rows repeated, distinct, non-causal and non-invertible, and [0.5] next
+    # to [0.5, 0.0]: equal roots, but not the same bytes
+    ROWS = [[0.5], [0.5], [1.25], [0.5, 0.0], [0.3, 0.1], [1.25], [0.5], []]
+
+    @pytest.mark.parametrize("kind", ["ar", "ma"])
+    def test_report_matches_a_root_search_per_row(self, kind):
+        rows = [np.array(r) for r in self.ROWS]
+        empty = [np.empty(0)] * len(rows)
+        ar, ma = (rows, empty) if kind == "ar" else (empty, rows)
+        model = SpharmaModel(len(rows) - 1, ar, ma, np.ones(len(rows)))
+        check = md.check_causal if kind == "ar" else md.check_invertible
+        mods = [md.min_root_modulus(r, kind) for r in rows]
+        for margin in (0.0, 1e-6, 0.5):
+            rep = check(model, margin)
+            assert rep.min_root_modulus == min(mods)
+            assert rep.offending_multipoles == [
+                l for l, mod in enumerate(mods) if mod < 1.0 + margin]
+            assert rep.causal == (not rep.offending_multipoles)
+            assert rep.margin == margin
+
+    def test_roots_once_per_distinct_row(self, monkeypatch):
+        calls = []
+        original = md.min_root_modulus
+
+        def counted(coeffs, kind="ar"):
+            calls.append(tuple(coeffs))
+            return original(coeffs, kind)
+
+        monkeypatch.setattr(md, "min_root_modulus", counted)
+        rows = [np.array(r) for r in self.ROWS]
+        model = SpharmaModel(len(rows) - 1, rows, rows, np.ones(len(rows)))
+        distinct = {np.array(r, dtype=float).tobytes() for r in self.ROWS}
+        md.check_causal(model)
+        assert len(calls) == len(distinct) == 5
+        md.check_invertible(model)
+        assert len(calls) == 2 * len(distinct)
+        calls.clear()
+        md.check_causal(SpharmaModel.uniform(128, ar=[0.5, -0.2], ma=[0.3]))
+        assert calls == [(0.5, -0.2)]
+
     def test_coprimality(self):
         ok = SpharmaModel.uniform(1, ar=[0.5], ma=[0.5], noise=1.0)
         assert md.check_coprime(ok).all()

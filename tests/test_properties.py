@@ -3,10 +3,11 @@ spherical harmonic transforms."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular, toeplitz
 from scipy.signal import lfilter
@@ -345,6 +346,68 @@ def test_arma_filter_without_ar_part():
     assert np.array_equal(arma_filter([0.0], [0.5], x), arma_filter([], [0.5], x))
     assert np.array_equal(arma_filter([0.7, 0.0], [0.5], x),
                           arma_filter([0.7], [0.5], x))
+
+
+# rows that runs of equal multipoles share: white noise and pure MA (p = 0,
+# no padding), an AR(1) also written with a trailing zero, and ARMA rows
+FILTER_ROWS = [((), ()), ((), (0.4,)), ((0.5,), ()), ((0.5, 0.0), ()),
+               ((0.5, -0.3), (0.4,)), ((0.9,), (0.2, 0.1))]
+
+
+@st.composite
+def run_model(draw):
+    """L <= 12, its multipoles in runs of equal rows drawn from FILTER_ROWS."""
+    L = draw(st.integers(0, 12))
+    ar, ma = [], []
+    while len(ar) <= L:
+        row_ar, row_ma = draw(st.sampled_from(FILTER_ROWS))
+        length = draw(st.integers(1, L + 1 - len(ar)))
+        ar += [row_ar] * length
+        ma += [row_ma] * length
+    noise = draw(st.lists(st.floats(0.1, 10.0), min_size=L + 1, max_size=L + 1))
+    return SpharmaModel(L, ar, ma, np.array(noise))
+
+
+def per_multipole_series(model, seed, n, burn):
+    """The series of one noise block and one filter call per multipole."""
+    total = n + burn
+    blocks = []
+    for l in range(model.band_limit + 1):
+        z = simulate._noise_block(seed, l, math.sqrt(model.noise[l]), total)
+        blocks.append(arma_filter(model.ar[l], model.ma[l], z)[:, burn:])
+    return np.vstack(blocks)
+
+
+def assert_runs_match_per_multipole(model, seed, n, burn_in):
+    series = simulate.simulate_spharma(
+        model, simulate.SimulationConfig(seed=seed, n=n, burn_in=burn_in))
+    expected = per_multipole_series(model, seed, n, series.provenance["burn_in"])
+    assert np.array_equal(series.values, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_model(), st.integers(0, 2**64 - 1), st.integers(1, 40),
+       st.sampled_from([0, 3, None]),
+       st.sampled_from([1, 300, 2000, simulate._RUN_SAMPLES]))
+@example(SpharmaModel(2, [[0.5], [0.5, 0.0], [0.5]], [[], [], []], np.ones(3)),
+         2**64 - 1, 5, 0, simulate._RUN_SAMPLES)
+@example(SpharmaModel.white_noise([2.0]), 0, 1, None, 1)
+@example(SpharmaModel.uniform(4, ma=[0.4]), 7, 30, 0, 300)
+@example(SpharmaModel.white_noise(np.ones(5)), 7, 30, None, 300)
+def test_grouped_filtering_matches_a_filter_call_per_multipole(model, seed, n,
+                                                               burn_in, cap):
+    # caps down to one sample split the runs at every possible place
+    with mock.patch.object(simulate, "_RUN_SAMPLES", cap):
+        assert_runs_match_per_multipole(model, seed, n, burn_in)
+
+
+def test_runs_longer_than_the_cap_are_split():
+    # 46^2 streams padded to 128 samples exceed the cap of 2^18
+    model = SpharmaModel.uniform(45, ar=[0.5, 0.0], ma=[0.3])
+    runs = simulate._filter_runs(model, 20 + 5)
+    assert len(runs) > 1
+    assert [l for run in runs for l in run] == list(range(46))
+    assert_runs_match_per_multipole(model, 3, 20, 5)
 
 
 def lag_loop_oracle(series, max_lag):

@@ -101,6 +101,17 @@ class TestRngStreams:
                 expected = math.sqrt([1.0, 4.0][l]) * gen.standard_normal(37)[7:]
                 assert np.array_equal(series.get(l, m), expected)
 
+    def test_python_int_keys_match_fresh_generators(self):
+        # the re-keyed state holds the key words as Python ints; they must
+        # reach Philox as the exact 64-bit words a uint64 key array gives
+        keys = [(seed, row) for seed in (0, 1, 2**63, 2**64 - 1)
+                for row in (0, 1, 10**6)]
+        drawn = sim._stream_normals(keys, 25)
+        for key, got in zip(keys, drawn):
+            gen = np.random.Generator(np.random.Philox(
+                key=np.array(key, dtype=np.uint64)))
+            assert np.array_equal(got, gen.standard_normal(25)), key
+
 
 class TestSpharmaRecursion:
     def test_degenerate_model_equals_white_noise(self):
