@@ -269,9 +269,10 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     The full stored band is retained (its above-band tail must already fit
     the eps/2 tail budget); each multipole's order is doubled until the sup
     error over ``frequency_grid()`` fits the proof budget eps / (2 (L+1)^2) or
-    the order cap is hit. The certificate records per-multipole sup errors
-    and the realized totals in both norms; it passes iff the total in the
-    requested norm is at most eps.
+    the order cap is hit; on a tabulated target it also stops before the lag
+    depth reaches the period of its grid's lags. The certificate records
+    per-multipole sup errors and the realized totals in both norms; it
+    passes iff the total in the requested norm is at most eps.
 
     Returns ``(model, certificate)``.
     """
@@ -298,8 +299,11 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     fitted_rows = np.empty_like(F)
     cap_reached = False
 
-    # a tabulated target resolves lags up to about a quarter of its grid
+    # a tabulated target resolves lags up to about a quarter of its grid; its
+    # lags have the grid's period N, and from depth N on C(N) = C(0) makes
+    # the Toeplitz matrix singular, so the escalation stops short of it
     resolved = math.inf if target.form == "rational" else len(target.lam) // 4
+    period = math.inf if target.form == "rational" else len(target.lam) - 1
     depth_of = _ma_depth if kind == "ma" else (lambda order: order)
     # the lags are prefix-stable, so each order reads a prefix of one fetch
     # as deep as the default cap needs; only an escalation past it fetches
@@ -319,6 +323,8 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
         lags = np.empty(0)
         for order in _order_schedule(order_cap, start):
             depth = depth_of(order)
+            if order and depth >= period:
+                break
             if depth > resolved:
                 warnings.warn("frequency grid is coarse for the requested lag depth")
             if depth >= len(lags):

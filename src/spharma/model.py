@@ -25,7 +25,7 @@ from .spectral import AutocovarianceSpectrum, SpectralEigenvalues
 
 _DEGENERATE = 1e-14
 _COPRIME_TOL = 1e-8  # check_coprime: least distance between AR and MA roots
-_FILTER_BLOCK = 128  # arma_filter cuts time into blocks of max(p, 128) samples
+_FILTER_BLOCK = 128  # arma_filter: blocks of max(p, 128) samples (see _filter_block)
 
 
 def canonical_hash(payload):
@@ -243,18 +243,24 @@ def _ar_in_blocks(ar, w, length):
             w[j] += ar[k - 1] * w[j - k]
 
 
+def _filter_block(p, n):
+    """Block length of ``arma_filter`` for p AR terms and n samples."""
+    return max(1, min(max(p, _FILTER_BLOCK), n))
+
+
 def arma_filter(ar, ma, x):
     """Apply theta(B)/phi(B) along the last axis of ``x`` from a zero state.
 
     y_t = ar_1 y_{t-1} + ... + ar_p y_{t-p} + x_t + ma_1 x_{t-1} + ...
     + ma_q x_{t-q}, with x and y zero before t = 0. The MA part is q shifted
     adds. For the AR part, time is cut into blocks of B = max(p, 128)
-    samples: the recursion runs over the B positions of all blocks at once,
-    each block from a zero state; then the last p outputs are carried from
-    block to block, and each block gets its homogeneous response to the
-    carried outputs of the block before. B depends on p alone and every step
-    is elementwise, so each output depends neither on the other rows of
-    ``x`` nor on its length: filtering a prefix gives a prefix of the
+    samples, or one block of B = n when n is no longer: the recursion runs
+    over the B positions of all blocks at once, each block from a zero
+    state; then the last p outputs are carried from block to block, and each
+    block gets its homogeneous response to the carried outputs of the block
+    before. Within a block every step is elementwise and the first block
+    meets no carried state, so each output depends neither on the other rows
+    of ``x`` nor on its length: filtering a prefix gives a prefix of the
     output, bit for bit. Trailing zero AR coefficients are dropped.
     """
     ar = np.trim_zeros(np.asarray(ar, dtype=float), "b")
@@ -262,7 +268,7 @@ def arma_filter(ar, ma, x):
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     p = len(ar)
-    B = max(p, _FILTER_BLOCK)
+    B = _filter_block(p, n)
     nb = -(-n // B)
     rows = x.reshape(math.prod(x.shape[:-1]), n)
     u = np.zeros((len(rows), nb * B if p else n))
@@ -303,8 +309,10 @@ def arma_filter(ar, ma, x):
             for i in range(1, p):
                 corr += g[j, i] * state[i]
             w[j, :, 1:] += corr
-    y = np.ascontiguousarray(w.reshape(B, len(flat)).T)
-    return y.reshape(len(rows), nb * B)[:, :n].reshape(x.shape)
+    w = w.reshape(B, len(flat))
+    for i in range(0, len(flat), 64):
+        flat[i : i + 64] = w[:, i : i + 64].T
+    return u[:, :n].reshape(x.shape)
 
 
 def model_autocovariance(model, l, max_lag):

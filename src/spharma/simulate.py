@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import (_FILTER_BLOCK, SpharmaModel, arma_filter, check_causal,
+from .model import (SpharmaModel, _filter_block, arma_filter, check_causal,
                     decay_length)
 from .spectral import AutocovarianceSpectrum
 from .sphere import sht_inverse
@@ -31,6 +31,7 @@ from .sphere import sht_inverse
 _BURN_TARGET = 1e-10
 _BURN_CAP = 1_000_000
 _CRAMER_CHUNK_ROWS = 32  # streams per chunk of the band-split Gram matrix
+_CRAMER_BLOCK = 1 << 18  # _band_gram: floats per block of products or weights
 _CRAMER_FACTOR = 1.5  # verify_cramer_orthogonality: threshold 3 * factor / sqrt(n)
 _RUN_SAMPLES = 1 << 18  # cap on one filter call's padded buffer in simulate_spharma
 _NOISE_LAW = "gaussian"  # the only innovation law; recorded in every sidecar
@@ -186,14 +187,14 @@ def _filter_runs(model, total):
     Multipoles join a run while their trimmed AR and their MA coefficients
     are bitwise equal to the run's and the buffer ``arma_filter`` allocates
     for the run stays within ``_RUN_SAMPLES``: rows x total samples, with
-    p > 0 rounded up to whole blocks of max(p, 128). A multipole above the
-    cap is a run of its own.
+    p > 0 rounded up to whole blocks of ``arma_filter``'s block length. A
+    multipole above the cap is a run of its own.
     """
     starts, prev = [], None
     for l in range(model.band_limit + 1):
         ar = np.trim_zeros(model.ar[l], "b")
         row = (ar.tobytes(), model.ma[l].tobytes())
-        block = max(len(ar), _FILTER_BLOCK)
+        block = _filter_block(len(ar), total)
         width = -(-total // block) * block if len(ar) else total
         if row != prev or ((l + 1) ** 2 - starts[-1] ** 2) * width > _RUN_SAMPLES:
             starts.append(l)
@@ -289,6 +290,112 @@ class CramerReport:
     passed: bool
 
 
+def _sin_pi(k, n):
+    """sin(pi k / n) for integers k, from an angle folded into [-pi/2, pi/2]."""
+    k = k % (2 * n)
+    k = np.where(k > n, k - 2 * n, k)
+    k = np.where(2 * k > n, n - k, np.where(2 * k < -n, -n - k, k))
+    return np.sin(np.pi * k / n)
+
+
+def _window_kernel(n, lo, hi):
+    """D(g) = sum_{t=lo}^{hi-1} exp(2 pi i g t / n) for g = 0..n-1.
+
+    D has period n in g. Off g = 0 it is the Dirichlet kernel
+    exp(i pi g (lo+hi-1) / n) sin(pi g (hi-lo) / n) / sin(pi g / n), whose
+    angles are reduced mod 2n in integers, so no digits go to the argument.
+    """
+    g = np.arange(1, n)
+    out = np.empty(n, dtype=complex)
+    out[0] = hi - lo
+    phase = np.exp(1j * np.pi * ((g * (lo + hi - 1)) % (2 * n)) / n)
+    out[1:] = phase * (_sin_pi(g * (hi - lo), n) / _sin_pi(g, n))
+    return out
+
+
+def _band_gram(values, n_bands):
+    """Gram matrix of the band components of the rows of ``values``.
+
+    Entry (b, c) is sum over rows and over t in [n/4, 3n/4) of x_b(t) x_c(t),
+    where x_b is the row band-passed to band b: the inverse real FFT of its
+    spectrum with the bins of every other band zeroed.
+
+    Band b holds the K_b bins from e_b, so x_b(t) = Re(e^{2 pi i e_b t/n}
+    u_b(t)) / n, with u_b(t) = sum_{j<K_b} a X_{e_b+j} e^{2 pi i j t/n} and
+    a the inverse real FFT's weight (1 at DC and at an even n's Nyquist bin,
+    2 elsewhere). Then 2 n^2 x_b x_c = Re(e^{2 pi i (e_b-e_c) t/n} u_b conj(u_c)
+    + e^{2 pi i (e_b+e_c) t/n} u_b u_c), and both products are trigonometric
+    polynomials of fewer than N = _fft_length(2 max K_b) frequencies. Their
+    window sums are therefore exact weighted sums of the N samples
+    u_b(mn/N): one length-N inverse FFT per band and row. The products of
+    the samples are summed over rows by one batched real matrix product
+    per chunk of rows; the weights, FFTs of the window kernel ``D`` at the
+    pair's frequency offsets, are applied once at the end, a block of band
+    pairs at a time.
+    """
+    n = values.shape[-1]
+    n_bins = n // 2 + 1
+    # a band is a run of the n//2 + 1 bins of lambda >= 0 (|lambda| grows
+    # with the bin)
+    lams = 2.0 * math.pi * np.fft.rfftfreq(n)
+    band_of = np.minimum((lams / math.pi * n_bands).astype(int), n_bands - 1)
+    edges = np.searchsorted(band_of, np.arange(n_bands + 1))
+    widths = np.diff(edges)
+    N = _fft_length(2 * int(widths.max()))
+    # take[m, b]: the bin of band b's coefficient m, or the zero bin past the end
+    m = np.arange(N)
+    take = np.where(m[:, None] < widths, edges[:-1] + m[:, None], n_bins)
+
+    # acc[m, 2b + i, 2c + j]: sum over rows of part i of u_b(mn/N) times part
+    # j of u_c(mn/N) (part 0 real, 1 imaginary); the samples are u / (2N),
+    # since the inverse FFT divides by N and the bins are taken as a X / 2
+    parts_per_m = 2 * n_bands
+    acc = np.zeros((N, parts_per_m, parts_per_m))
+    m_step = max(1, _CRAMER_BLOCK // parts_per_m**2)
+    rows = min(_CRAMER_CHUNK_ROWS, len(values))
+    spectra = np.zeros((rows, n_bins + 1), dtype=complex)
+    samples = np.empty((rows, N, n_bands), dtype=complex)
+    for start in range(0, len(values), rows):
+        chunk = values[start : start + rows]
+        spec, u = spectra[: len(chunk)], samples[: len(chunk)]
+        np.fft.rfft(chunk, axis=-1, out=spec[:, :n_bins])
+        spec[:, 0] *= 0.5
+        if n % 2 == 0:
+            spec[:, n_bins - 1] *= 0.5
+        # every index is in range; "clip" lets take write straight into u
+        np.take(spec, take, axis=1, out=u, mode="clip")
+        np.fft.ifft(u, axis=1, out=u)
+        parts = u.view(float)
+        for m0 in range(0, N, m_step):
+            block = parts[:, m0 : m0 + m_step]
+            acc[m0 : m0 + m_step] += np.matmul(block.transpose(1, 2, 0),
+                                               block.transpose(1, 0, 2))
+
+    # sample m of the product with frequencies f carries the weight
+    # FFT_N(D(f + offset))[m]; the difference term's f are centred on 0
+    kernel = _window_kernel(n, n // 4, 3 * n // 4)
+    centred = (m + N // 2) % N - N // 2
+    b, c = np.triu_indices(n_bands)
+    gram = np.empty((n_bands, n_bands))
+    p_step = max(1, _CRAMER_BLOCK // N)
+    for s in range(0, len(b), p_step):
+        bs, cs = b[s : s + p_step], c[s : s + p_step]
+        diff = np.fft.fft(kernel[(centred + (edges[bs] - edges[cs])[:, None]) % n])
+        plus = np.fft.fft(kernel[(m + (edges[bs] + edges[cs])[:, None]) % n])
+        rr = acc[:, 2 * bs, 2 * cs].T
+        ii = acc[:, 2 * bs + 1, 2 * cs + 1].T
+        ir = acc[:, 2 * bs + 1, 2 * cs].T
+        ri = acc[:, 2 * bs, 2 * cs + 1].T
+        # Re of diff * (rr + ii + i(ir - ri)) + plus * (rr - ii + i(ir + ri))
+        total = ((rr * (diff.real + plus.real)).sum(-1)
+                 + (ii * (diff.real - plus.real)).sum(-1)
+                 - (ir * (diff.imag + plus.imag)).sum(-1)
+                 + (ri * (diff.imag - plus.imag)).sum(-1))
+        # 2 n^2 x_b x_c = (2N)^2 / N times the weighted sum of the samples
+        gram[bs, cs] = gram[cs, bs] = total * (2.0 * N / (n * n))
+    return gram
+
+
 def verify_cramer_orthogonality(series, n_bands):
     """Check that distinct-band components of the series are uncorrelated.
 
@@ -299,6 +406,11 @@ def verify_cramer_orthogonality(series, n_bands):
     the largest absolute correlation is below ``3 * _CRAMER_FACTOR / sqrt(n)``.
     ``ValueError`` above n // 2 + 1 bands, the bins of a real FFT: more
     would leave some band empty.
+
+    The band components are never formed at all n samples: ``_band_gram``
+    takes one real FFT of length n per stream and one complex FFT of length
+    about n / n_bands per band, and sums the window products exactly on that
+    coarse grid.
     """
     if n_bands < 1:
         raise ValueError("n_bands must be at least 1")
@@ -312,28 +424,9 @@ def verify_cramer_orthogonality(series, n_bands):
     if n_bands == 1:
         return CramerReport(1, 0.0, threshold, True)
 
-    # The series is real, so a band is a run of the n//2 + 1 bins of
-    # lambda >= 0 (|lambda| grows with the bin) and its component is one
-    # inverse real FFT of the spectra with every other bin zeroed.
-    lams = 2.0 * math.pi * np.fft.rfftfreq(n)
-    band_of = np.minimum((lams / math.pi * n_bands).astype(int), n_bands - 1)
-    edges = np.searchsorted(band_of, np.arange(n_bands + 1))
-    lo, hi = n // 4, 3 * n // 4
-    # Gram matrix of the band components, accumulated over chunks of streams
-    gram = np.zeros((n_bands, n_bands))
-    for start in range(0, series.values.shape[0], _CRAMER_CHUNK_ROWS):
-        spectra = np.fft.rfft(series.values[start : start + _CRAMER_CHUNK_ROWS], axis=-1)
-        comps = np.empty((n_bands, len(spectra), hi - lo))
-        masked = np.zeros_like(spectra)
-        for b in range(n_bands):
-            band = slice(edges[b], edges[b + 1])
-            masked[:, band] = spectra[:, band]
-            comps[b] = np.fft.irfft(masked, n, axis=-1)[:, lo:hi]
-            masked[:, band] = 0.0
-        comps = comps.reshape(n_bands, -1)
-        gram += comps @ comps.T
-
-    norms = np.sqrt(np.diag(gram))
+    gram = _band_gram(series.values, n_bands)
+    # an exactly empty band sums to 0; rounding must not make a norm NaN
+    norms = np.sqrt(np.maximum(np.diag(gram), 0.0))
     upper = np.triu_indices(n_bands, 1)
     denom = np.outer(norms, norms)[upper]
     corr = np.abs(gram[upper])[denom != 0.0] / denom[denom != 0.0]

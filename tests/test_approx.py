@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,34 @@ class TestApproximateOperator:
                                                              order_cap=1024)
         assert deep_cert == cert
         assert deep_fitted.content_hash() == fitted.content_hash()
+
+    def test_tabulated_escalation_stops_before_the_lag_period(self, monkeypatch):
+        # the trapezoid lags of the 4097-node grid have period 4096; the MA
+        # order 256 (depth 5120) would be fitted on a singular Toeplitz matrix
+        lam = frequency_grid()
+        ar1 = SpharmaModel.uniform(0, ar=[0.95], noise=1.0).spectral()
+        target = SpectralEigenvalues.tabulated(lam, ar1.values(lam))
+        depths = []
+        fit_ma = approx.fit_ma
+
+        def fit(c, q):
+            depths.append(len(c) - 1)
+            return fit_ma(c, q)
+
+        monkeypatch.setattr(approx, "fit_ma", fit)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fitted, cert = approx.approximate_operator(target, 1e-9, "ma")
+        assert max(depths) < len(lam) - 1 == 4096
+        assert not [w for w in caught if "flooring" in str(w.message)]
+        assert [w for w in caught if "grid is coarse" in str(w.message)]
+        assert cert.order == 128 and cert.order_cap_reached and not cert.passed
+        # the same certificate and model as an escalation capped at order 128
+        with pytest.warns(UserWarning, match="grid is coarse"):
+            capped_fitted, capped = approx.approximate_operator(
+                target, 1e-9, "ma", order_cap=128)
+        assert capped == cert
+        assert capped_fitted.content_hash() == fitted.content_hash()
 
     def test_negative_order_cap_rejected(self):
         target = SpharmaModel.uniform(0, ar=[0.5], noise=1.0).spectral()

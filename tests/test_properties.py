@@ -306,6 +306,19 @@ def test_arma_filter_prefix_is_stable(case, data):
 
 
 @settings(max_examples=60, deadline=None)
+@given(filter_input(max_n=_FILTER_BLOCK),
+       st.integers(_FILTER_BLOCK + 1, 3 * _FILTER_BLOCK), st.integers(0, 2**32 - 1))
+def test_single_block_is_a_prefix_of_a_longer_input(case, longer_n, seed):
+    # up to 128 samples are filtered in one block of n; a longer input is cut
+    # into blocks of 128, and its first n outputs are the same bits
+    ar, ma, x = case
+    rng = np.random.default_rng(seed)
+    longer = np.hstack([x, rng.standard_normal((len(x), longer_n - x.shape[-1]))])
+    assert np.array_equal(arma_filter(ar, ma, x),
+                          arma_filter(ar, ma, longer)[:, : x.shape[-1]])
+
+
+@settings(max_examples=60, deadline=None)
 @given(filter_input())
 def test_arma_filter_rows_are_independent(case):
     ar, ma, x = case
@@ -402,11 +415,19 @@ def test_grouped_filtering_matches_a_filter_call_per_multipole(model, seed, n,
 
 
 def test_runs_longer_than_the_cap_are_split():
-    # 46^2 streams padded to 128 samples exceed the cap of 2^18
+    # 46^2 streams of 205 samples padded to 256 exceed the cap of 2^18
     model = SpharmaModel.uniform(45, ar=[0.5, 0.0], ma=[0.3])
-    runs = simulate._filter_runs(model, 20 + 5)
+    runs = simulate._filter_runs(model, 200 + 5)
     assert len(runs) > 1
     assert [l for run in runs for l in run] == list(range(46))
+    assert_runs_match_per_multipole(model, 3, 200, 5)
+
+
+def test_short_runs_are_not_padded():
+    # 25 samples are one block of 25, not a padded block of 128: 46^2 streams
+    # of them stay within the cap of 2^18 and share one filter call
+    model = SpharmaModel.uniform(45, ar=[0.5, 0.0], ma=[0.3])
+    assert simulate._filter_runs(model, 20 + 5) == [range(46)]
     assert_runs_match_per_multipole(model, 3, 20, 5)
 
 
@@ -474,6 +495,70 @@ def test_fft_length_is_the_next_5_smooth_integer(m):
 def test_fft_length_small_values():
     for m in range(1, 2000):
         assert_next_5_smooth(m)
+
+
+def masked_irfft_gram(values, n_bands):
+    """The band-split Gram matrix from every band component at all n samples.
+
+    Each component is one inverse real FFT of the spectra with the bins of
+    every other band zeroed, 32 streams at a time; entry (b, c) sums the
+    products of components b and c over the streams and the middle half of
+    the window.
+    """
+    n = values.shape[-1]
+    lams = 2.0 * math.pi * np.fft.rfftfreq(n)
+    band_of = np.minimum((lams / math.pi * n_bands).astype(int), n_bands - 1)
+    edges = np.searchsorted(band_of, np.arange(n_bands + 1))
+    lo, hi = n // 4, 3 * n // 4
+    gram = np.zeros((n_bands, n_bands))
+    for start in range(0, values.shape[0], 32):
+        spectra = np.fft.rfft(values[start : start + 32], axis=-1)
+        comps = np.empty((n_bands, len(spectra), hi - lo))
+        masked = np.zeros_like(spectra)
+        for b in range(n_bands):
+            band = slice(edges[b], edges[b + 1])
+            masked[:, band] = spectra[:, band]
+            comps[b] = np.fft.irfft(masked, n, axis=-1)[:, lo:hi]
+            masked[:, band] = 0.0
+        comps = comps.reshape(n_bands, -1)
+        gram += comps @ comps.T
+    return gram
+
+
+@st.composite
+def band_split_case(draw):
+    """AR(1)-coloured streams of n in [1024, 4096] samples and a band count
+    in 2..40 or n // 2 + 1 (one bin per band). At n // 2 + 1 bands the
+    oracle's Gram product costs about n^3 / 4 per stream, so those cases
+    take one or two streams."""
+    n = draw(st.integers(1024, 4096))
+    n_bands = draw(st.one_of(st.integers(2, 40), st.just(n // 2 + 1)))
+    rows = draw(st.integers(1, 40 if n_bands <= 40 else 2))
+    phi = draw(st.floats(-0.9, 0.9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = np.random.default_rng(seed).standard_normal((rows, n))
+    return arma_filter([phi], [], x), n_bands
+
+
+@settings(max_examples=30, deadline=None)
+@given(band_split_case())
+@example((np.random.default_rng(1).standard_normal((33, 1025)), 8))
+@example((np.random.default_rng(2).standard_normal((2, 1024)), 513))
+@example((np.zeros((3, 2048)), 5))
+def test_band_gram_matches_the_masked_irfft_oracle(case):
+    values, n_bands = case
+    oracle = masked_irfft_gram(values, n_bands)
+    got = simulate._band_gram(values, n_bands)
+    assert np.abs(got - oracle).max() <= 1e-12 * oracle.diagonal().max()
+
+
+def test_window_kernel_matches_the_direct_sum():
+    for n in (1024, 1025, 2047, 3000):
+        lo, hi = n // 4, 3 * n // 4
+        g = np.arange(n)[:, None]
+        direct = np.exp(2j * np.pi * ((g * np.arange(lo, hi)) % n) / n).sum(axis=1)
+        got = simulate._window_kernel(n, lo, hi)
+        assert np.abs(got - direct).max() <= 1e-12 * (hi - lo)
 
 
 def fresh_philox_oracle(seed, row, count):
