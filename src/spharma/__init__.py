@@ -9,13 +9,12 @@ models with certified error, and the Wold decomposition as an SPHMA model.
 
 from .approx import (
     ApproximationCertificate,
-    L2CheckResult,
     approximate_operator,
     durbin_levinson,
     fit_ar,
     fit_ma,
     h_step_error,
-    l2_omega_check,
+    l2_omega_error,
     spectral_distance,
     wold,
 )

@@ -18,6 +18,13 @@ escalating the order until the per-multipole sup error fits the budget
 eps / (2 (L+1)^2); the band tail above L is charged eps/2. Certificates
 report per-multipole and total errors in the kernel-L2 and trace norms, with
 the sup over frequency evaluated on a shared grid.
+
+Process-level error: ``l2_omega_error`` is the exact mean-square error, at
+any point of the sphere, of reconstructing a causal field from its own
+innovations through a fitted model. Each multipole's error filter is
+rational, so its energy is a quadratic form in the numerator with the
+Toeplitz matrix of exact AR lags of the denominator; nothing is simulated
+or truncated.
 """
 
 from __future__ import annotations
@@ -30,22 +37,16 @@ import numpy as np
 
 from .model import (
     SpharmaModel,
-    arma_filter,
     check_causal,
-    decay_length,
     min_root_modulus,
     model_autocovariance,
     psi_coefficients,
 )
-from .simulate import (SimulationConfig, batch_means_se, simulate_spharma,
-                       simulate_white_noise)
 from .spectral import frequency_grid, rational_density, trapezoid_lags
-from .sphere import harmonic_values_at
 
 DEFAULT_ORDER_CAP = 256
 _VAR_FLOOR = 1e-12
 _WOLD_VARIANCE_TOL = 1e-10  # wold: least innovation variance, relative to C_l(0)
-_L2_CHECK_NODE = (1.047197551196598, 0.8)  # l2_omega_check: (colat, lon)
 
 
 def _innovations_last_row(c, depth, floor=None):
@@ -421,70 +422,60 @@ def h_step_error(model, h):
     return float(deg @ (model.noise * (head * head).sum(axis=1)))
 
 
-@dataclass
-class L2CheckResult:
-    """Monte Carlo pointwise reconstruction error at a fixed node."""
+def l2_omega_error(true_model, fitted_model):
+    """Exact mean-square error of reconstructing the field from its innovations.
 
-    mse: float
-    stderr: float
-    n_used: int
-    mode: str
+    The fitted model is driven by the true model's innovations z, and the
+    error at each multipole is the filter d_l(B) z with, per case:
 
+    * AR fit (every q_l = 0, some p_l > 0): the residual
+      phi_fit(B) a - z, so d = phi_fit theta_true / phi_true - 1;
+    * MA or ARMA fit: a - (theta_fit / phi_fit)(B) z, so
+      d = theta_true / phi_true - theta_fit / phi_fit;
+    * multipoles above the fitted band limit: a - z.
 
-def l2_omega_check(true_model, fitted_model, n_mc, seed):
-    """Mean-square error of reconstructing the field from shared innovations.
+    Each d = N / D is rational, with N = P theta_true R - Q phi_true and
+    D = phi_true R for (P, Q, R) = (phi_fit, 1, 1), (1, theta_fit, phi_fit)
+    or (1, 1, 1). Then sum_j d_j^2 = N^T T N, T the Toeplitz matrix of the
+    lags of the unit-noise AR with polynomial D, which
+    ``model_autocovariance`` gives exactly. The field is isotropic, so the
+    error at any point is
 
-    The true model is simulated, and its innovations are drawn again from
-    the same Philox streams and burn-in as white noise of its noise powers;
-    the fitted model is then driven by those innovation streams:
+        sum_l (2l+1)/(4 pi) sigma_{true,l}^2 N_l^T T_l N_l,
 
-    * pure MA fit: reconstruction z(t) + sum_j theta_j z(t-j) per stream
-      (plus the bare z(t) for multipoles above the fitted band limit);
-    * pure AR fit: the residual a(t) - sum_j phi_j a(t-j) - z(t) is the
-      reconstruction error directly;
-    * general ARMA: the fitted recursion is run on the innovations.
-
-    The error field is evaluated at ``_L2_CHECK_NODE`` = (colat, lon) and
-    averaged over time after a warm-up (the fitted AR order for an AR fit,
-    else the MA order or the decay length of the AR roots, at most 2000 and
-    half the run); the standard error comes from batch means.
+    with nothing truncated; a fitted model equal to the true one gives
+    exactly 0.
     """
     if not check_causal(true_model).causal:
         raise ValueError("true model is not causal")
-    fitted_report = check_causal(fitted_model)
-    if not fitted_report.causal:
+    if not check_causal(fitted_model).causal:
         raise ValueError("fitted model is not causal")
     if fitted_model.band_limit > true_model.band_limit:
         raise ValueError("fitted band limit exceeds the true model's")
-
-    series = simulate_spharma(true_model, SimulationConfig(seed=seed, n=n_mc))
-    innov = simulate_white_noise(true_model.noise, SimulationConfig(
-        seed=seed, n=n_mc, burn_in=series.provenance["burn_in"]))
-    L_true, L_fit = true_model.band_limit, fitted_model.band_limit
-    mode = ("ma" if fitted_model.p == 0 else
-            "ar" if fitted_model.q == 0 else "arma")
-    if mode == "ar":
-        warmup = fitted_model.p
-    else:
-        xi = fitted_report.min_root_modulus
-        warmup = (fitted_model.q if math.isinf(xi) else
-                  min(2000, decay_length(xi, 1e-8)))
-    warmup = min(warmup, n_mc // 2)
-
-    err = np.empty_like(series.values)
-    for l in range(L_true + 1):
-        rows = slice(l * l, l * l + 2 * l + 1)
-        a = series.values[rows]
-        z = innov.values[rows]
-        if l > L_fit:
-            err[rows] = a - z
-            continue
-        if mode == "ar":
-            err[rows] = arma_filter([], -fitted_model.ar[l], a) - z
-        else:
-            err[rows] = a - arma_filter(fitted_model.ar[l], fitted_model.ma[l], z)
-
-    e_node = harmonic_values_at(L_true, *_L2_CHECK_NODE) @ err
-    tail = e_node[warmup:] ** 2
-    return L2CheckResult(float(tail.mean()), batch_means_se(tail),
-                         len(tail), mode)
+    ar_fit = fitted_model.q == 0 and fitted_model.p > 0
+    one = np.ones(1)
+    total = 0.0
+    for l in range(true_model.band_limit + 1):
+        phi_t = np.r_[1.0, -true_model.ar[l]]
+        theta_t = np.r_[1.0, true_model.ma[l]]
+        P = Q = R = one
+        if l <= fitted_model.band_limit:
+            phi_f = np.r_[1.0, -fitted_model.ar[l]]
+            if ar_fit:
+                P = phi_f
+            else:
+                Q, R = np.r_[1.0, fitted_model.ma[l]], phi_f
+        # a fitted model equal to the truth convolves the same arrays in the
+        # same order on both sides, so N is exactly 0
+        a = np.convolve(P, np.convolve(theta_t, R))
+        b = np.convolve(Q, phi_t)
+        num = np.zeros(max(len(a), len(b)))
+        num[: len(a)] = a
+        num[: len(b)] -= b
+        den = np.convolve(phi_t, R)
+        unit = SpharmaModel(0, [-den[1:]], [np.empty(0)], [1.0])
+        lags = model_autocovariance(unit, 0, len(num) - 1)
+        k = np.arange(len(num))
+        total += (2 * l + 1) * true_model.noise[l] * (
+            num @ lags[np.abs(k[:, None] - k)] @ num)
+    return float(total / (4.0 * math.pi))

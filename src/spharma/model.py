@@ -51,6 +51,8 @@ class SpharmaModel:
             raise ValueError("need one AR and one MA coefficient array per l")
         self.ar = [np.asarray(a, dtype=float) for a in self.ar]
         self.ma = [np.asarray(a, dtype=float) for a in self.ma]
+        if any(a.ndim != 1 for a in self.ar + self.ma):
+            raise ValueError("AR and MA coefficients must be 1-D arrays")
         self.noise = np.asarray(self.noise, dtype=float)
         if self.noise.shape != (n,):
             raise ValueError("noise must hold one positive power per l")

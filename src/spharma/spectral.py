@@ -392,6 +392,8 @@ def ckl_truncation_error(spec, l_trunc):
     """
     if l_trunc > spec.band_limit:
         raise ValueError("l_trunc exceeds band limit")
+    if l_trunc < -1:
+        raise ValueError("l_trunc must be at least -1")
     integrals = autocov_table(spec, 0).values[:, 0]
     deg = 2 * np.arange(spec.band_limit + 1) + 1
     inside = deg[l_trunc + 1 :] @ integrals[l_trunc + 1 :] / (4.0 * math.pi)

@@ -7,14 +7,19 @@ import pytest
 from spharma import approx
 from spharma.model import (
     SpharmaModel,
+    arma_filter,
     check_causal,
     check_invertible,
+    decay_length,
     lag_polynomial_roots,
     model_autocovariance,
     model_autocovariance_table,
     psi_coefficients,
 )
+from spharma.simulate import (SimulationConfig, batch_means_se, simulate_spharma,
+                              simulate_white_noise)
 from spharma.spectral import SpectralEigenvalues, frequency_grid
+from spharma.sphere import harmonic_values_at
 
 TWO_PI = 2.0 * math.pi
 
@@ -454,38 +459,116 @@ class TestHStep:
 class TestL2OmegaCheck:
     def test_self_reconstruction_is_exact(self):
         m = SpharmaModel.uniform(2, ar=[0.5], ma=[0.3], noise=1.0)
-        res = approx.l2_omega_check(m, m, 20000, seed=3)
-        assert res.mse < 1e-12
-        assert res.mode == "arma"
+        assert approx.l2_omega_error(m, m) == 0.0
 
     def test_error_monotone_in_ma_order(self):
         true_model = SpharmaModel.uniform(2, ar=[0.5], ma=[0.3], noise=1.0)
         results = []
         for q in (1, 2, 4):
             fitted = _fit_ma_model(true_model, q)
-            results.append(approx.l2_omega_check(true_model, fitted, 40000, seed=5))
+            results.append(approx.l2_omega_error(true_model, fitted))
         for a, b in zip(results, results[1:]):
-            assert b.mse <= a.mse + 3.0 * (a.stderr + b.stderr)
+            assert b <= a
 
     def test_error_close_to_analytic_tail(self):
         true_model = SpharmaModel.uniform(1, ar=[0.6], noise=1.0)
         q = 3
         fitted = _fit_ma_model(true_model, q)
-        res = approx.l2_omega_check(true_model, fitted, 60000, seed=7)
+        err = approx.l2_omega_error(true_model, fitted)
         tail = 0.0
         for l in range(2):
             psi = psi_coefficients(true_model, l, 200)
             tail += (2 * l + 1) / (4 * math.pi) * true_model.noise[l] * (
                 psi[q + 1 :] @ psi[q + 1 :])
-        assert abs(res.mse - tail) < max(4.0 * res.stderr, 0.1 * tail)
+        assert abs(err - tail) < 0.1 * tail
 
     def test_noncausal_rejected(self):
         good = SpharmaModel.uniform(0, ar=[0.5], noise=1.0)
         bad = SpharmaModel.uniform(0, ar=[1.05], noise=1.0)
-        with pytest.raises(ValueError):
-            approx.l2_omega_check(bad, good, 2000, seed=1)
-        with pytest.raises(ValueError):
-            approx.l2_omega_check(good, bad, 2000, seed=1)
+        wide = SpharmaModel.uniform(1, ar=[0.5], noise=1.0)
+        with pytest.raises(ValueError, match="true model is not causal"):
+            approx.l2_omega_error(bad, good)
+        with pytest.raises(ValueError, match="fitted model is not causal"):
+            approx.l2_omega_error(good, bad)
+        with pytest.raises(ValueError, match="fitted band limit exceeds"):
+            approx.l2_omega_error(good, wide)
+
+    @pytest.mark.parametrize("fit, seed", [
+        ("ma", 21), ("ar", 22), ("arma", 23), ("band_cut", 24)])
+    def test_exact_matches_monte_carlo(self, fit, seed):
+        true_model = SpharmaModel(
+            2, [[0.5, -0.2], [0.6], [0.3]], [[0.3], [], [0.4, 0.2]],
+            [1.0, 0.7, 0.5])
+        fitted = {
+            "ma": lambda: _fit_ma_model(true_model, 2),
+            "ar": lambda: _fit_ar_model(true_model, 2),
+            "arma": lambda: SpharmaModel.uniform(2, ar=[0.4], ma=[0.2]),
+            "band_cut": lambda: SpharmaModel(1, true_model.ar[:2],
+                                             true_model.ma[:2],
+                                             true_model.noise[:2]),
+        }[fit]()
+        exact = approx.l2_omega_error(true_model, fitted)
+        mse, se = monte_carlo_l2_omega(true_model, fitted, 50000, seed)
+        assert abs(exact - mse) <= 3.0 * se, (exact, mse, se)
+
+
+def monte_carlo_l2_omega(true_model, fitted_model, n_mc, seed):
+    """Monte Carlo oracle of ``approx.l2_omega_error``: ``(mse, stderr)``.
+
+    The true model is simulated, and its innovations are drawn again from
+    the same Philox streams and burn-in as white noise of its noise powers;
+    the fitted model is then driven by those innovation streams:
+
+    * pure MA fit: reconstruction z(t) + sum_j theta_j z(t-j) per stream
+      (plus the bare z(t) for multipoles above the fitted band limit);
+    * pure AR fit: the residual a(t) - sum_j phi_j a(t-j) - z(t) is the
+      reconstruction error directly;
+    * general ARMA: the fitted recursion is run on the innovations.
+
+    The error field is evaluated at one node and averaged over time after a
+    warm-up (the fitted AR order for an AR fit, else the MA order or the
+    decay length of the AR roots, at most 2000 and half the run); the
+    standard error comes from batch means.
+    """
+    series = simulate_spharma(true_model, SimulationConfig(seed=seed, n=n_mc))
+    innov = simulate_white_noise(true_model.noise, SimulationConfig(
+        seed=seed, n=n_mc, burn_in=series.provenance["burn_in"]))
+    L_true, L_fit = true_model.band_limit, fitted_model.band_limit
+    ar_fit = fitted_model.q == 0 and fitted_model.p > 0
+    if ar_fit:
+        warmup = fitted_model.p
+    else:
+        xi = check_causal(fitted_model).min_root_modulus
+        warmup = (fitted_model.q if math.isinf(xi) else
+                  min(2000, decay_length(xi, 1e-8)))
+    warmup = min(warmup, n_mc // 2)
+
+    err = np.empty_like(series.values)
+    for l in range(L_true + 1):
+        rows = slice(l * l, l * l + 2 * l + 1)
+        a = series.values[rows]
+        z = innov.values[rows]
+        if l > L_fit:
+            err[rows] = a - z
+        elif ar_fit:
+            err[rows] = arma_filter([], -fitted_model.ar[l], a) - z
+        else:
+            err[rows] = a - arma_filter(fitted_model.ar[l], fitted_model.ma[l], z)
+
+    e_node = harmonic_values_at(L_true, 1.047197551196598, 0.8) @ err
+    tail = e_node[warmup:] ** 2
+    return float(tail.mean()), batch_means_se(tail)
+
+
+def _fit_ar_model(true_model, p):
+    ar = []
+    noise = np.empty(true_model.band_limit + 1)
+    for l in range(true_model.band_limit + 1):
+        phi, s2 = approx.fit_ar(model_autocovariance(true_model, l, p), p)
+        ar.append(phi)
+        noise[l] = s2
+    return SpharmaModel(true_model.band_limit, ar,
+                        [np.empty(0)] * (true_model.band_limit + 1), noise)
 
 
 def _fit_ma_model(true_model, q):

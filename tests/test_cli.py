@@ -620,8 +620,11 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("band_limit, entries", [
         (0, 5), (0, [{"l": None, "ar": [], "ma": [], "noise": 1.0}]), (-1, []),
-        (0, [{"l": 0, "ar": [], "ma": [], "noise": float("inf")}])],
-        ids=["entries-number", "l-null", "negative-band-limit", "infinite-noise"])
+        (0, [{"l": 0, "ar": [], "ma": [], "noise": float("inf")}]),
+        (0, [{"l": 0, "ar": 0.5, "ma": [], "noise": 1.0}]),
+        (0, [{"l": 0, "ar": [], "ma": 0.3, "noise": 1.0}])],
+        ids=["entries-number", "l-null", "negative-band-limit", "infinite-noise",
+             "scalar-ar", "scalar-ma"])
     @pytest.mark.parametrize("command", ["simulate", "spectrum", "approximate"])
     def test_malformed_model_json_exits_2(self, tmp_path, command, band_limit,
                                           entries, capsys):

@@ -273,6 +273,54 @@ def test_exact_pure_targets_are_fixed_points(case):
     assert np.abs(fitted.noise / target.noise - 1.0).max() <= 1e-10
 
 
+@st.composite
+def reconstruction_case(draw):
+    """A truth drawn by ``causal_sphere_arma`` and a causal AR, MA or ARMA
+    fit at a band limit up to the truth's, orders <= 2 per multipole."""
+    truth = draw(causal_sphere_arma())
+    L = draw(st.integers(0, truth.band_limit))
+    kind = draw(st.sampled_from(["ar", "ma", "arma"]))
+    none = [np.empty(0)] * (L + 1)
+    ar = [-draw(lag_poly(max_order=2))[1:] for _ in range(L + 1)]
+    ma = [draw(lag_poly(max_order=2))[1:] for _ in range(L + 1)]
+    fit = SpharmaModel(L, none if kind == "ma" else ar,
+                       none if kind == "ar" else ma, np.ones(L + 1))
+    return truth, fit
+
+
+def reconstruction_oracle(truth, fit, terms):
+    """sum_l (2l+1)/(4pi) sigma_l^2 sum_{j <= terms} d_{l;j}^2 with d = a - b
+    from the psi weights, and the same sum of (|a| + |b|)^2 as its scale:
+    a = psi_true, or phi_fit * psi_true for an AR fit; b = psi_fit, or
+    delta_0 for an AR fit and above the fitted band limit."""
+    ar_fit = fit.q == 0 and fit.p > 0
+    delta = np.zeros(terms + 1)
+    delta[0] = 1.0
+    value = scale = 0.0
+    for l in range(truth.band_limit + 1):
+        a, b = psi_coefficients(truth, l, terms), delta
+        if l <= fit.band_limit:
+            if ar_fit:
+                a = np.convolve(np.r_[1.0, -fit.ar[l]], a)[: terms + 1]
+            else:
+                b = psi_coefficients(fit, l, terms)
+        weight = (2 * l + 1) / (4.0 * math.pi) * truth.noise[l]
+        value += weight * ((a - b) @ (a - b))
+        scale += weight * ((np.abs(a) + np.abs(b)) @ (np.abs(a) + np.abs(b)))
+    return value, scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(reconstruction_case())
+def test_l2_omega_error_matches_the_psi_sum(case):
+    # the truth and fit have roots at modulus >= 1.25 with multiplicity
+    # <= 4, so the weights beyond j = 600 are below 1e-50
+    truth, fit = case
+    exact = approx.l2_omega_error(truth, fit)
+    value, scale = reconstruction_oracle(truth, fit, 600)
+    assert abs(exact - value) <= 1e-10 * value + 1e-14 * scale
+
+
 def lfilter_oracle(ar, ma, x):
     return lfilter(np.r_[1.0, ma], np.r_[1.0, -np.asarray(ar)], x, axis=-1)
 
@@ -339,8 +387,8 @@ def test_arma_filter_edge_lengths():
 
 
 def test_arma_filter_orders_beyond_the_block():
-    # order 256, as an AR(256) fit read as an MA in l2_omega_check, and an
-    # AR part longer than the default block; sum |ar| < 1 keeps it causal
+    # an MA part of order 256, as in an MA fit at the default order cap, and
+    # an AR part longer than the default block; sum |ar| < 1 keeps it causal
     rng = np.random.default_rng(6)
     long = rng.uniform(-1.0, 1.0, 2 * _FILTER_BLOCK)
     long *= 0.9 / np.abs(long).sum()

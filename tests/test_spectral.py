@@ -205,6 +205,8 @@ class TestCklTruncation:
         spec = SpharmaModel.white_noise(np.ones(2)).spectral()
         with pytest.raises(ValueError):
             spectral.ckl_truncation_error(spec, 5)
+        with pytest.raises(ValueError):
+            spectral.ckl_truncation_error(spec, -2)
 
 
 class TestInvariants:
