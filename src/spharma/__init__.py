@@ -2,9 +2,13 @@
 
 Simulation of SPHARMA(p, q) processes per multipole, exact second-order
 spectral calculus (angular power spectra, spectral density eigenvalues,
-trace norms), and constructive approximation of arbitrary target spectral
-density operators by invertible moving-average or causal autoregressive
-models with certified error, and the Wold decomposition as an SPHMA model.
+trace norms, the lag/frequency pair), and constructive approximation of
+arbitrary target spectral density operators by invertible moving-average or
+causal autoregressive models with certified error, the exact L2(Omega)
+reconstruction error of a fit, and the Wold decomposition as an SPHMA model.
+References that only the tests use (spherical harmonics one (l, m) at a
+time, kernel synthesis, summability sums, spectral distances) live in
+``tests/oracles.py``.
 """
 
 from .approx import (
@@ -15,7 +19,6 @@ from .approx import (
     fit_ma,
     h_step_error,
     l2_omega_error,
-    spectral_distance,
     wold,
 )
 from .model import (
@@ -43,23 +46,17 @@ from .simulate import (
 from .spectral import (
     AutocovarianceSpectrum,
     SpectralEigenvalues,
-    SummabilityReport,
     autocov_table,
     ckl_truncation_error,
-    covariance_kernel_eval,
     frequency_grid,
-    kernel_from_eigenvalues,
-    kernel_l2_norm,
     operator_trace_norm,
     spectral_from_autocov,
-    summability_report,
 )
 from .sphere import (
     FieldSnapshot,
     SphereGrid,
     build_grid,
     legendre_all,
-    real_sph_harm,
     sht_forward,
     sht_inverse,
 )

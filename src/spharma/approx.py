@@ -227,26 +227,6 @@ def _order_schedule(cap, start=0):
     return [start] + [o for o in orders if o > start]
 
 
-def spectral_distance(f1, f2, norm="l2_kernel", lams=None):
-    """sup over the frequency grid of the per-lambda distance, plus tails.
-
-    ``l2_kernel``: sqrt(sum_l (2l+1) (f1_l - f2_l)^2); ``trace``:
-    sum_l (2l+1) |f1_l - f2_l|. Stored above-band tail bounds of both
-    operands are added (triangle inequality).
-    """
-    if f1.band_limit != f2.band_limit:
-        raise ValueError("band limits differ")
-    if lams is None:
-        if f1.form == "tabulated" and f2.form == "tabulated":
-            if len(f1.lam) != len(f2.lam) or not np.allclose(f1.lam, f2.lam):
-                raise ValueError("tabulated spectra on mismatched grids")
-            lams = f1.lam
-        else:
-            lams = f1.lambda_grid() if f1.form == "tabulated" else f2.lambda_grid()
-    diff = f1.values(lams) - f2.values(lams)
-    return _sup_operator_norm(diff, norm) + f1.tail_bound + f2.tail_bound
-
-
 def _sup_operator_norm(diff, norm):
     """sup over lambda of the operator norm of per-multipole differences.
 

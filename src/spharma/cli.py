@@ -1,7 +1,7 @@
 """Command-line front end: simulate, spectrum, approximate, verify.
 
 Exit codes: 0 ok, 2 invalid input (sizes too large to allocate included),
-3 I/O failure, 4 order budget exhausted, 5 verification failure. All JSON
+3 I/O failure, 4 certificate not passed, 5 verification failure. All JSON
 outputs carry ``"schema": 1``, and all but
 ``approximate``'s ``fitted_model.json`` (a plain model file) carry the hash
 of the invoking configuration, so reruns with identical configs are
@@ -187,9 +187,7 @@ def cmd_approximate(args):
     status = "passed" if cert.passed else "FAILED"
     print(f"certificate {status}: total_l2={cert.total_l2:.3e} "
           f"total_trace={cert.total_trace:.3e} order={cert.order}")
-    if cert.order_cap_reached and not cert.passed:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return EXIT_OK if cert.passed else EXIT_BUDGET
 
 
 def _check_stationarity(series):

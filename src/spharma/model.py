@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import AutocovarianceSpectrum, SpectralEigenvalues
+from .spectral import AutocovarianceSpectrum, SpectralEigenvalues, _json_int
 
 _DEGENERATE = 1e-14
 _COPRIME_TOL = 1e-8  # check_coprime: least distance between AR and MA roots
@@ -102,20 +102,27 @@ class SpharmaModel:
 
     @classmethod
     def from_json(cls, payload):
-        """Read ``to_json`` output: each l from 0 to band_limit exactly once."""
-        L = int(payload["band_limit"])
+        """Read ``to_json`` output: each l from 0 to band_limit exactly once.
+
+        ``band_limit`` and each ``l`` are JSON integers and each ``noise`` a
+        JSON number, as written; ``ValueError`` otherwise.
+        """
+        L = _json_int(payload["band_limit"], "band_limit")
         ar = [np.empty(0)] * (L + 1)
         ma = [np.empty(0)] * (L + 1)
         noise = np.full(L + 1, np.nan)
         seen = set()
         for entry in payload["entries"]:
-            l = int(entry["l"])
+            l = _json_int(entry["l"], "l")
             if not 0 <= l <= L or l in seen:
                 raise ValueError(f"model JSON entry l={l}: each l from 0 to {L} "
                                  "must appear exactly once")
             seen.add(l)
             ar[l] = np.asarray(entry["ar"], dtype=float)
             ma[l] = np.asarray(entry["ma"], dtype=float)
+            if type(entry["noise"]) not in (int, float):
+                raise ValueError("noise must be a JSON number, "
+                                 f"got {entry['noise']!r}")
             noise[l] = float(entry["noise"])
         if len(seen) != L + 1:
             raise ValueError("model JSON missing entries for some multipoles")

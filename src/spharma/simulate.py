@@ -37,13 +37,6 @@ _RUN_SAMPLES = 1 << 18  # cap on one filter call's padded buffer in simulate_sph
 _NOISE_LAW = "gaussian"  # the only innovation law; recorded in every sidecar
 
 
-def row_index(l, m):
-    """Row of stream (l, m) in the packed coefficient layout."""
-    if abs(m) > l:
-        raise IndexError("|m| must not exceed l")
-    return l * (l + 1) + m
-
-
 @dataclass
 class SimulationConfig:
     """Reproducible simulation parameters.
@@ -87,9 +80,6 @@ class HarmonicCoefficientSeries:
     @property
     def n(self):
         return self.values.shape[1]
-
-    def get(self, l, m):
-        return self.values[row_index(l, m)]
 
     def block(self, l):
         """All 2l+1 streams of multipole l, shape (2l+1, n)."""

@@ -5,10 +5,7 @@ and its Fourier transform over lags,
 
     f_l(lambda) = (1/2pi) * sum_t exp(-i t lambda) C_l(t),
 
-gives the eigenvalues of the frequency-lambda spectral density operator. The
-covariance kernel at lag t is the Legendre synthesis
-
-    r_t(x, y) = sum_l (2l+1)/(4pi) * C_l(t) * P_l(<x, y>).
+gives the eigenvalues of the frequency-lambda spectral density operator.
 
 Frequencies live on [-pi, pi]; frequency integrals use the composite
 trapezoid rule on ``frequency_grid(N)``, where it and the sum over lags are a
@@ -24,8 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .sphere import legendre_all
 
 DEFAULT_FREQ_INTERVALS = 4096
 _GRID_ATOL = 1e-12  # rounding allowed in a stored frequency grid
@@ -70,16 +65,6 @@ def rational_density(ar, ma, noise, lams):
     return noise / TWO_PI * num / den
 
 
-def kernel_from_eigenvalues(eigs, c):
-    """Isotropic kernel k(c) = sum_l eig_l (2l+1)/(4pi) P_l(c) from eigenvalues."""
-    eigs = np.asarray(eigs, dtype=float)
-    L = len(eigs) - 1
-    deg = 2 * np.arange(L + 1) + 1
-    coeff = deg / (4.0 * math.pi) * eigs
-    P = legendre_all(L, c)
-    return coeff @ P if np.ndim(P) > 1 else float(coeff @ P)
-
-
 def _check_grid(lam):
     """Raise unless ``lam`` is ``frequency_grid(N)``, N >= 1, to rounding."""
     lam = np.asarray(lam, dtype=float)
@@ -108,6 +93,14 @@ def trapezoid_lags(lam, f, max_lag):
     g[..., 0] = 0.5 * (f[..., 0] + f[..., n])
     sign = np.where(t % 2, -TWO_PI, TWO_PI)
     return (sign * np.fft.ifft(g, axis=-1)[..., t % n]).real
+
+
+def _json_int(value, name):
+    """``value`` if it is a JSON integer, else ``ValueError``: no float, bool or
+    string is truncated to one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _geometric_tail(last, prev):
@@ -150,12 +143,6 @@ class AutocovarianceSpectrum:
         slack = 1e-8 * (1.0 + lag0) + 1e-12
         if np.any(np.abs(self.values) > lag0[:, None] + slack[:, None]):
             raise ValueError("|C_l(t)| exceeds C_l(0): not a valid autocovariance")
-
-    @property
-    def total_variance(self):
-        """sum_l (2l+1) C_l(0) over the stored band."""
-        deg = 2 * np.arange(self.band_limit + 1) + 1
-        return float(deg @ self.values[:, 0])
 
 
 class SpectralEigenvalues:
@@ -240,19 +227,19 @@ class SpectralEigenvalues:
 
     @classmethod
     def from_json(cls, payload):
-        """Read ``to_json`` output. Rational rows are model entries, each l
-        from 0 to ``band_limit`` once; a tabulated ``f`` has ``band_limit + 1``
-        rows. ``ValueError`` otherwise."""
+        """Read ``to_json`` output. ``band_limit`` is a JSON integer; rational
+        rows are model entries, each l from 0 to ``band_limit`` once; a
+        tabulated ``f`` has ``band_limit + 1`` rows. ``ValueError`` otherwise."""
         from .model import SpharmaModel
 
         tail = float(payload.get("tail_bound", 0.0))
+        L = _json_int(payload["band_limit"], "band_limit")
         if payload["form"] == "rational":
-            model = SpharmaModel.from_json({"band_limit": payload["band_limit"],
+            model = SpharmaModel.from_json({"band_limit": L,
                                             "entries": payload["rational"]})
             return cls.rational(model, tail_bound=tail)
-        return cls(payload["band_limit"], payload["form"],
-                   lambda_grid=payload["lambda_grid"], table=payload["f"],
-                   tail_bound=tail)
+        return cls(L, payload["form"], lambda_grid=payload["lambda_grid"],
+                   table=payload["f"], tail_bound=tail)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -262,21 +249,6 @@ class SpectralEigenvalues:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json(json.load(fh))
-
-
-def covariance_kernel_eval(acv, t, c):
-    """Covariance kernel r_t at inner product c: Legendre synthesis of C_l(t)."""
-    if abs(t) > acv.max_lag:
-        raise ValueError("lag out of range")
-    return kernel_from_eigenvalues(acv.values[:, abs(t)], c)
-
-
-def kernel_l2_norm(acv, t):
-    """L2(S2 x S2) norm of the lag-t kernel: sqrt(sum_l (2l+1) C_l(t)^2)."""
-    if abs(t) > acv.max_lag:
-        raise ValueError("lag out of range")
-    deg = 2 * np.arange(acv.band_limit + 1) + 1
-    return float(np.sqrt(deg @ acv.values[:, abs(t)] ** 2))
 
 
 def operator_trace_norm(spec, lam):
@@ -334,54 +306,6 @@ def autocov_table(spec, max_lag):
     # sum_{l>L} (2l+1) C_l(0) <= 2pi * sup_lambda tail of the trace sum
     return AutocovarianceSpectrum(spec.band_limit, max_lag, vals,
                                   tail_bound=TWO_PI * spec.tail_bound)
-
-
-@dataclass
-class SummabilityReport:
-    """Short-memory diagnostics: summed kernel norms over lags plus tail."""
-
-    kernel_l2_sum: float
-    trace_sum: float
-    tail_estimate: float
-    divergent: bool
-    max_lag: int
-
-
-def summability_report(source, max_lag=200):
-    """Summability sums over |t| <= max_lag for an acv table or an ARMA model.
-
-    For models the geometric tail uses the uniform root margin: the lag
-    envelope decays like (1/xi_*)^t, so the tail beyond the last stored lag
-    is estimated from the final trace term. A non-causal model (or a
-    non-decaying table) sets the divergence flag instead of raising.
-    """
-    from .model import SpharmaModel, check_causal, model_autocovariance_table
-
-    if isinstance(source, SpharmaModel):
-        report = check_causal(source, margin=0.0)
-        # roots strictly outside the closed disk; a unit root diverges
-        if not report.causal or report.min_root_modulus <= 1.0:
-            return SummabilityReport(math.inf, math.inf, math.inf, True, max_lag)
-        acv = model_autocovariance_table(source, max_lag)
-        rho = 0.0 if math.isinf(report.min_root_modulus) else 1.0 / report.min_root_modulus
-    else:
-        acv = source
-        max_lag = acv.max_lag
-        rho = None
-
-    deg = 2 * np.arange(acv.band_limit + 1) + 1
-    l2_terms = np.sqrt(deg @ acv.values**2)
-    tr_terms = deg @ np.abs(acv.values)
-    kernel_l2_sum = float(l2_terms[0] + 2.0 * l2_terms[1:].sum())
-    trace_sum = float(tr_terms[0] + 2.0 * tr_terms[1:].sum())
-
-    if rho is not None:
-        tail = 0.0 if rho == 0.0 else float(2.0 * tr_terms[-1] * rho / (1.0 - rho))
-        divergent = False
-    else:
-        tail = 2.0 * _geometric_tail(tr_terms[-1], tr_terms[-2]) if acv.max_lag >= 2 else 0.0
-        divergent = not math.isfinite(tail)
-    return SummabilityReport(kernel_l2_sum, trace_sum, tail, divergent, acv.max_lag)
 
 
 def ckl_truncation_error(spec, l_trunc):

@@ -21,8 +21,8 @@ order: a_{l,m} at entry ``l*(l+1)+m``, l ascending and m from -l to l, the
 row order of a coefficient series.
 
 Grids are Gauss-Legendre in colatitude (nodes in cos theta) crossed with
-equiangular longitudes, the minimal node counts that integrate every product
-``Y_{l,m} * Y_{l',m'}`` with ``l, l' <= L`` exactly.
+equiangular longitudes, the minimal node counts whose quadrature is exact
+for every product ``Y_{l,m} * Y_{l',m'}`` with ``l, l' <= L``.
 
 A grid tabulates Q_{l,m} at its colatitude nodes once, packed by order: block
 m has shape ``(n_lat, L+1-m)``, one contiguous row of Q_{m..L,m} per node, so
@@ -81,39 +81,14 @@ def legendre_all(l_max, x):
     return out[:, 0] if scalar else out
 
 
-def _normalized_assoc_legendre(l_max, m, x):
-    """Fully normalized Q_{l,m}(x) for l = m..l_max, no Condon-Shortley phase.
-
-    ``2*pi * integral(Q_{l,m}^2 dx) = 1`` on [-1, 1]. Stable upward
-    recurrence in l at fixed m.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    n = l_max - m + 1
-    out = np.empty((n,) + x.shape)
-    # seed Q_{m,m}; accumulate the sectoral recurrence from Q_{0,0}
-    q = np.full_like(x, 1.0 / math.sqrt(FOUR_PI))
-    for k in range(1, m + 1):
-        q = math.sqrt((2 * k + 1) / (2.0 * k)) * s * q
-    out[0] = q
-    if n > 1:
-        out[1] = math.sqrt(2 * m + 3.0) * x * q
-    for l in range(m + 2, l_max + 1):
-        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-        b = math.sqrt(
-            ((2.0 * l + 1.0) * (l - 1.0 + m) * (l - 1.0 - m))
-            / ((2.0 * l - 3.0) * (l * l - m * m))
-        )
-        out[l - m] = a * x * out[l - m - 1] - b * out[l - m - 2]
-    return out
-
-
 def _legendre_by_degree(l_max, x):
     """Yield Q_{l,0..l}(x), shape ``(l+1,) + shape(x)``, for l = 0..l_max.
 
-    The recurrence of `_normalized_assoc_legendre` run for every order at
-    once, one array step per degree, with the same floating-point operations
-    in the same order, so each value is bit-identical to it.
+    Q_{m,m} comes from the sectoral recurrence seeded at Q_{0,0}, and the
+    stable upward recurrence in l at fixed m runs for every order at once,
+    one array step per degree. The floating-point operations are those of the
+    per-order reference in ``tests/oracles.py``, in the same order, so each
+    value is bit-identical to it.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
@@ -130,26 +105,6 @@ def _legendre_by_degree(l_max, x):
         nxt[l] = math.sqrt((2 * l + 1) / (2.0 * l)) * s * q[l - 1]
         prev, q = q, nxt
         yield q
-
-
-def real_sph_harm(l, m, colat, lon):
-    """Real orthonormal spherical harmonic Y_{l,m}(colat, lon).
-
-    Cosine branch for m > 0, sine branch for m < 0, zonal for m = 0.
-    """
-    if abs(m) > l:
-        raise IndexError("|m| must not exceed l")
-    scalar = np.isscalar(colat) and np.isscalar(lon)
-    colat = np.atleast_1d(np.asarray(colat, dtype=float))
-    lon = np.atleast_1d(np.asarray(lon, dtype=float))
-    q = _normalized_assoc_legendre(l, abs(m), np.cos(colat))[-1]
-    if m == 0:
-        val = q
-    elif m > 0:
-        val = math.sqrt(2.0) * q * np.cos(m * lon)
-    else:
-        val = math.sqrt(2.0) * q * np.sin(-m * lon)
-    return float(val[0]) if scalar else val
 
 
 def harmonic_values_at(l_max, colat, lon):
@@ -232,14 +187,6 @@ class SphereGrid:
             self._tables["cos"] = np.cos(m * self.longitudes[None, :])
             self._tables["sin"] = np.sin(m * self.longitudes[None, :])
         return self._tables["cos"], self._tables["sin"]
-
-    def integrate(self, values):
-        """Quadrature of node values over the sphere."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_lat, self.n_lon):
-            raise ValueError("value array does not match grid shape")
-        lon_w = 2.0 * math.pi / self.n_lon
-        return float(self.colat_weights @ values.sum(axis=1)) * lon_w
 
 
 def build_grid(band_limit, n_lat=None):

@@ -1,0 +1,193 @@
+"""Reference implementations that only the tests use.
+
+Each function here checks a library result by a second route and is reached
+by no command and no library function: spherical harmonics evaluated one
+(l, m) at a time, grid quadrature, covariance kernel synthesis and norms,
+short-memory summability sums, the operator distance of two spectra, and
+stream lookup in a coefficient series. A method of a library class is a
+function here that takes the object as its first argument.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from spharma.approx import _sup_operator_norm
+from spharma.model import SpharmaModel, check_causal, model_autocovariance_table
+from spharma.spectral import _geometric_tail
+from spharma.sphere import FOUR_PI, legendre_all
+
+
+# spharma.sphere
+
+def _normalized_assoc_legendre(l_max, m, x):
+    """Fully normalized Q_{l,m}(x) for l = m..l_max, no Condon-Shortley phase.
+
+    ``2*pi * integral(Q_{l,m}^2 dx) = 1`` on [-1, 1]. Stable upward
+    recurrence in l at fixed m.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    n = l_max - m + 1
+    out = np.empty((n,) + x.shape)
+    # seed Q_{m,m}; accumulate the sectoral recurrence from Q_{0,0}
+    q = np.full_like(x, 1.0 / math.sqrt(FOUR_PI))
+    for k in range(1, m + 1):
+        q = math.sqrt((2 * k + 1) / (2.0 * k)) * s * q
+    out[0] = q
+    if n > 1:
+        out[1] = math.sqrt(2 * m + 3.0) * x * q
+    for l in range(m + 2, l_max + 1):
+        a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = math.sqrt(
+            ((2.0 * l + 1.0) * (l - 1.0 + m) * (l - 1.0 - m))
+            / ((2.0 * l - 3.0) * (l * l - m * m))
+        )
+        out[l - m] = a * x * out[l - m - 1] - b * out[l - m - 2]
+    return out
+
+
+def real_sph_harm(l, m, colat, lon):
+    """Real orthonormal spherical harmonic Y_{l,m}(colat, lon).
+
+    Cosine branch for m > 0, sine branch for m < 0, zonal for m = 0.
+    """
+    if abs(m) > l:
+        raise IndexError("|m| must not exceed l")
+    scalar = np.isscalar(colat) and np.isscalar(lon)
+    colat = np.atleast_1d(np.asarray(colat, dtype=float))
+    lon = np.atleast_1d(np.asarray(lon, dtype=float))
+    q = _normalized_assoc_legendre(l, abs(m), np.cos(colat))[-1]
+    if m == 0:
+        val = q
+    elif m > 0:
+        val = math.sqrt(2.0) * q * np.cos(m * lon)
+    else:
+        val = math.sqrt(2.0) * q * np.sin(-m * lon)
+    return float(val[0]) if scalar else val
+
+
+def integrate(grid, values):
+    """Quadrature of node values over the sphere."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n_lat, grid.n_lon):
+        raise ValueError("value array does not match grid shape")
+    lon_w = 2.0 * math.pi / grid.n_lon
+    return float(grid.colat_weights @ values.sum(axis=1)) * lon_w
+
+
+# spharma.spectral
+
+def total_variance(acv):
+    """sum_l (2l+1) C_l(0) over the stored band."""
+    deg = 2 * np.arange(acv.band_limit + 1) + 1
+    return float(deg @ acv.values[:, 0])
+
+
+def kernel_from_eigenvalues(eigs, c):
+    """Isotropic kernel k(c) = sum_l eig_l (2l+1)/(4pi) P_l(c) from eigenvalues."""
+    eigs = np.asarray(eigs, dtype=float)
+    L = len(eigs) - 1
+    deg = 2 * np.arange(L + 1) + 1
+    coeff = deg / (4.0 * math.pi) * eigs
+    P = legendre_all(L, c)
+    return coeff @ P if np.ndim(P) > 1 else float(coeff @ P)
+
+
+def covariance_kernel_eval(acv, t, c):
+    """Covariance kernel r_t at inner product c: Legendre synthesis of C_l(t)."""
+    if abs(t) > acv.max_lag:
+        raise ValueError("lag out of range")
+    return kernel_from_eigenvalues(acv.values[:, abs(t)], c)
+
+
+def kernel_l2_norm(acv, t):
+    """L2(S2 x S2) norm of the lag-t kernel: sqrt(sum_l (2l+1) C_l(t)^2)."""
+    if abs(t) > acv.max_lag:
+        raise ValueError("lag out of range")
+    deg = 2 * np.arange(acv.band_limit + 1) + 1
+    return float(np.sqrt(deg @ acv.values[:, abs(t)] ** 2))
+
+
+@dataclass
+class SummabilityReport:
+    """Short-memory diagnostics: summed kernel norms over lags plus tail."""
+
+    kernel_l2_sum: float
+    trace_sum: float
+    tail_estimate: float
+    divergent: bool
+    max_lag: int
+
+
+def summability_report(source, max_lag=200):
+    """Summability sums over |t| <= max_lag for an acv table or an ARMA model.
+
+    For models the geometric tail uses the uniform root margin: the lag
+    envelope decays like (1/xi_*)^t, so the tail beyond the last stored lag
+    is estimated from the final trace term. A non-causal model (or a
+    non-decaying table) sets the divergence flag instead of raising.
+    """
+    if isinstance(source, SpharmaModel):
+        report = check_causal(source, margin=0.0)
+        # roots strictly outside the closed disk; a unit root diverges
+        if not report.causal or report.min_root_modulus <= 1.0:
+            return SummabilityReport(math.inf, math.inf, math.inf, True, max_lag)
+        acv = model_autocovariance_table(source, max_lag)
+        rho = 0.0 if math.isinf(report.min_root_modulus) else 1.0 / report.min_root_modulus
+    else:
+        acv = source
+        max_lag = acv.max_lag
+        rho = None
+
+    deg = 2 * np.arange(acv.band_limit + 1) + 1
+    l2_terms = np.sqrt(deg @ acv.values**2)
+    tr_terms = deg @ np.abs(acv.values)
+    kernel_l2_sum = float(l2_terms[0] + 2.0 * l2_terms[1:].sum())
+    trace_sum = float(tr_terms[0] + 2.0 * tr_terms[1:].sum())
+
+    if rho is not None:
+        tail = 0.0 if rho == 0.0 else float(2.0 * tr_terms[-1] * rho / (1.0 - rho))
+        divergent = False
+    else:
+        tail = 2.0 * _geometric_tail(tr_terms[-1], tr_terms[-2]) if acv.max_lag >= 2 else 0.0
+        divergent = not math.isfinite(tail)
+    return SummabilityReport(kernel_l2_sum, trace_sum, tail, divergent, acv.max_lag)
+
+
+# spharma.simulate
+
+def row_index(l, m):
+    """Row of stream (l, m) in the packed coefficient layout."""
+    if abs(m) > l:
+        raise IndexError("|m| must not exceed l")
+    return l * (l + 1) + m
+
+
+def get(series, l, m):
+    return series.values[row_index(l, m)]
+
+
+# spharma.approx
+
+def spectral_distance(f1, f2, norm="l2_kernel", lams=None):
+    """sup over the frequency grid of the per-lambda distance, plus tails.
+
+    ``l2_kernel``: sqrt(sum_l (2l+1) (f1_l - f2_l)^2); ``trace``:
+    sum_l (2l+1) |f1_l - f2_l|. Stored above-band tail bounds of both
+    operands are added (triangle inequality).
+    """
+    if f1.band_limit != f2.band_limit:
+        raise ValueError("band limits differ")
+    if lams is None:
+        if f1.form == "tabulated" and f2.form == "tabulated":
+            if len(f1.lam) != len(f2.lam) or not np.allclose(f1.lam, f2.lam):
+                raise ValueError("tabulated spectra on mismatched grids")
+            lams = f1.lam
+        else:
+            lams = f1.lambda_grid() if f1.form == "tabulated" else f2.lambda_grid()
+    diff = f1.values(lams) - f2.values(lams)
+    return _sup_operator_norm(diff, norm) + f1.tail_bound + f2.tail_bound

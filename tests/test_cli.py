@@ -1,4 +1,6 @@
+import ast
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -215,6 +217,22 @@ class TestApproximateCommand:
         assert code == cli.EXIT_BUDGET
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["passed"] is False and cert["order_cap_reached"] is True
+
+    def test_band_tail_over_eps_exits_4(self, tmp_path, capsys):
+        # the stored band tail alone exceeds eps: no order reaches the cap,
+        # and the certificate still cannot pass
+        target = tmp_path / "tail.json"
+        target.write_text(json.dumps({
+            "schema": 1, "form": "rational", "band_limit": 0, "tail_bound": 1.0,
+            "rational": [{"l": 0, "ar": [0.5], "ma": [], "noise": 1.0}]}))
+        out = tmp_path / "fit"
+        with pytest.warns(UserWarning, match="band tail"):
+            code = run("approximate", "--target", target, "--eps", 0.01,
+                       "--kind", "ma", "--out", out)
+        assert code == cli.EXIT_BUDGET
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["passed"] is False and cert["order_cap_reached"] is False
+        assert "certificate FAILED" in capsys.readouterr().out
 
     def test_huge_order_cap_same_certificate(self, tmp_path):
         # lags are fetched as deep as the escalation goes, not as deep as the
@@ -514,6 +532,29 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_library_surface():
+    # only what a command, a kept library function or a CI line reaches;
+    # test-only references live in tests/oracles.py
+    assert spharma.__all__ == [
+        "ApproximationCertificate", "AutocovarianceSpectrum", "CausalityReport",
+        "CramerReport", "FieldSnapshot", "HarmonicCoefficientSeries",
+        "SimulationConfig", "SpectralEigenvalues", "SpharmaModel", "SphereGrid",
+        "approx", "approximate_operator", "autocov_table", "batch_means_se",
+        "build_grid", "check_causal", "check_coprime", "check_invertible",
+        "ckl_truncation_error", "durbin_levinson", "empirical_autocov", "fit_ar",
+        "fit_ma", "frequency_grid", "h_step_error", "l2_omega_error",
+        "lag_polynomial_roots", "legendre_all", "model", "model_autocovariance",
+        "model_autocovariance_table", "operator_trace_norm", "psi_coefficients",
+        "sht_forward", "sht_inverse", "simulate", "simulate_spharma",
+        "simulate_white_noise", "spectral", "spectral_from_autocov", "sphere",
+        "synthesize_field", "verify_cramer_orthogonality", "wold"]
+    # spectral.py imports nothing from sphere.py
+    tree = ast.parse(inspect.getsource(spharma.spectral))
+    imported = {f"{node.module or ''}.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not [name for name in imported if "sphere" in name.split(".")], imported
+
+
 def _command(name, path, out):
     """argv of a command that reads the JSON at ``path`` and writes to ``out``."""
     return {"simulate": ["simulate", "--model", path, "--n", 10, "--out", out],
@@ -598,14 +639,17 @@ class TestMalformedInputs:
 
     def test_tabulated_band_limit_mismatch_exits_2(self, tmp_path):
         lam = spharma.frequency_grid(64)
-        f = SpharmaModel.uniform(1, ar=[0.5]).spectral().values(lam)
-        path = tmp_path / "tab.json"
-        path.write_text(json.dumps({"schema": 1, "form": "tabulated",
-                                    "band_limit": 5, "tail_bound": 0.0,
-                                    "lambda_grid": lam.tolist(), "f": f.tolist()}))
-        out = tmp_path / "out"
-        assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
-        assert not out.exists()
+        # a band limit above the rows, and ones that int() would truncate
+        for k, (band_limit, rows) in enumerate([(5, 2), (0.5, 1), (True, 2)]):
+            f = SpharmaModel.uniform(rows - 1, ar=[0.5]).spectral().values(lam)
+            path = tmp_path / f"tab{k}.json"
+            path.write_text(json.dumps({"schema": 1, "form": "tabulated",
+                                        "band_limit": band_limit, "tail_bound": 0.0,
+                                        "lambda_grid": lam.tolist(),
+                                        "f": f.tolist()}))
+            out = tmp_path / f"out{k}"
+            assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "spectrum", "approximate"])
     def test_nan_noise_is_reported_as_not_finite(self, tmp_path, command, capsys):
@@ -622,9 +666,13 @@ class TestMalformedInputs:
         (0, 5), (0, [{"l": None, "ar": [], "ma": [], "noise": 1.0}]), (-1, []),
         (0, [{"l": 0, "ar": [], "ma": [], "noise": float("inf")}]),
         (0, [{"l": 0, "ar": 0.5, "ma": [], "noise": 1.0}]),
-        (0, [{"l": 0, "ar": [], "ma": 0.3, "noise": 1.0}])],
+        (0, [{"l": 0, "ar": [], "ma": 0.3, "noise": 1.0}]),
+        (1.9, [_entry(0), _entry(1)]), (True, [_entry(0), _entry(1)]),
+        (1, [_entry(0.7), _entry(1.2)]), (1, [_entry(0), _entry(True)]),
+        (0, [_entry("0")]), (0, [{"l": 0, "ar": [], "ma": [], "noise": "2"}])],
         ids=["entries-number", "l-null", "negative-band-limit", "infinite-noise",
-             "scalar-ar", "scalar-ma"])
+             "scalar-ar", "scalar-ma", "float-band-limit", "bool-band-limit",
+             "float-l", "bool-l", "string-l", "string-noise"])
     @pytest.mark.parametrize("command", ["simulate", "spectrum", "approximate"])
     def test_malformed_model_json_exits_2(self, tmp_path, command, band_limit,
                                           entries, capsys):

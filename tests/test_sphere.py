@@ -8,6 +8,8 @@ import pytest
 from spharma import cli, simulate, spectral, sphere
 from spharma.model import SpharmaModel, model_autocovariance_table
 
+from oracles import _normalized_assoc_legendre, integrate, real_sph_harm
+
 FOUR_PI = 4.0 * math.pi
 
 
@@ -61,30 +63,30 @@ class TestRealSphHarm:
     def test_monopole_value(self):
         # oracle: integral of a constant c over S^2 is 4 pi c^2 = 1
         expected = 1.0 / math.sqrt(FOUR_PI)
-        assert abs(sphere.real_sph_harm(0, 0, 0.4, 2.0) - expected) < 1e-14
-        assert abs(sphere.real_sph_harm(0, 0, 2.9, 5.5) - expected) < 1e-14
+        assert abs(real_sph_harm(0, 0, 0.4, 2.0) - expected) < 1e-14
+        assert abs(real_sph_harm(0, 0, 2.9, 5.5) - expected) < 1e-14
 
     def test_zonal_dipole_at_pole(self):
         expected = math.sqrt(3.0 / FOUR_PI)
-        assert abs(sphere.real_sph_harm(1, 0, 0.0, 1.23) - expected) < 1e-14
+        assert abs(real_sph_harm(1, 0, 0.0, 1.23) - expected) < 1e-14
 
     def test_degree_one_sum_of_squares(self):
         # addition theorem at x = y with P_1(1) = 1
         rng = np.random.default_rng(3)
         for colat, lon in zip(*random_angles(rng, 5)):
-            total = sum(sphere.real_sph_harm(1, m, colat, lon) ** 2
+            total = sum(real_sph_harm(1, m, colat, lon) ** 2
                         for m in (-1, 0, 1))
             assert abs(total - 3.0 / FOUR_PI) < 1e-13
 
     def test_order_out_of_range(self):
         with pytest.raises(IndexError):
-            sphere.real_sph_harm(2, 3, 0.5, 0.5)
+            real_sph_harm(2, 3, 0.5, 0.5)
 
     def test_m_zero_brute_force_normalization(self):
         # oracle: midpoint Riemann sum of Y^2 sin(theta) over a fine mesh
         nt = 6000
         th = (np.arange(nt) + 0.5) * math.pi / nt
-        val = sphere.real_sph_harm(7, 0, th, np.zeros_like(th))
+        val = real_sph_harm(7, 0, th, np.zeros_like(th))
         integral = (val**2 * np.sin(th)).sum() * (math.pi / nt) * 2 * math.pi
         assert abs(integral - 1.0) < 1e-6
 
@@ -93,8 +95,7 @@ class TestRealSphHarm:
         for l in [1, 2, 5, 11, 20, 32]:
             t1, p1 = (v[0] for v in random_angles(rng, 1))
             t2, p2 = (v[0] for v in random_angles(rng, 1))
-            lhs = sum(sphere.real_sph_harm(l, m, t1, p1)
-                      * sphere.real_sph_harm(l, m, t2, p2)
+            lhs = sum(real_sph_harm(l, m, t1, p1) * real_sph_harm(l, m, t2, p2)
                       for m in range(-l, l + 1))
             c = sphere_dot(t1, p1, t2, p2)
             rhs = (2 * l + 1) / FOUR_PI * sphere.legendre_all(l, c)[l]
@@ -107,7 +108,7 @@ class TestRealSphHarm:
         for l in range(L + 1):
             for m in range(-l, l + 1):
                 assert abs(packed[l * (l + 1) + m]
-                           - sphere.real_sph_harm(l, m, colat, lon)) < 1e-13
+                           - real_sph_harm(l, m, colat, lon)) < 1e-13
 
     def test_harmonic_values_at_matches_per_order_recurrence(self):
         # bit for bit the values of one per-order recurrence per m
@@ -119,7 +120,7 @@ class TestRealSphHarm:
             centre = np.arange(L + 1) * np.arange(1, L + 2)
             x = np.cos(colat)
             for m in range(L + 1):
-                q = sphere._normalized_assoc_legendre(L, m, x)[:, 0]
+                q = _normalized_assoc_legendre(L, m, x)[:, 0]
                 if m == 0:
                     expected[centre] = q
                 else:
@@ -142,8 +143,8 @@ class TestGrid:
     def test_self_product_integral(self):
         g = sphere.build_grid(2)
         TH, PH = np.meshgrid(g.colatitudes, g.longitudes, indexing="ij")
-        vals = sphere.real_sph_harm(2, 1, TH, PH)
-        assert abs(g.integrate(vals**2) - 1.0) < 1e-12
+        vals = real_sph_harm(2, 1, TH, PH)
+        assert abs(integrate(g, vals**2) - 1.0) < 1e-12
 
     def test_gram_identity(self):
         L = 32
@@ -154,7 +155,7 @@ class TestGrid:
         idx = 0
         for l in range(L + 1):
             for m in range(-l, l + 1):
-                Y[idx] = sphere.real_sph_harm(l, m, TH.ravel(), PH.ravel())
+                Y[idx] = real_sph_harm(l, m, TH.ravel(), PH.ravel())
                 idx += 1
         w = np.outer(g.colat_weights,
                      np.full(g.n_lon, 2 * math.pi / g.n_lon)).ravel()
@@ -211,7 +212,7 @@ class TestPackedLegendreTable:
         for m, block in enumerate(blocks):
             assert block.shape == (g.n_lat, L + 1 - m)
             assert block.flags.c_contiguous
-            assert np.array_equal(block, sphere._normalized_assoc_legendre(L, m, x).T)
+            assert np.array_equal(block, _normalized_assoc_legendre(L, m, x).T)
 
     def test_blocks_share_one_packed_buffer(self):
         L = 20
@@ -239,7 +240,7 @@ class TestPackedLegendreTable:
         coeffs = rng.standard_normal((L + 1) ** 2)
         values = sphere.sht_inverse(coeffs, g).values
         TH, PH = np.meshgrid(g.colatitudes, g.longitudes, indexing="ij")
-        direct = sum(coeffs[l * (l + 1) + m] * sphere.real_sph_harm(l, m, TH, PH)
+        direct = sum(coeffs[l * (l + 1) + m] * real_sph_harm(l, m, TH, PH)
                      for l in range(L + 1) for m in range(-l, l + 1))
         assert np.abs(values - direct).max() < 1e-12 * np.abs(direct).max()
 
@@ -267,7 +268,7 @@ class TestTransforms:
     def test_single_harmonic_projection(self):
         g = sphere.build_grid(5)
         TH, PH = np.meshgrid(g.colatitudes, g.longitudes, indexing="ij")
-        field = sphere.FieldSnapshot(g, sphere.real_sph_harm(3, -2, TH, PH))
+        field = sphere.FieldSnapshot(g, real_sph_harm(3, -2, TH, PH))
         coeffs = sphere.sht_forward(field)
         assert abs(coeffs[3 * 4 - 2] - 1.0) < 1e-12
         coeffs[3 * 4 - 2] = 0.0
@@ -296,7 +297,7 @@ class TestTransforms:
         g = sphere.build_grid(L)
         coeffs = rng.standard_normal((L + 1) ** 2)
         field = sphere.sht_inverse(coeffs, g)
-        assert abs(g.integrate(field.values**2) - (coeffs**2).sum()) < 1e-10
+        assert abs(integrate(g, field.values**2) - (coeffs**2).sum()) < 1e-10
 
     def test_band_limit_errors(self):
         g = sphere.build_grid(2)
