@@ -36,10 +36,6 @@ _CKL_Z_MAX = 4.0
 _CKL_NODE = (1.1, 2.4)  # ckl: (colat, lon) of the node the error is taken at
 
 
-class InputError(Exception):
-    pass
-
-
 def _config_hash(args, command):
     # identifies the computation, not where its outputs land
     payload = {k: v for k, v in sorted(vars(args).items())
@@ -50,43 +46,43 @@ def _config_hash(args, command):
 
 def _load_model(path):
     if not os.path.exists(path):
-        raise InputError(f"model file not found: {path}")
+        raise ValueError(f"model file not found: {path}")
     try:
         return SpharmaModel.load(path)
     except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"invalid model JSON: {exc}") from exc
+        raise ValueError(f"invalid model JSON: {exc}") from exc
 
 
 def _load_series(path):
     try:
         return simulate.HarmonicCoefficientSeries.load(path)
     except FileNotFoundError as exc:
-        raise InputError(f"series file not found: {exc.filename}") from exc
+        raise ValueError(f"series file not found: {exc.filename}") from exc
     except ValueError as exc:
-        raise InputError(f"invalid series: {exc}") from exc
+        raise ValueError(f"invalid series: {exc}") from exc
 
 
 def _load_target(path):
     """Spectral target: either a spectrum JSON or a model JSON."""
     if not os.path.exists(path):
-        raise InputError(f"target file not found: {path}")
+        raise ValueError(f"target file not found: {path}")
     try:
         with open(path) as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
-            raise InputError("invalid spectral target: not a JSON object")
+            raise TypeError("not a JSON object")
         if "entries" in payload and "form" not in payload:
             return SpharmaModel.from_json(payload).spectral()
         return spectral.SpectralEigenvalues.from_json(payload)
     except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"invalid spectral target: {exc}") from exc
+        raise ValueError(f"invalid spectral target: {exc}") from exc
 
 
 def _truncate_model(model, lmax):
     if lmax is None or lmax >= model.band_limit:
         return model
     if lmax < 0:
-        raise InputError("lmax must be nonnegative")
+        raise ValueError("lmax must be nonnegative")
     return SpharmaModel(lmax, model.ar[: lmax + 1], model.ma[: lmax + 1],
                         model.noise[: lmax + 1])
 
@@ -95,7 +91,7 @@ def _truncate_series(series, lmax):
     if lmax is None or lmax >= series.band_limit:
         return series
     if lmax < 0:
-        raise InputError("lmax must be nonnegative")
+        raise ValueError("lmax must be nonnegative")
     rows = (lmax + 1) ** 2
     return simulate.HarmonicCoefficientSeries(lmax, series.values[:rows],
                                               dict(series.provenance))
@@ -130,9 +126,9 @@ def cmd_simulate(args):
 
 def cmd_spectrum(args):
     if args.max_lag < 0:
-        raise InputError("max lag must be nonnegative")
+        raise ValueError("max lag must be nonnegative")
     if args.n_lambda < 1:
-        raise InputError("n-lambda must be at least 1")
+        raise ValueError("n-lambda must be at least 1")
     if args.model:
         model = _truncate_model(_load_model(args.model), args.lmax)
         try:
@@ -336,7 +332,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import AutocovarianceSpectrum, SpectralEigenvalues, _json_int
+from .spectral import (AutocovarianceSpectrum, SpectralEigenvalues, _json_int,
+                       _json_numbers)
 
 _DEGENERATE = 1e-14
 _COPRIME_TOL = 1e-8  # check_coprime: least distance between AR and MA roots
@@ -104,8 +105,8 @@ class SpharmaModel:
     def from_json(cls, payload):
         """Read ``to_json`` output: each l from 0 to band_limit exactly once.
 
-        ``band_limit`` and each ``l`` are JSON integers and each ``noise`` a
-        JSON number, as written; ``ValueError`` otherwise.
+        ``band_limit`` and each ``l`` are JSON integers and each coefficient
+        and ``noise`` a JSON number, as written; ``ValueError`` otherwise.
         """
         L = _json_int(payload["band_limit"], "band_limit")
         ar = [np.empty(0)] * (L + 1)
@@ -118,12 +119,11 @@ class SpharmaModel:
                 raise ValueError(f"model JSON entry l={l}: each l from 0 to {L} "
                                  "must appear exactly once")
             seen.add(l)
-            ar[l] = np.asarray(entry["ar"], dtype=float)
-            ma[l] = np.asarray(entry["ma"], dtype=float)
-            if type(entry["noise"]) not in (int, float):
-                raise ValueError("noise must be a JSON number, "
-                                 f"got {entry['noise']!r}")
-            noise[l] = float(entry["noise"])
+            ar[l] = np.asarray(_json_numbers(entry["ar"], "ar coefficient"),
+                               dtype=float)
+            ma[l] = np.asarray(_json_numbers(entry["ma"], "ma coefficient"),
+                               dtype=float)
+            noise[l] = float(_json_numbers(entry["noise"], "noise"))
         if len(seen) != L + 1:
             raise ValueError("model JSON missing entries for some multipoles")
         return cls(L, ar, ma, noise)

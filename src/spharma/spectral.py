@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -100,6 +101,20 @@ def _json_int(value, name):
     string is truncated to one."""
     if type(value) is not int:
         raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_numbers(value, name):
+    """``value`` if it is a JSON number or a list of them (lists may nest), each
+    within float range, else ``ValueError``: no bool or string is read as one."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            stack.extend(item)
+        elif type(item) is not float and (type(item) is not int
+                                          or abs(item) > sys.float_info.max):
+            raise ValueError(f"{name} must be a JSON number, got {item!r}")
     return value
 
 
@@ -227,19 +242,22 @@ class SpectralEigenvalues:
 
     @classmethod
     def from_json(cls, payload):
-        """Read ``to_json`` output. ``band_limit`` is a JSON integer; rational
-        rows are model entries, each l from 0 to ``band_limit`` once; a
-        tabulated ``f`` has ``band_limit + 1`` rows. ``ValueError`` otherwise."""
+        """Read ``to_json`` output. ``band_limit`` is a JSON integer and every
+        other number a JSON number; rational rows are model entries, each l
+        from 0 to ``band_limit`` once; a tabulated ``f`` has ``band_limit + 1``
+        rows. ``ValueError`` otherwise."""
         from .model import SpharmaModel
 
-        tail = float(payload.get("tail_bound", 0.0))
+        tail = float(_json_numbers(payload.get("tail_bound", 0.0), "tail_bound"))
         L = _json_int(payload["band_limit"], "band_limit")
         if payload["form"] == "rational":
             model = SpharmaModel.from_json({"band_limit": L,
                                             "entries": payload["rational"]})
             return cls.rational(model, tail_bound=tail)
-        return cls(L, payload["form"], lambda_grid=payload["lambda_grid"],
-                   table=payload["f"], tail_bound=tail)
+        grid = _json_numbers(payload["lambda_grid"], "lambda_grid node")
+        table = _json_numbers(payload["f"], "f value")
+        return cls(L, payload["form"], lambda_grid=grid, table=table,
+                   tail_bound=tail)
 
     def save(self, path):
         with open(path, "w") as fh:

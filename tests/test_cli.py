@@ -176,17 +176,23 @@ class TestSpectrumCommand:
 
 class TestApproximateCommand:
     def test_pass_and_artifacts(self, tmp_path, model_path):
-        out = tmp_path / "fit"
-        code = run("approximate", "--target", model_path, "--eps", 0.05,
-                   "--kind", "ma", "--out", out)
-        assert code == cli.EXIT_OK
-        cert = json.loads((out / "certificate.json").read_text())
-        assert cert["passed"] is True
-        assert cert["total_l2"] <= 0.05
-        fitted = SpharmaModel.load(out / "fitted_model.json")
         from spharma.model import check_invertible
 
-        assert check_invertible(fitted).causal
+        # the model file, and its spectrum tabulated on frequency_grid()
+        tabulated = tmp_path / "tab.json"
+        lam = spharma.frequency_grid()
+        spharma.SpectralEigenvalues.tabulated(
+            lam, SpharmaModel.load(model_path).spectral().values(lam)).save(tabulated)
+        for target, out in [(model_path, tmp_path / "fit"),
+                            (tabulated, tmp_path / "fit_tab")]:
+            code = run("approximate", "--target", target, "--eps", 0.05,
+                       "--kind", "ma", "--out", out)
+            assert code == cli.EXIT_OK
+            cert = json.loads((out / "certificate.json").read_text())
+            assert cert["passed"] is True
+            assert cert["total_l2"] <= 0.05
+            fitted = SpharmaModel.load(out / "fitted_model.json")
+            assert check_invertible(fitted).causal
 
     def test_huge_eps_order_zero_on_white(self, tmp_path):
         target = tmp_path / "white.json"
@@ -622,6 +628,33 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert "invalid spectral target" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("form, key, bad", [
+        ("rational", "tail_bound", "0.001"), ("rational", "tail_bound", False),
+        ("tabulated", "tail_bound", "0.001"), ("tabulated", "tail_bound", False),
+        ("tabulated", "f", "strings"), ("tabulated", "lambda_grid", "strings")],
+        ids=["rational-string-tail", "rational-bool-tail", "tabulated-string-tail",
+             "tabulated-bool-tail", "string-f", "string-lambda-grid"])
+    def test_non_number_in_spectral_target_exits_2(self, tmp_path, form, key, bad,
+                                                   capsys):
+        # float() and np.asarray(..., dtype=float) would read each as a number
+        lam = spharma.frequency_grid(64)
+        payload = {"schema": 1, "form": form, "band_limit": 0, "tail_bound": 0.0}
+        if form == "rational":
+            payload["rational"] = [_entry(0)]
+        else:
+            f = SpharmaModel.uniform(0, ar=[0.5]).spectral().values(lam)
+            payload.update(lambda_grid=lam.tolist(), f=f.tolist())
+        if bad == "strings":
+            bad = np.asarray(payload[key]).astype(str).tolist()
+        payload[key] = bad
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "invalid spectral target" in err and "must be a JSON number" in err
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_table_entry_exits_2(self, tmp_path, bad, capsys):
         lam = spharma.frequency_grid(64)
@@ -669,10 +702,14 @@ class TestMalformedInputs:
         (0, [{"l": 0, "ar": [], "ma": 0.3, "noise": 1.0}]),
         (1.9, [_entry(0), _entry(1)]), (True, [_entry(0), _entry(1)]),
         (1, [_entry(0.7), _entry(1.2)]), (1, [_entry(0), _entry(True)]),
-        (0, [_entry("0")]), (0, [{"l": 0, "ar": [], "ma": [], "noise": "2"}])],
+        (0, [_entry("0")]), (0, [{"l": 0, "ar": [], "ma": [], "noise": "2"}]),
+        (0, [{"l": 0, "ar": ["0.5"], "ma": [], "noise": 1.0}]),
+        (0, [{"l": 0, "ar": [], "ma": [True], "noise": 1.0}]),
+        (0, [{"l": 0, "ar": [], "ma": [], "noise": 10**400}])],
         ids=["entries-number", "l-null", "negative-band-limit", "infinite-noise",
              "scalar-ar", "scalar-ma", "float-band-limit", "bool-band-limit",
-             "float-l", "bool-l", "string-l", "string-noise"])
+             "float-l", "bool-l", "string-l", "string-noise", "string-ar",
+             "bool-ma", "huge-int-noise"])
     @pytest.mark.parametrize("command", ["simulate", "spectrum", "approximate"])
     def test_malformed_model_json_exits_2(self, tmp_path, command, band_limit,
                                           entries, capsys):

@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular, toeplitz
-from scipy.signal import lfilter
 
 from spharma import approx, simulate, spectral, sphere
 
@@ -18,6 +16,11 @@ try:
     import mpmath
 except ImportError:  # the abs2_on_circle property needs a 40-digit reference
     mpmath = None
+try:
+    from scipy.linalg import solve_triangular, toeplitz
+    from scipy.signal import lfilter
+except ImportError:  # oracles for the innovations recursion and arma_filter
+    solve_triangular = toeplitz = lfilter = None
 from spharma.model import (
     _FILTER_BLOCK,
     SpharmaModel,
@@ -174,6 +177,7 @@ def innovations_triangle(c):
     return theta, v
 
 
+@pytest.mark.skipif(lfilter is None, reason="needs scipy")
 @settings(max_examples=40, deadline=None)
 @given(causal_arma(), st.integers(1, 300))
 def test_schur_innovations_match_the_triangular_solve(model, depth):
@@ -189,6 +193,7 @@ def test_schur_innovations_match_the_triangular_solve(model, depth):
     assert np.array_equal(short_v, v[: depth // 2 + 1])
 
 
+@pytest.mark.skipif(lfilter is None, reason="needs scipy")
 @settings(max_examples=40, deadline=None)
 @given(causal_arma(), st.integers(1, 300))
 def test_innovations_factor_rebuilds_the_toeplitz_matrix(model, depth):
@@ -213,6 +218,7 @@ def spectral_condition_bound(model, l):
 
 @settings(max_examples=40, deadline=None)
 @given(causal_sphere_arma(), st.integers(0, 60))
+@example(SpharmaModel.uniform(2, ar=[0.5], ma=[0.3]), 40)
 def test_wold_model_reproduces_the_target(model, n_psi):
     # Every root lies at modulus >= 1.25, so |psi_j| <= 4 (j + 1) 0.8^j and
     # the sums over psi_0..psi_{n_psi + 1000} miss less than 1e-90 of the
@@ -312,6 +318,8 @@ def reconstruction_oracle(truth, fit, terms):
 
 @settings(max_examples=60, deadline=None)
 @given(reconstruction_case())
+@example((SpharmaModel.uniform(2, ar=[0.5], ma=[0.3]),
+          SpharmaModel.white_noise(np.ones(3))))
 def test_l2_omega_error_matches_the_psi_sum(case):
     # the truth and fit have roots at modulus >= 1.25 with multiplicity
     # <= 4, so the weights beyond j = 600 are below 1e-50
@@ -336,6 +344,7 @@ def filter_input(draw, max_n=3 * _FILTER_BLOCK + 7):
     return model.ar[0], model.ma[0], x
 
 
+@pytest.mark.skipif(lfilter is None, reason="needs scipy")
 @settings(max_examples=80, deadline=None)
 @given(filter_input())
 def test_arma_filter_matches_lfilter(case):
@@ -375,6 +384,7 @@ def test_arma_filter_rows_are_independent(case):
         assert np.array_equal(arma_filter(ar, ma, row), out)
 
 
+@pytest.mark.skipif(lfilter is None, reason="needs scipy")
 def test_arma_filter_edge_lengths():
     rng = np.random.default_rng(5)
     ar, ma = np.array([0.5, -0.3, 0.2]), np.array([0.4, 0.1])
@@ -386,6 +396,7 @@ def test_arma_filter_edge_lengths():
     assert arma_filter(ar, ma, np.empty((3, 0))).shape == (3, 0)
 
 
+@pytest.mark.skipif(lfilter is None, reason="needs scipy")
 def test_arma_filter_orders_beyond_the_block():
     # an MA part of order 256, as in an MA fit at the default order cap, and
     # an AR part longer than the default block; sum |ar| < 1 keeps it causal

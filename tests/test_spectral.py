@@ -203,6 +203,12 @@ class TestCklTruncation:
         got = spectral.ckl_truncation_error(spec, 1)
         expected = (5 * 0.25 + 7 * 0.125) / FOUR_PI
         assert abs(got - expected) < 1e-10
+        # a rational ARMA(1, 1) spectrum integrates to the lag-0 autocovariance
+        # (1 + 2 phi theta + theta^2) / (1 - phi^2) at unit noise
+        spec = SpharmaModel.uniform(2, ar=[0.5], ma=[0.3]).spectral()
+        got = spectral.ckl_truncation_error(spec, 0)
+        expected = (3 + 5) * (1 + 0.3 + 0.09) / 0.75 / FOUR_PI
+        assert abs(got - expected) < 1e-12
 
     def test_l_trunc_above_band_rejected(self):
         spec = SpharmaModel.white_noise(np.ones(2)).spectral()
