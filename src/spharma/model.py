@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import (AutocovarianceSpectrum, SpectralEigenvalues, _json_int,
-                       _json_numbers)
+                       _json_number, _json_numbers)
 
 _DEGENERATE = 1e-14
 _COPRIME_TOL = 1e-8  # check_coprime: least distance between AR and MA roots
@@ -123,7 +123,7 @@ class SpharmaModel:
                                dtype=float)
             ma[l] = np.asarray(_json_numbers(entry["ma"], "ma coefficient"),
                                dtype=float)
-            noise[l] = float(_json_numbers(entry["noise"], "noise"))
+            noise[l] = _json_number(entry["noise"], "noise")
         if len(seen) != L + 1:
             raise ValueError("model JSON missing entries for some multipoles")
         return cls(L, ar, ma, noise)

@@ -104,17 +104,25 @@ def _json_int(value, name):
     return value
 
 
+def _json_number(value, name):
+    """``float(value)`` if ``value`` is a JSON number within float range, else
+    ``ValueError``: no bool, string or list is read as one."""
+    if type(value) is not float and (type(value) is not int
+                                     or abs(value) > sys.float_info.max):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _json_numbers(value, name):
     """``value`` if it is a JSON number or a list of them (lists may nest), each
-    within float range, else ``ValueError``: no bool or string is read as one."""
+    as ``_json_number`` reads it, else ``ValueError``."""
     stack = [value]
     while stack:
         item = stack.pop()
         if type(item) is list:
             stack.extend(item)
-        elif type(item) is not float and (type(item) is not int
-                                          or abs(item) > sys.float_info.max):
-            raise ValueError(f"{name} must be a JSON number, got {item!r}")
+        else:
+            _json_number(item, name)
     return value
 
 
@@ -248,7 +256,7 @@ class SpectralEigenvalues:
         rows. ``ValueError`` otherwise."""
         from .model import SpharmaModel
 
-        tail = float(_json_numbers(payload.get("tail_bound", 0.0), "tail_bound"))
+        tail = _json_number(payload.get("tail_bound", 0.0), "tail_bound")
         L = _json_int(payload["band_limit"], "band_limit")
         if payload["form"] == "rational":
             model = SpharmaModel.from_json({"band_limit": L,

@@ -419,6 +419,15 @@ class TestWold:
         lam = frequency_grid(512)
         assert np.abs(w.spectral().values(lam) - m.spectral().values(lam)).max() < 1e-4
 
+    def test_arma11_residual_and_h_step(self):
+        # the Wold model of an ARMA(1, 1) keeps its autocovariances and its
+        # h-step errors, beyond the 40 psi weights too (h = 41)
+        m = SpharmaModel.uniform(2, ar=[0.5], ma=[0.3])
+        w, residual = approx.wold(model_autocovariance_table(m, 200), 40)
+        assert w.q == 40 and residual.max() < 1e-12
+        for h in (1, 2, 10, 41):
+            assert abs(approx.h_step_error(w, h) - approx.h_step_error(m, h)) < 1e-12
+
     def test_deterministic_component_rejected(self):
         # a_{l,m}(t) = X cos(lambda0 t) + Y sin(lambda0 t) is deterministic;
         # its autocovariance is c0 cos(lambda0 t) and the innovations
@@ -462,6 +471,10 @@ class TestL2OmegaCheck:
     def test_self_reconstruction_is_exact(self):
         m = SpharmaModel.uniform(2, ar=[0.5], ma=[0.3], noise=1.0)
         assert approx.l2_omega_error(m, m) == 0.0
+        # against white noise the error is sum_l (2l + 1) sum_{j>=1} psi_j^2
+        # / 4 pi, and psi_j = 0.8 * 0.5^(j-1) sums to 0.64 / 0.75 per l
+        err = approx.l2_omega_error(m, SpharmaModel.white_noise(m.noise))
+        assert abs(err - 9 * 0.64 / (0.75 * 4 * math.pi)) < 1e-12
 
     def test_error_monotone_in_ma_order(self):
         true_model = SpharmaModel.uniform(2, ar=[0.5], ma=[0.3], noise=1.0)

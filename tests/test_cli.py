@@ -539,7 +539,7 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_library_surface():
-    # only what a command, a kept library function or a CI line reaches;
+    # only what a command, a kept library function or a tier-1 test reaches;
     # test-only references live in tests/oracles.py
     assert spharma.__all__ == [
         "ApproximationCertificate", "AutocovarianceSpectrum", "CausalityReport",
@@ -630,9 +630,11 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("form, key, bad", [
         ("rational", "tail_bound", "0.001"), ("rational", "tail_bound", False),
+        ("rational", "tail_bound", [0.1]),
         ("tabulated", "tail_bound", "0.001"), ("tabulated", "tail_bound", False),
         ("tabulated", "f", "strings"), ("tabulated", "lambda_grid", "strings")],
-        ids=["rational-string-tail", "rational-bool-tail", "tabulated-string-tail",
+        ids=["rational-string-tail", "rational-bool-tail", "rational-list-tail",
+             "tabulated-string-tail",
              "tabulated-bool-tail", "string-f", "string-lambda-grid"])
     def test_non_number_in_spectral_target_exits_2(self, tmp_path, form, key, bad,
                                                    capsys):
@@ -705,11 +707,12 @@ class TestMalformedInputs:
         (0, [_entry("0")]), (0, [{"l": 0, "ar": [], "ma": [], "noise": "2"}]),
         (0, [{"l": 0, "ar": ["0.5"], "ma": [], "noise": 1.0}]),
         (0, [{"l": 0, "ar": [], "ma": [True], "noise": 1.0}]),
-        (0, [{"l": 0, "ar": [], "ma": [], "noise": 10**400}])],
+        (0, [{"l": 0, "ar": [], "ma": [], "noise": 10**400}]),
+        (0, [{"l": 0, "ar": [], "ma": [], "noise": [1.0]}])],
         ids=["entries-number", "l-null", "negative-band-limit", "infinite-noise",
              "scalar-ar", "scalar-ma", "float-band-limit", "bool-band-limit",
              "float-l", "bool-l", "string-l", "string-noise", "string-ar",
-             "bool-ma", "huge-int-noise"])
+             "bool-ma", "huge-int-noise", "list-noise"])
     @pytest.mark.parametrize("command", ["simulate", "spectrum", "approximate"])
     def test_malformed_model_json_exits_2(self, tmp_path, command, band_limit,
                                           entries, capsys):

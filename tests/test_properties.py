@@ -218,7 +218,6 @@ def spectral_condition_bound(model, l):
 
 @settings(max_examples=40, deadline=None)
 @given(causal_sphere_arma(), st.integers(0, 60))
-@example(SpharmaModel.uniform(2, ar=[0.5], ma=[0.3]), 40)
 def test_wold_model_reproduces_the_target(model, n_psi):
     # Every root lies at modulus >= 1.25, so |psi_j| <= 4 (j + 1) 0.8^j and
     # the sums over psi_0..psi_{n_psi + 1000} miss less than 1e-90 of the
@@ -318,8 +317,6 @@ def reconstruction_oracle(truth, fit, terms):
 
 @settings(max_examples=60, deadline=None)
 @given(reconstruction_case())
-@example((SpharmaModel.uniform(2, ar=[0.5], ma=[0.3]),
-          SpharmaModel.white_noise(np.ones(3))))
 def test_l2_omega_error_matches_the_psi_sum(case):
     # the truth and fit have roots at modulus >= 1.25 with multiplicity
     # <= 4, so the weights beyond j = 600 are below 1e-50
