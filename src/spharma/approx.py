@@ -40,6 +40,7 @@ from .model import (
     check_causal,
     min_root_modulus,
     model_autocovariance,
+    model_autocovariance_table,
     psi_coefficients,
 )
 from .spectral import frequency_grid, rational_density, trapezoid_lags
@@ -210,9 +211,16 @@ class ApproximationCertificate:
         }
 
 
+def _lag_table(target, max_lag):
+    """C_l(0..max_lag) of a target for every l, one row per multipole: exact
+    for a rational one, trapezoid lags of the table for a tabulated one."""
+    if target.form == "rational":
+        return model_autocovariance_table(target.model, max_lag).values
+    return trapezoid_lags(target.lam, target.table, max_lag)
+
+
 def _multipole_lags(target, l, max_lag):
-    """C_l(0..max_lag) of a target: exact for a rational one, trapezoid
-    lags of the table for a tabulated one. Both are prefix-stable."""
+    """Row l of ``_lag_table``, bit for bit. Both lag sources are prefix-stable."""
     if target.form == "rational":
         return model_autocovariance(target.model, l, max_lag)
     return trapezoid_lags(target.lam, target.table[l], max_lag)
@@ -267,6 +275,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
         raise ValueError("order_cap must be nonnegative")
     L = target.band_limit
     lam = frequency_grid()
+    z = np.exp(1j * lam)
     F = target.values(lam)
     budget = eps / (2.0 * (L + 1) ** 2)
     tail_error = target.tail_bound
@@ -286,10 +295,11 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     resolved = math.inf if target.form == "rational" else len(target.lam) // 4
     period = math.inf if target.form == "rational" else len(target.lam) - 1
     depth_of = _ma_depth if kind == "ma" else (lambda order: order)
-    # the lags are prefix-stable, so each order reads a prefix of one fetch
-    # as deep as the default cap needs; only an escalation past it fetches
-    # again, as deep as its order needs
-    fetch_depth = depth_of(min(order_cap, DEFAULT_ORDER_CAP))
+    # the lags are prefix-stable, so each order reads a prefix of one table,
+    # fetched for every multipole as deep as the default cap needs; only an
+    # escalation past it fetches again, for its multipole, as deep as its
+    # order needs
+    table = _lag_table(target, depth_of(min(order_cap, DEFAULT_ORDER_CAP)))
     for l in range(L + 1):
         best = None
         # a rational target that is already purely of the requested kind is a
@@ -301,7 +311,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
                 start = len(t_ma)
             elif kind == "ar" and len(t_ma) == 0:
                 start = len(t_ar)
-        lags = np.empty(0)
+        lags = table[l]
         for order in _order_schedule(order_cap, start):
             depth = depth_of(order)
             if order and depth >= period:
@@ -309,7 +319,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
             if depth > resolved:
                 warnings.warn("frequency grid is coarse for the requested lag depth")
             if depth >= len(lags):
-                lags = _multipole_lags(target, l, max(depth, fetch_depth))
+                lags = _multipole_lags(target, l, depth)
             c = lags[: depth + 1]
             if kind == "ma":
                 try:
@@ -321,7 +331,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
             else:
                 phi, sigma2 = fit_ar(c, order)
                 coeffs = (phi, np.empty(0))
-            row = rational_density(coeffs[0], coeffs[1], sigma2, lam)
+            row = rational_density(coeffs[0], coeffs[1], sigma2, z)
             err = float(np.abs(row - F[l]).max())
             if best is None or err < best[0]:
                 best = (err, order, coeffs, sigma2, row)

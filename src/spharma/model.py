@@ -257,6 +257,16 @@ def _filter_block(p, n):
     return max(1, min(max(p, _FILTER_BLOCK), n))
 
 
+def _coefficient_columns(c, n_rows):
+    """``c`` as ``arma_filter`` reads it: ``c[k - 1]`` is a scalar for one
+    shared row, or a ``(rows, 1)`` column for one row per input row."""
+    if c.ndim == 1:
+        return c
+    if c.shape[0] != n_rows:
+        raise ValueError(f"{c.shape[0]} coefficient rows for {n_rows} input rows")
+    return c.T[:, :, None]
+
+
 def arma_filter(ar, ma, x):
     """Apply theta(B)/phi(B) along the last axis of ``x`` from a zero state.
 
@@ -271,15 +281,29 @@ def arma_filter(ar, ma, x):
     meets no carried state, so each output depends neither on the other rows
     of ``x`` nor on its length: filtering a prefix gives a prefix of the
     output, bit for bit. Trailing zero AR coefficients are dropped.
+
+    ``ar`` and ``ma`` are each one coefficient row shared by every row of
+    ``x``, or a 2-D array with one row per row of ``x`` (its leading axes
+    flattened); each coefficient then acts on its rows as a column. Either
+    way each output row is bit for bit the 1-D call on that row's
+    coefficients. So the per-row AR rows must share one trimmed order
+    (``ValueError`` otherwise): a row padded with zero terms would add signed
+    zeros and could take another block length.
     """
-    ar = np.trim_zeros(np.asarray(ar, dtype=float), "b")
+    ar = np.asarray(ar, dtype=float)
     ma = np.asarray(ma, dtype=float)
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    p = len(ar)
+    rows = x.reshape(math.prod(x.shape[:-1]), n)
+    used = np.flatnonzero(np.any(np.atleast_2d(ar) != 0.0, axis=0))
+    p = int(used[-1]) + 1 if len(used) else 0
+    ar = ar[..., :p]
+    if ar.ndim == 2 and p and not ar[:, -1].all():
+        raise ValueError("per-row AR coefficients must share one trimmed order")
+    ar = _coefficient_columns(ar, len(rows))
+    ma = _coefficient_columns(ma, len(rows))
     B = _filter_block(p, n)
     nb = -(-n // B)
-    rows = x.reshape(math.prod(x.shape[:-1]), n)
     u = np.zeros((len(rows), nb * B if p else n))
     u[:, :n] = rows
     for k in range(1, min(len(ma), n - 1) + 1):
@@ -297,7 +321,7 @@ def arma_filter(ar, ma, x):
     if nb > 1:
         # g[:, i - 1]: a block's response to y_{-i} = 1, which is the
         # recursion driven by ar_{i+j} at positions j = 0..p-i
-        g = np.zeros((B, p))
+        g = np.zeros((B, p) + ar.shape[1:])
         for i in range(1, p + 1):
             g[: p - i + 1, i - 1] = ar[i - 1 :]
         _ar_in_blocks(ar, g, B)
@@ -305,7 +329,7 @@ def arma_filter(ar, ma, x):
         # of block b
         last = np.arange(B - 1, B - p - 1, -1)
         carried = np.ascontiguousarray(w[last].transpose(2, 0, 1))
-        g_last = [g[last, i, None] for i in range(p)]
+        g_last = [g[last, i].reshape(p, -1) for i in range(p)]
         for b in range(1, nb):
             prev = carried[b - 1]
             corr = g_last[0] * prev[0]
@@ -324,16 +348,9 @@ def arma_filter(ar, ma, x):
     return u[:, :n].reshape(x.shape)
 
 
-def model_autocovariance(model, l, max_lag):
-    """Exact C_l(0..max_lag) of a causal multipole (Brockwell & Davis 3.3, method 3).
-
-    With phi_0 = -1 and theta_0 = 1, C(k) - sum_i phi_i C(k-i) = C_{l;Z} r_k,
-    where r_k = sum_{j>=k} theta_j psi_{j-k} is zero for k > q. The equations
-    for k = 0..p, with C(-k) = C(k), are a (p+1) x (p+1) system for C(0..p)
-    that needs only psi_0..psi_q; the later lags run the same equations as a
-    zero-state AR filter. Nothing is truncated, and the solve does not depend
-    on max_lag, so the lags are prefix-stable bit for bit.
-    """
+def _autocovariance_drive(model, l, max_lag):
+    """Multipole l's trimmed AR row and the input from which a zero-state AR
+    filter with it gives C_l(0..max_lag) / C_{l;Z} (see ``model_autocovariance``)."""
     ar = np.trim_zeros(model.ar[l], "b")
     p, q = len(ar), len(model.ma[l])
     phi_poly = np.r_[1.0, -ar]
@@ -346,11 +363,38 @@ def model_autocovariance(model, l, max_lag):
     head = np.linalg.solve(system, np.r_[r, np.zeros(p)][: p + 1])
     # the filter's input: the left-hand sides, kept to their nonnegative lags
     e = np.r_[np.convolve(head, phi_poly)[: p + 1], r[p + 1 :]]
-    drive = np.r_[e, np.zeros(max_lag + 1)][: max_lag + 1]
+    return ar, np.r_[e, np.zeros(max_lag + 1)][: max_lag + 1]
+
+
+def model_autocovariance(model, l, max_lag):
+    """Exact C_l(0..max_lag) of a causal multipole (Brockwell & Davis 3.3, method 3).
+
+    With phi_0 = -1 and theta_0 = 1, C(k) - sum_i phi_i C(k-i) = C_{l;Z} r_k,
+    where r_k = sum_{j>=k} theta_j psi_{j-k} is zero for k > q. The equations
+    for k = 0..p, with C(-k) = C(k), are a (p+1) x (p+1) system for C(0..p)
+    that needs only psi_0..psi_q; the later lags run the same equations as a
+    zero-state AR filter. Nothing is truncated, and the solve does not depend
+    on max_lag, so the lags are prefix-stable bit for bit.
+    """
+    ar, drive = _autocovariance_drive(model, l, max_lag)
     return model.noise[l] * arma_filter(ar, [], drive)
 
 
 def model_autocovariance_table(model, max_lag):
-    vals = np.vstack([model_autocovariance(model, l, max_lag)
-                      for l in range(model.band_limit + 1)])
-    return AutocovarianceSpectrum(model.band_limit, max_lag, vals)
+    """C_l(0..max_lag) for every l; row l is bit for bit ``model_autocovariance``.
+
+    The (p+1) x (p+1) solve runs per l. The lags of all multipoles with one
+    trimmed AR order come from one ``arma_filter`` call with a coefficient
+    row per multipole, so the filter's fixed cost is paid once per order.
+    """
+    L = model.band_limit
+    drives = [_autocovariance_drive(model, l, max_lag) for l in range(L + 1)]
+    by_order = {}
+    for l, (ar, _) in enumerate(drives):
+        by_order.setdefault(len(ar), []).append(l)
+    vals = np.empty((L + 1, max_lag + 1))
+    for ls in by_order.values():
+        ar = np.array([drives[l][0] for l in ls])
+        drive = np.array([drives[l][1] for l in ls])
+        vals[ls] = model.noise[ls, None] * arma_filter(ar, [], drive)
+    return AutocovarianceSpectrum(L, max_lag, vals)

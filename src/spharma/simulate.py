@@ -32,6 +32,7 @@ _BURN_TARGET = 1e-10
 _BURN_CAP = 1_000_000
 _CRAMER_CHUNK_ROWS = 32  # streams per chunk of the band-split Gram matrix
 _CRAMER_BLOCK = 1 << 18  # _band_gram: floats per block of products or weights
+_CRAMER_GRAM_MAX_BYTES = 1 << 30  # _band_gram: largest table of summed products
 _CRAMER_FACTOR = 1.5  # verify_cramer_orthogonality: threshold 3 * factor / sqrt(n)
 _RUN_SAMPLES = 1 << 18  # cap on one filter call's padded buffer in simulate_spharma
 _NOISE_LAW = "gaussian"  # the only innovation law; recorded in every sidecar
@@ -332,6 +333,12 @@ def _band_gram(values, n_bands):
     edges = np.searchsorted(band_of, np.arange(n_bands + 1))
     widths = np.diff(edges)
     N = _fft_length(2 * int(widths.max()))
+    parts_per_m = 2 * n_bands
+    table_bytes = N * parts_per_m**2 * 8
+    if table_bytes > _CRAMER_GRAM_MAX_BYTES:
+        raise ValueError(f"{n_bands} bands need a {table_bytes / 1e6:.0f} MB "
+                         f"table of band products over {n} samples, above the "
+                         f"{_CRAMER_GRAM_MAX_BYTES / 1e6:.0f} MB limit")
     # take[m, b]: the bin of band b's coefficient m, or the zero bin past the end
     m = np.arange(N)
     take = np.where(m[:, None] < widths, edges[:-1] + m[:, None], n_bins)
@@ -339,7 +346,6 @@ def _band_gram(values, n_bands):
     # acc[m, 2b + i, 2c + j]: sum over rows of part i of u_b(mn/N) times part
     # j of u_c(mn/N) (part 0 real, 1 imaginary); the samples are u / (2N),
     # since the inverse FFT divides by N and the bins are taken as a X / 2
-    parts_per_m = 2 * n_bands
     acc = np.zeros((N, parts_per_m, parts_per_m))
     m_step = max(1, _CRAMER_BLOCK // parts_per_m**2)
     rows = min(_CRAMER_CHUNK_ROWS, len(values))
@@ -395,7 +401,9 @@ def verify_cramer_orthogonality(series, n_bands):
     vanishes identically by Parseval, carrying no information). Passes when
     the largest absolute correlation is below ``3 * _CRAMER_FACTOR / sqrt(n)``.
     ``ValueError`` above n // 2 + 1 bands, the bins of a real FFT: more
-    would leave some band empty.
+    would leave some band empty; and, before anything that size is
+    allocated, when the table of summed band products would exceed
+    ``_CRAMER_GRAM_MAX_BYTES``.
 
     The band components are never formed at all n samples: ``_band_gram``
     takes one real FFT of length n per stream and one complex FFT of length

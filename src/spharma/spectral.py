@@ -35,17 +35,18 @@ def frequency_grid(n_intervals=DEFAULT_FREQ_INTERVALS):
     return np.linspace(-math.pi, math.pi, n_intervals + 1)
 
 
-def abs2_on_circle(coeffs, lams):
-    """|p(e^{i*lambda})|^2 for the real polynomial p(z) = sum_k coeffs[k] z^k.
+def abs2_on_circle(coeffs, z):
+    """|p(z)|^2 for the real polynomial p(z) = sum_k coeffs[k] z^k at the
+    unit-circle points ``z = exp(i*lambda)``.
 
-    Horner's rule on z = exp(i*lambda): one complex exp per node, then one
-    multiply-add per coefficient. The rounding error is about
+    Horner's rule: one multiply-add per coefficient, with ``z`` formed once
+    per grid by the caller. The rounding error is about
     (deg+1) eps (sum_k |coeffs[k]|)^2, so values far below that scale (near
     a root on the circle) carry little relative accuracy. Empty ``coeffs``
     give zeros.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    z = np.exp(1j * np.asarray(lams, dtype=float))
+    z = np.asarray(z, dtype=complex)
     p = np.zeros_like(z)
     for c in coeffs[::-1]:
         p *= z
@@ -53,14 +54,14 @@ def abs2_on_circle(coeffs, lams):
     return p.real**2 + p.imag**2
 
 
-def rational_density(ar, ma, noise, lams):
-    """noise/(2pi) * |theta(e^{i lam})|^2 / |phi(e^{i lam})|^2 on ``lams``.
+def rational_density(ar, ma, noise, z):
+    """noise/(2pi) * |theta(z)|^2 / |phi(z)|^2 at ``z = exp(i*lambda)``.
 
     ``ar`` and ``ma`` are the coefficients of phi(z) = 1 - ar_1 z - ... and
     theta(z) = 1 + ma_1 z + ...; an empty array contributes the constant 1.
     """
-    num = abs2_on_circle(np.r_[1.0, ma], lams)
-    den = abs2_on_circle(np.r_[1.0, -ar], lams)
+    num = abs2_on_circle(np.r_[1.0, ma], z)
+    den = abs2_on_circle(np.r_[1.0, -ar], z)
     if np.any(den < 1e-24):
         raise ValueError("AR polynomial vanishes on the unit circle")
     return noise / TWO_PI * num / den
@@ -232,7 +233,8 @@ class SpectralEigenvalues:
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         if self.form == "rational":
             m = self.model
-            return np.vstack([rational_density(ar, ma, noise, lams)
+            z = np.exp(1j * lams)
+            return np.vstack([rational_density(ar, ma, noise, z)
                               for ar, ma, noise in zip(m.ar, m.ma, m.noise)])
         if lams.shape == self.lam.shape and np.allclose(lams, self.lam):
             return self.table
@@ -277,11 +279,15 @@ class SpectralEigenvalues:
             return cls.from_json(json.load(fh))
 
 
+def _trace_row(values, tail_bound):
+    """sum_l (2l+1) f_l(lambda) + tail_bound from a table of f_l(lambda)."""
+    return (2 * np.arange(len(values)) + 1) @ values + tail_bound
+
+
 def operator_trace_norm(spec, lam):
     """Trace norm sum_l (2l+1) f_l(lambda), plus any stored band tail bound."""
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    deg = 2 * np.arange(spec.band_limit + 1) + 1
-    tr = deg @ spec.values(lam_arr) + spec.tail_bound
+    tr = _trace_row(spec.values(lam_arr), spec.tail_bound)
     return float(tr[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else tr
 
 

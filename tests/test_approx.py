@@ -177,7 +177,7 @@ class TestFitMa:
             theta, s2 = approx.fit_ma(c, q)
             from spharma.spectral import abs2_on_circle
 
-            f_fit = s2 / TWO_PI * abs2_on_circle(np.r_[1.0, theta], lam)
+            f_fit = s2 / TWO_PI * abs2_on_circle(np.r_[1.0, theta], np.exp(1j * lam))
             errs.append(np.abs(f_fit - f_true).max())
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
@@ -206,7 +206,7 @@ class TestFitAr:
             phi, s2 = approx.fit_ar(c, p)
             from spharma.spectral import abs2_on_circle
 
-            f_fit = s2 / TWO_PI / abs2_on_circle(np.r_[1.0, -phi], lam)
+            f_fit = s2 / TWO_PI / abs2_on_circle(np.r_[1.0, -phi], np.exp(1j * lam))
             errs.append(np.abs(f_fit - f_true).max())
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
@@ -253,16 +253,23 @@ class TestSpectralDistance:
 
 
 @pytest.fixture()
-def lag_depths(monkeypatch):
-    """The max_lag of every lag fetch that approximate_operator makes."""
-    depths = []
+def lag_fetches(monkeypatch):
+    """Every lag fetch that approximate_operator makes: ("table", multipoles,
+    max_lag) for one fetch of every multipole, ("multipole", l, max_lag) for
+    a fetch of one."""
+    fetches = []
 
-    def fetch(model, l, max_lag):
-        depths.append(max_lag)
+    def table(model, max_lag):
+        fetches.append(("table", model.band_limit + 1, max_lag))
+        return model_autocovariance_table(model, max_lag)
+
+    def one(model, l, max_lag):
+        fetches.append(("multipole", l, max_lag))
         return model_autocovariance(model, l, max_lag)
 
-    monkeypatch.setattr(approx, "model_autocovariance", fetch)
-    return depths
+    monkeypatch.setattr(approx, "model_autocovariance_table", table)
+    monkeypatch.setattr(approx, "model_autocovariance", one)
+    return fetches
 
 
 class TestApproximateOperator:
@@ -316,27 +323,48 @@ class TestApproximateOperator:
 
     @pytest.mark.parametrize("kind, cap", [("ma", approx.DEFAULT_ORDER_CAP),
                                            ("ma", 10**9), ("ar", 64), ("ar", 10**5)])
-    def test_one_lag_fetch_per_multipole(self, lag_depths, kind, cap):
-        # no escalation here goes past order 16, so whatever the cap, each
-        # multipole fetches once, as deep as the default cap's schedule needs
+    def test_one_lag_fetch_per_multipole(self, lag_fetches, kind, cap):
+        # no escalation here goes past order 16, so whatever the cap, one
+        # fetch covers both multipoles, as deep as the default cap's
+        # schedule needs
         target = SpharmaModel.uniform(1, ar=[0.5], noise=1.0).spectral()
         _, cert = approx.approximate_operator(target, 1e-2, kind, order_cap=cap)
         assert cert.passed and cert.order <= 16
         order = min(cap, approx.DEFAULT_ORDER_CAP)
-        assert lag_depths == [approx._ma_depth(order) if kind == "ma" else order] * 2
+        depth = approx._ma_depth(order) if kind == "ma" else order
+        assert lag_fetches == [("table", 2, depth)]
 
-    def test_escalation_past_the_default_cap_fetches_deeper(self, lag_depths,
+    def test_escalation_past_the_default_cap_fetches_deeper(self, lag_fetches,
                                                             monkeypatch):
-        target = SpharmaModel.uniform(0, ma=[0.99], noise=1.0).spectral()
+        # multipole 0 escalates to AR order 512, past the table's 256 lags;
+        # multipole 1 stops at order 16 and reads the table alone
+        model = SpharmaModel(1, [np.empty(0)] * 2, [np.array([0.99]),
+                                                    np.array([0.5])], np.ones(2))
+        target = model.spectral()
         fitted, cert = approx.approximate_operator(target, 1e-3, "ar", order_cap=1024)
-        assert cert.order == 512 and lag_depths == [256, 512]
-        # the same fit as from one fetch at the deepest depth the cap allows
-        monkeypatch.setattr(approx, "model_autocovariance",
-                            lambda m, l, k: model_autocovariance(m, l, 1024))
+        assert [o for _, o, _ in cert.per_multipole] == [512, 16]
+        assert lag_fetches == [("table", 2, 256), ("multipole", 0, 512)]
+        # the same fit as from one table at the deepest depth the cap allows
+        monkeypatch.setattr(approx, "model_autocovariance_table",
+                            lambda m, k: model_autocovariance_table(m, 1024))
         deep_fitted, deep_cert = approx.approximate_operator(target, 1e-3, "ar",
                                                              order_cap=1024)
         assert deep_cert == cert
         assert deep_fitted.content_hash() == fitted.content_hash()
+        # the deep table covers order 512, so that run fetched nothing per l
+        assert lag_fetches == [("table", 2, 256), ("multipole", 0, 512)]
+
+    def test_lag_table_rows_are_the_per_multipole_fetches(self):
+        # the table each escalation starts from, for both target forms
+        model = SpharmaModel(2, [[0.5], [], [0.9, -0.2]], [[], [0.4], [0.3]],
+                             np.ones(3))
+        lam = frequency_grid()
+        for target in (model.spectral(), SpectralEigenvalues.tabulated(
+                lam, model.spectral().values(lam))):
+            table = approx._lag_table(target, 300)
+            for l in range(3):
+                assert (table[l].tobytes()
+                        == approx._multipole_lags(target, l, 300).tobytes())
 
     def test_tabulated_escalation_stops_before_the_lag_period(self, monkeypatch):
         # the trapezoid lags of the 4097-node grid have period 4096; the MA

@@ -389,6 +389,28 @@ class TestVerifyCommand:
             (tmp_path / "one_bin_each" / "verify_report.json").read_text())["checks"]
         assert check["name"] == "cramer_orthogonality"
 
+    def test_band_table_over_the_limit_exits_2(self, tmp_path, monkeypatch,
+                                               capsys):
+        # 64 bands of 4096 samples need a 9 MB table of band products; with
+        # the limit lowered to 1 MB the count is refused before the table
+        # exists, so a regressed guard allocates megabytes, not gigabytes
+        model = tmp_path / "model.json"
+        SpharmaModel.uniform(0, ar=[0.4], noise=1.0).save(model)
+        run("simulate", "--model", model, "--n", 4096, "--seed", 13,
+            "--out", tmp_path / "run")
+        series = tmp_path / "run" / "series.bin"
+        monkeypatch.setattr(simulate, "_CRAMER_GRAM_MAX_BYTES", 1 << 20)
+        code = run("verify", "--series", series, "--checks", "cramer",
+                   "--bands", 64, "--out", tmp_path / "refused")
+        assert code == cli.EXIT_INPUT
+        assert not (tmp_path / "refused").exists()
+        err = capsys.readouterr().err
+        assert "64 bands need a 9 MB table" in err and "1 MB limit" in err
+        monkeypatch.undo()
+        code = run("verify", "--series", series, "--checks", "cramer",
+                   "--bands", 64)
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY)
+
     def test_missing_series_exits_2(self, tmp_path):
         code = run("verify", "--series", tmp_path / "nope.bin")
         assert code == cli.EXIT_INPUT

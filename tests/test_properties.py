@@ -417,6 +417,69 @@ def test_arma_filter_without_ar_part():
                           arma_filter([0.7], [0.5], x))
 
 
+@st.composite
+def per_row_filter_input(draw):
+    """1-5 rows, each with its own AR(p) and MA(q) row, p, q <= 3, and an
+    input of n samples at and around the filter's block edges, with some
+    exact -0.0 entries. Every AR row ends in a nonzero term, so the rows
+    share the trimmed order p; sum |ar| < 1 keeps them causal."""
+    p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rows = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([1, _FILTER_BLOCK - 1, _FILTER_BLOCK,
+                              _FILTER_BLOCK + 1, 2 * _FILTER_BLOCK + 1, 300]))
+    coeff = st.floats(-0.3, 0.3)
+    last = coeff.filter(lambda c: c != 0.0)
+    ar = [[draw(coeff) for _ in range(p - 1)] + [draw(last)] if p else []
+          for _ in range(rows)]
+    ma = [[draw(st.floats(-0.9, 0.9)) for _ in range(q)] for _ in range(rows)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((rows, n))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    return np.array(ar).reshape(rows, p), np.array(ma).reshape(rows, q), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(per_row_filter_input())
+def test_per_row_coefficients_give_the_one_row_calls(case):
+    ar, ma, x = case
+    rows = np.vstack([arma_filter(a, m, row) for a, m, row in zip(ar, ma, x)])
+    assert arma_filter(ar, ma, x).tobytes() == rows.tobytes()
+
+
+def test_per_row_ar_rows_must_share_one_trimmed_order():
+    x = np.random.default_rng(8).standard_normal((2, 300))
+    with pytest.raises(ValueError, match="one trimmed order"):
+        arma_filter([[0.5, 0.0], [0.5, 0.2]], [], x)
+    with pytest.raises(ValueError, match="3 coefficient rows for 2 input rows"):
+        arma_filter([[0.5], [0.4], [0.3]], [], x)
+    # a zero column in every row is dropped, as a 1-D call drops it
+    assert np.array_equal(arma_filter([[0.5, 0.0], [0.3, 0.0]], [], x),
+                          np.vstack([arma_filter([0.5], [], x[0]),
+                                     arma_filter([0.3], [], x[1])]))
+
+
+@st.composite
+def ragged_causal_model(draw):
+    """Band limit 0-6 with its own causal ARMA(p, q), p, q <= 3, at each l;
+    some rows have no AR part and some AR rows end in zero terms."""
+    L = draw(st.integers(0, 6))
+    ar = [np.r_[-draw(lag_poly())[1:], np.zeros(draw(st.integers(0, 2)))]
+          for _ in range(L + 1)]
+    ma = [draw(lag_poly())[1:] for _ in range(L + 1)]
+    noise = draw(st.lists(st.floats(0.1, 10.0), min_size=L + 1, max_size=L + 1))
+    return SpharmaModel(L, ar, ma, np.array(noise))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_causal_model(), st.sampled_from([0, 1, 5, _FILTER_BLOCK,
+                                               _FILTER_BLOCK + 1, 300]))
+def test_autocovariance_table_rows_are_the_multipole_lags(model, max_lag):
+    table = model_autocovariance_table(model, max_lag).values
+    for l in range(model.band_limit + 1):
+        assert (table[l].tobytes()
+                == model_autocovariance(model, l, max_lag).tobytes())
+
+
 # rows that runs of equal multipoles share: white noise and pure MA (p = 0,
 # no padding), an AR(1) also written with a trailing zero, and ARMA rows
 FILTER_ROWS = [((), ()), ((), (0.4,)), ((0.5,), ()), ((0.5, 0.0), ()),
@@ -672,7 +735,7 @@ def test_abs2_on_circle_matches_a_40_digit_evaluation(coeffs, picks):
     grid = spectral.frequency_grid(4096)
     lams = np.array([grid[0], grid[-1]]
                     + [grid[x] if isinstance(x, int) else x for x in picks])
-    got = spectral.abs2_on_circle(coeffs, lams)
+    got = spectral.abs2_on_circle(coeffs, np.exp(1j * lams))
     want = np.array([abs2_oracle(coeffs, lam) for lam in lams])
     bound = 8 * len(coeffs) * np.finfo(float).eps * np.abs(coeffs).sum() ** 2
     assert np.abs(got - want).max() <= bound

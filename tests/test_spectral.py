@@ -369,12 +369,13 @@ class TestGridCheck:
 class TestCircleEvaluation:
     def test_empty_coefficients_give_zeros(self):
         lam = spectral.frequency_grid(8)
-        assert np.array_equal(spectral.abs2_on_circle([], lam), np.zeros(9))
-        assert spectral.abs2_on_circle(np.empty(0), 0.3) == 0.0
+        assert np.array_equal(spectral.abs2_on_circle([], np.exp(1j * lam)),
+                              np.zeros(9))
+        assert spectral.abs2_on_circle(np.empty(0), np.exp(0.3j)) == 0.0
 
     @pytest.mark.parametrize("ar", [[1.0], [-1.0], [0.0, 1.0]])
     def test_ar_root_on_the_circle_rejected(self, ar):
         # roots at lambda = 0, pi and +-pi/2, all nodes of frequency_grid(4096)
         with pytest.raises(ValueError, match="vanishes on the unit circle"):
             spectral.rational_density(np.array(ar), np.empty(0), 1.0,
-                                      spectral.frequency_grid())
+                                      np.exp(1j * spectral.frequency_grid()))
