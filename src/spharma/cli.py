@@ -214,8 +214,10 @@ def _check_isotropy(series):
     if series.band_limit < 1:
         return _skipped("isotropy", _ISOTROPY_Z_MAX)
     worst = 0.0
-    for l in range(1, series.band_limit + 1):
-        squares = series.block(l) ** 2
+    L = series.band_limit
+    top = np.empty((2 * L + 1, series.n))  # reused by every multipole
+    for l in range(1, L + 1):
+        squares = np.square(series.block(l), out=top[: 2 * l + 1])
         variances = squares.mean(axis=1)
         ses = simulate.batch_means_se(squares)
         pooled = variances.mean()

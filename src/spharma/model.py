@@ -257,6 +257,15 @@ def _filter_block(p, n):
     return max(1, min(max(p, _FILTER_BLOCK), n))
 
 
+def _padded_length(p, n):
+    """Samples per row in ``arma_filter``'s work arrays: n, rounded up to
+    whole blocks when there is an AR part."""
+    if not p:
+        return n
+    B = _filter_block(p, n)
+    return -(-n // B) * B
+
+
 def _coefficient_columns(c, n_rows):
     """``c`` as ``arma_filter`` reads it: ``c[k - 1]`` is a scalar for one
     shared row, or a ``(rows, 1)`` column for one row per input row."""
@@ -265,6 +274,20 @@ def _coefficient_columns(c, n_rows):
     if c.shape[0] != n_rows:
         raise ValueError(f"{c.shape[0]} coefficient rows for {n_rows} input rows")
     return c.T[:, :, None]
+
+
+def _filter_coefficients(ar, ma, n_rows):
+    """``ar`` without trailing zero terms and ``ma``, as ``_filter_into``
+    reads them for ``n_rows`` input rows (``_coefficient_columns``); the
+    length of the first is the AR order p."""
+    ar = np.asarray(ar, dtype=float)
+    ma = np.asarray(ma, dtype=float)
+    used = np.flatnonzero(np.any(np.atleast_2d(ar) != 0.0, axis=0))
+    p = int(used[-1]) + 1 if len(used) else 0
+    ar = ar[..., :p]
+    if ar.ndim == 2 and p and not ar[:, -1].all():
+        raise ValueError("per-row AR coefficients must share one trimmed order")
+    return _coefficient_columns(ar, n_rows), _coefficient_columns(ma, n_rows)
 
 
 def arma_filter(ar, ma, x):
@@ -289,34 +312,53 @@ def arma_filter(ar, ma, x):
     coefficients. So the per-row AR rows must share one trimmed order
     (``ValueError`` otherwise): a row padded with zero terms would add signed
     zeros and could take another block length.
+
+    This call allocates its two work arrays; ``_filter_into`` runs the
+    filter in arrays the caller owns and reuses.
     """
-    ar = np.asarray(ar, dtype=float)
-    ma = np.asarray(ma, dtype=float)
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     rows = x.reshape(math.prod(x.shape[:-1]), n)
-    used = np.flatnonzero(np.any(np.atleast_2d(ar) != 0.0, axis=0))
-    p = int(used[-1]) + 1 if len(used) else 0
-    ar = ar[..., :p]
-    if ar.ndim == 2 and p and not ar[:, -1].all():
-        raise ValueError("per-row AR coefficients must share one trimmed order")
-    ar = _coefficient_columns(ar, len(rows))
-    ma = _coefficient_columns(ma, len(rows))
+    ar, ma = _filter_coefficients(ar, ma, len(rows))
+    size = len(rows) * _padded_length(len(ar), n)
+    out = _filter_into(ar, ma, rows, np.empty(size), np.empty(size))
+    return out.reshape(x.shape)
+
+
+def _filter_into(ar, ma, rows, pad, work):
+    """``arma_filter`` of the 2-D ``rows`` in caller-owned work arrays.
+
+    ``ar`` and ``ma`` come from ``_filter_coefficients``. ``pad`` and
+    ``work`` are 1-D float arrays of at least ``len(rows) *
+    _padded_length(len(ar), n)`` entries whose contents are never read:
+    ``pad`` takes the rows, zero-padded to whole blocks, and is filtered in
+    place; ``work`` holds each MA product and then the transposed blocks.
+    Returns the output rows, a view of ``pad``.
+    """
+    n_rows, n = rows.shape
+    p = len(ar)
     B = _filter_block(p, n)
     nb = -(-n // B)
-    u = np.zeros((len(rows), nb * B if p else n))
+    width = _padded_length(p, n)
+    u = pad[: n_rows * width].reshape(n_rows, width)
     u[:, :n] = rows
-    for k in range(1, min(len(ma), n - 1) + 1):
-        u[:, k:n] += ma[k - 1] * rows[:, : n - k]
+    # the pad never reaches the first n outputs, but stale values there
+    # could overflow or be subnormal in the recursion
+    u[:, n:] = 0.0
+    if len(ma):
+        prod = work[: n_rows * n].reshape(n_rows, n)
+        for k in range(1, min(len(ma), n - 1) + 1):
+            np.multiply(ma[k - 1], rows[:, : n - k], out=prod[:, : n - k])
+            u[:, k:n] += prod[:, : n - k]
     if p == 0 or n == 0:
-        return u.reshape(x.shape)
+        return u
     # (position in block, row, block): each step is one contiguous slice;
     # the transpose goes in tiles of 64 blocks, which keeps it in cache
-    flat = u.reshape(len(rows) * nb, B)
-    w = np.empty((B, len(flat)))
+    flat = u.reshape(n_rows * nb, B)
+    w = work[: n_rows * width].reshape(B, len(flat))
     for i in range(0, len(flat), 64):
         w[:, i : i + 64] = flat[i : i + 64].T
-    w = w.reshape(B, len(rows), nb)
+    w = w.reshape(B, n_rows, nb)
     _ar_in_blocks(ar, w, min(n, B))
     if nb > 1:
         # g[:, i - 1]: a block's response to y_{-i} = 1, which is the
@@ -345,7 +387,7 @@ def arma_filter(ar, ma, x):
     w = w.reshape(B, len(flat))
     for i in range(0, len(flat), 64):
         flat[i : i + 64] = w[:, i : i + 64].T
-    return u[:, :n].reshape(x.shape)
+    return u[:, :n]
 
 
 def _autocovariance_drive(model, l, max_lag):

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import (SpharmaModel, _filter_block, arma_filter, check_causal,
-                    decay_length)
+from .model import (SpharmaModel, _filter_coefficients, _filter_into,
+                    _padded_length, check_causal, decay_length)
 from .spectral import AutocovarianceSpectrum
 from .sphere import sht_inverse
 
@@ -75,7 +75,9 @@ class HarmonicCoefficientSeries:
             raise ValueError("values must have (band_limit+1)^2 stream rows")
         if self.values.shape[1] < 1:
             raise ValueError("series length must be at least 1")
-        if not np.all(np.isfinite(self.values)):
+        # min and max propagate NaN, so both are finite only when every value
+        # is: two passes over the values and no array the size of the series
+        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
             raise ValueError("series values must be finite")
 
     @property
@@ -112,9 +114,9 @@ class HarmonicCoefficientSeries:
             raise ValueError("series sidecar must be a JSON object with integer "
                              "band_limit >= 0 and n >= 1")
         L, n = meta["band_limit"], meta["n"]
-        raw = np.fromfile(path, dtype="<f8")
-        if raw.size != (L + 1) ** 2 * n:
+        if os.path.getsize(path) != (L + 1) ** 2 * n * 8:
             raise ValueError("series file size does not match sidecar")
+        raw = np.fromfile(path, dtype="<f8")
         prov = {k: v for k, v in meta.items()
                 if k not in ("schema", "band_limit", "n", "dtype", "layout")}
         return cls(L, raw.reshape((L + 1) ** 2, n), prov)
@@ -125,8 +127,9 @@ def _sidecar_path(path):
     return stem + ".json"
 
 
-def _stream_normals(keys, count):
-    """``(len(keys), count)`` standard normals, row i from Philox key ``keys[i]``.
+def _stream_normals(keys, out):
+    """Fill row i of the 2-D ``out`` with standard normals from Philox key
+    ``keys[i]``; returns ``out``.
 
     One bit generator serves every stream: for each ``(seed, row)`` key its
     state is set to that key, counter zero and an empty buffer, the state
@@ -141,19 +144,10 @@ def _stream_normals(keys, count):
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    out = np.empty((len(keys), count))
     for row, (key[0], key[1]) in zip(out, keys):
         bitgen.state = state
         gen.standard_normal(out=row)
     return out
-
-
-def _noise_block(seed, l, scale, count):
-    """(2l+1, count) innovations for multipole l at standard deviation scale."""
-    seed = int(seed)
-    block = _stream_normals([(seed, row) for row in range(l * l, (l + 1) ** 2)], count)
-    block *= scale
-    return block
 
 
 def simulate_white_noise(noise_spectrum, config):
@@ -176,17 +170,16 @@ def _filter_runs(model, total):
     """Consecutive multipoles, as ``range``s, that share one ``arma_filter`` call.
 
     Multipoles join a run while their trimmed AR and their MA coefficients
-    are bitwise equal to the run's and the buffer ``arma_filter`` allocates
-    for the run stays within ``_RUN_SAMPLES``: rows x total samples, with
-    p > 0 rounded up to whole blocks of ``arma_filter``'s block length. A
+    are bitwise equal to the run's and the filter's padded work array for
+    the run stays within ``_RUN_SAMPLES``: rows x total samples, with p > 0
+    rounded up to whole blocks of ``arma_filter``'s block length. A
     multipole above the cap is a run of its own.
     """
     starts, prev = [], None
     for l in range(model.band_limit + 1):
         ar = np.trim_zeros(model.ar[l], "b")
         row = (ar.tobytes(), model.ma[l].tobytes())
-        block = _filter_block(len(ar), total)
-        width = -(-total // block) * block if len(ar) else total
+        width = _padded_length(len(ar), total)
         if row != prev or ((l + 1) ** 2 - starts[-1] ** 2) * width > _RUN_SAMPLES:
             starts.append(l)
         prev = row
@@ -206,6 +199,13 @@ def simulate_spharma(model, config):
     same coefficients are filtered together, in runs of bounded size
     (``_filter_runs``); ``arma_filter`` treats each row on its own, so the
     series is bit for bit the one a filter call per multipole gives.
+
+    Besides the series, the call allocates three work arrays once, each
+    sized by its largest run: the noise, and the filter's padded and
+    transposed arrays (``model._filter_into``). Every run draws, filters and
+    copies its output into place within them, so no run allocates an array
+    of its own size; by the ``_RUN_SAMPLES`` cap each holds at most 2 MB
+    unless one multipole alone is larger.
     """
     report = check_causal(model)
     if not report.causal:
@@ -214,14 +214,23 @@ def simulate_spharma(model, config):
     burn = config.burn_in if config.burn_in is not None else _auto_burn_in(model, report)
     total = config.n + burn
     L = model.band_limit
-    values = np.empty(((L + 1) ** 2, config.n))
+    seed = int(config.seed)
+    runs = []
     for run in _filter_runs(model, total):
-        blocks = [_noise_block(config.seed, l, math.sqrt(model.noise[l]), total)
-                  for l in run]
-        z = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        out = arma_filter(model.ar[run[0]], model.ma[run[0]], z)
-        values[run[0] ** 2 : (run[-1] + 1) ** 2] = out[:, burn:]
-    prov = {"seed": int(config.seed), "burn_in": int(burn),
+        lo, hi = run[0] ** 2, (run[-1] + 1) ** 2
+        ar, ma = _filter_coefficients(model.ar[run[0]], model.ma[run[0]], hi - lo)
+        runs.append((run, lo, hi, ar, ma))
+    noise = np.empty((max(hi - lo for _, lo, hi, _, _ in runs), total))
+    size = max((hi - lo) * _padded_length(len(ar), total)
+               for _, lo, hi, ar, _ in runs)
+    pad, work = np.empty(size), np.empty(size)
+    values = np.empty(((L + 1) ** 2, config.n))
+    for run, lo, hi, ar, ma in runs:
+        z = _stream_normals([(seed, row) for row in range(lo, hi)], noise[: hi - lo])
+        for l in run:
+            z[l * l - lo : (l + 1) ** 2 - lo] *= math.sqrt(model.noise[l])
+        values[lo:hi] = _filter_into(ar, ma, z, pad, work)[:, burn:]
+    prov = {"seed": seed, "burn_in": int(burn),
             "noise_law": _NOISE_LAW, "model_hash": model.content_hash()}
     return HarmonicCoefficientSeries(L, values, prov)
 
@@ -253,7 +262,8 @@ def empirical_autocov(series, max_lag):
 
     The lag sums are one real FFT per multipole: the power spectra of the
     streams, zero-padded to at least n + max_lag so that no lag wraps round,
-    are summed over m and transformed back.
+    are summed over m and transformed back. The spectra and their squares go
+    into two arrays sized for the top multipole and reused by every l.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
@@ -263,10 +273,17 @@ def empirical_autocov(series, max_lag):
     nfft = _fft_length(n + max_lag)
     counts = n - np.arange(max_lag + 1)
     out = np.empty((L + 1, max_lag + 1))
+    n_bins = nfft // 2 + 1
+    spectra = np.empty((2 * L + 1, n_bins), dtype=complex)
+    squares = np.empty((2 * L + 1, n_bins, 2))
     for l in range(L + 1):
-        spec = np.fft.rfft(series.block(l), nfft, axis=-1)
-        power = (spec.real**2 + spec.imag**2).sum(axis=0)
-        lag_sums = np.fft.irfft(power, nfft)[: max_lag + 1]
+        spec = np.fft.rfft(series.block(l), nfft, axis=-1, out=spectra[: 2 * l + 1])
+        # squares[m, k] holds (Re X_k)^2, (Im X_k)^2 of stream m; the first
+        # part then takes their sum, |X_k|^2
+        sq = np.square(spec.view(float).reshape(-1, n_bins, 2),
+                       out=squares[: 2 * l + 1])
+        power = np.add(sq[..., 0], sq[..., 1], out=sq[..., 0])
+        lag_sums = np.fft.irfft(power.sum(axis=0), nfft)[: max_lag + 1]
         out[l] = lag_sums / ((2 * l + 1) * counts)
     return AutocovarianceSpectrum(L, max_lag, out)
 

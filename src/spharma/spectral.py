@@ -58,13 +58,18 @@ def rational_density(ar, ma, noise, z):
     """noise/(2pi) * |theta(z)|^2 / |phi(z)|^2 at ``z = exp(i*lambda)``.
 
     ``ar`` and ``ma`` are the coefficients of phi(z) = 1 - ar_1 z - ... and
-    theta(z) = 1 + ma_1 z + ...; an empty array contributes the constant 1.
+    theta(z) = 1 + ma_1 z + ...; an empty array contributes the constant 1,
+    which Horner's rule gives exactly, so its pass over ``z`` is skipped.
     """
-    num = abs2_on_circle(np.r_[1.0, ma], z)
-    den = abs2_on_circle(np.r_[1.0, -ar], z)
-    if np.any(den < 1e-24):
-        raise ValueError("AR polynomial vanishes on the unit circle")
-    return noise / TWO_PI * num / den
+    out = np.full(np.shape(z), noise / TWO_PI)
+    if len(ma):
+        out *= abs2_on_circle(np.r_[1.0, ma], z)
+    if len(ar):
+        den = abs2_on_circle(np.r_[1.0, -ar], z)
+        if np.any(den < 1e-24):
+            raise ValueError("AR polynomial vanishes on the unit circle")
+        out /= den
+    return out
 
 
 def _check_grid(lam):

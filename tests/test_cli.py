@@ -505,20 +505,29 @@ def _break_sidecar(sidecar, defect):
 
 
 @pytest.mark.parametrize("defect", ["missing-series", "missing-sidecar",
-                                    "no-band-limit", "not-an-object"])
+                                    "no-band-limit", "not-an-object",
+                                    "one-float-short", "one-float-long"])
 @pytest.mark.parametrize("command", ["spectrum", "verify"])
 def test_malformed_series_exits_2(tmp_path, model_path, command, defect, capsys):
     run("simulate", "--model", model_path, "--n", 32, "--seed", 1,
         "--out", tmp_path / "run")
     series = tmp_path / "run" / "series.bin"
+    data = series.read_bytes()
     if defect == "missing-series":
         series = tmp_path / "run" / "nope.bin"
+    elif defect == "one-float-short":
+        series.write_bytes(data[:-8])
+    elif defect == "one-float-long":
+        series.write_bytes(data + data[:8])
     else:
         _break_sidecar(tmp_path / "run" / "series.json", defect)
     out = tmp_path / "out"
     assert run(*_series_command(command, series, out)) == cli.EXIT_INPUT
     assert not out.exists()
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if defect.startswith("one-float"):
+        assert "series file size does not match sidecar" in err
 
 
 def test_config_hash_stable_and_distinct(tmp_path, model_path):

@@ -501,11 +501,13 @@ def run_model(draw):
 
 
 def per_multipole_series(model, seed, n, burn):
-    """The series of one noise block and one filter call per multipole."""
+    """The series of fresh noise streams and one filter call per multipole."""
     total = n + burn
     blocks = []
     for l in range(model.band_limit + 1):
-        z = simulate._noise_block(seed, l, math.sqrt(model.noise[l]), total)
+        z = np.array([fresh_philox_oracle(seed, row, total)
+                      for row in range(l * l, (l + 1) ** 2)])
+        z *= math.sqrt(model.noise[l])
         blocks.append(arma_filter(model.ar[l], model.ma[l], z)[:, burn:])
     return np.vstack(blocks)
 
@@ -526,6 +528,18 @@ def assert_runs_match_per_multipole(model, seed, n, burn_in):
 @example(SpharmaModel.white_noise([2.0]), 0, 1, None, 1)
 @example(SpharmaModel.uniform(4, ma=[0.4]), 7, 30, 0, 300)
 @example(SpharmaModel.white_noise(np.ones(5)), 7, 30, None, 300)
+# runs of 16, 9, 11, 13 and 15 rows, whose AR order (2, 0, 1, 0, 1) and MA
+# length (1, 1, 2, 0, 0) change from run to run, over 300 samples padded to
+# 384 when p > 0: each run after the first reuses work arrays that a larger
+# run filled with other rows and another padded width
+@example(SpharmaModel(7, [(0.5, -0.3)] * 4 + [(), (0.9,), (), (0.5,)],
+                      [(0.4,)] * 5 + [(0.2, 0.1), (), ()], np.arange(1.0, 9.0)),
+         11, 300, 0, simulate._RUN_SAMPLES)
+# one AR(1) row split by the cap into runs of 9, 7, 9 and 11 rows, and after
+# them white-noise runs of 13 and 15 rows, more rows than any before
+@example(SpharmaModel(7, [(0.5,)] * 6 + [()] * 2, [(0.4,)] * 6 + [()] * 2,
+                      np.ones(8)),
+         5, 301, 3, 4000)
 def test_grouped_filtering_matches_a_filter_call_per_multipole(model, seed, n,
                                                                burn_in, cap):
     # caps down to one sample split the runs at every possible place
@@ -582,6 +596,27 @@ def test_fft_autocov_matches_the_lag_loop(series, data):
     got = simulate.empirical_autocov(series, max_lag).values
     oracle = lag_loop_oracle(series, max_lag)
     assert np.all(np.abs(got - oracle) <= 1e-14 * oracle[:, :1])
+
+
+def rfft_autocov_oracle(series, max_lag):
+    """The FFT moment estimator with fresh arrays for every multipole."""
+    L, n = series.band_limit, series.n
+    nfft = simulate._fft_length(n + max_lag)
+    counts = n - np.arange(max_lag + 1)
+    out = np.empty((L + 1, max_lag + 1))
+    for l in range(L + 1):
+        spec = np.fft.rfft(series.block(l), nfft, axis=-1)
+        power = (spec.real**2 + spec.imag**2).sum(axis=0)
+        out[l] = np.fft.irfft(power, nfft)[: max_lag + 1] / ((2 * l + 1) * counts)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefficient_series(), st.data())
+def test_fft_autocov_in_reused_arrays_is_bit_for_bit_the_fresh_form(series, data):
+    max_lag = data.draw(st.integers(0, series.n // 4))
+    got = simulate.empirical_autocov(series, max_lag).values
+    assert got.tobytes() == rfft_autocov_oracle(series, max_lag).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -696,11 +731,11 @@ def test_reused_philox_matches_fresh_generators_in_any_order(keys, count, rnd):
     # drawn before it
     keys = list(keys)
     rnd.shuffle(keys)
-    drawn = simulate._stream_normals(keys, count)
+    drawn = simulate._stream_normals(keys, np.empty((len(keys), count)))
     for (seed, row), got in zip(keys, drawn):
         assert np.array_equal(got, fresh_philox_oracle(seed, row, count))
     reordered = keys[::-1]
-    again = simulate._stream_normals(reordered, count)
+    again = simulate._stream_normals(reordered, np.full((len(keys), count), np.nan))
     assert np.array_equal(again, drawn[::-1])
 
 

@@ -107,7 +107,7 @@ class TestRngStreams:
         # reach Philox as the exact 64-bit words a uint64 key array gives
         keys = [(seed, row) for seed in (0, 1, 2**63, 2**64 - 1)
                 for row in (0, 1, 10**6)]
-        drawn = sim._stream_normals(keys, 25)
+        drawn = sim._stream_normals(keys, np.empty((len(keys), 25)))
         for key, got in zip(keys, drawn):
             gen = np.random.Generator(np.random.Philox(
                 key=np.array(key, dtype=np.uint64)))
@@ -352,6 +352,15 @@ def test_all_zero_ar_has_no_ar_memory():
     white = sim.simulate_white_noise(model.noise,
                                      sim.SimulationConfig(seed=9, n=40, burn_in=1))
     assert np.array_equal(series.values, white.values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (3, 4)])
+def test_non_finite_series_values_rejected(bad, where):
+    values = np.zeros((4, 5))
+    values[where] = bad
+    with pytest.raises(ValueError, match="series values must be finite"):
+        sim.HarmonicCoefficientSeries(1, values)
 
 
 def test_sidecar_may_not_overwrite_the_data(tmp_path):

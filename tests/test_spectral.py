@@ -373,6 +373,19 @@ class TestCircleEvaluation:
                               np.zeros(9))
         assert spectral.abs2_on_circle(np.empty(0), np.exp(0.3j)) == 0.0
 
+    @pytest.mark.parametrize("ar, ma", [([], []), ([0.5, -0.2], []),
+                                        ([], [0.3, 0.1]), ([0.9], [0.4])])
+    def test_rational_density_is_bit_for_bit_the_horner_quotient(self, ar, ma):
+        # an empty side is skipped, not evaluated: Horner's rule gives it
+        # exactly 1.0, so the quotient's bytes do not change
+        z = np.exp(1j * spectral.frequency_grid())
+        ar, ma = np.array(ar, dtype=float), np.array(ma, dtype=float)
+        horner = (0.7 / spectral.TWO_PI
+                  * spectral.abs2_on_circle(np.r_[1.0, ma], z)
+                  / spectral.abs2_on_circle(np.r_[1.0, -ar], z))
+        got = spectral.rational_density(ar, ma, 0.7, z)
+        assert got.tobytes() == horner.tobytes()
+
     @pytest.mark.parametrize("ar", [[1.0], [-1.0], [0.0, 1.0]])
     def test_ar_root_on_the_circle_rejected(self, ar):
         # roots at lambda = 0, pi and +-pi/2, all nodes of frequency_grid(4096)
