@@ -40,10 +40,9 @@ from .model import (
     check_causal,
     min_root_modulus,
     model_autocovariance,
-    model_autocovariance_table,
     psi_coefficients,
 )
-from .spectral import frequency_grid, rational_density, trapezoid_lags
+from .spectral import autocov_table, frequency_grid, rational_density
 
 DEFAULT_ORDER_CAP = 256
 _VAR_FLOOR = 1e-12
@@ -211,21 +210,6 @@ class ApproximationCertificate:
         }
 
 
-def _lag_table(target, max_lag):
-    """C_l(0..max_lag) of a target for every l, one row per multipole: exact
-    for a rational one, trapezoid lags of the table for a tabulated one."""
-    if target.form == "rational":
-        return model_autocovariance_table(target.model, max_lag).values
-    return trapezoid_lags(target.lam, target.table, max_lag)
-
-
-def _multipole_lags(target, l, max_lag):
-    """Row l of ``_lag_table``, bit for bit. Both lag sources are prefix-stable."""
-    if target.form == "rational":
-        return model_autocovariance(target.model, l, max_lag)
-    return trapezoid_lags(target.lam, target.table[l], max_lag)
-
-
 def _order_schedule(cap, start=0):
     if cap <= start:
         return [min(start, cap)]
@@ -297,9 +281,10 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     depth_of = _ma_depth if kind == "ma" else (lambda order: order)
     # the lags are prefix-stable, so each order reads a prefix of one table,
     # fetched for every multipole as deep as the default cap needs; only an
-    # escalation past it fetches again, for its multipole, as deep as its
-    # order needs
-    table = _lag_table(target, depth_of(min(order_cap, DEFAULT_ORDER_CAP)))
+    # escalation past it fetches again, every multipole as deep as its order
+    # needs, and later multipoles read that deeper table
+    table = autocov_table(target,
+                          depth_of(min(order_cap, DEFAULT_ORDER_CAP))).values
     for l in range(L + 1):
         best = None
         # a rational target that is already purely of the requested kind is a
@@ -311,16 +296,15 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
                 start = len(t_ma)
             elif kind == "ar" and len(t_ma) == 0:
                 start = len(t_ar)
-        lags = table[l]
         for order in _order_schedule(order_cap, start):
             depth = depth_of(order)
             if order and depth >= period:
                 break
             if depth > resolved:
                 warnings.warn("frequency grid is coarse for the requested lag depth")
-            if depth >= len(lags):
-                lags = _multipole_lags(target, l, depth)
-            c = lags[: depth + 1]
+            if depth >= table.shape[1]:
+                table = autocov_table(target, depth).values
+            c = table[l, : depth + 1]
             if kind == "ma":
                 try:
                     theta, sigma2 = fit_ma(c, order)

@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import approx, simulate, spectral, sphere
-from .model import (SpharmaModel, canonical_hash, check_causal,
-                    model_autocovariance_table)
+from .model import SpharmaModel, canonical_hash, check_causal
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -130,13 +129,12 @@ def cmd_spectrum(args):
     if args.n_lambda < 1:
         raise ValueError("n-lambda must be at least 1")
     if args.model:
-        model = _truncate_model(_load_model(args.model), args.lmax)
+        spec = _truncate_model(_load_model(args.model), args.lmax).spectral()
         try:
-            acv = model_autocovariance_table(model, args.max_lag)
+            acv = spectral.autocov_table(spec, args.max_lag)
         except ValueError as exc:
             print(f"cannot evaluate model spectrum: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        spec = model.spectral()
     else:
         series = _truncate_series(_load_series(args.series), args.lmax)
         if args.max_lag >= series.n:
@@ -259,7 +257,7 @@ def cmd_verify(args):
              "isotropy": lambda: _check_isotropy(series),
              "cramer": lambda: _check_cramer(series, args.bands),
              "ckl": lambda: _check_ckl(series)}
-    names = args.checks.split(",") if args.checks else list(known)
+    names = list(known) if args.checks is None else args.checks.split(",")
     unknown = [name for name in names if name not in known]
     if unknown:
         print(f"unknown check {unknown[0]!r}", file=sys.stderr)

@@ -7,9 +7,10 @@ and its Fourier transform over lags,
 
 gives the eigenvalues of the frequency-lambda spectral density operator.
 
-Frequencies live on [-pi, pi]; frequency integrals use the composite
-trapezoid rule on ``frequency_grid(N)``, where it and the sum over lags are a
-length-N DFT pair. Band tails above the stored band limit are carried
+Frequencies live on [-pi, pi]. The lags of a rational spectrum are exact;
+those of a tabulated one use the composite trapezoid rule on
+``frequency_grid(N)``, where it and the sum over lags are a length-N DFT
+pair. Band tails above the stored band limit are carried
 as explicit ``tail_bound`` metadata rather than silently dropped.
 """
 
@@ -336,20 +337,31 @@ def spectral_from_autocov(acv):
 
 
 def autocov_table(spec, max_lag):
-    """Lags C_l(t) = integral of e^{i t lambda} f_l(lambda), t = 0..max_lag,
-    by ``trapezoid_lags`` on the spectrum's grid."""
-    lam = spec.lambda_grid()
-    vals = trapezoid_lags(lam, spec.values(lam), max_lag)
+    """Lags C_l(t) = integral of e^{i t lambda} f_l(lambda), t = 0..max_lag.
+
+    The one route from a spectrum to its lags: exact for a rational spectrum
+    (``model_autocovariance_table``), the trapezoid rule on the stored grid
+    for a tabulated one (``trapezoid_lags``). Both are prefix-stable, so a
+    deeper table extends a shallower one bit for bit.
+    """
+    if spec.form == "rational":
+        from .model import model_autocovariance_table
+
+        acv = model_autocovariance_table(spec.model, max_lag)
+    else:
+        acv = AutocovarianceSpectrum(
+            spec.band_limit, max_lag, trapezoid_lags(spec.lam, spec.table, max_lag))
     # sum_{l>L} (2l+1) C_l(0) <= 2pi * sup_lambda tail of the trace sum
-    return AutocovarianceSpectrum(spec.band_limit, max_lag, vals,
-                                  tail_bound=TWO_PI * spec.tail_bound)
+    acv.tail_bound = TWO_PI * spec.tail_bound
+    return acv
 
 
 def ckl_truncation_error(spec, l_trunc):
     """Mean-square error of truncating the harmonic expansion at l_trunc.
 
-    sum_{l > l_trunc} (2l+1)/(4pi) * integral(f_l), including the stored
-    above-band tail bound (a sup bound, integrated over [-pi, pi]).
+    sum_{l > l_trunc} (2l+1)/(4pi) * integral(f_l), the integrals being the
+    lag-0 row of ``autocov_table``, including the stored above-band tail
+    bound (a sup bound, integrated over [-pi, pi]).
     """
     if l_trunc > spec.band_limit:
         raise ValueError("l_trunc exceeds band limit")

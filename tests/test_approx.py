@@ -18,7 +18,8 @@ from spharma.model import (
 )
 from spharma.simulate import (SimulationConfig, batch_means_se, simulate_spharma,
                               simulate_white_noise)
-from spharma.spectral import SpectralEigenvalues, frequency_grid
+from spharma.spectral import (SpectralEigenvalues, autocov_table,
+                              frequency_grid, trapezoid_lags)
 from spharma.sphere import harmonic_values_at
 
 from oracles import spectral_distance
@@ -255,20 +256,14 @@ class TestSpectralDistance:
 @pytest.fixture()
 def lag_fetches(monkeypatch):
     """Every lag fetch that approximate_operator makes: ("table", multipoles,
-    max_lag) for one fetch of every multipole, ("multipole", l, max_lag) for
-    a fetch of one."""
+    max_lag), one per ``autocov_table`` call."""
     fetches = []
 
-    def table(model, max_lag):
-        fetches.append(("table", model.band_limit + 1, max_lag))
-        return model_autocovariance_table(model, max_lag)
+    def table(spec, max_lag):
+        fetches.append(("table", spec.band_limit + 1, max_lag))
+        return autocov_table(spec, max_lag)
 
-    def one(model, l, max_lag):
-        fetches.append(("multipole", l, max_lag))
-        return model_autocovariance(model, l, max_lag)
-
-    monkeypatch.setattr(approx, "model_autocovariance_table", table)
-    monkeypatch.setattr(approx, "model_autocovariance", one)
+    monkeypatch.setattr(approx, "autocov_table", table)
     return fetches
 
 
@@ -336,35 +331,38 @@ class TestApproximateOperator:
 
     def test_escalation_past_the_default_cap_fetches_deeper(self, lag_fetches,
                                                             monkeypatch):
-        # multipole 0 escalates to AR order 512, past the table's 256 lags;
-        # multipole 1 stops at order 16 and reads the table alone
+        # multipole 0 escalates to AR order 512, past the table's 256 lags,
+        # and fetches a deeper table; multipole 1 stops at order 16 and
+        # reads that one
         model = SpharmaModel(1, [np.empty(0)] * 2, [np.array([0.99]),
                                                     np.array([0.5])], np.ones(2))
         target = model.spectral()
         fitted, cert = approx.approximate_operator(target, 1e-3, "ar", order_cap=1024)
         assert [o for _, o, _ in cert.per_multipole] == [512, 16]
-        assert lag_fetches == [("table", 2, 256), ("multipole", 0, 512)]
+        assert lag_fetches == [("table", 2, 256), ("table", 2, 512)]
         # the same fit as from one table at the deepest depth the cap allows
-        monkeypatch.setattr(approx, "model_autocovariance_table",
-                            lambda m, k: model_autocovariance_table(m, 1024))
+        monkeypatch.setattr(approx, "autocov_table",
+                            lambda spec, k: autocov_table(spec, 1024))
         deep_fitted, deep_cert = approx.approximate_operator(target, 1e-3, "ar",
                                                              order_cap=1024)
         assert deep_cert == cert
         assert deep_fitted.content_hash() == fitted.content_hash()
-        # the deep table covers order 512, so that run fetched nothing per l
-        assert lag_fetches == [("table", 2, 256), ("multipole", 0, 512)]
 
     def test_lag_table_rows_are_the_per_multipole_fetches(self):
-        # the table each escalation starts from, for both target forms
+        # the table each escalation reads, for both target forms: exact lags
+        # of a rational target, trapezoid lags of a tabulated one
         model = SpharmaModel(2, [[0.5], [], [0.9, -0.2]], [[], [0.4], [0.3]],
                              np.ones(3))
         lam = frequency_grid()
-        for target in (model.spectral(), SpectralEigenvalues.tabulated(
-                lam, model.spectral().values(lam))):
-            table = approx._lag_table(target, 300)
-            for l in range(3):
-                assert (table[l].tobytes()
-                        == approx._multipole_lags(target, l, 300).tobytes())
+        table = autocov_table(model.spectral(), 300).values
+        for l in range(3):
+            assert (table[l].tobytes()
+                    == model_autocovariance(model, l, 300).tobytes())
+        f = model.spectral().values(lam)
+        table = autocov_table(SpectralEigenvalues.tabulated(lam, f), 300).values
+        for l in range(3):
+            assert (table[l].tobytes()
+                    == trapezoid_lags(lam, f[l], 300).tobytes())
 
     def test_tabulated_escalation_stops_before_the_lag_period(self, monkeypatch):
         # the trapezoid lags of the 4097-node grid have period 4096; the MA

@@ -44,13 +44,26 @@ class TestSimulateCommand:
         assert meta["n"] == 50 and meta["seed"] == 7
         assert "config_hash" in meta
 
+    # the empirical lags of a short series need not decay by lag 20
+    @pytest.mark.filterwarnings("ignore:stored autocovariances do not decay")
     def test_byte_identical_reruns(self, tmp_path, model_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert run("simulate", "--model", model_path, "--n", 64,
-                       "--seed", 3, "--out", out) == cli.EXIT_OK
-        assert (out1 / "series.bin").read_bytes() == (out2 / "series.bin").read_bytes()
-        assert (out1 / "series.json").read_text() == (out2 / "series.json").read_text()
+        # a different AR order and MA length at each l: one filter run per
+        # multipole in reused work arrays, which must not leak into the output
+        ragged = tmp_path / "ragged.json"
+        SpharmaModel(3, [[0.5], [0.5, -0.2], [], [0.3]],
+                     [[], [0.4], [0.2, 0.1], [0.3, 0.1, 0.05]],
+                     np.ones(4)).save(ragged)
+        for name, model, n in [("uniform", model_path, 64), ("ragged", ragged, 4096)]:
+            out1, out2 = tmp_path / name / "a", tmp_path / name / "b"
+            for out in (out1, out2):
+                assert run("simulate", "--model", model, "--n", n,
+                           "--seed", 3, "--out", out) == cli.EXIT_OK
+            assert ((out1 / "series.bin").read_bytes()
+                    == (out2 / "series.bin").read_bytes())
+            assert ((out1 / "series.json").read_text()
+                    == (out2 / "series.json").read_text())
+            assert run("spectrum", "--series", out1 / "series.bin", "--max-lag", 20,
+                       "--out", tmp_path / name / "spectrum") == cli.EXIT_OK
 
     def test_noncausal_exits_2(self, tmp_path, noncausal_path, capsys):
         code = run("simulate", "--model", noncausal_path, "--n", 10,
@@ -350,13 +363,17 @@ class TestVerifyCommand:
                    "--checks", "stationarity")
         assert code == cli.EXIT_VERIFY
 
-    def test_unknown_check_exits_2(self, tmp_path, model_path):
+    def test_unknown_check_exits_2(self, tmp_path, model_path, capsys):
         run_dir = tmp_path / "run"
         run("simulate", "--model", model_path, "--n", 2048, "--seed", 19,
             "--out", run_dir)
-        code = run("verify", "--series", run_dir / "series.bin",
-                   "--checks", "nonsense")
-        assert code == cli.EXIT_INPUT
+        # only an absent --checks means every check; an empty name is unknown
+        for checks, name in [("nonsense", "nonsense"), ("isotropy,", ""),
+                             ("", "")]:
+            code = run("verify", "--series", run_dir / "series.bin",
+                       "--checks", checks)
+            assert code == cli.EXIT_INPUT
+            assert f"unknown check {name!r}" in capsys.readouterr().err
 
     def test_unknown_check_exits_before_any_check_runs(self, tmp_path,
                                                        model_path, monkeypatch):

@@ -97,7 +97,9 @@ def test_psi_weights_satisfy_the_arma_recursion(model):
 def test_lags_and_frequencies_are_a_fourier_pair(model):
     max_lag = 20
     exact = model_autocovariance_table(model, max_lag).values
-    back = spectral.autocov_table(model.spectral(), max_lag).values
+    lam = spectral.frequency_grid()
+    tab = spectral.SpectralEigenvalues.tabulated(lam, model.spectral().values(lam))
+    back = spectral.autocov_table(tab, max_lag).values
     assert np.abs(back - exact).max() <= 1e-11 * exact[:, 0].max()
 
 

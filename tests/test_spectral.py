@@ -210,6 +210,19 @@ class TestCklTruncation:
         expected = (3 + 5) * (1 + 0.3 + 0.09) / 0.75 / FOUR_PI
         assert abs(got - expected) < 1e-12
 
+    def test_near_unit_root_is_exact(self):
+        # trapezoid lags on the 4097-node grid alias by C(t + 4096), which is
+        # near C(t) at phi = 0.9995: a rational target's lags must be exact
+        phi, theta = 0.9995, 0.3
+        spec = SpharmaModel.uniform(2, ar=[phi], ma=[theta]).spectral()
+        c0 = (1 + 2 * phi * theta + theta**2) / (1 - phi**2)
+        c1 = (1 + phi * theta) * (phi + theta) / (1 - phi**2)
+        expected = np.r_[c0, c1 * phi ** np.arange(4)]
+        lags = spectral.autocov_table(spec, 4).values
+        assert np.abs(lags - expected).max() <= 1e-12 * c0
+        got = spectral.ckl_truncation_error(spec, 0)
+        assert abs(got - (3 + 5) * c0 / FOUR_PI) <= 1e-12 * got
+
     def test_l_trunc_above_band_rejected(self):
         spec = SpharmaModel.white_noise(np.ones(2)).spectral()
         with pytest.raises(ValueError):
