@@ -45,11 +45,10 @@ from .model import (
 from .spectral import autocov_table, frequency_grid, rational_density
 
 DEFAULT_ORDER_CAP = 256
-_VAR_FLOOR = 1e-12
 _WOLD_VARIANCE_TOL = 1e-10  # wold: least innovation variance, relative to C_l(0)
 
 
-def _innovations_last_row(c, depth, floor=None):
+def _innovations_last_row(c, depth):
     """theta_{depth, 1..depth} and v_0..v_depth by the Schur algorithm.
 
     The innovations rows of C(0..depth) are the rows of the factorisation
@@ -66,14 +65,8 @@ def _innovations_last_row(c, depth, floor=None):
     is the last row at depth i.
 
     A step with |g| >= 1 is the nonpositive-variance case: T is not positive
-    definite. With ``floor=None`` it raises ``ValueError`` naming the step
-    k + 1. With a floor (for noisy empirical inputs) it warns and scales
-    ``b`` so that |g| becomes sqrt(max(0, 1 - floor / v_k)), so
-    ``v_{k+1} = min(floor, v_k)`` and every v stays positive. Scaling ``b``
-    by s adds the positive semidefinite matrix (1 - s^2) B B^T / v_k to the
-    Schur complement left after step k, B the lower triangular Toeplitz
-    matrix of ``b``: the later rows are those of that regularised matrix,
-    not of T.
+    definite, and ``ValueError`` names the step k + 1. The steps read only
+    C(0..k + 1), so a sequence fails at that step at every depth >= k + 1.
     """
     c = np.asarray(c, dtype=float)
     if len(c) < depth + 1:
@@ -89,22 +82,11 @@ def _innovations_last_row(c, depth, floor=None):
         last[k] = a[-1]
         v[k] = vk
         g = b[0] / vk
-        floored = abs(g) >= 1.0
-        if floored:
-            if floor is None:
-                raise ValueError(
-                    f"innovations variance nonpositive at step {k + 1}: "
-                    "input is not a positive definite autocovariance")
-            warnings.warn(
-                f"flooring nonpositive innovations variance at step {k + 1}")
-            clipped = math.copysign(math.sqrt(max(0.0, 1.0 - floor / vk)), g)
-            b = b * (clipped / g)
-            g = clipped
+        if abs(g) >= 1.0:
+            raise ValueError(
+                f"innovations variance nonpositive at step {k + 1}: "
+                "input is not a positive definite autocovariance")
         a, b = head - g * b, (b - g * head)[1:]
-        if floored:
-            # exact where floor / v is below the rounding unit, so the
-            # rotation would round v_{k+1} to zero
-            a[0] = min(floor, vk)
     v[depth] = a[0]
     return (last / v[:depth])[::-1], v
 
@@ -113,7 +95,9 @@ def durbin_levinson(c, order):
     """Yule-Walker AR(order) fit via the Durbin-Levinson recursion.
 
     Returns ``(phi, v)`` with the AR coefficients and the one-step prediction
-    variance. Raises on inputs that are not positive definite.
+    variance. A step k with |kappa_k| >= 1 means the lags are not positive
+    definite, and ``ValueError`` names it; step k reads only C(0..k), so a
+    sequence fails at that step at every order >= k.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -130,7 +114,9 @@ def durbin_levinson(c, order):
         acc = c[k] - phi @ c[k - 1 : 0 : -1] if k > 1 else c[1]
         kappa = acc / v
         if not (abs(kappa) < 1.0):
-            raise ValueError("input is not a positive definite autocovariance")
+            raise ValueError(
+                f"prediction variance nonpositive at step {k}: "
+                "input is not a positive definite autocovariance")
         phi -= kappa * phi[::-1]
         buf[k - 1] = kappa
         v = v * (1.0 - kappa * kappa)
@@ -160,9 +146,11 @@ def fit_ma(c, q):
     depth = min(_ma_depth(q), len(c) - 1)
     if depth < q:
         raise ValueError("not enough autocovariance lags for the requested order")
+    if c[0] <= 0.0:
+        raise ValueError("C(0) must be positive")
     if q == 0:
         return np.empty(0), float(c[0])
-    last, _ = _innovations_last_row(c, depth, floor=_VAR_FLOOR)
+    last, _ = _innovations_last_row(c, depth)
     theta = last[:q]
     sigma2 = float(c[0] / (1.0 + theta @ theta))
     if min_root_modulus(theta, "ma") < 1.0:
@@ -243,9 +231,13 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     the eps/2 tail budget); each multipole's order is doubled until the sup
     error over ``frequency_grid()`` fits the proof budget eps / (2 (L+1)^2) or
     the order cap is hit; on a tabulated target it also stops before the lag
-    depth reaches the period of its grid's lags. The certificate records
-    per-multipole sup errors and the realized totals in both norms; it
-    passes iff the total in the requested norm is at most eps.
+    depth reaches the period of its grid's lags. An MA fit that is not
+    invertible moves on to the next order. Lags that are not positive
+    definite stop the escalation at the first order whose recursion fails,
+    and the best fit so far stands; a multipole with no fit at all, such as
+    one with C_l(0) = 0, raises ``ValueError`` naming it. The certificate
+    records per-multipole sup errors and the realized totals in both norms;
+    it passes iff the total in the requested norm is at most eps.
 
     Returns ``(model, certificate)``.
     """
@@ -286,7 +278,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     table = autocov_table(target,
                           depth_of(min(order_cap, DEFAULT_ORDER_CAP))).values
     for l in range(L + 1):
-        best = None
+        best = reason = None
         # a rational target that is already purely of the requested kind is a
         # fixed point: never fit below its own order
         start = 0
@@ -305,16 +297,22 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
             if depth >= table.shape[1]:
                 table = autocov_table(target, depth).values
             c = table[l, : depth + 1]
-            if kind == "ma":
-                try:
+            try:
+                if kind == "ma":
                     theta, sigma2 = fit_ma(c, order)
-                except RuntimeError:
-                    # a non-invertible fit certifies nothing; try the next order
-                    continue
-                coeffs = (np.empty(0), theta)
-            else:
-                phi, sigma2 = fit_ar(c, order)
-                coeffs = (phi, np.empty(0))
+                    coeffs = (np.empty(0), theta)
+                else:
+                    phi, sigma2 = fit_ar(c, order)
+                    coeffs = (phi, np.empty(0))
+            except RuntimeError as exc:
+                # a non-invertible fit certifies nothing; try the next order
+                reason = exc
+                continue
+            except ValueError as exc:
+                # lags that are not positive definite fail at the same step
+                # at every later depth and order: the best fit so far stands
+                reason = exc
+                break
             row = rational_density(coeffs[0], coeffs[1], sigma2, z)
             err = float(np.abs(row - F[l]).max())
             if best is None or err < best[0]:
@@ -322,7 +320,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
             if err <= budget:
                 break
         if best is None:
-            raise ValueError(f"no invertible MA fit at multipole {l}")
+            raise ValueError(f"no fit at multipole {l}: {reason}")
         err, order, coeffs, sigma2, row = best
         if err > budget:
             cap_reached = True

@@ -77,12 +77,6 @@ class TestInnovations:
         with pytest.raises(ValueError):
             approx._innovations_last_row(c, 3)
 
-    def test_flooring_mode_warns(self):
-        c = np.array([1.0, 0.99, 0.0, 0.0])
-        with pytest.warns(UserWarning):
-            _, v = approx._innovations_last_row(c, 3, floor=1e-12)
-        assert np.all(v > 0)
-
     @pytest.mark.parametrize("c, step", [
         ([1.0, 0.99, 0.0, 0.0], 2),
         # AR(1) lags to lag 2, so positive definite up to there
@@ -92,13 +86,6 @@ class TestInnovations:
         c = np.array(c)
         with pytest.raises(ValueError, match=f"at step {step}:"):
             approx._innovations_last_row(c, len(c) - 1)
-        with pytest.warns(UserWarning) as record:
-            _, v = approx._innovations_last_row(c, len(c) - 1, floor=1e-12)
-        assert str(record[0].message).endswith(f"at step {step}")
-        _, exact = approx._innovations_last_row(c[:step], step - 1)
-        assert np.array_equal(v[:step], exact)
-        assert v[step] == 1e-12
-        assert np.all(v > 0)
 
 
 class TestDurbinLevinson:
@@ -382,7 +369,6 @@ class TestApproximateOperator:
             warnings.simplefilter("always")
             fitted, cert = approx.approximate_operator(target, 1e-9, "ma")
         assert max(depths) < len(lam) - 1 == 4096
-        assert not [w for w in caught if "flooring" in str(w.message)]
         assert [w for w in caught if "grid is coarse" in str(w.message)]
         assert cert.order == 128 and cert.order_cap_reached and not cert.passed
         # the same certificate and model as an escalation capped at order 128

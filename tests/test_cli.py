@@ -288,6 +288,42 @@ class TestApproximateCommand:
         cert = json.loads((out / "certificate.json").read_text())
         assert all(row["order"] != 1 for row in cert["per_multipole"])
 
+    def test_lags_not_positive_definite_stop_both_kinds(self, tmp_path):
+        # f = 1 on |lambda| < 0.5 has spectral zeros: its lags stop being
+        # positive definite, which ends both escalations at the first order
+        # whose recursion fails, with the best fit so far, order 0
+        lam = spharma.frequency_grid()
+        target = tmp_path / "box.json"
+        spharma.SpectralEigenvalues.tabulated(
+            lam, (np.abs(lam) < 0.5).astype(float)[None, :]).save(target)
+        certs, models = {}, {}
+        for kind in ("ar", "ma"):
+            out = tmp_path / kind
+            assert run("approximate", "--target", target, "--eps", 0.05,
+                       "--kind", kind, "--out", out) == cli.EXIT_BUDGET
+            models[kind] = (out / "fitted_model.json").read_bytes()
+            cert = json.loads((out / "certificate.json").read_text())
+            assert cert.pop("kind") == kind
+            del cert["config_hash"]
+            certs[kind] = cert
+        assert certs["ar"] == certs["ma"]
+        assert certs["ma"]["order"] == 0 and not certs["ma"]["passed"]
+        assert models["ar"] == models["ma"]
+
+    @pytest.mark.parametrize("kind", ["ar", "ma"])
+    def test_all_zero_multipole_exits_2(self, tmp_path, kind, capsys):
+        lam = spharma.frequency_grid()
+        target = tmp_path / "zero.json"
+        spharma.SpectralEigenvalues.tabulated(
+            lam, np.vstack([np.ones_like(lam), np.zeros_like(lam)])).save(target)
+        out = tmp_path / "fit"
+        assert run("approximate", "--target", target, "--eps", 0.05,
+                   "--kind", kind, "--out", out) == cli.EXIT_INPUT
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "no fit at multipole 1: C(0) must be positive" in err
+        assert "MA" not in err
+
     @pytest.mark.parametrize("grid", ["nonuniform", "half_circle"])
     def test_tabulated_target_off_frequency_grid_exits_2(self, tmp_path, grid,
                                                          capsys):

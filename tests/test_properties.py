@@ -208,6 +208,64 @@ def test_innovations_factor_rebuilds_the_toeplitz_matrix(model, depth):
     assert np.abs(rebuilt - toeplitz(c)).max() <= 1e-12 * c[0]
 
 
+def _failures(recursion, c):
+    """The error ``recursion(c, k)`` raises at each depth or order k, or None."""
+    out = []
+    for k in range(len(c)):
+        try:
+            recursion(c, k)
+            out.append(None)
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12))
+def test_a_failed_step_fails_at_every_later_depth(tail):
+    # the escalation in approximate_operator stops at the first order whose
+    # recursion fails, because step k reads only C(0..k)
+    c = np.r_[1.0, tail]
+    for recursion in (approx._innovations_last_row, approx.durbin_levinson):
+        errors = _failures(recursion, c)
+        step = next((k for k, e in enumerate(errors) if e), None)
+        if step is None:
+            continue
+        assert errors[:step] == [None] * step
+        assert errors[step:] == [errors[step]] * (len(c) - step)
+        assert f"at step {step}:" in errors[step]
+
+
+@st.composite
+def lags_failing_at(draw):
+    """Lags C(0..n) with reflection coefficients |kappa_k| <= 0.9 before a
+    step s and 1.1 <= |kappa_s| <= 2 at it, then arbitrary lags: not
+    positive definite from step s on, by a margin no rounding can close.
+    Returns ``(c, s)``."""
+    step = draw(st.integers(1, 8))
+    kappas = draw(st.lists(st.floats(-0.9, 0.9), min_size=step - 1,
+                           max_size=step - 1))
+    kappas.append(draw(st.floats(1.1, 2.0)) * draw(st.sampled_from([-1, 1])))
+    tail = draw(st.lists(st.floats(-1.0, 1.0), max_size=6))
+    # the Levinson step-up: C(k) from kappa_k and the AR(k-1) fit
+    c, phi, v = [1.0], np.empty(0), 1.0
+    for kappa in kappas:
+        c.append(kappa * v + phi @ np.array(c[:0:-1]))
+        phi = np.r_[phi - kappa * phi[::-1], kappa]
+        v *= 1.0 - kappa * kappa
+    return np.array(c + tail), step
+
+
+@settings(max_examples=60, deadline=None)
+@given(lags_failing_at())
+def test_both_recursions_fail_at_the_same_step(case):
+    c, step = case
+    for recursion in (approx._innovations_last_row, approx.durbin_levinson):
+        errors = _failures(recursion, c)
+        assert errors[:step] == [None] * step
+        assert all(f"at step {step}:" in e for e in errors[step:])
+
+
 def spectral_condition_bound(model, l):
     """Bound on max f_l / min f_l from the root margin: each root r of the
     AR or MA polynomial of multipole l gives a factor |1 - e^{i lambda} / r|
