@@ -19,6 +19,7 @@ from .approx import (
     fit_ma,
     h_step_error,
     l2_omega_error,
+    spectral_factor,
     wold,
 )
 from .model import (

@@ -1,16 +1,11 @@
 """Constructive MA/AR approximation of spectral density operators.
 
-Scalar machinery per multipole: the innovations algorithm (one-step
-prediction coefficients and errors from an autocovariance sequence) and the
-Durbin-Levinson solution of the Yule-Walker equations, cf. Brockwell & Davis,
-"Time Series: Theory and Methods", chapters 5 and 8. The innovations rows
-are the Cholesky factor of the Toeplitz matrix of C(0..n); the Schur
-algorithm (Kailath & Sayed, "Fast Reliable Algorithms for Matrices with
-Structure", SIAM 1999, ch. 1) computes the last row, which the MA fits and
-the Wold decomposition read, in O(n^2) time and O(n) memory. The Wold
-decomposition truncated at n_psi terms is returned as an SPHMA(n_psi)
-``SpharmaModel``, so its spectral density and h-step prediction errors are
-those of any model.
+Scalar machinery per multipole (Brockwell & Davis, "Time Series: Theory
+and Methods", chapters 5 and 8): the Wold factor of a spectral density by
+its cepstrum, whose truncations are the MA fits; Durbin-Levinson, for the
+AR fits; and the innovations algorithm, whose last row gives the Wold
+decomposition of a lag table as an SPHMA(n_psi) ``SpharmaModel``, so its
+spectral density and h-step prediction errors are those of any model.
 
 Operator-level machinery: given target spectral eigenvalues f_l(lambda) and
 a tolerance eps, fit an invertible MA(q) or causal AR(p) per multipole,
@@ -42,31 +37,34 @@ from .model import (
     model_autocovariance,
     psi_coefficients,
 )
-from .spectral import autocov_table, frequency_grid, rational_density
+from .spectral import (
+    TWO_PI,
+    autocov_table,
+    frequency_grid,
+    rational_density,
+    trapezoid_lags,
+)
 
 DEFAULT_ORDER_CAP = 256
+_CEPSTRUM_TOL = 1e-13  # spectral_factor: cepstral tail of a converged factor
+_FACTOR_MAX_PANELS = 2**17  # spectral_factor: finest grid of a rational target
 _WOLD_VARIANCE_TOL = 1e-10  # wold: least innovation variance, relative to C_l(0)
 
 
 def _innovations_last_row(c, depth):
     """theta_{depth, 1..depth} and v_0..v_depth by the Schur algorithm.
 
-    The innovations rows of C(0..depth) are the rows of the factorisation
-    T = L diag(v) L^T of the Toeplitz matrix T[i, j] = C(|i - j|), with L
-    unit lower triangular and ``theta_{i, i-k} = L[i, k]``. Schur's
-    algorithm (Kailath & Sayed, "Fast Reliable Algorithms for Matrices with
-    Structure", ch. 1) computes that factor column by column from two
-    generator vectors, in O(depth^2) time and O(depth) memory: ``a`` starts
-    as C(0..depth) and ``b`` as C(1..depth); at step k, ``a`` is column k of
-    ``L diag(v)`` on rows k..depth, so ``v_k = a[0]`` and
-    ``theta_{depth, depth-k} = a[-1] / v_k``. Shifting ``a`` down one row
-    and rotating with the reflection coefficient ``g = b[0] / v_k`` gives
-    the next pair, with ``v_{k+1} = v_k (1 - g^2)``. Row i of the triangle
-    is the last row at depth i.
-
-    A step with |g| >= 1 is the nonpositive-variance case: T is not positive
-    definite, and ``ValueError`` names the step k + 1. The steps read only
-    C(0..k + 1), so a sequence fails at that step at every depth >= k + 1.
+    The innovations rows of C(0..depth) are the rows of T = L diag(v) L^T,
+    T[i, j] = C(|i - j|), L unit lower triangular, theta_{i, i-k} = L[i, k];
+    row i is the last row at depth i. Schur's algorithm (Kailath & Sayed,
+    "Fast Reliable Algorithms for Matrices with Structure", SIAM 1999,
+    ch. 1) computes L column by column in O(depth^2) time and O(depth)
+    memory: ``a`` starts as C(0..depth) and ``b`` as C(1..depth); at step k,
+    ``a`` is column k of L diag(v) on rows k..depth, so v_k = a[0] and
+    theta_{depth, depth-k} = a[-1] / v_k, and the reflection g = b[0] / v_k
+    gives the next pair, v_{k+1} = v_k (1 - g^2). A step with |g| >= 1 means
+    T is not positive definite: ``ValueError`` names step k + 1, which reads
+    only C(0..k + 1), so a sequence fails there at every depth >= k + 1.
     """
     c = np.asarray(c, dtype=float)
     if len(c) < depth + 1:
@@ -123,38 +121,62 @@ def durbin_levinson(c, order):
     return buf, float(v)
 
 
-def _ma_depth(q):
-    return max(200, 20 * q)
+def spectral_factor(spec, shift=0.0):
+    """Wold factor psi_{l;0..N/2} of f_l + shift, one row per multipole.
+
+    Kolmogorov-Szego (Brockwell & Davis, section 5.8): with c_k the cepstrum
+    of log f on ``frequency_grid(N)``, psi(z) = exp(sum_{k>=1} c_k z^k) and
+    f = sigma^2/2pi |psi(e^{i lambda})|^2. A tabulated target is factored on
+    its grid, and warns unless every |c_k| is below ``_CEPSTRUM_TOL`` over
+    the last eighth of k <= N/2; a rational one on 4096 panels, each row's
+    grid doubled up to ``_FACTOR_MAX_PANELS`` until it is (rows that stop
+    sooner are zero-padded). A row not positive at every node is NaN.
+    """
+    lam = spec.lambda_grid()
+    pending = np.arange(spec.band_limit + 1)
+    psi = np.zeros((len(pending), 0))
+    while len(pending):
+        n = len(lam) - 1
+        h = n // 2
+        f = spec.values(lam)[pending] + shift
+        positive = np.all(f > 0.0, axis=-1)
+        c = trapezoid_lags(lam, np.log(np.where(positive[:, None], f, 1)), h) / TWO_PI
+        # sum c_k z^k at the N-th roots of unity; c_{N/2} is halved (folds +-N/2)
+        e = np.zeros((len(f), n))
+        e[:, 1 : h + 1] = c[:, 1:]
+        e[:, h] /= 2 - n % 2
+        rows = (np.fft.fft(np.exp(n * np.fft.ifft(e)))[:, : h + 1] / n).real
+        psi = np.pad(psi, ((0, 0), (0, h + 1 - psi.shape[1])))
+        psi[pending] = np.where(positive[:, None], rows, np.nan)
+        tail = np.abs(c[:, max(1, h - h // 8) :]).max(axis=-1, initial=0.0)
+        pending = pending[positive & (tail > _CEPSTRUM_TOL)]
+        if spec.form == "tabulated" or 2 * n > _FACTOR_MAX_PANELS:
+            break
+        lam = frequency_grid(2 * n)
+    if spec.form == "tabulated" and len(pending):
+        warnings.warn("frequency grid is coarse for the spectral factor")
+    return psi
 
 
-def fit_ma(c, q):
-    """Invertible MA(q) fit by the innovations recursion on lags C(0..).
+def fit_ma(psi, c0, q):
+    """Invertible MA(q) fit: the spectral factor ``psi`` truncated at q terms.
 
-    The last-row coefficients theta_{n,1..q} at depth n = max(200, 20q),
-    or less if ``c`` is shorter, approximate the Wold coefficients; the
-    noise variance uses the variance-matching normalization
-
-        sigma^2 = (1 + theta_1^2 + ... + theta_q^2)^{-1} * integral(f)
-
-    so the fitted spectral density integrates to C(0) exactly.
-
-    Returns ``(theta, sigma2)``.
+    theta = psi_1..psi_q, with the variance-matching noise
+    sigma^2 = C(0) / (1 + theta_1^2 + ... + theta_q^2), so the fitted
+    spectral density integrates to C(0) exactly. Returns ``(theta, sigma2)``.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    c = np.asarray(c, dtype=float)
-    depth = min(_ma_depth(q), len(c) - 1)
-    if depth < q:
-        raise ValueError("not enough autocovariance lags for the requested order")
-    if c[0] <= 0.0:
+    if c0 <= 0.0:
         raise ValueError("C(0) must be positive")
     if q == 0:
-        return np.empty(0), float(c[0])
-    last, _ = _innovations_last_row(c, depth)
-    theta = last[:q]
-    sigma2 = float(c[0] / (1.0 + theta @ theta))
+        return np.empty(0), float(c0)
+    theta = np.asarray(psi[1 : q + 1], dtype=float)
+    if len(theta) < q or not np.all(np.isfinite(theta)):
+        raise ValueError("no spectral factor with the requested order")
+    sigma2 = float(c0 / (1.0 + theta @ theta))
     if min_root_modulus(theta, "ma") < 1.0:
-        raise RuntimeError("innovations fit produced a non-invertible MA polynomial")
+        raise RuntimeError("truncated spectral factor is not invertible")
     return theta, sigma2
 
 
@@ -227,17 +249,19 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
                          order_cap=DEFAULT_ORDER_CAP):
     """Fit an invertible SPHMA(q) or causal SPHAR(p) within eps of the target.
 
-    The full stored band is retained (its above-band tail must already fit
-    the eps/2 tail budget); each multipole's order is doubled until the sup
-    error over ``frequency_grid()`` fits the proof budget eps / (2 (L+1)^2) or
-    the order cap is hit; on a tabulated target it also stops before the lag
-    depth reaches the period of its grid's lags. An MA fit that is not
-    invertible moves on to the next order. Lags that are not positive
-    definite stop the escalation at the first order whose recursion fails,
-    and the best fit so far stands; a multipole with no fit at all, such as
-    one with C_l(0) = 0, raises ``ValueError`` naming it. The certificate
-    records per-multipole sup errors and the realized totals in both norms;
-    it passes iff the total in the requested norm is at most eps.
+    The stored band's tail must already fit the eps/2 tail budget. Each
+    multipole's order is doubled until the sup error over ``frequency_grid()``
+    fits the budget eps / (2 (L+1)^2) or the order cap is hit. MA(q) fits
+    truncate ``spectral_factor``; a multipole that misses its budget tries
+    again on the factor of f_l + budget/4, which exists where f_l touches 0,
+    with noise matched to C_l(0) + 2 pi budget/4, and that fit stands if it
+    meets the budget or f_l has none. AR(p) fits read lags, short of a
+    tabulated grid's lag period. A non-invertible fit moves on; lags not
+    positive definite, or no factor that long, end an escalation, which
+    keeps its fit nearest f_l; a multipole with no fit (C_l(0) = 0, say)
+    raises ``ValueError``. The certificate passes iff the total in the
+    requested norm is at most eps; ``order_cap_reached`` iff a multipole
+    tried the cap's order and still missed its budget.
 
     Returns ``(model, certificate)``.
     """
@@ -258,89 +282,79 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     if tail_error > eps / 2.0:
         warnings.warn("stored band tail exceeds the eps/2 budget; cannot certify")
 
-    fitted_ar = []
-    fitted_ma = []
-    noise = np.empty(L + 1)
-    per_multipole = []
-    fitted_rows = np.empty_like(F)
-    cap_reached = False
+    fits, factors, m = [], {}, target.model
 
-    # a tabulated target resolves lags up to about a quarter of its grid; its
-    # lags have the grid's period N, and from depth N on C(N) = C(0) makes
-    # the Toeplitz matrix singular, so the escalation stops short of it
+    def fit(order):
+        nonlocal table
+        if kind == "ma":
+            if shift not in factors:
+                factors[shift] = spectral_factor(target, shift)
+            theta, s2 = fit_ma(factors[shift][l], table[l, 0] + TWO_PI * shift, order)
+            return (np.empty(0), theta), s2
+        if order > resolved:
+            warnings.warn("frequency grid is coarse for the requested lag depth")
+        if order >= table.shape[1]:
+            table = autocov_table(target, order).values
+        phi, sigma2 = fit_ar(table[l, : order + 1], order)
+        return (phi, np.empty(0)), sigma2
+
+    # a tabulated target resolves lags up to a quarter of its grid, and from
+    # its period N on, C(N) = C(0) makes the Toeplitz matrix singular. MA
+    # reads C_l(0) only; each AR order reads a prefix of one table, deeper
+    # only past the default cap
     resolved = math.inf if target.form == "rational" else len(target.lam) // 4
     period = math.inf if target.form == "rational" else len(target.lam) - 1
-    depth_of = _ma_depth if kind == "ma" else (lambda order: order)
-    # the lags are prefix-stable, so each order reads a prefix of one table,
-    # fetched for every multipole as deep as the default cap needs; only an
-    # escalation past it fetches again, every multipole as deep as its order
-    # needs, and later multipoles read that deeper table
-    table = autocov_table(target,
-                          depth_of(min(order_cap, DEFAULT_ORDER_CAP))).values
+    table = autocov_table(target, 0 if kind == "ma" else
+                          min(order_cap, DEFAULT_ORDER_CAP)).values
     for l in range(L + 1):
-        best = reason = None
-        # a rational target that is already purely of the requested kind is a
-        # fixed point: never fit below its own order
-        start = 0
-        if target.form == "rational":
-            t_ar, t_ma = target.model.ar[l], target.model.ma[l]
-            if kind == "ma" and len(t_ar) == 0:
-                start = len(t_ma)
-            elif kind == "ar" and len(t_ma) == 0:
-                start = len(t_ar)
-        for order in _order_schedule(order_cap, start):
-            depth = depth_of(order)
-            if order and depth >= period:
+        chosen, reason, capped = None, None, False
+        # a pure rational target of the requested kind is a fixed point
+        pure = m is not None and not len((m.ar if kind == "ma" else m.ma)[l])
+        start = len((m.ma if kind == "ma" else m.ar)[l]) if pure else 0
+        orders = _order_schedule(order_cap, start)
+        orders = [o for o in orders if kind == "ma" or o == 0 or o < period]
+        for shift in (0.0, budget / 4.0) if kind == "ma" else (0.0,):
+            if shift and (table[l, 0] <= 0.0 or chosen and chosen[0] <= budget):
                 break
-            if depth > resolved:
-                warnings.warn("frequency grid is coarse for the requested lag depth")
-            if depth >= table.shape[1]:
-                table = autocov_table(target, depth).values
-            c = table[l, : depth + 1]
-            try:
-                if kind == "ma":
-                    theta, sigma2 = fit_ma(c, order)
-                    coeffs = (np.empty(0), theta)
-                else:
-                    phi, sigma2 = fit_ar(c, order)
-                    coeffs = (phi, np.empty(0))
-            except RuntimeError as exc:
-                # a non-invertible fit certifies nothing; try the next order
-                reason = exc
-                continue
-            except ValueError as exc:
-                # lags that are not positive definite fail at the same step
-                # at every later depth and order: the best fit so far stands
-                reason = exc
-                break
-            row = rational_density(coeffs[0], coeffs[1], sigma2, z)
-            err = float(np.abs(row - F[l]).max())
-            if best is None or err < best[0]:
-                best = (err, order, coeffs, sigma2, row)
-            if err <= budget:
-                break
-        if best is None:
+            best = None
+            for order in orders:
+                try:
+                    coeffs, sigma2 = fit(order)
+                except RuntimeError as exc:
+                    # a non-invertible fit certifies nothing; try the next order
+                    reason = exc
+                    continue
+                except ValueError as exc:
+                    # every later order fails too: the best fit so far stands
+                    reason = exc
+                    break
+                row = rational_density(coeffs[0], coeffs[1], sigma2, z)
+                err = float(np.abs(row - F[l]).max())
+                if best is None or err < best[0]:
+                    best = (err, order, coeffs, sigma2, row)
+                if err <= budget:
+                    break
+            else:
+                capped = orders[-1] == order_cap
+            if chosen is None or best and best[0] <= budget:
+                chosen = best
+        if chosen is None:
             raise ValueError(f"no fit at multipole {l}: {reason}")
-        err, order, coeffs, sigma2, row = best
-        if err > budget:
-            cap_reached = True
-        fitted_ar.append(coeffs[0])
-        fitted_ma.append(coeffs[1])
-        noise[l] = sigma2
-        fitted_rows[l] = row
-        per_multipole.append((l, order, err))
+        fits.append((*chosen, capped and chosen[0] > budget))
 
-    model = SpharmaModel(L, fitted_ar, fitted_ma, noise)
-    diff = fitted_rows - F
+    errs, kept, coeffs, noise, rows, missed_at_cap = zip(*fits)
+    model = SpharmaModel(L, [c[0] for c in coeffs], [c[1] for c in coeffs],
+                         np.array(noise))
+    diff = np.array(rows) - F
     total_l2 = _sup_operator_norm(diff, "l2_kernel") + tail_error
     total_trace = _sup_operator_norm(diff, "trace") + tail_error
     total = total_l2 if norm == "l2_kernel" else total_trace
     cert = ApproximationCertificate(
         kind=kind, epsilon=eps, norm=norm, l_trunc=L,
-        order=max(o for _, o, _ in per_multipole),
-        per_multipole=per_multipole, tail_error=tail_error,
+        order=max(kept), per_multipole=list(zip(range(L + 1), kept, errs)),
+        tail_error=tail_error,
         total_l2=total_l2, total_trace=total_trace,
-        passed=bool(total <= eps), order_cap_reached=cap_reached,
+        passed=bool(total <= eps), order_cap_reached=any(missed_at_cap),
     )
     return model, cert
 

@@ -260,11 +260,12 @@ def test_criterion_09_l2_reconstruction_tail():
         true_model = SpharmaModel.uniform(L, ar=[0.5], ma=[0.3], noise=1.0)
         qs = (1, 2, 4, 8)
         results = []
+        psi = approx.spectral_factor(true_model.spectral())
+        c0 = model_autocovariance_table(true_model, 0).values[:, 0]
         for q in qs:
             ma, noise = [], np.empty(L + 1)
             for l in range(L + 1):
-                c = model_autocovariance(true_model, l, approx._ma_depth(q))
-                theta, s2 = approx.fit_ma(c, q)
+                theta, s2 = approx.fit_ma(psi[l], c0[l], q)
                 ma.append(theta)
                 noise[l] = s2
             fitted = SpharmaModel(L, [np.empty(0)] * (L + 1), ma, noise)

@@ -136,33 +136,38 @@ class TestDurbinLevinson:
             assert v == ref_v
 
 
+def factor_row(model):
+    """The spectral factor and C(0) of a one-multipole model."""
+    return (approx.spectral_factor(model.spectral())[0],
+            model_autocovariance(model, 0, 0)[0])
+
+
 class TestFitMa:
     def test_recovers_ma1(self):
-        c = ma1_acv(0.5, 1.0, 250)
-        theta, s2 = approx.fit_ma(c, 1)
+        psi, c0 = factor_row(SpharmaModel.uniform(0, ma=[0.5], noise=1.0))
+        theta, s2 = approx.fit_ma(psi, c0, 1)
         assert abs(theta[0] - 0.5) < 1e-3
         assert abs(s2 - 1.0) < 1e-3
 
     def test_white_noise_any_order(self):
-        c = np.zeros(300)
-        c[0] = 1.9
-        theta, s2 = approx.fit_ma(c, 3)
+        psi, c0 = factor_row(SpharmaModel.white_noise(np.array([1.9])))
+        theta, s2 = approx.fit_ma(psi, c0, 3)
         assert np.abs(theta).max() < 1e-12
         assert abs(s2 - 1.9) < 1e-12
 
     def test_order_zero(self):
-        c = ma1_acv(0.5, 1.0, 10)
-        theta, s2 = approx.fit_ma(c, 0)
-        assert theta.size == 0 and s2 == c[0]
+        psi, c0 = factor_row(SpharmaModel.uniform(0, ma=[0.5], noise=1.0))
+        theta, s2 = approx.fit_ma(psi, c0, 0)
+        assert theta.size == 0 and s2 == c0
 
     def test_error_decreasing_on_ar1_target(self):
         target = SpharmaModel.uniform(0, ar=[0.5], noise=1.0)
-        c = model_autocovariance(target, 0, 400)
+        psi, c0 = factor_row(target)
         lam = frequency_grid(512)
         f_true = target.spectral().values(lam)[0]
         errs = []
         for q in (1, 2, 4, 8):
-            theta, s2 = approx.fit_ma(c, q)
+            theta, s2 = approx.fit_ma(psi, c0, q)
             from spharma.spectral import abs2_on_circle
 
             f_fit = s2 / TWO_PI * abs2_on_circle(np.r_[1.0, theta], np.exp(1j * lam))
@@ -170,11 +175,54 @@ class TestFitMa:
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_fitted_polynomial_invertible(self):
-        m = SpharmaModel.uniform(0, ma=[0.6, 0.2], noise=1.0)
-        c = model_autocovariance(m, 0, 300)
-        theta, _ = approx.fit_ma(c, 2)
+        psi, c0 = factor_row(SpharmaModel.uniform(0, ma=[0.6, 0.2], noise=1.0))
+        theta, _ = approx.fit_ma(psi, c0, 2)
         roots = lag_polynomial_roots(theta, kind="ma")
         assert np.abs(roots).min() > 1.0
+
+    def test_refusals(self):
+        # psi_1 = 1.2 of ARMA(1, 1) 0.8/0.4 is a non-invertible MA(1)
+        psi, c0 = factor_row(SpharmaModel.uniform(0, ar=[0.8], ma=[0.4]))
+        with pytest.raises(RuntimeError, match="not invertible"):
+            approx.fit_ma(psi, c0, 1)
+        with pytest.raises(ValueError, match="C\\(0\\) must be positive"):
+            approx.fit_ma(psi, 0.0, 0)
+        with pytest.raises(ValueError, match="no spectral factor"):
+            approx.fit_ma(psi, c0, len(psi))
+        with pytest.raises(ValueError, match="no spectral factor"):
+            approx.fit_ma(np.full(5, np.nan), c0, 2)
+        assert approx.fit_ma(np.full(5, np.nan), c0, 0)[1] == c0
+
+
+class TestSpectralFactor:
+    def test_rational_grid_refines_until_the_cepstrum_decays(self):
+        # AR(1) phi: c_k = phi^k / k is below 1e-13 by k = 80 at 0.7, but
+        # only past k = 5400 at 0.996, so that row is refined and the other
+        # zero-padded
+        model = SpharmaModel(1, [[0.7], [0.996]], [[], []], np.ones(2))
+        psi = approx.spectral_factor(model.spectral())
+        assert psi.shape[1] > 4096 // 2 + 1
+        for l, phi in enumerate((0.7, 0.996)):
+            exact = phi ** np.arange(psi.shape[1])
+            assert np.abs(psi[l] - exact).max() < 1e-12
+
+    def test_tabulated_rows(self):
+        lam = frequency_grid()
+        f = np.vstack([np.ones_like(lam), (np.abs(lam) < 0.5).astype(float),
+                       SpharmaModel.uniform(0, ma=[0.5]).spectral().values(lam)[0]])
+        target = SpectralEigenvalues.tabulated(lam, f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            psi = approx.spectral_factor(target)
+        # the box has zeros, so no factor; shifted, its jumps leave a
+        # cepstrum that the grid does not resolve
+        assert psi.shape == (3, 2049)
+        assert np.abs(psi[0] - np.eye(1, 2049)[0]).max() < 1e-15
+        assert np.all(np.isnan(psi[1]))
+        assert np.abs(psi[2, :3] - [1.0, 0.5, 0.0]).max() < 1e-14
+        with pytest.warns(UserWarning, match="grid is coarse"):
+            shifted = approx.spectral_factor(target, shift=0.01)
+        assert not np.isnan(shifted).any()
 
 
 class TestFitAr:
@@ -307,13 +355,13 @@ class TestApproximateOperator:
                                            ("ma", 10**9), ("ar", 64), ("ar", 10**5)])
     def test_one_lag_fetch_per_multipole(self, lag_fetches, kind, cap):
         # no escalation here goes past order 16, so whatever the cap, one
-        # fetch covers both multipoles, as deep as the default cap's
+        # fetch covers both multipoles, as deep as the default AR cap's
         # schedule needs
         target = SpharmaModel.uniform(1, ar=[0.5], noise=1.0).spectral()
         _, cert = approx.approximate_operator(target, 1e-2, kind, order_cap=cap)
         assert cert.passed and cert.order <= 16
-        order = min(cap, approx.DEFAULT_ORDER_CAP)
-        depth = approx._ma_depth(order) if kind == "ma" else order
+        # an MA fit reads C_l(0) only
+        depth = 0 if kind == "ma" else min(cap, approx.DEFAULT_ORDER_CAP)
         assert lag_fetches == [("table", 2, depth)]
 
     def test_escalation_past_the_default_cap_fetches_deeper(self, lag_fetches,
@@ -352,31 +400,46 @@ class TestApproximateOperator:
                     == trapezoid_lags(lam, f[l], 300).tobytes())
 
     def test_tabulated_escalation_stops_before_the_lag_period(self, monkeypatch):
-        # the trapezoid lags of the 4097-node grid have period 4096; the MA
-        # order 256 (depth 5120) would be fitted on a singular Toeplitz matrix
+        # the trapezoid lags of the 4097-node grid have period 4096; the AR
+        # order 4096 would be fitted on a singular Toeplitz matrix
         lam = frequency_grid()
-        ar1 = SpharmaModel.uniform(0, ar=[0.95], noise=1.0).spectral()
-        target = SpectralEigenvalues.tabulated(lam, ar1.values(lam))
-        depths = []
-        fit_ma = approx.fit_ma
+        ma1 = SpharmaModel.uniform(0, ma=[0.995], noise=1.0).spectral()
+        target = SpectralEigenvalues.tabulated(lam, ma1.values(lam))
+        orders = []
+        fit_ar = approx.fit_ar
 
-        def fit(c, q):
-            depths.append(len(c) - 1)
-            return fit_ma(c, q)
+        def fit(c, p):
+            orders.append(p)
+            return fit_ar(c, p)
 
-        monkeypatch.setattr(approx, "fit_ma", fit)
+        monkeypatch.setattr(approx, "fit_ar", fit)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fitted, cert = approx.approximate_operator(target, 1e-9, "ma")
-        assert max(depths) < len(lam) - 1 == 4096
+            fitted, cert = approx.approximate_operator(target, 1e-9, "ar",
+                                                       order_cap=10**4)
+        assert max(orders) < len(lam) - 1 == 4096
         assert [w for w in caught if "grid is coarse" in str(w.message)]
-        assert cert.order == 128 and cert.order_cap_reached and not cert.passed
-        # the same certificate and model as an escalation capped at order 128
+        # the cap was never tried, so it was not what stopped the escalation
+        assert cert.order == 2048 and not cert.order_cap_reached
+        assert not cert.passed
+        # the same fit as an escalation capped at order 2048, which did try
+        # its cap
         with pytest.warns(UserWarning, match="grid is coarse"):
             capped_fitted, capped = approx.approximate_operator(
-                target, 1e-9, "ma", order_cap=128)
+                target, 1e-9, "ar", order_cap=2048)
+        assert capped.order_cap_reached
+        capped.order_cap_reached = False
         assert capped == cert
         assert capped_fitted.content_hash() == fitted.content_hash()
+
+    def test_ma1_with_a_unit_root_passes_at_order_1(self):
+        # f = |1 + e^{i lambda}|^2 / 2pi vanishes at lambda = pi: its factor
+        # is not resolved on any grid, and the fit on f + budget/4 passes
+        target = SpharmaModel.uniform(2, ma=[1.0], noise=1.0).spectral()
+        fitted, cert = approx.approximate_operator(target, 1e-2, "ma")
+        assert cert.passed
+        assert [order for _, order, _ in cert.per_multipole] == [1, 1, 1]
+        assert check_invertible(fitted).causal
 
     def test_negative_order_cap_rejected(self):
         target = SpharmaModel.uniform(0, ar=[0.5], noise=1.0).spectral()
@@ -601,9 +664,10 @@ def _fit_ar_model(true_model, p):
 def _fit_ma_model(true_model, q):
     ma = []
     noise = np.empty(true_model.band_limit + 1)
+    psi = approx.spectral_factor(true_model.spectral())
+    c0 = model_autocovariance_table(true_model, 0).values[:, 0]
     for l in range(true_model.band_limit + 1):
-        c = model_autocovariance(true_model, l, approx._ma_depth(q))
-        theta, s2 = approx.fit_ma(c, q)
+        theta, s2 = approx.fit_ma(psi[l], c0[l], q)
         ma.append(theta)
         noise[l] = s2
     return SpharmaModel(true_model.band_limit,

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -277,7 +279,7 @@ class TestApproximateCommand:
         assert "order_cap must be nonnegative" in capsys.readouterr().err
 
     def test_non_invertible_ma_orders_are_skipped(self, tmp_path):
-        # psi_1 = 1.2 makes the order-1 innovations fit non-invertible; the
+        # psi_1 = 1.2 makes the order-1 truncated factor non-invertible; the
         # escalation moves past it instead of ending in a traceback
         target = tmp_path / "arma.json"
         SpharmaModel.uniform(2, ar=[0.8], ma=[0.4], noise=1.0).save(target)
@@ -289,9 +291,11 @@ class TestApproximateCommand:
         assert all(row["order"] != 1 for row in cert["per_multipole"])
 
     def test_lags_not_positive_definite_stop_both_kinds(self, tmp_path):
-        # f = 1 on |lambda| < 0.5 has spectral zeros: its lags stop being
-        # positive definite, which ends both escalations at the first order
-        # whose recursion fails, with the best fit so far, order 0
+        # f = 1 on |lambda| < 0.5 has spectral zeros. Its lags stop being
+        # positive definite, which ends the AR escalation at the first order
+        # whose recursion fails, with the best fit so far, order 0. f has no
+        # spectral factor, so MA fits past order 0 come from the factor of
+        # f + budget/4; none meets the budget, so the order-0 fit on f stands
         lam = spharma.frequency_grid()
         target = tmp_path / "box.json"
         spharma.SpectralEigenvalues.tabulated(
@@ -299,16 +303,48 @@ class TestApproximateCommand:
         certs, models = {}, {}
         for kind in ("ar", "ma"):
             out = tmp_path / kind
-            assert run("approximate", "--target", target, "--eps", 0.05,
-                       "--kind", kind, "--out", out) == cli.EXIT_BUDGET
+            with (pytest.warns(UserWarning, match="grid is coarse")
+                  if kind == "ma" else nullcontext()):
+                assert run("approximate", "--target", target, "--eps", 0.05,
+                           "--kind", kind, "--out", out) == cli.EXIT_BUDGET
             models[kind] = (out / "fitted_model.json").read_bytes()
             cert = json.loads((out / "certificate.json").read_text())
             assert cert.pop("kind") == kind
             del cert["config_hash"]
             certs[kind] = cert
+        # the AR escalation stopped at order 1, far below the cap; the MA one
+        # on f + budget/4 tried the cap's order (every truncation from order
+        # 4 on is non-invertible)
+        assert certs["ar"].pop("order_cap_reached") is False
+        assert certs["ma"].pop("order_cap_reached") is True
         assert certs["ar"] == certs["ma"]
         assert certs["ma"]["order"] == 0 and not certs["ma"]["passed"]
         assert models["ar"] == models["ma"]
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("name", ["cos2", "gauss_009", "gauss_001", "box"])
+    def test_targets_with_spectral_zeros(self, tmp_path, name, eps):
+        # MA fits of a continuous f >= 0 exist, and the factor of f + budget/4
+        # finds them where f touches 0; a discontinuous f has none in the sup
+        # norm
+        lam = spharma.frequency_grid()
+        f = {"cos2": np.maximum(np.cos(lam), 0.0) ** 2,
+             "gauss_009": np.exp(-lam**2 / 0.09),
+             "gauss_001": np.exp(-lam**2 / 0.01),
+             "box": (np.abs(lam) < 0.5).astype(float)}[name]
+        target = tmp_path / "target.json"
+        spharma.SpectralEigenvalues.tabulated(lam, f[None, :]).save(target)
+        out = tmp_path / "fit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = run("approximate", "--target", target, "--eps", eps,
+                       "--kind", "ma", "--out", out)
+        cert = json.loads((out / "certificate.json").read_text())
+        if name == "box":
+            assert code == cli.EXIT_BUDGET and not cert["passed"]
+        else:
+            assert code == cli.EXIT_OK and cert["passed"]
+            assert cert["total_l2"] <= eps and cert["order"] >= 1
 
     @pytest.mark.parametrize("kind", ["ar", "ma"])
     def test_all_zero_multipole_exits_2(self, tmp_path, kind, capsys):
@@ -636,8 +672,9 @@ def test_library_surface():
         "lag_polynomial_roots", "legendre_all", "model", "model_autocovariance",
         "model_autocovariance_table", "operator_trace_norm", "psi_coefficients",
         "sht_forward", "sht_inverse", "simulate", "simulate_spharma",
-        "simulate_white_noise", "spectral", "spectral_from_autocov", "sphere",
-        "synthesize_field", "verify_cramer_orthogonality", "wold"]
+        "simulate_white_noise", "spectral", "spectral_factor",
+        "spectral_from_autocov", "sphere", "synthesize_field",
+        "verify_cramer_orthogonality", "wold"]
     # spectral.py imports nothing from sphere.py
     tree = ast.parse(inspect.getsource(spharma.spectral))
     imported = {f"{node.module or ''}.{alias.name}" for node in ast.walk(tree)

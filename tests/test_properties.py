@@ -339,6 +339,46 @@ def test_exact_pure_targets_are_fixed_points(case):
 
 
 @st.composite
+def arma_any_ma(draw):
+    """A causal ARMA with p, q <= 3 whose MA roots lie on either side of the
+    unit circle: the roots of a ``lag_poly`` and the reciprocals of the roots
+    of another."""
+    phi = -draw(lag_poly())[1:]
+    outside = draw(lag_poly())
+    inside = draw(lag_poly(max_order=3 - (len(outside) - 1)))
+    # z^k c(1/z) / c_k has the reciprocal roots of c(z)
+    theta = np.convolve(outside, inside[::-1] / inside[-1])[1:]
+    noise = draw(st.floats(0.1, 10.0))
+    return SpharmaModel(0, [phi], [theta], np.array([noise]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arma_any_ma())
+def test_spectral_factor_is_the_wold_factor(model):
+    # Every root of psi = theta/phi, or of its minimum-phase equivalent,
+    # lies at modulus >= 1.25, so the cepstrum has decayed by the default
+    # grid's last eighth and the factor is exact up to rounding. An
+    # invertible MA part makes psi_coefficients the Wold factor itself;
+    # otherwise the factor is the invertible one with the same density.
+    psi = approx.spectral_factor(model.spectral())[0]
+    assert len(psi) == 4096 // 2 + 1
+    # phi(z) psi(z) is a polynomial of degree q with no root inside the circle
+    q = len(model.ma[0])
+    num = np.convolve(np.r_[1.0, -model.ar[0]], psi)[: len(psi)]
+    assert np.abs(num[q + 1 :]).max(initial=0.0) <= 1e-12 * np.abs(num).max()
+    assert min_root_modulus(num[1 : q + 1], "ma") >= 1.0
+    if min_root_modulus(model.ma[0], "ma") > 1.0:
+        exact = psi_coefficients(model, 0, len(psi) - 1)
+        assert np.abs(psi - exact).max() <= 1e-12 * np.abs(exact).max()
+    lam = spectral.frequency_grid(1000)
+    f = model.spectral().values(lam)[0]
+    c0 = model_autocovariance(model, 0, 0)[0]
+    shape = spectral.abs2_on_circle(psi, np.exp(1j * lam))
+    # the variance-matched density of psi: sigma^2 sum psi_j^2 = C(0)
+    assert np.abs(c0 / (psi @ psi) * shape / (2 * math.pi) / f - 1).max() <= 1e-12
+
+
+@st.composite
 def reconstruction_case(draw):
     """A truth drawn by ``causal_sphere_arma`` and a causal AR, MA or ARMA
     fit at a band limit up to the truth's, orders <= 2 per multipole."""
