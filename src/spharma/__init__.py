@@ -7,8 +7,8 @@ arbitrary target spectral density operators by invertible moving-average or
 causal autoregressive models with certified error, the exact L2(Omega)
 reconstruction error of a fit, and the Wold decomposition as an SPHMA model.
 References that only the tests use (spherical harmonics one (l, m) at a
-time, kernel synthesis, summability sums, spectral distances) live in
-``tests/oracles.py``.
+time, Legendre polynomials, kernel synthesis, summability sums, spectral
+distances) live in ``tests/oracles.py``.
 """
 
 from .approx import (
@@ -57,7 +57,6 @@ from .sphere import (
     FieldSnapshot,
     SphereGrid,
     build_grid,
-    legendre_all,
     sht_forward,
     sht_inverse,
 )

@@ -138,7 +138,7 @@ def spectral_factor(spec, shift=0.0):
     while len(pending):
         n = len(lam) - 1
         h = n // 2
-        f = spec.values(lam)[pending] + shift
+        f = spec.values(lam, pending) + shift
         positive = np.all(f > 0.0, axis=-1)
         c = trapezoid_lags(lam, np.log(np.where(positive[:, None], f, 1)), h) / TWO_PI
         # sum c_k z^k at the N-th roots of unity; c_{N/2} is halved (folds +-N/2)

@@ -112,8 +112,8 @@ def cmd_simulate(args):
     series.save(os.path.join(args.out, "series.bin"))
     if args.snapshots:
         grid = sphere.build_grid(model.band_limit)
-        for t in args.snapshots:
-            snap = simulate.synthesize_field(series, grid, t)
+        snaps = simulate.synthesize_field(series, grid, args.snapshots)
+        for t, snap in zip(args.snapshots, snaps):
             snap.to_csv(os.path.join(args.out, f"field_t{t}.csv"))
     print(f"wrote series ({series.n} steps, L={series.band_limit}) to {args.out}")
     return EXIT_OK

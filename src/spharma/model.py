@@ -184,21 +184,27 @@ def decay_length(root_modulus, tol):
     return int(math.ceil(math.log(tol) / math.log(1.0 / root_modulus)))
 
 
-def _root_margin_report(coeff_lists, margin, kind):
-    """Least root modulus per multipole against 1 + margin.
+def _row_moduli(coeff_lists, kind):
+    """Least root modulus of each row's lag polynomial, with one root search
+    per distinct row: one row at every l pays one eigenvalue problem."""
+    rows = {c.tobytes(): c for c in coeff_lists}
+    mods = {row: min_root_modulus(c, kind) for row, c in rows.items()}
+    return [mods[c.tobytes()] for c in coeff_lists]
 
-    The roots of each distinct coefficient row are found once: a model with
-    the same coefficients at every l pays one eigenvalue problem, not L+1.
-    """
+
+def _require_causal(model, ls):
+    """``ValueError`` naming the first l in ``ls`` with an AR root of modulus
+    at most 1 (see ``_row_moduli``)."""
+    for l, mod in zip(ls, _row_moduli([model.ar[l] for l in ls], "ar")):
+        if mod <= 1.0:
+            raise ValueError(f"multipole {l} is not causal")
+
+
+def _root_margin_report(coeff_lists, margin, kind):
+    """Least root modulus per multipole against 1 + margin."""
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
-    by_row = {}
-    mods = []
-    for coeffs in coeff_lists:
-        row = coeffs.tobytes()
-        if row not in by_row:
-            by_row[row] = min_root_modulus(coeffs, kind)
-        mods.append(by_row[row])
+    mods = _row_moduli(coeff_lists, kind)
     offending = [l for l, mod in enumerate(mods) if mod < 1.0 + margin]
     return CausalityReport(not offending, min(mods, default=math.inf),
                            offending, margin)
@@ -234,11 +240,8 @@ def psi_coefficients(model, l, count):
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if min_root_modulus(model.ar[l]) <= 1.0:
-        raise ValueError(f"multipole {l} is not causal")
-    impulse = np.zeros(count + 1)
-    impulse[0] = 1.0
-    return arma_filter(model.ar[l], model.ma[l], impulse)
+    _require_causal(model, [l])
+    return arma_filter(model.ar[l], model.ma[l], np.eye(1, count + 1)[0])
 
 
 def _ar_in_blocks(ar, w, length):
@@ -392,11 +395,12 @@ def _filter_into(ar, ma, rows, pad, work):
 
 def _autocovariance_drive(model, l, max_lag):
     """Multipole l's trimmed AR row and the input from which a zero-state AR
-    filter with it gives C_l(0..max_lag) / C_{l;Z} (see ``model_autocovariance``)."""
+    filter with it gives C_l(0..max_lag) / C_{l;Z} (see ``model_autocovariance``).
+    The caller has checked that l is causal."""
     ar = np.trim_zeros(model.ar[l], "b")
     p, q = len(ar), len(model.ma[l])
     phi_poly = np.r_[1.0, -ar]
-    psi = psi_coefficients(model, l, q)
+    psi = arma_filter(model.ar[l], model.ma[l], np.eye(1, q + 1)[0])  # psi_0..q
     # r_k is entry q + k of theta convolved with psi reversed
     r = np.convolve(np.r_[1.0, model.ma[l]], psi[::-1])[q:]
     k = np.arange(p + 1)
@@ -418,6 +422,7 @@ def model_autocovariance(model, l, max_lag):
     zero-state AR filter. Nothing is truncated, and the solve does not depend
     on max_lag, so the lags are prefix-stable bit for bit.
     """
+    _require_causal(model, [l])
     ar, drive = _autocovariance_drive(model, l, max_lag)
     return model.noise[l] * arma_filter(ar, [], drive)
 
@@ -425,11 +430,13 @@ def model_autocovariance(model, l, max_lag):
 def model_autocovariance_table(model, max_lag):
     """C_l(0..max_lag) for every l; row l is bit for bit ``model_autocovariance``.
 
-    The (p+1) x (p+1) solve runs per l. The lags of all multipoles with one
-    trimmed AR order come from one ``arma_filter`` call with a coefficient
-    row per multipole, so the filter's fixed cost is paid once per order.
+    Causality is decided once per distinct AR row, and the (p+1) x (p+1)
+    solve runs per l. The lags of all multipoles with one trimmed AR order
+    come from one ``arma_filter`` call with a coefficient row per multipole,
+    so the filter's fixed cost is paid once per order.
     """
     L = model.band_limit
+    _require_causal(model, range(L + 1))
     drives = [_autocovariance_drive(model, l, max_lag) for l in range(L + 1)]
     by_order = {}
     for l, (ar, _) in enumerate(drives):

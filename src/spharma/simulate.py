@@ -235,11 +235,13 @@ def simulate_spharma(model, config):
     return HarmonicCoefficientSeries(L, values, prov)
 
 
-def synthesize_field(series, grid, t):
-    """Spatial field snapshot of the time-t coefficient column."""
-    if not (0 <= t < series.n):
+def synthesize_field(series, grid, times):
+    """Spatial field snapshots of the coefficient columns at ``times``, a
+    list in that order, all from one ``sht_inverse`` call."""
+    times = list(times)
+    if not all(0 <= t < series.n for t in times):
         raise IndexError("time index out of range")
-    return sht_inverse(series.values[:, t], grid)
+    return sht_inverse(series.values[:, times], grid)
 
 
 def _fft_length(m):

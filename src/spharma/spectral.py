@@ -229,8 +229,9 @@ class SpectralEigenvalues:
             return self.lam
         return frequency_grid()
 
-    def values(self, lams=None):
-        """f_l on ``lams`` (default: the natural grid), shape (L+1, n_lams).
+    def values(self, lams=None, ls=None):
+        """f_l on ``lams`` (default: the natural grid), shape (L+1, n_lams),
+        or one row per multipole in ``ls`` when given.
 
         Tabulated spectra are linearly interpolated off their stored grid.
         """
@@ -238,13 +239,14 @@ class SpectralEigenvalues:
             lams = self.lambda_grid()
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
         if self.form == "rational":
-            m = self.model
-            z = np.exp(1j * lams)
-            return np.vstack([rational_density(ar, ma, noise, z)
-                              for ar, ma, noise in zip(m.ar, m.ma, m.noise)])
+            m, z = self.model, np.exp(1j * lams)
+            ls = range(self.band_limit + 1) if ls is None else ls
+            return np.vstack([rational_density(m.ar[l], m.ma[l], m.noise[l], z)
+                              for l in ls])
+        table = self.table if ls is None else self.table[ls]
         if lams.shape == self.lam.shape and np.allclose(lams, self.lam):
-            return self.table
-        return np.vstack([np.interp(lams, self.lam, row) for row in self.table])
+            return table
+        return np.vstack([np.interp(lams, self.lam, row) for row in table])
 
     def to_json(self):
         payload = {"schema": 1, "form": self.form, "band_limit": self.band_limit,

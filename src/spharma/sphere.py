@@ -1,4 +1,4 @@
-"""Legendre polynomials, real spherical harmonics and band-limited transforms.
+"""Legendre functions, real spherical harmonics and band-limited transforms.
 
 Conventions
 -----------
@@ -24,62 +24,25 @@ Grids are Gauss-Legendre in colatitude (nodes in cos theta) crossed with
 equiangular longitudes, the minimal node counts whose quadrature is exact
 for every product ``Y_{l,m} * Y_{l',m'}`` with ``l, l' <= L``.
 
-A grid tabulates Q_{l,m} at its colatitude nodes once, packed by order: block
-m has shape ``(n_lat, L+1-m)``, one contiguous row of Q_{m..L,m} per node, so
-no storage goes to the zeros at m > l. Both transforms work one order at a
-time on these blocks: the inverse forms the per-m cosine and sine sums over l
-with two matrix-vector products per block, then multiplies them by the
-longitude trigonometric tables; the forward transform runs the same steps
-backwards.
+Each transform call tabulates Q_{l,m} at the grid's colatitude nodes, packed
+by order (a grid caches nothing): block m has shape ``(n_lat, L+1-m)``, one
+contiguous row of Q_{m..L,m} per node, so no storage goes to the zeros at
+m > l. Both transforms work one order at a time on these blocks: the inverse
+forms the per-m cosine and sine sums over l with two matrix-vector products
+per block, then multiplies them by the longitude trigonometric tables, once
+per coefficient column; the forward transform runs the same steps
+backwards. The Legendre polynomials P_l, which only the tests use, are in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 FOUR_PI = 4.0 * math.pi
-
-_X_DOMAIN_SLACK = 1e-12
-
-
-def _clip_domain(x):
-    """Clamp arguments to [-1, 1], rejecting anything beyond roundoff slack."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + _X_DOMAIN_SLACK):
-        raise ValueError("argument outside [-1, 1]")
-    return np.clip(x, -1.0, 1.0)
-
-
-def legendre_all(l_max, x):
-    """Evaluate P_0(x), ..., P_{l_max}(x) by the three-term recurrence.
-
-    Parameters
-    ----------
-    l_max : int
-        Largest degree, >= 0.
-    x : float or ndarray
-        Argument(s) in [-1, 1].
-
-    Returns
-    -------
-    ndarray
-        Shape ``(l_max+1,) + shape(x)``; entry ``l`` holds P_l(x).
-    """
-    if l_max < 0:
-        raise ValueError("l_max must be nonnegative")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(_clip_domain(x))
-    out = np.empty((l_max + 1,) + x.shape)
-    out[0] = 1.0
-    if l_max >= 1:
-        out[1] = x
-    for l in range(1, l_max):
-        out[l + 1] = ((2 * l + 1) * x * out[l] - l * out[l - 1]) / (l + 1)
-    return out[:, 0] if scalar else out
-
 
 def _legendre_by_degree(l_max, x):
     """Yield Q_{l,0..l}(x), shape ``(l+1,) + shape(x)``, for l = 0..l_max.
@@ -134,7 +97,6 @@ class SphereGrid:
     colat_weights: np.ndarray
     longitudes: np.ndarray
     band_limit: int
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.colatitudes = np.asarray(self.colatitudes, dtype=float)
@@ -162,31 +124,25 @@ class SphereGrid:
 
         A list of L+1 blocks, views into one buffer of
         ``n_lat (L+1)(L+2)/2`` floats: block m has shape ``(n_lat, L+1-m)``
-        and row i holds Q_{m,m}, ..., Q_{L,m} at node i, contiguous. Built on
-        first use, one degree at a time for every order at once.
+        and row i holds Q_{m,m}, ..., Q_{L,m} at node i, contiguous. Built
+        on each call, one degree at a time for every order at once.
         """
-        if "Q" not in self._tables:
-            L, n = self.band_limit, self.n_lat
-            m = np.arange(L + 1)
-            width = L + 1 - m
-            start = np.concatenate(([0], np.cumsum(n * width)))
-            flat = np.empty(start[-1])
-            # flat position of Q_{l,m} at node i is base[m, i] + l
-            base = start[:-1, None] + width[:, None] * np.arange(n) - m[:, None]
-            x = np.cos(self.colatitudes)
-            for l, q in enumerate(_legendre_by_degree(L, x)):
-                flat[base[: l + 1] + l] = q
-            self._tables["Q"] = [flat[start[k] : start[k + 1]].reshape(n, L + 1 - k)
-                                 for k in range(L + 1)]
-        return self._tables["Q"]
+        L, n = self.band_limit, self.n_lat
+        m = np.arange(L + 1)
+        width = L + 1 - m
+        start = np.concatenate(([0], np.cumsum(n * width)))
+        flat = np.empty(start[-1])
+        # flat position of Q_{l,m} at node i is base[m, i] + l
+        base = start[:-1, None] + width[:, None] * np.arange(n) - m[:, None]
+        for l, q in enumerate(_legendre_by_degree(L, np.cos(self.colatitudes))):
+            flat[base[: l + 1] + l] = q
+        return [flat[start[k] : start[k + 1]].reshape(n, L + 1 - k)
+                for k in range(L + 1)]
 
     def _trig_tables(self):
         """cos(m*phi), sin(m*phi) matrices of shape (L+1, n_lon)."""
-        if "cos" not in self._tables:
-            m = np.arange(self.band_limit + 1)[:, None]
-            self._tables["cos"] = np.cos(m * self.longitudes[None, :])
-            self._tables["sin"] = np.sin(m * self.longitudes[None, :])
-        return self._tables["cos"], self._tables["sin"]
+        m_phi = np.arange(self.band_limit + 1)[:, None] * self.longitudes[None, :]
+        return np.cos(m_phi), np.sin(m_phi)
 
 
 def build_grid(band_limit, n_lat=None):
@@ -213,11 +169,14 @@ def _gauss_weights(n, x):
     the exact root r = x + delta, delta = -P_n(x) / P_n'(x), to first order
     in delta: P_n' varies by about n^2 ulps over the rounding of a root.
     """
-    P = legendre_all(n, x)
+    # P_{n-1} and P_n by the three-term recurrence
+    p0, p1 = np.ones_like(x), x
+    for l in range(1, n):
+        p0, p1 = p1, ((2 * l + 1) * x * p1 - l * p0) / (l + 1)
     s = 1.0 - x * x
-    d1 = n * (P[n - 1] - x * P[n]) / s
-    d2 = (2.0 * x * d1 - n * (n + 1) * P[n]) / s
-    delta = -P[n] / d1
+    d1 = n * (p0 - x * p1) / s
+    d2 = (2.0 * x * d1 - n * (n + 1) * p1) / s
+    delta = -p1 / d1
     return 2.0 / ((s - 2.0 * x * delta) * (d1 + delta * d2) ** 2)
 
 
@@ -273,29 +232,36 @@ def sht_forward(fieldsnap, band_limit=None):
 
 
 def sht_inverse(coeffs, grid):
-    """Synthesize the band-limited field sum(a_{l,m} Y_{l,m}) on grid nodes
-    from a stream-order coefficient vector."""
+    """Synthesize the band-limited field sum(a_{l,m} Y_{l,m}) on grid nodes.
+
+    ``coeffs`` is a stream-order vector, which gives one FieldSnapshot, or a
+    block of such columns, which gives a list with one FieldSnapshot per
+    column; the tables are built once for the whole block, and each column
+    takes the products a vector would.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
-    L = math.isqrt(coeffs.size) - 1
-    if coeffs.ndim != 1 or L < 0 or (L + 1) ** 2 != coeffs.size:
-        raise ValueError("coefficients must be a vector of (L+1)^2 entries")
+    rows = len(coeffs) if coeffs.ndim in (1, 2) else 0
+    L = math.isqrt(rows) - 1
+    if L < 0 or (L + 1) ** 2 != rows:
+        raise ValueError("coefficients must be (L+1)^2 rows in stream order")
     if L > grid.band_limit:
         raise ValueError("coefficient multipole exceeds grid band limit")
-    Q = grid._legendre_table()
-    cos_t, sin_t = grid._trig_tables()
+    Q = [q[:, : L + 1 - m] for m, q in enumerate(grid._legendre_table()[: L + 1])]
+    cos_t, sin_t = (t[: L + 1] for t in grid._trig_tables())
     ls = np.arange(L + 1)
     centre = ls * (ls + 1)  # entry of a_{l,0}
+    root2 = math.sqrt(2.0)
     # per-order sums over l at each colatitude, then over m by one matmul each
     cos_sums = np.zeros((L + 1, grid.n_lat))
     sin_sums = np.zeros((L + 1, grid.n_lat))
-    cos_sums[0] = Q[0][:, : L + 1] @ coeffs[centre]
-    root2 = math.sqrt(2.0)
-    for m in range(1, L + 1):
-        q = Q[m][:, : L + 1 - m]
-        cos_sums[m] = root2 * (q @ coeffs[centre[m:] + m])
-        sin_sums[m] = root2 * (q @ coeffs[centre[m:] - m])
-    values = cos_sums.T @ cos_t[: L + 1] + sin_sums.T @ sin_t[: L + 1]
-    return FieldSnapshot(grid, values)
+    snaps = []
+    for a in coeffs.T if coeffs.ndim == 2 else [coeffs]:
+        cos_sums[0] = Q[0] @ a[centre]
+        for m in range(1, L + 1):
+            cos_sums[m] = root2 * (Q[m] @ a[centre[m:] + m])
+            sin_sums[m] = root2 * (Q[m] @ a[centre[m:] - m])
+        snaps.append(FieldSnapshot(grid, cos_sums.T @ cos_t + sin_sums.T @ sin_t))
+    return snaps if coeffs.ndim == 2 else snaps[0]
 
 
 def write_csv(path, header, row_labels, col_labels, values):

@@ -2,10 +2,11 @@
 
 Each function here checks a library result by a second route and is reached
 by no command and no library function: spherical harmonics evaluated one
-(l, m) at a time, grid quadrature, covariance kernel synthesis and norms,
-short-memory summability sums, the operator distance of two spectra, and
-stream lookup in a coefficient series. A method of a library class is a
-function here that takes the object as its first argument.
+(l, m) at a time, the Legendre polynomials P_l, grid quadrature, covariance
+kernel synthesis and norms, short-memory summability sums, the operator
+distance of two spectra, and stream lookup in a coefficient series. A
+method of a library class is a function here that takes the object as its
+first argument.
 """
 
 from __future__ import annotations
@@ -18,10 +19,49 @@ import numpy as np
 from spharma.approx import _sup_operator_norm
 from spharma.model import SpharmaModel, check_causal, model_autocovariance_table
 from spharma.spectral import _geometric_tail
-from spharma.sphere import FOUR_PI, legendre_all
+from spharma.sphere import FOUR_PI
 
 
 # spharma.sphere
+
+_X_DOMAIN_SLACK = 1e-12
+
+
+def _clip_domain(x):
+    """Clamp arguments to [-1, 1], rejecting anything beyond roundoff slack."""
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > 1.0 + _X_DOMAIN_SLACK):
+        raise ValueError("argument outside [-1, 1]")
+    return np.clip(x, -1.0, 1.0)
+
+
+def legendre_all(l_max, x):
+    """Evaluate P_0(x), ..., P_{l_max}(x) by the three-term recurrence.
+
+    Parameters
+    ----------
+    l_max : int
+        Largest degree, >= 0.
+    x : float or ndarray
+        Argument(s) in [-1, 1].
+
+    Returns
+    -------
+    ndarray
+        Shape ``(l_max+1,) + shape(x)``; entry ``l`` holds P_l(x).
+    """
+    if l_max < 0:
+        raise ValueError("l_max must be nonnegative")
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    x = np.atleast_1d(_clip_domain(x))
+    out = np.empty((l_max + 1,) + x.shape)
+    out[0] = 1.0
+    if l_max >= 1:
+        out[1] = x
+    for l in range(1, l_max):
+        out[l + 1] = ((2 * l + 1) * x * out[l] - l * out[l - 1]) / (l + 1)
+    return out[:, 0] if scalar else out
+
 
 def _normalized_assoc_legendre(l_max, m, x):
     """Fully normalized Q_{l,m}(x) for l = m..l_max, no Condon-Shortley phase.

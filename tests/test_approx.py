@@ -16,8 +16,9 @@ from spharma.model import (
     model_autocovariance_table,
     psi_coefficients,
 )
-from spharma.simulate import (SimulationConfig, batch_means_se, simulate_spharma,
-                              simulate_white_noise)
+from spharma.approx import durbin_levinson
+from spharma.simulate import (SimulationConfig, batch_means_se, empirical_autocov,
+                              simulate_spharma, simulate_white_noise)
 from spharma.spectral import (SpectralEigenvalues, autocov_table,
                               frequency_grid, trapezoid_lags)
 from spharma.sphere import harmonic_values_at
@@ -223,6 +224,29 @@ class TestSpectralFactor:
         with pytest.warns(UserWarning, match="grid is coarse"):
             shifted = approx.spectral_factor(target, shift=0.01)
         assert not np.isnan(shifted).any()
+
+
+    def test_only_pending_rows_are_refined(self, monkeypatch):
+        # white noise and AR(1) resolve on 4096 panels; MA(1) with theta = 1
+        # has c_k = (-1)^(k+1) / k, so it alone is refined up to 2^17
+        model = SpharmaModel(2, [[], [0.5], []], [[], [], [1.0]], np.ones(3))
+        shapes = []
+        values = SpectralEigenvalues.values
+
+        def recorded(self, lams=None, ls=None):
+            out = values(self, lams, ls)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(SpectralEigenvalues, "values", recorded)
+        psi = approx.spectral_factor(model.spectral())
+        assert shapes == [(3, 4097)] + [(1, 2**k + 1) for k in range(13, 18)]
+        # each row is bit for bit its own factor, zero-padded
+        for l in range(3):
+            alone = SpharmaModel(0, [model.ar[l]], [model.ma[l]], [1.0])
+            row = approx.spectral_factor(alone.spectral())[0]
+            assert psi[l, : len(row)].tobytes() == row.tobytes()
+            assert not psi[l, len(row) :].any()
 
 
 class TestFitAr:
@@ -672,3 +696,31 @@ def _fit_ma_model(true_model, q):
         noise[l] = s2
     return SpharmaModel(true_model.band_limit,
                         [np.empty(0)] * (true_model.band_limit + 1), ma, noise)
+
+
+def test_yule_walker_round_trip_from_a_simulated_series():
+    # simulate, pool lags per multipole, fit AR(2) by Durbin-Levinson and
+    # take l2_omega_error against the truth; the excess over the AR(2) fit
+    # to exact lags is >= 0. A p-parameter fit on N = (2l+1) n pooled
+    # samples adds about p v_l / N to the one-step error v_l, weighted by
+    # (2l+1) / 4 pi: sum_l p v_l / (4 pi n) in all, falling like 1/n
+    L, p = 4, 2
+    truth = SpharmaModel(L, [[0.6 - 0.01 * l, -0.2] for l in range(L + 1)],
+                         [[0.3]] * (L + 1), [2.0 / (1 + l) for l in range(L + 1)])
+
+    def ar_fit(lags):
+        fits = [durbin_levinson(lags[l], p) for l in range(L + 1)]
+        return SpharmaModel(L, [phi for phi, _ in fits], [[]] * (L + 1),
+                            [v for _, v in fits])
+
+    exact = ar_fit(model_autocovariance_table(truth, p).values)
+    floor = approx.l2_omega_error(truth, exact)
+    excess = []
+    for n in (2**10, 2**12, 2**14):
+        errs = [approx.l2_omega_error(truth, ar_fit(empirical_autocov(
+                    simulate_spharma(truth, SimulationConfig(seed=seed, n=n)), p).values))
+                for seed in (1, 2, 3)]
+        excess.append(np.mean(errs) - floor)
+    assert excess[0] > excess[1] > excess[2] > 0.0, excess
+    predicted = p * exact.noise.sum() / (4 * math.pi * 2**14)
+    assert excess[2] < 4.0 * predicted, (excess, predicted)

@@ -669,7 +669,7 @@ def test_library_surface():
         "build_grid", "check_causal", "check_coprime", "check_invertible",
         "ckl_truncation_error", "durbin_levinson", "empirical_autocov", "fit_ar",
         "fit_ma", "frequency_grid", "h_step_error", "l2_omega_error",
-        "lag_polynomial_roots", "legendre_all", "model", "model_autocovariance",
+        "lag_polynomial_roots", "model", "model_autocovariance",
         "model_autocovariance_table", "operator_trace_norm", "psi_coefficients",
         "sht_forward", "sht_inverse", "simulate", "simulate_spharma",
         "simulate_white_noise", "spectral", "spectral_factor",

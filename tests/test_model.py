@@ -171,6 +171,27 @@ class TestCausality:
         md.check_causal(SpharmaModel.uniform(128, ar=[0.5, -0.2], ma=[0.3]))
         assert calls == [(0.5, -0.2)]
 
+    def test_lag_table_solves_each_ar_row_once(self, monkeypatch):
+        calls = []
+        roots = np.roots
+
+        def counted(poly):
+            calls.append(tuple(poly))
+            return roots(poly)
+
+        monkeypatch.setattr(np, "roots", counted)
+        model = SpharmaModel.uniform(64, ar=[0.5, -0.2], ma=[0.3])
+        table = md.model_autocovariance_table(model, 10)
+        assert len(calls) == 1
+        assert table.values[64].tobytes() == md.model_autocovariance(model, 64, 10).tobytes()
+
+    @pytest.mark.parametrize("ar, first", [([[0.5], [1.5], [0.5], [1.5]], 1),
+                                           ([[0.5], [0.5], [1.0], [2.0]], 2)])
+    def test_lag_table_names_the_first_noncausal_multipole(self, ar, first):
+        model = SpharmaModel(3, ar, [[]] * 4, np.ones(4))
+        with pytest.raises(ValueError, match=f"^multipole {first} is not causal$"):
+            md.model_autocovariance_table(model, 3)
+
     def test_coprimality(self):
         ok = SpharmaModel.uniform(1, ar=[0.5], ma=[0.5], noise=1.0)
         assert md.check_coprime(ok).all()

@@ -184,31 +184,32 @@ class TestFieldSynthesis:
     def test_zero_coefficients(self):
         series = sim.HarmonicCoefficientSeries(1, np.zeros((4, 3)))
         grid = build_grid(1)
-        snap = sim.synthesize_field(series, grid, 0)
-        assert np.abs(snap.values).max() == 0.0
+        snaps = sim.synthesize_field(series, grid, [0, 2])
+        assert len(snaps) == 2
+        assert all(np.abs(snap.values).max() == 0.0 for snap in snaps)
 
     def test_roundtrip_through_transform(self, ar1_series):
         grid = build_grid(ar1_series.band_limit)
-        snap = sim.synthesize_field(ar1_series, grid, 17)
+        (snap,) = sim.synthesize_field(ar1_series, grid, [17])
         back = sht_forward(snap)
         assert np.abs(back - ar1_series.values[:, 17]).max() < 1e-10
 
     def test_grid_band_limit_enforced(self, ar1_series):
         with pytest.raises(ValueError):
-            sim.synthesize_field(ar1_series, build_grid(2), 0)
+            sim.synthesize_field(ar1_series, build_grid(2), [0])
 
     @pytest.mark.parametrize("t", [-1, 3])
     def test_time_index_out_of_range(self, t):
         # a negative index must not wrap round to the end of the series
         series = sim.HarmonicCoefficientSeries(1, np.ones((4, 3)))
         with pytest.raises(IndexError):
-            sim.synthesize_field(series, build_grid(1), t)
+            sim.synthesize_field(series, build_grid(1), [0, t])
 
     def test_node_variance_matches_kernel(self, ar1_model, ar1_series):
         grid = build_grid(ar1_series.band_limit)
         node_series = np.array([
-            sim.synthesize_field(ar1_series, grid, t).values[2, 3]
-            for t in range(0, 3000)])
+            snap.values[2, 3]
+            for snap in sim.synthesize_field(ar1_series, grid, range(3000))])
         var = float((node_series**2).mean())
         from spharma.model import model_autocovariance_table
 
@@ -220,11 +221,9 @@ class TestFieldSynthesis:
     def test_two_node_covariance_matches_kernel(self, ar1_series):
         grid = build_grid(ar1_series.band_limit)
         i1, j1, i2, j2 = 1, 0, 3, 5
-        a = np.empty(3000)
-        b = np.empty(3000)
-        for t in range(3000):
-            snap = sim.synthesize_field(ar1_series, grid, t)
-            a[t], b[t] = snap.values[i1, j1], snap.values[i2, j2]
+        snaps = sim.synthesize_field(ar1_series, grid, range(3000))
+        a = np.array([snap.values[i1, j1] for snap in snaps])
+        b = np.array([snap.values[i2, j2] for snap in snaps])
         acv = sim.empirical_autocov(ar1_series, 0)
         t1, t2 = grid.colatitudes[i1], grid.colatitudes[i2]
         dphi = grid.longitudes[j1] - grid.longitudes[j2]
