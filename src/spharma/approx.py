@@ -2,10 +2,11 @@
 
 Scalar machinery per multipole (Brockwell & Davis, "Time Series: Theory
 and Methods", chapters 5 and 8): the Wold factor of a spectral density by
-its cepstrum, whose truncations are the MA fits; Durbin-Levinson, for the
-AR fits; and the innovations algorithm, whose last row gives the Wold
-decomposition of a lag table as an SPHMA(n_psi) ``SpharmaModel``, so its
-spectral density and h-step prediction errors are those of any model.
+its cepstrum, whose truncations are the MA fits; and one Schur recursion on
+a lag sequence with two readouts: Levinson's step-up of its reflection
+coefficients, for the AR fits, and the last innovations row, which gives
+the Wold decomposition of a lag table as an SPHMA(n_psi) ``SpharmaModel``,
+so its spectral density and h-step prediction errors are those of any model.
 
 Operator-level machinery: given target spectral eigenvalues f_l(lambda) and
 a tolerance eps, fit an invertible MA(q) or causal AR(p) per multipole,
@@ -32,10 +33,11 @@ import numpy as np
 
 from .model import (
     SpharmaModel,
+    _require_causal,
+    arma_filter,
     check_causal,
     min_root_modulus,
-    model_autocovariance,
-    psi_coefficients,
+    model_autocovariance_table,
 )
 from .spectral import (
     TWO_PI,
@@ -51,8 +53,8 @@ _FACTOR_MAX_PANELS = 2**17  # spectral_factor: finest grid of a rational target
 _WOLD_VARIANCE_TOL = 1e-10  # wold: least innovation variance, relative to C_l(0)
 
 
-def _innovations_last_row(c, depth):
-    """theta_{depth, 1..depth} and v_0..v_depth by the Schur algorithm.
+def _schur(c, depth):
+    """theta_{depth, 1..depth}, v_0..v_depth and kappa_1..kappa_depth.
 
     The innovations rows of C(0..depth) are the rows of T = L diag(v) L^T,
     T[i, j] = C(|i - j|), L unit lower triangular, theta_{i, i-k} = L[i, k];
@@ -61,11 +63,14 @@ def _innovations_last_row(c, depth):
     ch. 1) computes L column by column in O(depth^2) time and O(depth)
     memory: ``a`` starts as C(0..depth) and ``b`` as C(1..depth); at step k,
     ``a`` is column k of L diag(v) on rows k..depth, so v_k = a[0] and
-    theta_{depth, depth-k} = a[-1] / v_k, and the reflection g = b[0] / v_k
-    gives the next pair, v_{k+1} = v_k (1 - g^2). A step with |g| >= 1 means
-    T is not positive definite: ``ValueError`` names step k + 1, which reads
-    only C(0..k + 1), so a sequence fails there at every depth >= k + 1.
+    theta_{depth, depth-k} = a[-1] / v_k, and the reflection coefficient
+    kappa_{k+1} = b[0] / v_k gives the next pair, v_{k+1} = v_k (1 -
+    kappa_{k+1}^2). A step with |kappa| >= 1 means T is not positive
+    definite: ``ValueError`` names step k + 1, which reads only C(0..k + 1),
+    so a sequence fails there at every depth >= k + 1.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     c = np.asarray(c, dtype=float)
     if len(c) < depth + 1:
         raise ValueError("autocovariance sequence shorter than recursion depth")
@@ -75,50 +80,36 @@ def _innovations_last_row(c, depth):
     b = a[1:]
     last = np.empty(depth)
     v = np.empty(depth + 1)
+    kappa = np.empty(depth)
     for k in range(depth):
         head, vk = a[:-1], a[0]
         last[k] = a[-1]
         v[k] = vk
-        g = b[0] / vk
-        if abs(g) >= 1.0:
+        g = kappa[k] = b[0] / vk
+        if not abs(g) < 1.0:
             raise ValueError(
-                f"innovations variance nonpositive at step {k + 1}: "
+                f"prediction variance nonpositive at step {k + 1}: "
                 "input is not a positive definite autocovariance")
         a, b = head - g * b, (b - g * head)[1:]
     v[depth] = a[0]
-    return (last / v[:depth])[::-1], v
+    return (last / v[:depth])[::-1], v, kappa
+
+
+def _innovations_last_row(c, depth):
+    """theta_{depth, 1..depth} and v_0..v_depth of C(0..depth) (``_schur``)."""
+    return _schur(c, depth)[:2]
 
 
 def durbin_levinson(c, order):
-    """Yule-Walker AR(order) fit via the Durbin-Levinson recursion.
-
-    Returns ``(phi, v)`` with the AR coefficients and the one-step prediction
-    variance. A step k with |kappa_k| >= 1 means the lags are not positive
-    definite, and ``ValueError`` names it; step k reads only C(0..k), so a
-    sequence fails at that step at every order >= k.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    c = np.asarray(c, dtype=float)
-    if len(c) < order + 1:
-        raise ValueError("need autocovariances up to the requested order")
-    if c[0] <= 0.0:
-        raise ValueError("C(0) must be positive")
-    # phi_{k-1} is buf[:k-1]; step k overwrites it in place with phi_k
-    buf = np.empty(order)
-    v = c[0]
-    for k in range(1, order + 1):
-        phi = buf[: k - 1]
-        acc = c[k] - phi @ c[k - 1 : 0 : -1] if k > 1 else c[1]
-        kappa = acc / v
-        if not (abs(kappa) < 1.0):
-            raise ValueError(
-                f"prediction variance nonpositive at step {k}: "
-                "input is not a positive definite autocovariance")
-        phi -= kappa * phi[::-1]
-        buf[k - 1] = kappa
-        v = v * (1.0 - kappa * kappa)
-    return buf, float(v)
+    """Yule-Walker AR(order) fit ``(phi, v_order)``: Levinson's step-up on the
+    reflection coefficients of ``_schur``, in place,
+    phi_k = [phi_{k-1} - kappa_k reversed(phi_{k-1}), kappa_k]."""
+    _, v, kappa = _schur(c, order)
+    phi = np.empty(order)
+    for k in range(order):
+        phi[:k] -= kappa[k] * phi[:k][::-1]
+        phi[k] = kappa[k]
+    return phi, float(v[-1])
 
 
 def spectral_factor(spec, shift=0.0):
@@ -404,7 +395,10 @@ def h_step_error(model, h):
         raise ValueError("h must be at least 1")
     L = model.band_limit
     deg = 2 * np.arange(L + 1) + 1
-    head = np.vstack([psi_coefficients(model, l, h - 1) for l in range(L + 1)])
+    # psi_coefficients per row, with causality decided once per distinct row
+    _require_causal(model, range(L + 1))
+    head = np.vstack([arma_filter(model.ar[l], model.ma[l], np.eye(1, h)[0])
+                      for l in range(L + 1)])
     return float(deg @ (model.noise * (head * head).sum(axis=1)))
 
 
@@ -423,9 +417,9 @@ def l2_omega_error(true_model, fitted_model):
     Each d = N / D is rational, with N = P theta_true R - Q phi_true and
     D = phi_true R for (P, Q, R) = (phi_fit, 1, 1), (1, theta_fit, phi_fit)
     or (1, 1, 1). Then sum_j d_j^2 = N^T T N, T the Toeplitz matrix of the
-    lags of the unit-noise AR with polynomial D, which
-    ``model_autocovariance`` gives exactly. The field is isotropic, so the
-    error at any point is
+    lags of the unit-noise AR with polynomial D, which one
+    ``model_autocovariance_table`` call gives exactly for every l. The field
+    is isotropic, so the error at any point is
 
         sum_l (2l+1)/(4 pi) sigma_{true,l}^2 N_l^T T_l N_l,
 
@@ -439,12 +433,12 @@ def l2_omega_error(true_model, fitted_model):
     if fitted_model.band_limit > true_model.band_limit:
         raise ValueError("fitted band limit exceeds the true model's")
     ar_fit = fitted_model.q == 0 and fitted_model.p > 0
-    one = np.ones(1)
-    total = 0.0
-    for l in range(true_model.band_limit + 1):
+    L = true_model.band_limit
+    nums, dens = [], []
+    for l in range(L + 1):
         phi_t = np.r_[1.0, -true_model.ar[l]]
         theta_t = np.r_[1.0, true_model.ma[l]]
-        P = Q = R = one
+        P = Q = R = np.ones(1)
         if l <= fitted_model.band_limit:
             phi_f = np.r_[1.0, -fitted_model.ar[l]]
             if ar_fit:
@@ -455,13 +449,16 @@ def l2_omega_error(true_model, fitted_model):
         # same order on both sides, so N is exactly 0
         a = np.convolve(P, np.convolve(theta_t, R))
         b = np.convolve(Q, phi_t)
-        num = np.zeros(max(len(a), len(b)))
-        num[: len(a)] = a
-        num[: len(b)] -= b
-        den = np.convolve(phi_t, R)
-        unit = SpharmaModel(0, [-den[1:]], [np.empty(0)], [1.0])
-        lags = model_autocovariance(unit, 0, len(num) - 1)
+        n = max(len(a), len(b))
+        nums.append(np.pad(a, (0, n - len(a))) - np.pad(b, (0, n - len(b))))
+        dens.append(-np.convolve(phi_t, R)[1:])
+    # every D_l is causal, as both models are; the table's rows are
+    # prefix-stable, so one depth serves every multipole
+    unit = SpharmaModel(L, dens, [np.empty(0)] * (L + 1), np.ones(L + 1))
+    lags = model_autocovariance_table(unit, max(map(len, nums)) - 1).values
+    total = 0.0
+    for l, num in enumerate(nums):
         k = np.arange(len(num))
         total += (2 * l + 1) * true_model.noise[l] * (
-            num @ lags[np.abs(k[:, None] - k)] @ num)
+            num @ lags[l, np.abs(k[:, None] - k)] @ num)
     return float(total / (4.0 * math.pi))

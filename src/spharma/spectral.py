@@ -306,8 +306,11 @@ def spectral_from_autocov(acv):
     a geometric estimate of the dropped tail triggers a warning above
     ``_SPECTRAL_TAIL_TOL`` (relative to the peak value) and sets the clipping
     allowance for truncation-induced negatives. Values below that allowance
-    raise, so genuinely invalid inputs are not masked.
+    raise, so genuinely invalid inputs are not masked; so does a nonzero
+    ``acv.tail_bound``, which bounds lag-0 sums, not the spectral tail's sup.
     """
+    if acv.tail_bound:
+        raise ValueError("a lag-table tail bound does not bound the spectral tail")
     n = DEFAULT_FREQ_INTERVALS
     lam = frequency_grid(n)
     L, T = acv.band_limit, acv.max_lag
@@ -335,7 +338,7 @@ def spectral_from_autocov(acv):
     if np.any(f < -allowance):
         raise ValueError("spectral density significantly negative: invalid input")
     f = np.maximum(f, 0.0)
-    return SpectralEigenvalues.tabulated(lam, f, tail_bound=acv.tail_bound)
+    return SpectralEigenvalues.tabulated(lam, f)
 
 
 def autocov_table(spec, max_lag):

@@ -4,9 +4,9 @@ Each function here checks a library result by a second route and is reached
 by no command and no library function: spherical harmonics evaluated one
 (l, m) at a time, the Legendre polynomials P_l, grid quadrature, covariance
 kernel synthesis and norms, short-memory summability sums, the operator
-distance of two spectra, and stream lookup in a coefficient series. A
-method of a library class is a function here that takes the object as its
-first argument.
+distance of two spectra, Levinson's recursion for Yule-Walker fits, and
+stream lookup in a coefficient series. A method of a library class is a
+function here that takes the object as its first argument.
 """
 
 from __future__ import annotations
@@ -231,3 +231,17 @@ def spectral_distance(f1, f2, norm="l2_kernel", lams=None):
             lams = f1.lambda_grid() if f1.form == "tabulated" else f2.lambda_grid()
     diff = f1.values(lams) - f2.values(lams)
     return _sup_operator_norm(diff, norm) + f1.tail_bound + f2.tail_bound
+
+
+def durbin_levinson_dot(c, order):
+    """Yule-Walker AR(order) fit ``(phi, v)`` by Levinson's recursion with a
+    dot product per step: kappa_k = (C(k) - phi_{k-1} . C(k-1..1)) / v_{k-1},
+    phi_k = [phi_{k-1} - kappa_k reversed(phi_{k-1}), kappa_k] and
+    v_k = v_{k-1} (1 - kappa_k^2)."""
+    phi = np.empty(0)
+    v = c[0]
+    for k in range(1, order + 1):
+        kappa = (c[k] - phi @ c[k - 1 : 0 : -1]) / v
+        phi = np.r_[phi - kappa * phi[::-1], kappa]
+        v = v * (1.0 - kappa * kappa)
+    return phi, float(v)

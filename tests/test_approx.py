@@ -23,7 +23,7 @@ from spharma.spectral import (SpectralEigenvalues, autocov_table,
                               frequency_grid, trapezoid_lags)
 from spharma.sphere import harmonic_values_at
 
-from oracles import spectral_distance
+from oracles import durbin_levinson_dot, spectral_distance
 
 TWO_PI = 2.0 * math.pi
 
@@ -111,30 +111,44 @@ class TestDurbinLevinson:
         with pytest.raises(ValueError):
             approx.durbin_levinson(np.array([1.0, 1.2]), 1)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_bitwise_equal_to_concatenating_recursion(self, seed):
-        # reference: the same recursion with phi rebuilt by np.r_ each step
-        def reference(c, order):
-            phi = np.empty(0)
-            v = c[0]
-            for k in range(1, order + 1):
-                acc = c[k] - phi @ c[k - 1 : 0 : -1] if k > 1 else c[1]
-                kappa = acc / v
-                phi = np.r_[phi - kappa * phi[::-1], kappa]
-                v = v * (1.0 - kappa * kappa)
-            return phi, float(v)
+    @staticmethod
+    def sample_lags(rng, order):
+        # biased sample autocovariances are positive definite
+        x = rng.standard_normal(order + 300)
+        x = np.convolve(x, rng.uniform(-1.0, 1.0, 4), mode="valid")
+        return np.correlate(x, x, mode="full")[len(x) - 1 :][: order + 1] / len(x)
 
+    ORDERS = (0, 1, 2, 3, 17, 64, 256)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_dot_product_recursion(self, seed):
+        # two stable routes to the solution of the order x order Toeplitz
+        # system agree up to a forward error of order * eps * cond(T) each
         rng = np.random.default_rng(seed)
-        for order in (0, 1, 2, 3, 17, 64, int(rng.integers(100, 257)), 256):
-            # biased sample autocovariances are positive definite
-            x = rng.standard_normal(order + 300)
-            x = np.convolve(x, rng.uniform(-1.0, 1.0, 4), mode="valid")
-            c = np.correlate(x, x, mode="full")[len(x) - 1 :][: order + 1] / len(x)
+        for order in self.ORDERS + (int(rng.integers(100, 257)),):
+            c = self.sample_lags(rng, order)
+            k = np.arange(order + 1)
+            cond = np.linalg.cond(c[np.abs(k[:, None] - k)])
+            tol = 16 * (order + 1) * np.finfo(float).eps * cond
             phi, v = approx.durbin_levinson(c, order)
-            ref_phi, ref_v = reference(c, order)
+            ref_phi, ref_v = durbin_levinson_dot(c, order)
             assert phi.shape == (order,)
-            assert phi.tobytes() == ref_phi.tobytes()
-            assert v == ref_v
+            assert (np.abs(phi - ref_phi).max(initial=0.0)
+                    <= tol * max(1.0, np.abs(ref_phi).max(initial=0.0)))
+            assert abs(v - ref_v) <= tol * ref_v
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_in_place_step_up_is_bitwise_the_concatenating_one(self, seed):
+        rng = np.random.default_rng(seed)
+        for order in self.ORDERS + (int(rng.integers(100, 257)),):
+            c = self.sample_lags(rng, order)
+            _, v, kappas = approx._schur(c, order)
+            ref = np.empty(0)
+            for kappa in kappas:
+                ref = np.r_[ref - kappa * ref[::-1], kappa]
+            phi, v_order = approx.durbin_levinson(c, order)
+            assert phi.tobytes() == ref.tobytes()
+            assert v_order == v[-1]
 
 
 def factor_row(model):
@@ -540,7 +554,29 @@ class TestWold:
             approx.wold(acv, 5)
 
 
+def count_root_searches(monkeypatch):
+    """The argument of every ``np.roots`` call from now on."""
+    calls = []
+    roots = np.roots
+
+    def counted(poly):
+        calls.append(tuple(poly))
+        return roots(poly)
+
+    monkeypatch.setattr(np, "roots", counted)
+    return calls
+
+
 class TestHStep:
+    def test_one_root_search_per_distinct_row(self, monkeypatch):
+        m = SpharmaModel.uniform(64, ar=[0.5, -0.2], ma=[0.3])
+        calls = count_root_searches(monkeypatch)
+        err = approx.h_step_error(m, 5)
+        assert len(calls) == 1
+        head = np.array([psi_coefficients(m, l, 4) for l in range(65)])
+        deg = 2 * np.arange(65) + 1
+        assert err == float(deg @ (m.noise * (head * head).sum(axis=1)))
+
     def test_one_step_is_sigma_total(self):
         m = SpharmaModel.uniform(1, ar=[0.5], noise=1.0)
         w, _ = approx.wold(model_autocovariance_table(m, 250), 50)
@@ -567,6 +603,14 @@ class TestHStep:
 
 
 class TestL2OmegaCheck:
+    def test_one_root_search_per_distinct_row(self, monkeypatch):
+        # two causality checks, then one for the shared denominator row
+        truth = SpharmaModel.uniform(64, ar=[0.5, -0.2], ma=[0.3])
+        fit = SpharmaModel.uniform(64, ar=[0.6])
+        calls = count_root_searches(monkeypatch)
+        approx.l2_omega_error(truth, fit)
+        assert len(calls) == 3
+
     def test_self_reconstruction_is_exact(self):
         m = SpharmaModel.uniform(2, ar=[0.5], ma=[0.3], noise=1.0)
         assert approx.l2_omega_error(m, m) == 0.0

@@ -126,6 +126,17 @@ class TestFourierPair:
         assert np.abs(spec.table[0] - expected).max() < 1e-14
         assert np.all(spec.table >= 0.0)
 
+    def test_lag_table_tail_is_refused(self):
+        # an AR(1) multipole at l = 1, above the band, with phi = 0.9: the
+        # lag-0 tail 3 C_1(0) is below its spectral tail 3 f_1(0) = 9.07 C_1(0)
+        phi = 0.9
+        c0 = 1.0 / (1.0 - phi**2)
+        f0 = 1.0 / (2 * math.pi * (1.0 - phi) ** 2)
+        acv = AutocovarianceSpectrum(0, 3, [[1.0, 0.0, 0.0, 0.0]], tail_bound=3.0 * c0)
+        assert 3.0 * f0 > acv.tail_bound
+        with pytest.raises(ValueError, match="tail bound"):
+            spectral.spectral_from_autocov(acv)
+
     def test_inversion_flat_density(self):
         lam = spectral.frequency_grid(256)
         spec = SpectralEigenvalues.tabulated(lam, np.full((1, len(lam)),
