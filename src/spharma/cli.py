@@ -102,8 +102,7 @@ def cmd_simulate(args):
     print(f"causality: min root modulus {report.min_root_modulus:.6g}")
     for t in args.snapshots or ():
         if not (0 <= t < args.n):
-            print(f"snapshot index {t} out of range", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"snapshot index {t} out of range")
     config = simulate.SimulationConfig(seed=args.seed, n=args.n,
                                        burn_in=args.burn_in)
     series = simulate.simulate_spharma(model, config)
@@ -126,14 +125,16 @@ def cmd_spectrum(args):
         raise ValueError("n-lambda must be at least 1")
     if args.model:
         spec = _truncate_model(_load_model(args.model), args.lmax).spectral()
-        try:
-            acv = spectral.autocov_table(spec, args.max_lag)
-        except ValueError as exc:
-            print(f"cannot evaluate model spectrum: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        lags = spectral.autocov_table(spec, args.max_lag).values
     else:
         series = _truncate_series(_load_series(args.series), args.lmax)
         acv = simulate.empirical_autocov(series, args.max_lag)
+        # the 1/n lags under the Bartlett window of width max_lag: a Fejer-
+        # smoothed periodogram, nonnegative at every lambda. The lag table
+        # written keeps the n - t divisor
+        t = np.arange(args.max_lag + 1)
+        lags = acv.values * (series.n / (series.n - t))
+        acv.values *= 1.0 - t / (args.max_lag + 1)
         spec = spectral.spectral_from_autocov(acv)
 
     # every table is computed before the output directory is made, so a
@@ -145,17 +146,17 @@ def cmd_spectrum(args):
 
     os.makedirs(args.out, exist_ok=True)
     chash = _config_hash(args, "spectrum")
-    L = acv.band_limit
+    L = spec.band_limit
     ls = [str(l) for l in range(L + 1)]
     sphere.write_csv(os.path.join(args.out, "autocovariance.csv"), ["l", "t", "C"],
-                     ls, [str(t) for t in range(acv.max_lag + 1)], acv.values)
+                     ls, [str(t) for t in range(args.max_lag + 1)], lags)
     sphere.write_csv(os.path.join(args.out, "spectral_density.csv"),
                      ["l", "lambda", "f"], ls, lams, density)
     sphere.write_csv(os.path.join(args.out, "trace_norm.csv"), ["lambda", "trace"],
                      lams, [""], trace[:, None])
     with open(os.path.join(args.out, "spectrum_meta.json"), "w") as fh:
         json.dump({"schema": 1, "config_hash": chash, "band_limit": L,
-                   "max_lag": acv.max_lag}, fh, indent=1)
+                   "max_lag": args.max_lag}, fh, indent=1)
     print(f"wrote spectrum tables to {args.out}")
     return EXIT_OK
 
@@ -253,8 +254,7 @@ def cmd_verify(args):
     names = list(known) if args.checks is None else args.checks.split(",")
     unknown = [name for name in names if name not in known]
     if unknown:
-        print(f"unknown check {unknown[0]!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"unknown check {unknown[0]!r}")
     results = [known[name]() for name in names]
     report = {"schema": 1, "config_hash": _config_hash(args, "verify"),
               "checks": results, "passed": all(r["passed"] for r in results)}

@@ -406,7 +406,11 @@ def _autocovariance_drive(model, l, max_lag):
     k = np.arange(p + 1)
     system = np.zeros((p + 1, p + 1))
     np.add.at(system, (k[:, None], np.abs(k[:, None] - k)), phi_poly)
-    head = np.linalg.solve(system, np.r_[r, np.zeros(p)][: p + 1])
+    rhs = np.r_[r, np.zeros(p)][: p + 1]
+    head = np.linalg.solve(system, rhs)
+    # the pivot 1 - phi^2 forms by cancellation: refine once, residual in long double
+    resid = rhs - system.astype(np.longdouble) @ head
+    head += np.linalg.solve(system, resid.astype(float))
     # the filter's input: the left-hand sides, kept to their nonnegative lags
     e = np.r_[np.convolve(head, phi_poly)[: p + 1], r[p + 1 :]]
     return ar, np.r_[e, np.zeros(max_lag + 1)][: max_lag + 1]

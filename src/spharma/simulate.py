@@ -260,7 +260,11 @@ def _fft_length(m):
 def empirical_autocov(series, max_lag):
     """Moment estimator pooling the 2l+1 streams of each multipole.
 
-    C_hat_l(t) = sum_m sum_{s} a_{l,m}(s+t) a_{l,m}(s) / ((2l+1)(n-t)).
+    C_hat_l(t) = sum_m sum_{s} a_{l,m}(s+t) a_{l,m}(s) / ((2l+1) n).
+
+    Dividing by n, not by the n - t products in lag t's sum, makes the lags
+    the Fourier coefficients of the pooled periodogram: their Toeplitz matrix
+    is nonnegative definite (Brockwell & Davis 7.2), at a bias of -t/n C_l(t).
 
     The lag sums are one real FFT per multipole: the power spectra of the
     streams, zero-padded to at least n + max_lag so that no lag wraps round,
@@ -273,7 +277,6 @@ def empirical_autocov(series, max_lag):
         raise ValueError("max_lag must be below the series length")
     L, n = series.band_limit, series.n
     nfft = _fft_length(n + max_lag)
-    counts = n - np.arange(max_lag + 1)
     out = np.empty((L + 1, max_lag + 1))
     n_bins = nfft // 2 + 1
     spectra = np.empty((2 * L + 1, n_bins), dtype=complex)
@@ -286,7 +289,7 @@ def empirical_autocov(series, max_lag):
                        out=squares[: 2 * l + 1])
         power = np.add(sq[..., 0], sq[..., 1], out=sq[..., 0])
         lag_sums = np.fft.irfft(power.sum(axis=0), nfft)[: max_lag + 1]
-        out[l] = lag_sums / ((2 * l + 1) * counts)
+        out[l] = lag_sums / ((2 * l + 1) * n)
     return AutocovarianceSpectrum(L, max_lag, out)
 
 

@@ -19,14 +19,12 @@ from __future__ import annotations
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_FREQ_INTERVALS = 4096
 _GRID_ATOL = 1e-12  # rounding allowed in a stored frequency grid
-_SPECTRAL_TAIL_TOL = 1e-8  # spectral_from_autocov: lag tail that warns
 
 TWO_PI = 2.0 * math.pi
 
@@ -131,17 +129,6 @@ def _json_numbers(value, name):
         else:
             _json_number(item, name)
     return value
-
-
-def _geometric_tail(last, prev):
-    """Tail estimate sum_{t>T} |c_t| from the last two stored magnitudes."""
-    last, prev = abs(last), abs(prev)
-    if last == 0.0:
-        return 0.0
-    if prev <= last:
-        return math.inf
-    r = last / prev
-    return last * r / (1.0 - r)
 
 
 @dataclass
@@ -302,12 +289,16 @@ def operator_trace_norm(spec, lam):
 def spectral_from_autocov(acv):
     """Tabulate f_l(lambda) = (1/2pi) sum_{|t|<=max_lag} e^{-it lambda} C_l(t).
 
-    The table is on ``frequency_grid()``. The sum over stored lags is exact;
-    a geometric estimate of the dropped tail triggers a warning above
-    ``_SPECTRAL_TAIL_TOL`` (relative to the peak value) and sets the clipping
-    allowance for truncation-induced negatives. Values below that allowance
-    raise, so genuinely invalid inputs are not masked; so does a nonzero
-    ``acv.tail_bound``, which bounds lag-0 sums, not the spectral tail's sup.
+    The table is on ``frequency_grid(N)``, N = 4096, and is the exact sum over
+    the stored lags: nothing is guessed about the lags past T = max_lag. Lags
+    that are nonnegative definite, truncated by a window with a nonnegative
+    kernel (as ``spectrum --series`` truncates them), sum to a nonnegative f.
+    The FFT rounds each value by about log2(N) eps / 2pi times the lags'
+    absolute sum, under 2 (2T + 1) eps max_t |C_l(t)|, so values below twice
+    that, -4 (2T + 1) eps max_t |C_l(t)|, are not rounding: such lags are no
+    autocovariance and raise ``ValueError``. The rest are clipped at zero. A
+    nonzero ``acv.tail_bound`` raises too: it bounds lag-0 sums, not the
+    spectral tail's sup.
     """
     if acv.tail_bound:
         raise ValueError("a lag-table tail bound does not bound the spectral tail")
@@ -321,24 +312,10 @@ def spectral_from_autocov(acv):
     np.add.at(folded, (slice(None), t % n),
               acv.values[:, np.abs(t)] * np.where(t % 2, -1.0, 1.0))
     f = np.fft.fft(folded, axis=-1).real[:, np.arange(n + 1) % n] / TWO_PI
-
-    tail = 0.0
-    if T >= 2:
-        tails = [_geometric_tail(acv.values[l, T], acv.values[l, T - 1])
-                 for l in range(L + 1)]
-        tail = max(tails)
-    scale = max(np.abs(f).max(), 1.0)
-    if not math.isfinite(tail):
-        warnings.warn("stored autocovariances do not decay; spectral tail unbounded")
-        tail = scale
-    elif tail / math.pi > _SPECTRAL_TAIL_TOL * scale:
-        warnings.warn(
-            f"autocovariance truncation tail estimate {tail:.3g} exceeds tolerance")
-    allowance = tail / math.pi + 1e-12 * scale
-    if np.any(f < -allowance):
+    rounding = 4 * (2 * T + 1) * np.finfo(float).eps * np.abs(acv.values).max(axis=1)
+    if np.any(f < -rounding[:, None]):
         raise ValueError("spectral density significantly negative: invalid input")
-    f = np.maximum(f, 0.0)
-    return SpectralEigenvalues.tabulated(lam, f)
+    return SpectralEigenvalues.tabulated(lam, np.maximum(f, 0.0))
 
 
 def autocov_table(spec, max_lag):

@@ -18,7 +18,6 @@ import numpy as np
 
 from spharma.approx import _sup_operator_norm
 from spharma.model import SpharmaModel, check_causal, model_autocovariance_table
-from spharma.spectral import _geometric_tail
 from spharma.sphere import FOUR_PI
 
 
@@ -161,6 +160,17 @@ class SummabilityReport:
     tail_estimate: float
     divergent: bool
     max_lag: int
+
+
+def _geometric_tail(last, prev):
+    """Tail estimate sum_{t>T} |c_t| from the last two stored magnitudes."""
+    last, prev = abs(last), abs(prev)
+    if last == 0.0:
+        return 0.0
+    if prev <= last:
+        return math.inf
+    r = last / prev
+    return last * r / (1.0 - r)
 
 
 def summability_report(source, max_lag=200):

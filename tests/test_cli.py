@@ -46,8 +46,6 @@ class TestSimulateCommand:
         assert meta["n"] == 50 and meta["seed"] == 7
         assert "config_hash" in meta
 
-    # the empirical lags of a short series need not decay by lag 20
-    @pytest.mark.filterwarnings("ignore:stored autocovariances do not decay")
     def test_byte_identical_reruns(self, tmp_path, model_path):
         # a different AR order and MA length at each l: one filter run per
         # multipole in reused work arrays, which must not leak into the output
@@ -152,7 +150,50 @@ class TestSpectrumCommand:
         series = simulate.HarmonicCoefficientSeries.load(out / "series.bin")
         assert series.band_limit == 1
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_noncausal_model_exits_2_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        SpharmaModel(1, [[0.5], [1.0]], [[], []], np.ones(2)).save(path)
+        out = tmp_path / "spec"
+        assert run("spectrum", "--model", path, "--out", out) == cli.EXIT_INPUT
+        assert "multipole 1 is not causal" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_series_lmax_keeps_the_full_run_rows(self, tmp_path):
+        model = tmp_path / "model.json"
+        SpharmaModel.uniform(2, ar=[0.5], ma=[0.3]).save(model)
+        assert run("simulate", "--model", model, "--n", 300, "--seed", 4,
+                   "--out", tmp_path / "run") == cli.EXIT_OK
+        tables = {}
+        for name, flags in (("full", ()), ("low", ("--lmax", 1))):
+            out = tmp_path / name
+            assert run("spectrum", "--series", tmp_path / "run" / "series.bin",
+                       "--max-lag", 10, "--n-lambda", 32, *flags,
+                       "--out", out) == cli.EXIT_OK
+            tables[name] = {f: (out / f).read_text().splitlines()
+                            for f in ("autocovariance.csv", "spectral_density.csv")}
+        for f, full in tables["full"].items():
+            kept = [row for row in full[1:] if int(row.split(",")[0]) <= 1]
+            assert tables["low"][f] == full[:1] + kept
+
+    @pytest.mark.parametrize("L, ar, ma, n, max_lag, seeds", [
+        (0, [0.9], [], 8, 7, range(41)),
+        (2, [0.5], [0.3], 2048, 1000, range(40))], ids=["ar1-n8", "arma11-n2048"])
+    def test_true_model_series_are_never_refused(self, tmp_path, L, ar, ma, n,
+                                                 max_lag, seeds):
+        # with the 1/(n - t) lags summed unwindowed, 27 of the first range and
+        # 8 of the second exited 2, and every series of the second warned
+        model = tmp_path / "model.json"
+        SpharmaModel.uniform(L, ar=ar, ma=ma).save(model)
+        for seed in seeds:
+            run_dir = tmp_path / f"run{seed}"
+            assert run("simulate", "--model", model, "--n", n, "--seed", seed,
+                       "--out", run_dir) == cli.EXIT_OK
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run("spectrum", "--series", run_dir / "series.bin",
+                           "--max-lag", max_lag, "--out", run_dir / "spec")
+            assert code == cli.EXIT_OK
+
     def test_empirical_close_to_model(self, tmp_path, model_path):
         run_dir = tmp_path / "run"
         run("simulate", "--model", model_path, "--n", 60000, "--seed", 11,
@@ -269,6 +310,21 @@ class TestApproximateCommand:
             del cert["config_hash"]
             certs.append(cert)
         assert certs[0] == certs[1]
+
+    def test_pure_target_above_the_cap_tries_the_cap_only(self, tmp_path,
+                                                          monkeypatch):
+        # a pure MA(3) target's schedule starts at order 3, past a cap of 2
+        target = tmp_path / "ma3.json"
+        SpharmaModel.uniform(0, ma=[0.5, 0.3, 0.2]).save(target)
+        orders, fit_ma = [], approx.fit_ma
+        monkeypatch.setattr(approx, "fit_ma",
+                            lambda psi, c0, q: orders.append(q) or fit_ma(psi, c0, q))
+        out = tmp_path / "fit"
+        assert run("approximate", "--target", target, "--eps", 1e-6, "--kind", "ma",
+                   "--order-cap", 2, "--out", out) == cli.EXIT_BUDGET
+        assert orders and set(orders) == {2}
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["per_multipole"][0]["order"] == 2 and cert["order_cap_reached"]
 
     def test_negative_order_cap_exits_2(self, tmp_path, model_path, capsys):
         out = tmp_path / "fit"

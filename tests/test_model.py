@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -320,6 +321,22 @@ class TestAutocovariance:
                 err = max(err, abs(mp.mpf(got[k]) - ck))
                 ck *= P
             assert err <= 1e-12 * c0
+
+    def test_arma11_near_a_unit_root_matches_the_exact_closed_form(self):
+        # the (p+1)-square solve forms its pivot 1 - phi^2 by cancellation, and
+        # one refinement step with a long-double residual restores the digits.
+        # The reference is exact rational arithmetic on the floats phi, theta
+        if np.finfo(np.longdouble).eps == np.finfo(float).eps:
+            pytest.skip("long double is float64: the refinement cannot help")
+        phi, theta = 0.9999, 0.3
+        got = md.model_autocovariance(SpharmaModel.uniform(0, ar=[phi], ma=[theta]),
+                                      0, 5)
+        P, T = Fraction(phi), Fraction(theta)
+        c0 = (1 + 2 * P * T + T * T) / (1 - P * P)
+        c1 = (1 + P * T) * (P + T) / (1 - P * P)
+        exact = [c0] + [c1 * P ** (k - 1) for k in range(1, 6)]
+        err = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
+        assert err <= 4 * np.finfo(float).eps * c0
 
     def test_psi_square_sum_identity(self):
         m = SpharmaModel.uniform(0, ar=[0.5, 0.2], ma=[0.4], noise=2.0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spharma import approx, simulate, spectral, sphere
+from spharma import approx, cli, simulate, spectral, sphere
 
 try:
     import mpmath
@@ -675,7 +675,7 @@ def lag_loop_oracle(series, max_lag):
         block = series.block(l)
         for t in range(max_lag + 1):
             prods = block[:, t:] * block[:, : n - t]
-            out[l, t] = prods.sum() / ((2 * l + 1) * (n - t))
+            out[l, t] = prods.sum() / ((2 * l + 1) * n)
     return out
 
 
@@ -705,12 +705,11 @@ def rfft_autocov_oracle(series, max_lag):
     """The FFT moment estimator with fresh arrays for every multipole."""
     L, n = series.band_limit, series.n
     nfft = simulate._fft_length(n + max_lag)
-    counts = n - np.arange(max_lag + 1)
     out = np.empty((L + 1, max_lag + 1))
     for l in range(L + 1):
         spec = np.fft.rfft(series.block(l), nfft, axis=-1)
         power = (spec.real**2 + spec.imag**2).sum(axis=0)
-        out[l] = np.fft.irfft(power, nfft)[: max_lag + 1] / ((2 * l + 1) * counts)
+        out[l] = np.fft.irfft(power, nfft)[: max_lag + 1] / ((2 * l + 1) * n)
     return out
 
 
@@ -728,6 +727,29 @@ def test_fft_autocov_of_zeros_is_exactly_zero(L, n, data):
     max_lag = data.draw(st.integers(0, n - 1))
     series = simulate.HarmonicCoefficientSeries(L, np.zeros(((L + 1) ** 2, n)))
     assert not np.any(simulate.empirical_autocov(series, max_lag).values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coefficient_series(max_n=300), st.data())
+def test_series_spectra_are_valid_by_construction(tmp_path_factory, series, data):
+    # the 1/n lags are nonnegative definite and the Bartlett window's kernel
+    # is nonnegative, so no rounding-sized refusal or warning can fire
+    n = series.n
+    max_lag = data.draw(st.just(n - 1) | st.integers(0, n - 1))
+    path = tmp_path_factory.mktemp("series")
+    series.save(path / "series.bin")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["spectrum", "--series", str(path / "series.bin"),
+                         "--max-lag", str(max_lag), "--n-lambda", "4096",
+                         "--out", str(path / "spec")]) == cli.EXIT_OK
+    f = np.loadtxt(path / "spec" / "spectral_density.csv", delimiter=",",
+                   skiprows=1, ndmin=2)[:, 2]
+    assert len(f) == (series.band_limit + 1) * 4097 and np.all(f >= 0.0)
+    lags = simulate.empirical_autocov(series, n - 1).values
+    toeplitz = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    for row in lags:
+        assert np.linalg.eigvalsh(row[toeplitz]).min() >= -1e-12 * row[0]
 
 
 def smooth_5(k):

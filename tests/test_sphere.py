@@ -1,6 +1,5 @@
 import csv
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -392,14 +391,17 @@ def _spectrum_series_tables(tmp_path):
     values = rng.standard_normal((9, 256)) * 10.0 ** rng.integers(-10, 11, (9, 1))
     series = simulate.HarmonicCoefficientSeries(2, values)
     series.save(tmp_path / "series.bin")
-    with warnings.catch_warnings():
-        # white noise over 6 lags: the spectral tail bound warns
-        warnings.simplefilter("ignore", UserWarning)
-        assert cli.main(["spectrum", "--series", str(tmp_path / "series.bin"),
-                         "--max-lag", "6", "--n-lambda", "16",
-                         "--out", str(tmp_path)]) == cli.EXIT_OK
-        acv = simulate.empirical_autocov(series, 6)
-        spec = spectral.spectral_from_autocov(acv)
+    assert cli.main(["spectrum", "--series", str(tmp_path / "series.bin"),
+                     "--max-lag", "6", "--n-lambda", "16",
+                     "--out", str(tmp_path)]) == cli.EXIT_OK
+    # the spectrum sums the 1/n lags under the Bartlett window of width 6;
+    # the lag table keeps the n - t divisor
+    t = np.arange(7)
+    acv = simulate.empirical_autocov(series, 6)
+    lags = acv.values * (256 / (256 - t))
+    acv.values *= 1.0 - t / 7
+    spec = spectral.spectral_from_autocov(acv)
+    acv.values = lags
     return _spectrum_tables(acv, spec, 16)
 
 
