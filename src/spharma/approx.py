@@ -15,12 +15,11 @@ eps / (2 (L+1)^2); the band tail above L is charged eps/2. Certificates
 report per-multipole and total errors in the kernel-L2 and trace norms, with
 the sup over frequency evaluated on a shared grid.
 
-Process-level error: ``l2_omega_error`` is the exact mean-square error, at
-any point of the sphere, of reconstructing a causal field from its own
-innovations through a fitted model. Each multipole's error filter is
-rational, so its energy is a quadratic form in the numerator with the
-Toeplitz matrix of exact AR lags of the denominator; nothing is simulated
-or truncated.
+Process-level error: ``l2_omega_error`` is the mean-square error, at any
+point of the sphere, of reconstructing a field from its own Wold innovations
+through a fitted model. For any target, rational or tabulated, it sums the
+squared differences between the weights of the target's Wold factor and
+those of the fit; nothing is simulated.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from .model import (
     _require_causal,
     arma_filter,
     check_causal,
+    decay_length,
     min_root_modulus,
-    model_autocovariance_table,
 )
 from .spectral import (
     TWO_PI,
@@ -402,63 +401,51 @@ def h_step_error(model, h):
     return float(deg @ (model.noise * (head * head).sum(axis=1)))
 
 
-def l2_omega_error(true_model, fitted_model):
-    """Exact mean-square error of reconstructing the field from its innovations.
+def l2_omega_error(target, fitted_model):
+    """Mean-square error of reconstructing the field from its Wold innovations.
 
-    The fitted model is driven by the true model's innovations z, and the
-    error at each multipole is the filter d_l(B) z with, per case:
-
-    * AR fit (every q_l = 0, some p_l > 0): the residual
-      phi_fit(B) a - z, so d = phi_fit theta_true / phi_true - 1;
-    * MA or ARMA fit: a - (theta_fit / phi_fit)(B) z, so
-      d = theta_true / phi_true - theta_fit / phi_fit;
-    * multipoles above the fitted band limit: a - z.
-
-    Each d = N / D is rational, with N = P theta_true R - Q phi_true and
-    D = phi_true R for (P, Q, R) = (phi_fit, 1, 1), (1, theta_fit, phi_fit)
-    or (1, 1, 1). Then sum_j d_j^2 = N^T T N, T the Toeplitz matrix of the
-    lags of the unit-noise AR with polynomial D, which one
-    ``model_autocovariance_table`` call gives exactly for every l. The field
-    is isotropic, so the error at any point is
-
-        sum_l (2l+1)/(4 pi) sigma_{true,l}^2 N_l^T T_l N_l,
-
-    with nothing truncated; a fitted model equal to the true one gives
-    exactly 0.
+    ``target`` is a spectrum, rational or tabulated, or a causal model read
+    through ``.spectral()``. With psi_l its Wold factor (``spectral_factor``)
+    and sigma_l^2 = C_l(0) / sum_j psi_{l;j}^2, the fit driven by the
+    target's innovations errs at multipole l by a filter with weights d:
+    phi_fit * psi - delta_0 for an AR fit (every q_l = 0, some p_l > 0),
+    psi - g for an MA or ARMA fit with psi-weights g, and psi - delta_0 above
+    the fitted band limit. The field is isotropic, so the error at any point
+    is sum_l (2l+1)/(4 pi) sigma_l^2 sum_j d_{l;j}^2. psi is zero-padded to
+    q_fit + 1 terms plus the fit's decay length to float64 eps, so fitted
+    weights that outlast the factor are summed in full. For an invertible
+    model the innovations are its driving noise. A row with no factor (f_l
+    not positive at every node) raises ``ValueError``, and so does a nonzero
+    ``tail_bound``: a sup bound on the tail gives no Wold weights.
     """
-    if not check_causal(true_model).causal:
-        raise ValueError("true model is not causal")
-    if not check_causal(fitted_model).causal:
+    if isinstance(target, SpharmaModel):
+        if not check_causal(target).causal:
+            raise ValueError("true model is not causal")
+        target = target.spectral()
+    if target.tail_bound:
+        raise ValueError("a spectral tail bound gives no Wold weights")
+    fit = check_causal(fitted_model)
+    if not fit.causal:
         raise ValueError("fitted model is not causal")
-    if fitted_model.band_limit > true_model.band_limit:
+    if fitted_model.band_limit > target.band_limit:
         raise ValueError("fitted band limit exceeds the true model's")
+    psi = spectral_factor(target)
+    missing = np.flatnonzero(np.isnan(psi[:, 0]))
+    if len(missing):
+        raise ValueError(f"no spectral factor at multipole {missing[0]}")
+    n = fitted_model.q + 1 + decay_length(fit.min_root_modulus, np.finfo(float).eps)
+    psi = np.pad(psi, ((0, 0), (0, max(0, n - psi.shape[1]))))
+    sigma2 = autocov_table(target, 0).values[:, 0] / (psi * psi).sum(axis=1)
     ar_fit = fitted_model.q == 0 and fitted_model.p > 0
-    L = true_model.band_limit
-    nums, dens = [], []
-    for l in range(L + 1):
-        phi_t = np.r_[1.0, -true_model.ar[l]]
-        theta_t = np.r_[1.0, true_model.ma[l]]
-        P = Q = R = np.ones(1)
-        if l <= fitted_model.band_limit:
-            phi_f = np.r_[1.0, -fitted_model.ar[l]]
-            if ar_fit:
-                P = phi_f
-            else:
-                Q, R = np.r_[1.0, fitted_model.ma[l]], phi_f
-        # a fitted model equal to the truth convolves the same arrays in the
-        # same order on both sides, so N is exactly 0
-        a = np.convolve(P, np.convolve(theta_t, R))
-        b = np.convolve(Q, phi_t)
-        n = max(len(a), len(b))
-        nums.append(np.pad(a, (0, n - len(a))) - np.pad(b, (0, n - len(b))))
-        dens.append(-np.convolve(phi_t, R)[1:])
-    # every D_l is causal, as both models are; the table's rows are
-    # prefix-stable, so one depth serves every multipole
-    unit = SpharmaModel(L, dens, [np.empty(0)] * (L + 1), np.ones(L + 1))
-    lags = model_autocovariance_table(unit, max(map(len, nums)) - 1).values
+    impulse = np.eye(1, psi.shape[1])[0]
     total = 0.0
-    for l, num in enumerate(nums):
-        k = np.arange(len(num))
-        total += (2 * l + 1) * true_model.noise[l] * (
-            num @ lags[l, np.abs(k[:, None] - k)] @ num)
+    for l, row in enumerate(psi):
+        if l > fitted_model.band_limit:
+            d = row - impulse
+        elif ar_fit:
+            d = np.convolve(np.r_[1.0, -fitted_model.ar[l]], row)
+            d[0] -= 1.0
+        else:
+            d = row - arma_filter(fitted_model.ar[l], fitted_model.ma[l], impulse)
+        total += (2 * l + 1) * sigma2[l] * (d @ d)
     return float(total / (4.0 * math.pi))

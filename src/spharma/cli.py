@@ -126,6 +126,7 @@ def cmd_spectrum(args):
     if args.model:
         spec = _truncate_model(_load_model(args.model), args.lmax).spectral()
         lags = spectral.autocov_table(spec, args.max_lag).values
+        divisors = {}
     else:
         series = _truncate_series(_load_series(args.series), args.lmax)
         acv = simulate.empirical_autocov(series, args.max_lag)
@@ -136,6 +137,8 @@ def cmd_spectrum(args):
         lags = acv.values * (series.n / (series.n - t))
         acv.values *= 1.0 - t / (args.max_lag + 1)
         spec = spectral.spectral_from_autocov(acv)
+        divisors = {"series_n": series.n, "lag_divisor": "n - t",
+                    "density_lag_divisor": "n", "density_window": "bartlett"}
 
     # every table is computed before the output directory is made, so a
     # failure leaves no partial directory behind
@@ -156,7 +159,7 @@ def cmd_spectrum(args):
                      lams, [""], trace[:, None])
     with open(os.path.join(args.out, "spectrum_meta.json"), "w") as fh:
         json.dump({"schema": 1, "config_hash": chash, "band_limit": L,
-                   "max_lag": args.max_lag}, fh, indent=1)
+                   "max_lag": args.max_lag, **divisors}, fh, indent=1)
     print(f"wrote spectrum tables to {args.out}")
     return EXIT_OK
 

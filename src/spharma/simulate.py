@@ -303,27 +303,12 @@ class CramerReport:
     passed: bool
 
 
-def _sin_pi(k, n):
-    """sin(pi k / n) for integers k, from an angle folded into [-pi/2, pi/2]."""
-    k = k % (2 * n)
-    k = np.where(k > n, k - 2 * n, k)
-    k = np.where(2 * k > n, n - k, np.where(2 * k < -n, -n - k, k))
-    return np.sin(np.pi * k / n)
-
-
 def _window_kernel(n, lo, hi):
-    """D(g) = sum_{t=lo}^{hi-1} exp(2 pi i g t / n) for g = 0..n-1.
-
-    D has period n in g. Off g = 0 it is the Dirichlet kernel
-    exp(i pi g (lo+hi-1) / n) sin(pi g (hi-lo) / n) / sin(pi g / n), whose
-    angles are reduced mod 2n in integers, so no digits go to the argument.
-    """
-    g = np.arange(1, n)
-    out = np.empty(n, dtype=complex)
-    out[0] = hi - lo
-    phase = np.exp(1j * np.pi * ((g * (lo + hi - 1)) % (2 * n)) / n)
-    out[1:] = phase * (_sin_pi(g * (hi - lo), n) / _sin_pi(g, n))
-    return out
+    """D(g) = sum_{t=lo}^{hi-1} exp(2 pi i g t / n) for g = 0..n-1: the
+    conjugated FFT of the window's indicator."""
+    window = np.zeros(n)
+    window[lo:hi] = 1.0
+    return np.fft.fft(window).conj()
 
 
 def _band_gram(values, n_bands):

@@ -612,8 +612,11 @@ class TestL2OmegaCheck:
         assert len(calls) == 3
 
     def test_self_reconstruction_is_exact(self):
+        # the factor and the fit's psi-weights agree to rounding, whose
+        # squares are far below the scale sum_l (2l + 1) sigma_l^2 / 4 pi
         m = SpharmaModel.uniform(2, ar=[0.5], ma=[0.3], noise=1.0)
-        assert approx.l2_omega_error(m, m) == 0.0
+        scale = (2 * np.arange(3) + 1) @ m.noise / (4 * math.pi)
+        assert approx.l2_omega_error(m, m) <= 1e-28 * scale
         # against white noise the error is sum_l (2l + 1) sum_{j>=1} psi_j^2
         # / 4 pi, and psi_j = 0.8 * 0.5^(j-1) sums to 0.64 / 0.75 per l
         err = approx.l2_omega_error(m, SpharmaModel.white_noise(m.noise))
@@ -650,6 +653,56 @@ class TestL2OmegaCheck:
             approx.l2_omega_error(good, bad)
         with pytest.raises(ValueError, match="fitted band limit exceeds"):
             approx.l2_omega_error(good, wide)
+
+    @pytest.mark.parametrize("truth, fit", [
+        (SpharmaModel.uniform(1, ar=[0.5], noise=1.3),
+         SpharmaModel.uniform(1, ma=[0.4, 0.1])),
+        (SpharmaModel(2, [[0.5, -0.2], [0.6], [0.3]], [[0.3], [], [0.4, 0.2]],
+                      [1.0, 0.7, 0.5]), SpharmaModel.uniform(1, ar=[0.4])),
+        (SpharmaModel.uniform(2, ar=[-0.7], ma=[0.5]),
+         SpharmaModel.uniform(2, ar=[0.2], ma=[0.3])),
+        (SpharmaModel.uniform(0, ma=[-0.6, 0.2], noise=2.0),
+         SpharmaModel.white_noise([1.0])),
+    ])
+    def test_tabulated_target_gives_the_rational_error(self, truth, fit):
+        tabulated = SpectralEigenvalues.tabulated(
+            frequency_grid(), truth.spectral().values())
+        exact = approx.l2_omega_error(truth, fit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = approx.l2_omega_error(tabulated, fit)
+        assert abs(got - exact) <= 1e-12 * exact
+
+    def test_slowly_decaying_fit_is_summed_in_full(self):
+        # white noise against psi-weights g_j = 1.199 * 0.999^(j - 1), j >= 1:
+        # sum_j g_j^2 = 1.199^2 / (1 - 0.999^2) per unit of noise, and 1 + 3
+        # degrees of freedom; the factor's 2049 terms alone miss 1.7 % of it
+        truth = SpharmaModel.white_noise([1.0, 1.0])
+        fit = SpharmaModel.uniform(1, ar=[0.999], ma=[0.2])
+        closed = 4 / (4 * math.pi) * 1.199**2 / (1 - 0.999**2)
+        assert abs(approx.l2_omega_error(truth, fit) - closed) <= 1e-10 * closed
+
+    def test_ma_fit_longer_than_the_factor_is_summed_in_full(self):
+        # an 8-panel white-noise table has a factor of 5 terms; the MA(6)
+        # fit's weights theta_1..6 = 0.1 all count: C(0) * 6 * 0.01 / 4 pi
+        lam = frequency_grid(8)
+        target = SpectralEigenvalues.tabulated(lam, np.full((1, 9), 1.5 / TWO_PI))
+        fit = SpharmaModel.uniform(0, ma=[0.1] * 6)
+        err = approx.l2_omega_error(target, fit)
+        assert abs(err - 1.5 * 0.06 / (4 * math.pi)) <= 1e-12 * err
+
+    def test_target_without_a_factor_rejected(self):
+        lam = frequency_grid()
+        box = np.vstack([np.where(np.abs(lam) < 1.0, 1.0, 0.0), np.ones_like(lam)])
+        target = SpectralEigenvalues.tabulated(lam, box)
+        with pytest.raises(ValueError, match="multipole 0"):
+            approx.l2_omega_error(target, SpharmaModel.white_noise([1.0, 1.0]))
+
+    def test_tail_bound_rejected(self):
+        m = SpharmaModel.uniform(1, ar=[0.5])
+        target = SpectralEigenvalues.rational(m, tail_bound=0.1)
+        with pytest.raises(ValueError, match="tail bound"):
+            approx.l2_omega_error(target, m)
 
     @pytest.mark.parametrize("fit, seed", [
         ("ma", 21), ("ar", 22), ("arma", 23), ("band_cut", 24)])

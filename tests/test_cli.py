@@ -84,6 +84,14 @@ class TestSimulateCommand:
                    "--out", tmp_path / "x")
         assert code == cli.EXIT_INPUT
 
+    def test_negative_lmax_exits_2_before_any_output(self, tmp_path, model_path,
+                                                      capsys):
+        out = tmp_path / "run"
+        assert run("simulate", "--model", model_path, "--n", 10, "--lmax", -1,
+                   "--out", out) == cli.EXIT_INPUT
+        assert "lmax must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_snapshot_csv(self, tmp_path, model_path):
         out = tmp_path / "run"
         code = run("simulate", "--model", model_path, "--n", 20, "--seed", 1,
@@ -157,6 +165,55 @@ class TestSpectrumCommand:
         assert run("spectrum", "--model", path, "--out", out) == cli.EXIT_INPUT
         assert "multipole 1 is not causal" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--model", "--series"])
+    def test_negative_lmax_exits_2_before_any_output(self, tmp_path, model_path,
+                                                      source, capsys):
+        run_dir = tmp_path / "run"
+        run("simulate", "--model", model_path, "--n", 64, "--seed", 2,
+            "--out", run_dir)
+        path = model_path if source == "--model" else run_dir / "series.bin"
+        out = tmp_path / "spec"
+        assert run("spectrum", source, path, "--lmax", -1,
+                   "--out", out) == cli.EXIT_INPUT
+        assert "lmax must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_meta_names_the_lags_behind_each_table(self, tmp_path, model_path):
+        # the density sums the 1/n lags, (n - t) / n times the CSV's, under
+        # the Bartlett window 1 - t / (max_lag + 1)
+        run_dir = tmp_path / "run"
+        assert run("simulate", "--model", model_path, "--n", 300, "--seed", 3,
+                   "--out", run_dir) == cli.EXIT_OK
+        metas = {}
+        for source, path in (("--model", model_path),
+                             ("--series", run_dir / "series.bin")):
+            out = tmp_path / source
+            assert run("spectrum", source, path, "--max-lag", 10,
+                       "--n-lambda", 32, "--out", out) == cli.EXIT_OK
+            metas[source] = json.loads((out / "spectrum_meta.json").read_text())
+        assert set(metas["--model"]) == {"schema", "config_hash", "band_limit",
+                                         "max_lag"}
+        meta = metas["--series"]
+        assert (meta["lag_divisor"], meta["density_lag_divisor"],
+                meta["density_window"]) == ("n - t", "n", "bartlett")
+        n, T = meta["series_n"], meta["max_lag"]
+        assert n == 300
+        out = tmp_path / "--series"
+        with open(out / "autocovariance.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        lags = np.zeros((meta["band_limit"] + 1, T + 1))
+        for row in rows:
+            lags[int(row["l"]), int(row["t"])] = float(row["C"])
+        t = np.arange(T + 1)
+        weights = (n - t) / n * (1 - t / (T + 1)) * np.where(t, 2.0, 1.0)
+        with open(out / "spectral_density.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        got = np.array([float(row["f"]) for row in rows])
+        rebuilt = np.array([
+            lags[int(row["l"])] * weights @ np.cos(t * float(row["lambda"]))
+            for row in rows]) / (2 * np.pi)
+        assert np.abs(got - rebuilt).max() <= 1e-12 * got.max()
 
     def test_series_lmax_keeps_the_full_run_rows(self, tmp_path):
         model = tmp_path / "model.json"
@@ -249,6 +306,13 @@ class TestApproximateCommand:
             assert cert["total_l2"] <= 0.05
             fitted = SpharmaModel.load(out / "fitted_model.json")
             assert check_invertible(fitted).causal
+
+    def test_missing_target_exits_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert run("approximate", "--target", tmp_path / "missing.json",
+                   "--eps", 0.1, "--kind", "ma", "--out", out) == cli.EXIT_INPUT
+        assert "target file not found" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_huge_eps_order_zero_on_white(self, tmp_path):
         target = tmp_path / "white.json"
