@@ -2,11 +2,12 @@
 
 Scalar machinery per multipole (Brockwell & Davis, "Time Series: Theory
 and Methods", chapters 5 and 8): the Wold factor of a spectral density by
-its cepstrum, whose truncations are the MA fits; and one Schur recursion on
-a lag sequence with two readouts: Levinson's step-up of its reflection
-coefficients, for the AR fits, and the last innovations row, which gives
-the Wold decomposition of a lag table as an SPHMA(n_psi) ``SpharmaModel``,
-so its spectral density and h-step prediction errors are those of any model.
+its cepstrum, whose truncations are the MA fits and which gives the Wold
+decomposition of a lag table as an SPHMA(n_psi) ``SpharmaModel``, so its
+spectral density and h-step prediction errors are those of any model; and
+one Schur recursion on a lag sequence, whose reflection coefficients
+Levinson's step-up turns into the AR fits. Its other readout, the last
+innovations row, serves no fit.
 
 Operator-level machinery: given target spectral eigenvalues f_l(lambda) and
 a tolerance eps, fit an invertible MA(q) or causal AR(p) per multipole,
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,13 +44,13 @@ from .spectral import (
     autocov_table,
     frequency_grid,
     rational_density,
+    spectral_from_autocov,
     trapezoid_lags,
 )
 
 DEFAULT_ORDER_CAP = 256
 _CEPSTRUM_TOL = 1e-13  # spectral_factor: cepstral tail of a converged factor
 _FACTOR_MAX_PANELS = 2**17  # spectral_factor: finest grid of a rational target
-_WOLD_VARIANCE_TOL = 1e-10  # wold: least innovation variance, relative to C_l(0)
 
 
 def _schur(c, depth):
@@ -120,15 +121,21 @@ def spectral_factor(spec, shift=0.0):
     its grid, and warns unless every |c_k| is below ``_CEPSTRUM_TOL`` over
     the last eighth of k <= N/2; a rational one on 4096 panels, each row's
     grid doubled up to ``_FACTOR_MAX_PANELS`` until it is (rows that stop
-    sooner are zero-padded). A row not positive at every node is NaN.
+    sooner are zero-padded). A row not positive at every node is NaN. Each
+    distinct row (a table row, or a model's ar, ma and noise) is factored once.
     """
+    m, first = spec.model, {}
+    keys = ([r.tobytes() for r in spec.table] if m is None else
+            zip([a.tobytes() for a in m.ar], [a.tobytes() for a in m.ma], m.noise))
+    owner = [first.setdefault(key, len(first)) for key in keys]
+    reps = np.unique(owner, return_index=True)[1]
     lam = spec.lambda_grid()
-    pending = np.arange(spec.band_limit + 1)
+    pending = np.arange(len(reps))
     psi = np.zeros((len(pending), 0))
     while len(pending):
         n = len(lam) - 1
         h = n // 2
-        f = spec.values(lam, pending) + shift
+        f = spec.values(lam, reps[pending]) + shift
         positive = np.all(f > 0.0, axis=-1)
         c = trapezoid_lags(lam, np.log(np.where(positive[:, None], f, 1)), h) / TWO_PI
         # sum c_k z^k at the N-th roots of unity; c_{N/2} is halved (folds +-N/2)
@@ -145,7 +152,7 @@ def spectral_factor(spec, shift=0.0):
         lam = frequency_grid(2 * n)
     if spec.form == "tabulated" and len(pending):
         warnings.warn("frequency grid is coarse for the spectral factor")
-    return psi
+    return psi[owner]
 
 
 def fit_ma(psi, c0, q):
@@ -349,42 +356,39 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     return model, cert
 
 
+def _wold_weights(spec, c0, length):
+    """``spectral_factor(spec)``, zero-padded to at least ``length`` terms, and
+    sigma_l^2 = C_l(0) / sum_j psi_{l;j}^2; ``ValueError`` if a row has none."""
+    psi = spectral_factor(spec)
+    missing = np.flatnonzero(np.isnan(psi[:, 0]))
+    if len(missing):
+        raise ValueError(f"no spectral factor at multipole {missing[0]}")
+    psi = np.pad(psi, ((0, 0), (0, max(0, length - psi.shape[1]))))
+    return psi, c0 / (psi * psi).sum(axis=1)
+
+
 def wold(acv, n_psi):
     """Wold decomposition per multipole from an autocovariance table.
 
-    Runs the innovations recursion to a depth well beyond ``n_psi`` and reads
-    off psi_{l;j} = theta_{depth,j} and sigma_l^2 = v_depth. Multipoles whose
-    innovation variance collapses below ``_WOLD_VARIANCE_TOL * C_l(0)`` are
-    rejected (deterministic subprocess).
+    psi_l is the factor (``spectral_factor``) of the lag sum of row l alone
+    (``spectral_from_autocov``; ``tail_bound`` is on multipoles above L),
+    and sigma_l^2 = C_l(0) / sum_j psi_{l;j}^2. Lags whose sum is negative
+    or has no factor, as a deterministic component's, raise ``ValueError``.
 
     Returns ``(model, residual_per_l)``: the SPHMA(n_psi) model with MA
-    coefficients psi_{l;1..n_psi} and noise powers sigma_l^2, and
-    C_l(0) - sigma_l^2 * sum_{j <= n_psi} psi_{l;j}^2. For a purely
-    nondeterministic multipole that residual is the dropped tail
-    sigma_l^2 * sum_{j > n_psi} psi_{l;j}^2; a residual clearly above it
-    signals a deterministic component.
+    coefficients psi_{l;1..n_psi} and noise powers sigma_l^2, and the
+    dropped tail C_l(0) - sigma_l^2 * sum_{j <= n_psi} psi_{l;j}^2.
     """
     if n_psi < 0:
         raise ValueError("n_psi must be nonnegative")
     if acv.max_lag < n_psi:
         raise ValueError("autocovariance table shorter than requested psi count")
-    depth = min(acv.max_lag, max(200, n_psi + 150))
-    if depth < max(200, n_psi + 150):
-        warnings.warn("few autocovariance lags; Wold coefficients may be biased")
-    L = acv.band_limit
-    ma = []
-    sigma2 = np.empty(L + 1)
-    residual = np.empty(L + 1)
-    for l in range(L + 1):
-        c = acv.values[l]
-        last, v = _innovations_last_row(c, depth)
-        if v[-1] < _WOLD_VARIANCE_TOL * c[0]:
-            raise ValueError(f"innovation variance vanishes at multipole {l}")
-        psi = np.r_[1.0, last[:n_psi]]
-        ma.append(psi[1:])
-        sigma2[l] = v[-1]
-        residual[l] = c[0] - sigma2[l] * (psi @ psi)
-    return SpharmaModel(L, [np.empty(0)] * (L + 1), ma, sigma2), residual
+    c0, L = acv.values[:, 0], acv.band_limit
+    spec = spectral_from_autocov(replace(acv, tail_bound=0.0))
+    psi, sigma2 = _wold_weights(spec, c0, n_psi + 1)
+    head = psi[:, : n_psi + 1]
+    return (SpharmaModel(L, [np.empty(0)] * (L + 1), list(head[:, 1:]), sigma2),
+            c0 - sigma2 * (head * head).sum(axis=1))
 
 
 def h_step_error(model, h):
@@ -429,13 +433,8 @@ def l2_omega_error(target, fitted_model):
         raise ValueError("fitted model is not causal")
     if fitted_model.band_limit > target.band_limit:
         raise ValueError("fitted band limit exceeds the true model's")
-    psi = spectral_factor(target)
-    missing = np.flatnonzero(np.isnan(psi[:, 0]))
-    if len(missing):
-        raise ValueError(f"no spectral factor at multipole {missing[0]}")
     n = fitted_model.q + 1 + decay_length(fit.min_root_modulus, np.finfo(float).eps)
-    psi = np.pad(psi, ((0, 0), (0, max(0, n - psi.shape[1]))))
-    sigma2 = autocov_table(target, 0).values[:, 0] / (psi * psi).sum(axis=1)
+    psi, sigma2 = _wold_weights(target, autocov_table(target, 0).values[:, 0], n)
     ar_fit = fitted_model.q == 0 and fitted_model.p > 0
     impulse = np.eye(1, psi.shape[1])[0]
     total = 0.0

@@ -344,15 +344,21 @@ def _filter_into(ar, ma, rows, pad, work):
     nb = -(-n // B)
     width = _padded_length(p, n)
     u = pad[: n_rows * width].reshape(n_rows, width)
-    u[:, :n] = rows
     # the pad never reaches the first n outputs, but stale values there
     # could overflow or be subnormal in the recursion
     u[:, n:] = 0.0
-    if len(ma):
+    if len(ma) and n > 1:
+        # the first MA term is formed in the copy: x_t + ma_1 x_{t-1} gives
+        # the bits of the shifted add, as floating-point addition commutes
+        np.multiply(ma[0], rows[:, : n - 1], out=u[:, 1:n])
+        u[:, 0] = rows[:, 0]
+        u[:, 1:n] += rows[:, 1:n]
         prod = work[: n_rows * n].reshape(n_rows, n)
-        for k in range(1, min(len(ma), n - 1) + 1):
+        for k in range(2, min(len(ma), n - 1) + 1):
             np.multiply(ma[k - 1], rows[:, : n - k], out=prod[:, : n - k])
             u[:, k:n] += prod[:, : n - k]
+    else:
+        u[:, :n] = rows
     if p == 0 or n == 0:
         return u
     # (position in block, row, block): each step is one contiguous slice;

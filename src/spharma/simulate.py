@@ -95,16 +95,24 @@ class HarmonicCoefficientSeries:
         return meta
 
     def save(self, path):
-        """Write raw little-endian float64 next to a ``.json`` sidecar."""
+        """Write raw little-endian float64 next to a ``.json`` sidecar.
+
+        The values go to ``<path>.tmp``, which then replaces ``path``: a
+        series mapped from ``path`` is never truncated under its own map, and
+        a failed save leaves any earlier file whole.
+        """
         path = str(path)
         if _sidecar_path(path) == path:
             raise ValueError(f"series path {path!r} would be overwritten by its sidecar")
-        self.values.astype("<f8", copy=False).tofile(path)
+        self.values.astype("<f8", copy=False).tofile(path + ".tmp")
+        os.replace(path + ".tmp", path)
         with open(_sidecar_path(path), "w") as fh:
             json.dump(self.sidecar(), fh, indent=1)
 
     @classmethod
     def load(cls, path):
+        """Map a saved series read-only (``np.memmap``): the file is not
+        copied into memory, and its values are never written."""
         path = str(path)
         with open(_sidecar_path(path)) as fh:
             meta = json.load(fh)
@@ -116,10 +124,10 @@ class HarmonicCoefficientSeries:
         L, n = meta["band_limit"], meta["n"]
         if os.path.getsize(path) != (L + 1) ** 2 * n * 8:
             raise ValueError("series file size does not match sidecar")
-        raw = np.fromfile(path, dtype="<f8")
+        values = np.memmap(path, dtype="<f8", mode="r", shape=((L + 1) ** 2, n))
         prov = {k: v for k, v in meta.items()
                 if k not in ("schema", "band_limit", "n", "dtype", "layout")}
-        return cls(L, raw.reshape((L + 1) ** 2, n), prov)
+        return cls(L, values, prov)
 
 
 def _sidecar_path(path):
@@ -127,16 +135,17 @@ def _sidecar_path(path):
     return stem + ".json"
 
 
-def _stream_normals(keys, out):
+def _stream_normals(keys, out, scales):
     """Fill row i of the 2-D ``out`` with standard normals from Philox key
-    ``keys[i]``; returns ``out``.
+    ``keys[i]`` times ``scales[i]``; returns ``out``.
 
     One bit generator serves every stream: for each ``(seed, row)`` key its
     state is set to that key, counter zero and an empty buffer, the state
     ``Philox(key=...)`` starts from, and the normals are drawn straight into
-    the stream's row. The state is one dict of plain Python lists whose two
-    key words are rewritten per stream: Python ints hold the 64-bit words
-    exactly, and the state setter reads them without building an array.
+    the stream's row, and scaled there while the row is still in cache. The
+    state is one dict of plain Python lists whose two key words are
+    rewritten per stream: Python ints hold the 64-bit words exactly, and the
+    state setter reads them without building an array.
     """
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
@@ -144,9 +153,10 @@ def _stream_normals(keys, out):
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, (key[0], key[1]) in zip(out, keys):
+    for row, (key[0], key[1]), scale in zip(out, keys, scales):
         bitgen.state = state
         gen.standard_normal(out=row)
+        row *= scale
     return out
 
 
@@ -225,10 +235,10 @@ def simulate_spharma(model, config):
                for _, lo, hi, ar, _ in runs)
     pad, work = np.empty(size), np.empty(size)
     values = np.empty(((L + 1) ** 2, config.n))
+    scales = np.repeat(np.sqrt(model.noise), 2 * np.arange(L + 1) + 1)
     for run, lo, hi, ar, ma in runs:
-        z = _stream_normals([(seed, row) for row in range(lo, hi)], noise[: hi - lo])
-        for l in run:
-            z[l * l - lo : (l + 1) ** 2 - lo] *= math.sqrt(model.noise[l])
+        z = _stream_normals([(seed, row) for row in range(lo, hi)],
+                            noise[: hi - lo], scales[lo:hi])
         values[lo:hi] = _filter_into(ar, ma, z, pad, work)[:, burn:]
     prov = {"seed": seed, "burn_in": int(burn),
             "noise_law": _NOISE_LAW, "model_hash": model.content_hash()}

@@ -210,6 +210,20 @@ class TestFitMa:
 
 
 class TestSpectralFactor:
+    @staticmethod
+    def count_rows(monkeypatch):
+        """The shape of every density table ``spectral_factor`` reads."""
+        shapes = []
+        values = SpectralEigenvalues.values
+
+        def recorded(self, lams=None, ls=None):
+            out = values(self, lams, ls)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(SpectralEigenvalues, "values", recorded)
+        return shapes
+
     def test_rational_grid_refines_until_the_cepstrum_decays(self):
         # AR(1) phi: c_k = phi^k / k is below 1e-13 by k = 80 at 0.7, but
         # only past k = 5400 at 0.996, so that row is refined and the other
@@ -244,15 +258,7 @@ class TestSpectralFactor:
         # white noise and AR(1) resolve on 4096 panels; MA(1) with theta = 1
         # has c_k = (-1)^(k+1) / k, so it alone is refined up to 2^17
         model = SpharmaModel(2, [[], [0.5], []], [[], [], [1.0]], np.ones(3))
-        shapes = []
-        values = SpectralEigenvalues.values
-
-        def recorded(self, lams=None, ls=None):
-            out = values(self, lams, ls)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(SpectralEigenvalues, "values", recorded)
+        shapes = self.count_rows(monkeypatch)
         psi = approx.spectral_factor(model.spectral())
         assert shapes == [(3, 4097)] + [(1, 2**k + 1) for k in range(13, 18)]
         # each row is bit for bit its own factor, zero-padded
@@ -261,6 +267,29 @@ class TestSpectralFactor:
             row = approx.spectral_factor(alone.spectral())[0]
             assert psi[l, : len(row)].tobytes() == row.tobytes()
             assert not psi[l, len(row) :].any()
+
+    def test_each_distinct_row_is_factored_once(self, monkeypatch):
+        # rows repeat out of order; a row differing only in its noise is a
+        # row of its own, in the model and in the table
+        rows = [([0.5], [0.3], 1.0), ([], [0.4], 2.0), ([0.5], [0.3], 1.0),
+                ([0.5], [0.3], 1.5), ([], [0.4], 2.0)]
+        model = SpharmaModel(4, *[list(c) for c in zip(*rows)])
+        lam = frequency_grid(1024)
+        table = model.spectral().values(lam)
+        tabulated = SpectralEigenvalues.tabulated(lam, table)
+        for target in (model.spectral(), tabulated):
+            shapes = self.count_rows(monkeypatch)
+            psi = approx.spectral_factor(target)
+            assert shapes == [(3, len(target.lambda_grid()))]
+            for l in range(5):
+                if target.form == "rational":
+                    alone = SpharmaModel(0, [model.ar[l]], [model.ma[l]],
+                                         [model.noise[l]]).spectral()
+                else:
+                    alone = SpectralEigenvalues.tabulated(lam, table[l : l + 1])
+                row = approx.spectral_factor(alone)[0]
+                assert psi[l, : len(row)].tobytes() == row.tobytes()
+                assert not psi[l, len(row) :].any()
 
 
 class TestFitAr:
@@ -541,16 +570,47 @@ class TestWold:
         for h in (1, 2, 10, 41):
             assert abs(approx.h_step_error(w, h) - approx.h_step_error(m, h)) < 1e-12
 
+    @pytest.mark.parametrize("model, max_lag", [
+        (SpharmaModel.uniform(1, ar=[0.5], noise=2.0), 300),
+        (SpharmaModel.uniform(2, ar=[0.45, 0.2], ma=[0.3], noise=1.3), 400),
+        (SpharmaModel.uniform(0, ar=[0.95], ma=[0.3]), 3000),
+        (SpharmaModel.uniform(8, ar=[0.9]), 200),
+    ])
+    def test_weights_are_the_exact_psi(self, model, max_lag):
+        acv = model_autocovariance_table(model, max_lag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, residual = approx.wold(acv, 150)
+        for l in range(model.band_limit + 1):
+            exact = psi_coefficients(model, l, 150)
+            assert np.abs(w.ma[l] - exact[1:]).max() < 1e-13
+        assert np.abs(w.noise - model.noise).max() < 1e-13
+        # a tail bound on the multipoles above L leaves the rows' model alone
+        acv.tail_bound = 0.5
+        bounded, bounded_residual = approx.wold(acv, 150)
+        assert bounded.to_json() == w.to_json()
+        assert bounded_residual.tobytes() == residual.tobytes()
+
+    def test_row_without_a_factor_is_named(self):
+        # multipole 1 is white noise with a zero lag-0 variance: its lag sum
+        # is zero everywhere, so it has no factor
+        vals = np.zeros((2, 11))
+        vals[0, 0] = 1.0
+        from spharma.spectral import AutocovarianceSpectrum
+
+        with pytest.raises(ValueError, match="at multipole 1"):
+            approx.wold(AutocovarianceSpectrum(1, 10, vals), 5)
+
     def test_deterministic_component_rejected(self):
         # a_{l,m}(t) = X cos(lambda0 t) + Y sin(lambda0 t) is deterministic;
-        # its autocovariance is c0 cos(lambda0 t) and the innovations
-        # variance collapses
+        # its autocovariance is c0 cos(lambda0 t), whose lag sum is a line
+        # spectrum with negative side lobes: it has no factor
         t = np.arange(121)
         vals = np.cos(0.7 * t)[None, :]
         from spharma.spectral import AutocovarianceSpectrum
 
         acv = AutocovarianceSpectrum(0, 120, vals)
-        with pytest.warns(UserWarning), pytest.raises(ValueError):
+        with pytest.raises(ValueError):
             approx.wold(acv, 5)
 
 

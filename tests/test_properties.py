@@ -856,11 +856,13 @@ def test_reused_philox_matches_fresh_generators_in_any_order(keys, count, rnd):
     # drawn before it
     keys = list(keys)
     rnd.shuffle(keys)
-    drawn = simulate._stream_normals(keys, np.empty((len(keys), count)))
+    ones = np.ones(len(keys))
+    drawn = simulate._stream_normals(keys, np.empty((len(keys), count)), ones)
     for (seed, row), got in zip(keys, drawn):
         assert np.array_equal(got, fresh_philox_oracle(seed, row, count))
     reordered = keys[::-1]
-    again = simulate._stream_normals(reordered, np.full((len(keys), count), np.nan))
+    again = simulate._stream_normals(reordered, np.full((len(keys), count), np.nan),
+                                     ones)
     assert np.array_equal(again, drawn[::-1])
 
 

@@ -107,7 +107,8 @@ class TestRngStreams:
         # reach Philox as the exact 64-bit words a uint64 key array gives
         keys = [(seed, row) for seed in (0, 1, 2**63, 2**64 - 1)
                 for row in (0, 1, 10**6)]
-        drawn = sim._stream_normals(keys, np.empty((len(keys), 25)))
+        drawn = sim._stream_normals(keys, np.empty((len(keys), 25)),
+                                    np.ones(len(keys)))
         for key, got in zip(keys, drawn):
             gen = np.random.Generator(np.random.Philox(
                 key=np.array(key, dtype=np.uint64)))
@@ -330,6 +331,31 @@ class TestSeriesIo:
         assert peak < series.values.nbytes // 8
         assert np.array_equal(np.fromfile(path, dtype="<f8").reshape(16, -1),
                               series.values)
+
+    def test_loaded_values_are_read_only(self, tmp_path, ar1_model):
+        path = tmp_path / "series.bin"
+        sim.simulate_spharma(ar1_model, sim.SimulationConfig(seed=5, n=64)).save(path)
+        back = sim.HarmonicCoefficientSeries.load(path)
+        assert not back.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back.values[0, 0] = 1.0
+
+    def test_save_over_the_loaded_path_round_trips(self, tmp_path, ar1_model):
+        # the load maps the file, so a save may not truncate it in place
+        path = tmp_path / "series.bin"
+        first = sim.simulate_spharma(ar1_model, sim.SimulationConfig(seed=5, n=64))
+        second = sim.simulate_spharma(ar1_model, sim.SimulationConfig(seed=6, n=64))
+        first.save(path)
+        mapped = sim.HarmonicCoefficientSeries.load(path)
+        mapped.save(path)
+        assert np.array_equal(sim.HarmonicCoefficientSeries.load(path).values,
+                              first.values)
+        second.save(path)
+        back = sim.HarmonicCoefficientSeries.load(path)
+        assert np.array_equal(back.values, second.values)
+        assert back.provenance["seed"] == 6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["series.bin",
+                                                              "series.json"]
 
 
 def test_streams_do_not_depend_on_the_band_limit():
