@@ -144,7 +144,7 @@ def cmd_spectrum(args):
     # failure leaves no partial directory behind
     lam = spectral.frequency_grid(args.n_lambda)
     density = spec.values(lam)
-    trace = spectral._trace_row(density, spec.tail_bound)
+    trace = spectral.operator_trace_norm(spec, lam)
     lams = [repr(x) for x in lam.tolist()]
 
     os.makedirs(args.out, exist_ok=True)

@@ -248,7 +248,9 @@ def _ar_in_blocks(ar, w, length):
     """AR recursion from a zero state along axis 0 of ``w``, in place.
 
     w[j] += ar_1 w[j-1] + ... + ar_p w[j-p] for j < length, term by term in
-    that order; every other axis is an independent recursion.
+    that order; every other axis is an independent recursion. Each
+    ``ar[k - 1]`` is a scalar, or an array that broadcasts against ``w[j]``
+    to give each column its own coefficient.
     """
     for j in range(1, length):
         for k in range(1, min(j, len(ar)) + 1):
@@ -269,35 +271,13 @@ def _padded_length(p, n):
     return -(-n // B) * B
 
 
-def _coefficient_columns(c, n_rows):
-    """``c`` as ``arma_filter`` reads it: ``c[k - 1]`` is a scalar for one
-    shared row, or a ``(rows, 1)`` column for one row per input row."""
-    if c.ndim == 1:
-        return c
-    if c.shape[0] != n_rows:
-        raise ValueError(f"{c.shape[0]} coefficient rows for {n_rows} input rows")
-    return c.T[:, :, None]
-
-
-def _filter_coefficients(ar, ma, n_rows):
-    """``ar`` without trailing zero terms and ``ma``, as ``_filter_into``
-    reads them for ``n_rows`` input rows (``_coefficient_columns``); the
-    length of the first is the AR order p."""
-    ar = np.asarray(ar, dtype=float)
-    ma = np.asarray(ma, dtype=float)
-    used = np.flatnonzero(np.any(np.atleast_2d(ar) != 0.0, axis=0))
-    p = int(used[-1]) + 1 if len(used) else 0
-    ar = ar[..., :p]
-    if ar.ndim == 2 and p and not ar[:, -1].all():
-        raise ValueError("per-row AR coefficients must share one trimmed order")
-    return _coefficient_columns(ar, n_rows), _coefficient_columns(ma, n_rows)
-
-
 def arma_filter(ar, ma, x):
     """Apply theta(B)/phi(B) along the last axis of ``x`` from a zero state.
 
     y_t = ar_1 y_{t-1} + ... + ar_p y_{t-p} + x_t + ma_1 x_{t-1} + ...
-    + ma_q x_{t-q}, with x and y zero before t = 0. The MA part is q shifted
+    + ma_q x_{t-q}, with x and y zero before t = 0. ``ar`` and ``ma`` are
+    1-D rows shared by every row of ``x`` (``ValueError`` otherwise), and
+    trailing zero AR coefficients are dropped. The MA part is q shifted
     adds. For the AR part, time is cut into blocks of B = max(p, 128)
     samples, or one block of B = n when n is no longer: the recursion runs
     over the B positions of all blocks at once, each block from a zero
@@ -306,23 +286,19 @@ def arma_filter(ar, ma, x):
     before. Within a block every step is elementwise and the first block
     meets no carried state, so each output depends neither on the other rows
     of ``x`` nor on its length: filtering a prefix gives a prefix of the
-    output, bit for bit. Trailing zero AR coefficients are dropped.
-
-    ``ar`` and ``ma`` are each one coefficient row shared by every row of
-    ``x``, or a 2-D array with one row per row of ``x`` (its leading axes
-    flattened); each coefficient then acts on its rows as a column. Either
-    way each output row is bit for bit the 1-D call on that row's
-    coefficients. So the per-row AR rows must share one trimmed order
-    (``ValueError`` otherwise): a row padded with zero terms would add signed
-    zeros and could take another block length.
+    output, bit for bit.
 
     This call allocates its two work arrays; ``_filter_into`` runs the
     filter in arrays the caller owns and reuses.
     """
+    ar = np.asarray(ar, dtype=float)
+    ma = np.asarray(ma, dtype=float)
+    if ar.ndim != 1 or ma.ndim != 1:
+        raise ValueError("AR and MA coefficients must be 1-D rows")
+    ar = np.trim_zeros(ar, "b")
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     rows = x.reshape(math.prod(x.shape[:-1]), n)
-    ar, ma = _filter_coefficients(ar, ma, len(rows))
     size = len(rows) * _padded_length(len(ar), n)
     out = _filter_into(ar, ma, rows, np.empty(size), np.empty(size))
     return out.reshape(x.shape)
@@ -331,12 +307,13 @@ def arma_filter(ar, ma, x):
 def _filter_into(ar, ma, rows, pad, work):
     """``arma_filter`` of the 2-D ``rows`` in caller-owned work arrays.
 
-    ``ar`` and ``ma`` come from ``_filter_coefficients``. ``pad`` and
-    ``work`` are 1-D float arrays of at least ``len(rows) *
-    _padded_length(len(ar), n)`` entries whose contents are never read:
-    ``pad`` takes the rows, zero-padded to whole blocks, and is filtered in
-    place; ``work`` holds each MA product and then the transposed blocks.
-    Returns the output rows, a view of ``pad``.
+    ``ar`` and ``ma`` are 1-D float rows, ``ar`` without trailing zero
+    terms, so its length is the AR order p. ``pad`` and ``work`` are 1-D
+    float arrays of at least ``len(rows) * _padded_length(len(ar), n)``
+    entries whose contents are never read: ``pad`` takes the rows,
+    zero-padded to whole blocks, and is filtered in place; ``work`` holds
+    each MA product and then the transposed blocks. Returns the output
+    rows, a view of ``pad``.
     """
     n_rows, n = rows.shape
     p = len(ar)
@@ -372,7 +349,7 @@ def _filter_into(ar, ma, rows, pad, work):
     if nb > 1:
         # g[:, i - 1]: a block's response to y_{-i} = 1, which is the
         # recursion driven by ar_{i+j} at positions j = 0..p-i
-        g = np.zeros((B, p) + ar.shape[1:])
+        g = np.zeros((B, p))
         for i in range(1, p + 1):
             g[: p - i + 1, i - 1] = ar[i - 1 :]
         _ar_in_blocks(ar, g, B)
@@ -380,7 +357,7 @@ def _filter_into(ar, ma, rows, pad, work):
         # of block b
         last = np.arange(B - 1, B - p - 1, -1)
         carried = np.ascontiguousarray(w[last].transpose(2, 0, 1))
-        g_last = [g[last, i].reshape(p, -1) for i in range(p)]
+        g_last = [g[last, i, None] for i in range(p)]
         for b in range(1, nb):
             prev = carried[b - 1]
             corr = g_last[0] * prev[0]
@@ -401,7 +378,7 @@ def _filter_into(ar, ma, rows, pad, work):
 
 def _autocovariance_drive(model, l, max_lag):
     """Multipole l's trimmed AR row and the input from which a zero-state AR
-    filter with it gives C_l(0..max_lag) / C_{l;Z} (see ``model_autocovariance``).
+    recursion with it gives C_l(0..max_lag) / C_{l;Z} (see ``_drive_lags``).
     The caller has checked that l is causal."""
     ar = np.trim_zeros(model.ar[l], "b")
     p, q = len(ar), len(model.ma[l])
@@ -417,9 +394,20 @@ def _autocovariance_drive(model, l, max_lag):
     # the pivot 1 - phi^2 forms by cancellation: refine once, residual in long double
     resid = rhs - system.astype(np.longdouble) @ head
     head += np.linalg.solve(system, resid.astype(float))
-    # the filter's input: the left-hand sides, kept to their nonnegative lags
+    # the recursion's input: the left-hand sides, kept to their nonnegative lags
     e = np.r_[np.convolve(head, phi_poly)[: p + 1], r[p + 1 :]]
     return ar, np.r_[e, np.zeros(max_lag + 1)][: max_lag + 1]
+
+
+def _drive_lags(model, ls, drives):
+    """C_l(0..max_lag), one row per multipole in ``ls``, from their
+    ``_autocovariance_drive`` pairs, which share one trimmed AR order: the
+    drives are the columns of one zero-state ``_ar_in_blocks`` run down the
+    lag axis, each with its own column of AR coefficients."""
+    ar = np.array([a for a, _ in drives]).T
+    w = np.array([e for _, e in drives]).T.copy()
+    _ar_in_blocks(ar, w, len(w))
+    return model.noise[ls, None] * w.T
 
 
 def model_autocovariance(model, l, max_lag):
@@ -429,21 +417,21 @@ def model_autocovariance(model, l, max_lag):
     where r_k = sum_{j>=k} theta_j psi_{j-k} is zero for k > q. The equations
     for k = 0..p, with C(-k) = C(k), are a (p+1) x (p+1) system for C(0..p)
     that needs only psi_0..psi_q; the later lags run the same equations as a
-    zero-state AR filter. Nothing is truncated, and the solve does not depend
-    on max_lag, so the lags are prefix-stable bit for bit.
+    zero-state AR recursion down the lag axis (``_drive_lags``). Nothing is
+    truncated, and the solve does not depend on max_lag, so the lags are
+    prefix-stable bit for bit.
     """
     _require_causal(model, [l])
-    ar, drive = _autocovariance_drive(model, l, max_lag)
-    return model.noise[l] * arma_filter(ar, [], drive)
+    return _drive_lags(model, [l], [_autocovariance_drive(model, l, max_lag)])[0]
 
 
 def model_autocovariance_table(model, max_lag):
     """C_l(0..max_lag) for every l; row l is bit for bit ``model_autocovariance``.
 
     Causality is decided once per distinct AR row, and the (p+1) x (p+1)
-    solve runs per l. The lags of all multipoles with one trimmed AR order
-    come from one ``arma_filter`` call with a coefficient row per multipole,
-    so the filter's fixed cost is paid once per order.
+    solve runs per l. The multipoles with one trimmed AR order are the
+    columns of one ``_drive_lags`` recursion, so its per-lag steps are paid
+    once per order, not once per multipole.
     """
     L = model.band_limit
     _require_causal(model, range(L + 1))
@@ -453,7 +441,5 @@ def model_autocovariance_table(model, max_lag):
         by_order.setdefault(len(ar), []).append(l)
     vals = np.empty((L + 1, max_lag + 1))
     for ls in by_order.values():
-        ar = np.array([drives[l][0] for l in ls])
-        drive = np.array([drives[l][1] for l in ls])
-        vals[ls] = model.noise[ls, None] * arma_filter(ar, [], drive)
+        vals[ls] = _drive_lags(model, ls, [drives[l] for l in ls])
     return AutocovarianceSpectrum(L, max_lag, vals)

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import (SpharmaModel, _filter_coefficients, _filter_into,
-                    _padded_length, check_causal, decay_length)
+from .model import (SpharmaModel, _filter_into, _padded_length, check_causal,
+                    decay_length)
 from .spectral import AutocovarianceSpectrum
 from .sphere import sht_inverse
 
@@ -177,7 +177,8 @@ def _auto_burn_in(model, report):
 
 
 def _filter_runs(model, total):
-    """Consecutive multipoles, as ``range``s, that share one ``arma_filter`` call.
+    """Consecutive multipoles, as ``range``s, that share one ``arma_filter``
+    call, each with its trimmed AR row.
 
     Multipoles join a run while their trimmed AR and their MA coefficients
     are bitwise equal to the run's and the filter's padded work array for
@@ -185,16 +186,17 @@ def _filter_runs(model, total):
     rounded up to whole blocks of ``arma_filter``'s block length. A
     multipole above the cap is a run of its own.
     """
-    starts, prev = [], None
+    starts, ars, prev = [], [], None
     for l in range(model.band_limit + 1):
         ar = np.trim_zeros(model.ar[l], "b")
         row = (ar.tobytes(), model.ma[l].tobytes())
         width = _padded_length(len(ar), total)
         if row != prev or ((l + 1) ** 2 - starts[-1] ** 2) * width > _RUN_SAMPLES:
             starts.append(l)
+            ars.append(ar)
         prev = row
     ends = starts[1:] + [model.band_limit + 1]
-    return [range(lo, hi) for lo, hi in zip(starts, ends)]
+    return [(range(lo, hi), ar) for lo, hi, ar in zip(starts, ends, ars)]
 
 
 def simulate_spharma(model, config):
@@ -225,18 +227,15 @@ def simulate_spharma(model, config):
     total = config.n + burn
     L = model.band_limit
     seed = int(config.seed)
-    runs = []
-    for run in _filter_runs(model, total):
-        lo, hi = run[0] ** 2, (run[-1] + 1) ** 2
-        ar, ma = _filter_coefficients(model.ar[run[0]], model.ma[run[0]], hi - lo)
-        runs.append((run, lo, hi, ar, ma))
-    noise = np.empty((max(hi - lo for _, lo, hi, _, _ in runs), total))
+    runs = [(run[0] ** 2, (run[-1] + 1) ** 2, ar, model.ma[run[0]])
+            for run, ar in _filter_runs(model, total)]
+    noise = np.empty((max(hi - lo for lo, hi, _, _ in runs), total))
     size = max((hi - lo) * _padded_length(len(ar), total)
-               for _, lo, hi, ar, _ in runs)
+               for lo, hi, ar, _ in runs)
     pad, work = np.empty(size), np.empty(size)
     values = np.empty(((L + 1) ** 2, config.n))
     scales = np.repeat(np.sqrt(model.noise), 2 * np.arange(L + 1) + 1)
-    for run, lo, hi, ar, ma in runs:
+    for lo, hi, ar, ma in runs:
         z = _stream_normals([(seed, row) for row in range(lo, hi)],
                             noise[: hi - lo], scales[lo:hi])
         values[lo:hi] = _filter_into(ar, ma, z, pad, work)[:, burn:]

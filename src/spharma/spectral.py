@@ -274,15 +274,11 @@ class SpectralEigenvalues:
             return cls.from_json(json.load(fh))
 
 
-def _trace_row(values, tail_bound):
-    """sum_l (2l+1) f_l(lambda) + tail_bound from a table of f_l(lambda)."""
-    return (2 * np.arange(len(values)) + 1) @ values + tail_bound
-
-
 def operator_trace_norm(spec, lam):
     """Trace norm sum_l (2l+1) f_l(lambda), plus any stored band tail bound."""
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    tr = _trace_row(spec.values(lam_arr), spec.tail_bound)
+    values = spec.values(lam_arr)
+    tr = (2 * np.arange(len(values)) + 1) @ values + spec.tail_bound
     return float(tr[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else tr
 
 

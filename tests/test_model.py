@@ -320,7 +320,44 @@ class TestAutocovariance:
             for k in range(1, max_lag + 1):
                 err = max(err, abs(mp.mpf(got[k]) - ck))
                 ck *= P
-            assert err <= 1e-12 * c0
+            assert err <= 1e-14 * c0
+
+    def test_table_of_mixed_rows_matches_40_digit_closed_form(self):
+        # ARMA(1,1), AR(2) and MA(1) rows fall in three AR-order groups; 5120
+        # lags run far past arma_filter's 128-sample block
+        mp = pytest.importorskip("mpmath")
+        arma = {0: (0.9, 0.3), 1: (0.999, -0.7), 3: (0.99995, 0.3),
+                5: (0.99999, -0.7)}
+        ar = [[0.9], [0.999], [0.5, -0.3], [0.99995], [], [0.99999]]
+        ma = [[0.3], [-0.7], [], [0.3], [0.6], [-0.7]]
+        noise = np.array([1.3, 0.7, 2.0, 1.1, 0.9, 0.5])
+        max_lag = 5120
+        got = md.model_autocovariance_table(SpharmaModel(5, ar, ma, noise),
+                                            max_lag).values
+        with mp.workdps(40):
+            for l, (phi, theta) in arma.items():
+                P, T, S = mp.mpf(phi), mp.mpf(theta), mp.mpf(noise[l])
+                c0 = S * (1 + 2 * P * T + T * T) / (1 - P * P)
+                ck = S * (1 + P * T) * (P + T) / (1 - P * P)
+                err = abs(mp.mpf(got[l, 0]) - c0)
+                for k in range(1, max_lag + 1):
+                    err = max(err, abs(mp.mpf(got[l, k]) - ck))
+                    ck *= P
+                assert err <= 1e-14 * c0, l
+            # AR(2): C(0) and C(1) from the Yule-Walker equations, then
+            # C(k) = phi_1 C(k-1) + phi_2 C(k-2)
+            P1, P2, S = mp.mpf(0.5), mp.mpf(-0.3), mp.mpf(noise[2])
+            c0 = S * (1 - P2) / ((1 + P2) * ((1 - P2) ** 2 - P1 * P1))
+            prev, ck = c0, P1 * c0 / (1 - P2)
+            err = abs(mp.mpf(got[2, 0]) - c0)
+            for k in range(1, max_lag + 1):
+                err = max(err, abs(mp.mpf(got[2, k]) - ck))
+                prev, ck = ck, P1 * ck + P2 * prev
+            assert err <= 1e-14 * c0
+        # MA(1): C(0) = s (1 + theta^2), C(1) = s theta and nothing after
+        assert abs(got[4, 0] - 0.9 * 1.36) <= 1e-15
+        assert abs(got[4, 1] - 0.9 * 0.6) <= 1e-15
+        assert not got[4, 2:].any()
 
     def test_arma11_near_a_unit_root_matches_the_exact_closed_form(self):
         # the (p+1)-square solve forms its pivot 1 - phi^2 by cancellation, and

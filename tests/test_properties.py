@@ -520,45 +520,12 @@ def test_arma_filter_without_ar_part():
                           arma_filter([0.7], [0.5], x))
 
 
-@st.composite
-def per_row_filter_input(draw):
-    """1-5 rows, each with its own AR(p) and MA(q) row, p, q <= 3, and an
-    input of n samples at and around the filter's block edges, with some
-    exact -0.0 entries. Every AR row ends in a nonzero term, so the rows
-    share the trimmed order p; sum |ar| < 1 keeps them causal."""
-    p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    rows = draw(st.integers(1, 5))
-    n = draw(st.sampled_from([1, _FILTER_BLOCK - 1, _FILTER_BLOCK,
-                              _FILTER_BLOCK + 1, 2 * _FILTER_BLOCK + 1, 300]))
-    coeff = st.floats(-0.3, 0.3)
-    last = coeff.filter(lambda c: c != 0.0)
-    ar = [[draw(coeff) for _ in range(p - 1)] + [draw(last)] if p else []
-          for _ in range(rows)]
-    ma = [[draw(st.floats(-0.9, 0.9)) for _ in range(q)] for _ in range(rows)]
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = rng.standard_normal((rows, n))
-    x[rng.random(x.shape) < 0.1] = -0.0
-    return np.array(ar).reshape(rows, p), np.array(ma).reshape(rows, q), x
-
-
-@settings(max_examples=80, deadline=None)
-@given(per_row_filter_input())
-def test_per_row_coefficients_give_the_one_row_calls(case):
-    ar, ma, x = case
-    rows = np.vstack([arma_filter(a, m, row) for a, m, row in zip(ar, ma, x)])
-    assert arma_filter(ar, ma, x).tobytes() == rows.tobytes()
-
-
-def test_per_row_ar_rows_must_share_one_trimmed_order():
+def test_coefficient_rows_must_be_1d():
     x = np.random.default_rng(8).standard_normal((2, 300))
-    with pytest.raises(ValueError, match="one trimmed order"):
-        arma_filter([[0.5, 0.0], [0.5, 0.2]], [], x)
-    with pytest.raises(ValueError, match="3 coefficient rows for 2 input rows"):
-        arma_filter([[0.5], [0.4], [0.3]], [], x)
-    # a zero column in every row is dropped, as a 1-D call drops it
-    assert np.array_equal(arma_filter([[0.5, 0.0], [0.3, 0.0]], [], x),
-                          np.vstack([arma_filter([0.5], [], x[0]),
-                                     arma_filter([0.3], [], x[1])]))
+    with pytest.raises(ValueError, match="1-D rows"):
+        arma_filter([[0.5], [0.3]], [], x)
+    with pytest.raises(ValueError, match="1-D rows"):
+        arma_filter([0.5], [[0.4], [0.2]], x)
 
 
 @st.composite
@@ -655,7 +622,7 @@ def test_runs_longer_than_the_cap_are_split():
     model = SpharmaModel.uniform(45, ar=[0.5, 0.0], ma=[0.3])
     runs = simulate._filter_runs(model, 200 + 5)
     assert len(runs) > 1
-    assert [l for run in runs for l in run] == list(range(46))
+    assert [l for run, _ in runs for l in run] == list(range(46))
     assert_runs_match_per_multipole(model, 3, 200, 5)
 
 
@@ -663,7 +630,8 @@ def test_short_runs_are_not_padded():
     # 25 samples are one block of 25, not a padded block of 128: 46^2 streams
     # of them stay within the cap of 2^18 and share one filter call
     model = SpharmaModel.uniform(45, ar=[0.5, 0.0], ma=[0.3])
-    assert simulate._filter_runs(model, 20 + 5) == [range(46)]
+    [(run, ar)] = simulate._filter_runs(model, 20 + 5)
+    assert run == range(46) and ar.tolist() == [0.5]
     assert_runs_match_per_multipole(model, 3, 20, 5)
 
 
