@@ -34,7 +34,6 @@ from .model import (
     psi_coefficients,
 )
 from .simulate import (
-    CramerReport,
     HarmonicCoefficientSeries,
     SimulationConfig,
     batch_means_se,

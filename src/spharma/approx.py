@@ -166,8 +166,6 @@ def fit_ma(psi, c0, q):
         raise ValueError("q must be nonnegative")
     if c0 <= 0.0:
         raise ValueError("C(0) must be positive")
-    if q == 0:
-        return np.empty(0), float(c0)
     theta = np.asarray(psi[1 : q + 1], dtype=float)
     if len(theta) < q or not np.all(np.isfinite(theta)):
         raise ValueError("no spectral factor with the requested order")

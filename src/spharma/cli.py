@@ -6,6 +6,9 @@ outputs carry ``"schema": 1``, and all but
 ``approximate``'s ``fitted_model.json`` (a plain model file) carry the hash
 of the invoking configuration, so reruns with identical configs are
 byte-stable and comparable.
+
+Every input file is read by ``_read``, so a missing or invalid one exits 2.
+Each ``verify`` check returns one ``_result`` record, with the pass rule.
 """
 
 from __future__ import annotations
@@ -43,38 +46,25 @@ def _config_hash(args, command):
     return canonical_hash(payload)
 
 
-def _load_model(path):
-    if not os.path.exists(path):
-        raise ValueError(f"model file not found: {path}")
+def _read(reader, path, what):
+    """``reader(path)``, its failures as one-line ``ValueError``s (exit 2)."""
     try:
-        return SpharmaModel.load(path)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"invalid model JSON: {exc}") from exc
-
-
-def _load_series(path):
-    try:
-        return simulate.HarmonicCoefficientSeries.load(path)
+        return reader(path)
     except FileNotFoundError as exc:
-        raise ValueError(f"series file not found: {exc.filename}") from exc
-    except ValueError as exc:
-        raise ValueError(f"invalid series: {exc}") from exc
+        raise ValueError(f"{what} file not found: {exc.filename}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"invalid {what}: {exc}") from exc
 
 
 def _load_target(path):
     """Spectral target: either a spectrum JSON or a model JSON."""
-    if not os.path.exists(path):
-        raise ValueError(f"target file not found: {path}")
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise TypeError("not a JSON object")
-        if "entries" in payload and "form" not in payload:
-            return SpharmaModel.from_json(payload).spectral()
-        return spectral.SpectralEigenvalues.from_json(payload)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"invalid spectral target: {exc}") from exc
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise TypeError("not a JSON object")
+    if "entries" in payload and "form" not in payload:
+        return SpharmaModel.from_json(payload).spectral()
+    return spectral.SpectralEigenvalues.from_json(payload)
 
 
 def _truncate_model(model, lmax):
@@ -97,7 +87,8 @@ def _truncate_series(series, lmax):
 
 
 def cmd_simulate(args):
-    model = _truncate_model(_load_model(args.model), args.lmax)
+    model = _truncate_model(_read(SpharmaModel.load, args.model, "model"),
+                            args.lmax)
     report = check_causal(model)
     print(f"causality: min root modulus {report.min_root_modulus:.6g}")
     for t in args.snapshots or ():
@@ -124,11 +115,14 @@ def cmd_spectrum(args):
     if args.n_lambda < 1:
         raise ValueError("n-lambda must be at least 1")
     if args.model:
-        spec = _truncate_model(_load_model(args.model), args.lmax).spectral()
+        model = _read(SpharmaModel.load, args.model, "model")
+        spec = _truncate_model(model, args.lmax).spectral()
         lags = spectral.autocov_table(spec, args.max_lag).values
         divisors = {}
     else:
-        series = _truncate_series(_load_series(args.series), args.lmax)
+        series = _read(simulate.HarmonicCoefficientSeries.load, args.series,
+                       "series")
+        series = _truncate_series(series, args.lmax)
         acv = simulate.empirical_autocov(series, args.max_lag)
         # the 1/n lags under the Bartlett window of width max_lag: a Fejer-
         # smoothed periodogram, nonnegative at every lambda. The lag table
@@ -165,7 +159,7 @@ def cmd_spectrum(args):
 
 
 def cmd_approximate(args):
-    target = _load_target(args.target)
+    target = _read(_load_target, args.target, "spectral target")
     norm = "l2_kernel" if args.norm == "l2" else "trace"
     model, cert = approx.approximate_operator(target, args.eps, args.kind,
                                               norm=norm, order_cap=args.order_cap)
@@ -181,6 +175,14 @@ def cmd_approximate(args):
     return EXIT_OK if cert.passed else EXIT_BUDGET
 
 
+def _result(name, statistic, threshold):
+    """A verify check's record: it passes while its statistic is below its
+    threshold. A check with nothing to test below L = 1 adds
+    ``"skipped": True`` to the record of a zero statistic."""
+    return {"name": name, "statistic": statistic, "threshold": threshold,
+            "passed": statistic < threshold}
+
+
 def _check_stationarity(series):
     # a window's standard error: spread of its stream means, batch means at L = 0
     if series.n < 2 * _STATIONARITY_WINDOWS:
@@ -194,20 +196,12 @@ def _check_stationarity(series):
         else:
             se = simulate.batch_means_se(chunk[0])
         means.append(abs(per_stream.mean()) / max(se, 1e-300))
-    worst = float(max(means))
-    return {"name": "stationarity", "statistic": worst,
-            "threshold": _STATIONARITY_Z_MAX, "passed": worst < _STATIONARITY_Z_MAX}
-
-
-def _skipped(name, threshold):
-    """A check with nothing to test below L = 1: it passes and says so."""
-    return {"name": name, "statistic": 0.0, "threshold": threshold,
-            "passed": True, "skipped": True}
+    return _result("stationarity", float(max(means)), _STATIONARITY_Z_MAX)
 
 
 def _check_isotropy(series):
     if series.band_limit < 1:
-        return _skipped("isotropy", _ISOTROPY_Z_MAX)
+        return _result("isotropy", 0.0, _ISOTROPY_Z_MAX) | {"skipped": True}
     worst = 0.0
     L = series.band_limit
     top = np.empty((2 * L + 1, series.n))  # reused by every multipole
@@ -218,21 +212,19 @@ def _check_isotropy(series):
         pooled = variances.mean()
         z = np.abs(variances - pooled) / np.maximum(ses, 1e-300)
         worst = max(worst, float(z.max()))
-    return {"name": "isotropy", "statistic": worst,
-            "threshold": _ISOTROPY_Z_MAX, "passed": worst < _ISOTROPY_Z_MAX}
+    return _result("isotropy", worst, _ISOTROPY_Z_MAX)
 
 
 def _check_cramer(series, n_bands):
-    rep = simulate.verify_cramer_orthogonality(series, n_bands)
-    return {"name": "cramer_orthogonality", "statistic": rep.max_abs_correlation,
-            "threshold": rep.threshold, "passed": rep.passed}
+    return _result("cramer_orthogonality",
+                   *simulate.verify_cramer_orthogonality(series, n_bands))
 
 
 def _check_ckl(series):
     """Realized vs predicted truncation error two multipoles below the band."""
     L = series.band_limit
     if L < 1:
-        return _skipped("ckl_truncation", _CKL_Z_MAX)
+        return _result("ckl_truncation", 0.0, _CKL_Z_MAX) | {"skipped": True}
     # The truncated expansion keeps the rows of l <= L - 2, so its error is
     # the tail. The predicted variance, sum_{l > L-2} (2l+1) C_hat_l(0) / 4pi,
     # is the tail's sum of squares over 4 pi n: summed row by row, so the
@@ -244,12 +236,11 @@ def _check_ckl(series):
     realized = float(err.mean())
     se = simulate.batch_means_se(err)
     z = abs(realized - predicted) / max(se, 1e-300)
-    return {"name": "ckl_truncation", "statistic": z, "threshold": _CKL_Z_MAX,
-            "passed": z < _CKL_Z_MAX}
+    return _result("ckl_truncation", z, _CKL_Z_MAX)
 
 
 def cmd_verify(args):
-    series = _load_series(args.series)
+    series = _read(simulate.HarmonicCoefficientSeries.load, args.series, "series")
     known = {"stationarity": lambda: _check_stationarity(series),
              "isotropy": lambda: _check_isotropy(series),
              "cramer": lambda: _check_cramer(series, args.bands),

@@ -302,16 +302,6 @@ def empirical_autocov(series, max_lag):
     return AutocovarianceSpectrum(L, max_lag, out)
 
 
-@dataclass
-class CramerReport:
-    """Empirical orthogonality of distinct frequency-band components."""
-
-    n_bands: int
-    max_abs_correlation: float
-    threshold: float
-    passed: bool
-
-
 def _window_kernel(n, lo, hi):
     """D(g) = sum_{t=lo}^{hi-1} exp(2 pi i g t / n) for g = 0..n-1: the
     conjugated FFT of the window's indicator."""
@@ -409,13 +399,16 @@ def _band_gram(values, n_bands):
 
 
 def verify_cramer_orthogonality(series, n_bands):
-    """Check that distinct-band components of the series are uncorrelated.
+    """How far distinct-band components of the series are from uncorrelated:
+    ``(max_abs_correlation, threshold)``.
 
     [-pi, pi] is split into ``n_bands`` symmetric bands of |lambda|; each
     stream is band-passed by DFT masking and correlations are pooled over
     streams on the middle half of the window (the full window correlation
-    vanishes identically by Parseval, carrying no information). Passes when
-    the largest absolute correlation is below ``3 * _CRAMER_FACTOR / sqrt(n)``.
+    vanishes identically by Parseval, carrying no information). The
+    orthogonality of the Cramer representation holds while the largest
+    absolute correlation is below the threshold ``3 * _CRAMER_FACTOR /
+    sqrt(n)``; one band has no pair, so its correlation is 0.
     ``ValueError`` above n // 2 + 1 bands, the bins of a real FFT: more
     would leave some band empty; and, before anything that size is
     allocated, when the table of summed band products would exceed
@@ -436,7 +429,7 @@ def verify_cramer_orthogonality(series, n_bands):
                          f"{n} samples, got {n_bands}")
     threshold = 3.0 * _CRAMER_FACTOR / math.sqrt(n)
     if n_bands == 1:
-        return CramerReport(1, 0.0, threshold, True)
+        return 0.0, threshold
 
     gram = _band_gram(series.values, n_bands)
     # an exactly empty band sums to 0; rounding must not make a norm NaN
@@ -444,8 +437,7 @@ def verify_cramer_orthogonality(series, n_bands):
     upper = np.triu_indices(n_bands, 1)
     denom = np.outer(norms, norms)[upper]
     corr = np.abs(gram[upper])[denom != 0.0] / denom[denom != 0.0]
-    max_corr = float(corr.max(initial=0.0))
-    return CramerReport(n_bands, max_corr, threshold, max_corr < threshold)
+    return float(corr.max(initial=0.0)), threshold
 
 
 def batch_means_se(x, n_batches=64):

@@ -79,10 +79,12 @@ class TestSimulateCommand:
         assert not out.exists()
         assert "n must be at least 1" in capsys.readouterr().err
 
-    def test_missing_model_exits_2(self, tmp_path):
+    def test_missing_model_exits_2(self, tmp_path, capsys):
         code = run("simulate", "--model", tmp_path / "nope.json", "--n", 10,
                    "--out", tmp_path / "x")
         assert code == cli.EXIT_INPUT
+        assert (capsys.readouterr().err
+                == f"model file not found: {tmp_path / 'nope.json'}\n")
 
     def test_negative_lmax_exits_2_before_any_output(self, tmp_path, model_path,
                                                       capsys):
@@ -541,6 +543,9 @@ class TestVerifyCommand:
         assert report["passed"] is True
         assert {c["name"] for c in report["checks"]} == {
             "stationarity", "isotropy", "cramer_orthogonality", "ckl_truncation"}
+        for c in report["checks"]:
+            assert c["passed"] == (c.get("skipped", False)
+                                   or c["statistic"] < c["threshold"])
 
     def test_trended_series_fails_stationarity(self, tmp_path, model_path):
         run_dir = tmp_path / "run"
@@ -551,9 +556,13 @@ class TestVerifyCommand:
         simulate.HarmonicCoefficientSeries(
             series.band_limit, trended, series.provenance
         ).save(run_dir / "trended.bin")
+        out = tmp_path / "ver"
         code = run("verify", "--series", run_dir / "trended.bin",
-                   "--checks", "stationarity")
+                   "--checks", "stationarity", "--out", out)
         assert code == cli.EXIT_VERIFY
+        for c in json.loads((out / "verify_report.json").read_text())["checks"]:
+            assert c["passed"] == (c.get("skipped", False)
+                                   or c["statistic"] < c["threshold"])
 
     def test_unknown_check_exits_2(self, tmp_path, model_path, capsys):
         run_dir = tmp_path / "run"
@@ -620,9 +629,12 @@ class TestVerifyCommand:
                    "--bands", 64)
         assert code in (cli.EXIT_OK, cli.EXIT_VERIFY)
 
-    def test_missing_series_exits_2(self, tmp_path):
+    def test_missing_series_exits_2(self, tmp_path, capsys):
         code = run("verify", "--series", tmp_path / "nope.bin")
         assert code == cli.EXIT_INPUT
+        # the sidecar is opened first, so it is the file named
+        assert (capsys.readouterr().err
+                == f"series file not found: {tmp_path / 'nope.json'}\n")
 
     @pytest.mark.filterwarnings("error")
     def test_one_stream_stationarity_is_finite(self, tmp_path):
@@ -783,7 +795,7 @@ def test_library_surface():
     # test-only references live in tests/oracles.py
     assert spharma.__all__ == [
         "ApproximationCertificate", "AutocovarianceSpectrum", "CausalityReport",
-        "CramerReport", "FieldSnapshot", "HarmonicCoefficientSeries",
+        "FieldSnapshot", "HarmonicCoefficientSeries",
         "SimulationConfig", "SpectralEigenvalues", "SpharmaModel", "SphereGrid",
         "approx", "approximate_operator", "autocov_table", "batch_means_se",
         "build_grid", "check_causal", "check_coprime", "check_invertible",

@@ -265,18 +265,18 @@ class TestCramerOrthogonality:
     def test_white_noise_bands(self):
         series = sim.simulate_white_noise(np.ones(9),
                                           sim.SimulationConfig(seed=29, n=8192))
-        rep = sim.verify_cramer_orthogonality(series, 8)
-        assert rep.passed and rep.max_abs_correlation < 0.05
+        corr, threshold = sim.verify_cramer_orthogonality(series, 8)
+        assert corr < threshold and corr < 0.05
 
     def test_ar1_bands(self, ar1_series):
-        rep = sim.verify_cramer_orthogonality(ar1_series, 6)
-        assert rep.passed
+        corr, threshold = sim.verify_cramer_orthogonality(ar1_series, 6)
+        assert corr < threshold
 
     def test_single_band_vacuous(self):
         series = sim.simulate_white_noise(np.ones(1),
                                           sim.SimulationConfig(seed=31, n=2048))
-        rep = sim.verify_cramer_orthogonality(series, 1)
-        assert rep.passed and rep.max_abs_correlation == 0.0
+        corr, threshold = sim.verify_cramer_orthogonality(series, 1)
+        assert corr < threshold and corr == 0.0
 
     def test_chunked_gram_matches_dense_band_split(self):
         # 49 streams span several chunks; compare with the direct pairwise
@@ -297,8 +297,7 @@ class TestCramerOrthogonality:
                     abs((comps[b] * comps[c]).sum())
                     / math.sqrt((comps[b] ** 2).sum() * (comps[c] ** 2).sum())
                     for b in range(n_bands) for c in range(b + 1, n_bands))
-                got = sim.verify_cramer_orthogonality(series,
-                                                      n_bands).max_abs_correlation
+                got, _ = sim.verify_cramer_orthogonality(series, n_bands)
                 assert abs(got - expected) <= 1e-12 * expected
 
     def test_short_series_rejected(self):
