@@ -12,7 +12,6 @@ distances) live in ``tests/oracles.py``.
 """
 
 from .approx import (
-    ApproximationCertificate,
     approximate_operator,
     durbin_levinson,
     fit_ar,

@@ -12,9 +12,10 @@ innovations row, serves no fit.
 Operator-level machinery: given target spectral eigenvalues f_l(lambda) and
 a tolerance eps, fit an invertible MA(q) or causal AR(p) per multipole,
 escalating the order until the per-multipole sup error fits the budget
-eps / (2 (L+1)^2); the band tail above L is charged eps/2. Certificates
-report per-multipole and total errors in the kernel-L2 and trace norms, with
-the sup over frequency evaluated on a shared grid.
+eps / (2 (L+1)^2); the band tail above L is charged eps/2. The certificate
+is the plain dict that the CLI writes as ``certificate.json``: per-multipole
+and total errors in the kernel-L2 and trace norms, with the sup over
+frequency evaluated on a shared grid.
 
 Process-level error: ``l2_omega_error`` is the mean-square error, at any
 point of the sphere, of reconstructing a field from its own Wold innovations
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -180,41 +181,6 @@ def fit_ar(c, p):
     return durbin_levinson(c, p)
 
 
-@dataclass
-class ApproximationCertificate:
-    """Certified approximation error of a fitted operator against its target."""
-
-    kind: str
-    epsilon: float
-    norm: str
-    l_trunc: int
-    order: int
-    per_multipole: list
-    tail_error: float
-    total_l2: float
-    total_trace: float
-    passed: bool
-    order_cap_reached: bool = False
-
-    def to_json(self):
-        return {
-            "schema": 1,
-            "kind": self.kind,
-            "epsilon": self.epsilon,
-            "norm": self.norm,
-            "L_trunc": self.l_trunc,
-            "order": self.order,
-            "per_multipole": [
-                {"l": l, "order": o, "sup_error": e} for l, o, e in self.per_multipole
-            ],
-            "tail_error": self.tail_error,
-            "total_l2": self.total_l2,
-            "total_trace": self.total_trace,
-            "passed": self.passed,
-            "order_cap_reached": self.order_cap_reached,
-        }
-
-
 def _order_schedule(cap, start=0):
     if cap <= start:
         return [min(start, cap)]
@@ -258,7 +224,8 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     requested norm is at most eps; ``order_cap_reached`` iff a multipole
     tried the cap's order and still missed its budget.
 
-    Returns ``(model, certificate)``.
+    Returns ``(model, certificate)``: the certificate is the JSON-ready dict
+    that the CLI writes as ``certificate.json``, less its ``config_hash``.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -344,13 +311,13 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     total_l2 = _sup_operator_norm(diff, "l2_kernel") + tail_error
     total_trace = _sup_operator_norm(diff, "trace") + tail_error
     total = total_l2 if norm == "l2_kernel" else total_trace
-    cert = ApproximationCertificate(
-        kind=kind, epsilon=eps, norm=norm, l_trunc=L,
-        order=max(kept), per_multipole=list(zip(range(L + 1), kept, errs)),
-        tail_error=tail_error,
-        total_l2=total_l2, total_trace=total_trace,
-        passed=bool(total <= eps), order_cap_reached=any(missed_at_cap),
-    )
+    cert = {"schema": 1, "kind": kind, "epsilon": eps, "norm": norm, "L_trunc": L,
+            "order": max(kept),
+            "per_multipole": [{"l": l, "order": o, "sup_error": e}
+                              for l, o, e in zip(range(L + 1), kept, errs)],
+            "tail_error": tail_error, "total_l2": total_l2,
+            "total_trace": total_trace, "passed": bool(total <= eps),
+            "order_cap_reached": any(missed_at_cap)}
     return model, cert
 
 

@@ -114,6 +114,7 @@ class HarmonicCoefficientSeries:
         """Map a saved series read-only (``np.memmap``): the file is not
         copied into memory, and its values are never written."""
         path = str(path)
+        size = os.path.getsize(path)  # a missing series is named before its sidecar
         with open(_sidecar_path(path)) as fh:
             meta = json.load(fh)
         if not (isinstance(meta, dict)
@@ -122,7 +123,7 @@ class HarmonicCoefficientSeries:
             raise ValueError("series sidecar must be a JSON object with integer "
                              "band_limit >= 0 and n >= 1")
         L, n = meta["band_limit"], meta["n"]
-        if os.path.getsize(path) != (L + 1) ** 2 * n * 8:
+        if size != (L + 1) ** 2 * n * 8:
             raise ValueError("series file size does not match sidecar")
         values = np.memmap(path, dtype="<f8", mode="r", shape=((L + 1) ** 2, n))
         prov = {k: v for k, v in meta.items()

@@ -274,11 +274,15 @@ class SpectralEigenvalues:
             return cls.from_json(json.load(fh))
 
 
+def trace_norm(values, tail_bound):
+    """sum_l (2l+1) values_l + tail_bound over the rows of an f_l(lambda) table."""
+    return (2 * np.arange(len(values)) + 1) @ values + tail_bound
+
+
 def operator_trace_norm(spec, lam):
     """Trace norm sum_l (2l+1) f_l(lambda), plus any stored band tail bound."""
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    values = spec.values(lam_arr)
-    tr = (2 * np.arange(len(values)) + 1) @ values + spec.tail_bound
+    tr = trace_norm(spec.values(lam_arr), spec.tail_bound)
     return float(tr[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else tr
 
 

@@ -200,14 +200,14 @@ def _run_operator_approximation(target, kind, eps_values):
     for eps in eps_values:
         for norm in ("l2_kernel", "trace"):
             fitted, cert = approx.approximate_operator(target, eps, kind, norm=norm)
-            assert cert.passed, f"{kind} eps={eps} norm={norm} failed: " \
-                                f"l2={cert.total_l2:.3e} trace={cert.total_trace:.3e}"
+            assert cert["passed"], f"{kind} eps={eps} norm={norm} failed: " \
+                f"l2={cert['total_l2']:.3e} trace={cert['total_trace']:.3e}"
             refined = spectral_distance(
                 target, fitted.spectral(), norm, lams=frequency_grid(4 * 4096))
             assert refined <= eps * 1.01, \
                 f"refined-grid error {refined:.3e} above eps {eps}"
             if norm == "l2_kernel":
-                orders.append(cert.order)
+                orders.append(cert["order"])
     assert orders == sorted(orders), f"orders not weakly increasing: {orders}"
 
 

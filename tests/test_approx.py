@@ -1,10 +1,11 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from spharma import approx
+from spharma import approx, cli
 from spharma.model import (
     SpharmaModel,
     arma_filter,
@@ -374,8 +375,8 @@ class TestApproximateOperator:
         target_model = SpharmaModel.uniform(3, ma=[0.5, 0.2], noise=1.1)
         target = target_model.spectral()
         fitted, cert = approx.approximate_operator(target, 10.0, "ma")
-        assert cert.passed
-        assert cert.total_l2 < 1e-6
+        assert cert["passed"]
+        assert cert["total_l2"] < 1e-6
         for l in range(4):
             assert np.abs(fitted.ma[l] - [0.5, 0.2]).max() < 1e-6
             assert abs(fitted.noise[l] - 1.1) < 1e-6
@@ -384,29 +385,29 @@ class TestApproximateOperator:
         target = SpharmaModel.white_noise(np.full(5, 0.8)).spectral()
         for kind in ("ma", "ar"):
             fitted, cert = approx.approximate_operator(target, 0.5, kind)
-            assert cert.order == 0 and cert.passed
-            assert cert.total_l2 < 1e-12
+            assert cert["order"] == 0 and cert["passed"]
+            assert cert["total_l2"] < 1e-12
 
     def test_order_grows_as_eps_shrinks(self):
         target = SpharmaModel.uniform(3, ar=[0.6], noise=1.0).spectral()
         orders = []
         for eps in (0.1, 0.03, 0.01):
             _, cert = approx.approximate_operator(target, eps, "ma")
-            assert cert.passed
-            orders.append(cert.order)
+            assert cert["passed"]
+            orders.append(cert["order"])
         assert orders == sorted(orders)
 
     def test_certified_model_invertible(self):
         target = SpharmaModel.uniform(2, ar=[0.5], noise=1.0).spectral()
         fitted, cert = approx.approximate_operator(target, 0.05, "ma")
-        assert cert.passed
+        assert cert["passed"]
         assert check_invertible(fitted).causal
 
     def test_ar_kind_on_ma_target(self):
         target = SpharmaModel.uniform(2, ma=[0.5], noise=1.0).spectral()
         fitted, cert = approx.approximate_operator(target, 0.05, "ar",
                                                    norm="trace")
-        assert cert.passed
+        assert cert["passed"]
         assert check_causal(fitted).causal
         assert fitted.q == 0 and fitted.p >= 1
 
@@ -414,9 +415,9 @@ class TestApproximateOperator:
         target = SpharmaModel.uniform(0, ar=[0.9], noise=1.0).spectral()
         _, cert = approx.approximate_operator(target, 1e-4, "ma",
                                               order_cap=4)
-        assert cert.order_cap_reached
-        assert not cert.passed
-        assert cert.per_multipole[0][1] <= 4
+        assert cert["order_cap_reached"]
+        assert not cert["passed"]
+        assert cert["per_multipole"][0]["order"] <= 4
 
     @pytest.mark.parametrize("kind, cap", [("ma", approx.DEFAULT_ORDER_CAP),
                                            ("ma", 10**9), ("ar", 64), ("ar", 10**5)])
@@ -426,7 +427,7 @@ class TestApproximateOperator:
         # schedule needs
         target = SpharmaModel.uniform(1, ar=[0.5], noise=1.0).spectral()
         _, cert = approx.approximate_operator(target, 1e-2, kind, order_cap=cap)
-        assert cert.passed and cert.order <= 16
+        assert cert["passed"] and cert["order"] <= 16
         # an MA fit reads C_l(0) only
         depth = 0 if kind == "ma" else min(cap, approx.DEFAULT_ORDER_CAP)
         assert lag_fetches == [("table", 2, depth)]
@@ -440,7 +441,7 @@ class TestApproximateOperator:
                                                     np.array([0.5])], np.ones(2))
         target = model.spectral()
         fitted, cert = approx.approximate_operator(target, 1e-3, "ar", order_cap=1024)
-        assert [o for _, o, _ in cert.per_multipole] == [512, 16]
+        assert [row["order"] for row in cert["per_multipole"]] == [512, 16]
         assert lag_fetches == [("table", 2, 256), ("table", 2, 512)]
         # the same fit as from one table at the deepest depth the cap allows
         monkeypatch.setattr(approx, "autocov_table",
@@ -487,15 +488,15 @@ class TestApproximateOperator:
         assert max(orders) < len(lam) - 1 == 4096
         assert [w for w in caught if "grid is coarse" in str(w.message)]
         # the cap was never tried, so it was not what stopped the escalation
-        assert cert.order == 2048 and not cert.order_cap_reached
-        assert not cert.passed
+        assert cert["order"] == 2048 and not cert["order_cap_reached"]
+        assert not cert["passed"]
         # the same fit as an escalation capped at order 2048, which did try
         # its cap
         with pytest.warns(UserWarning, match="grid is coarse"):
             capped_fitted, capped = approx.approximate_operator(
                 target, 1e-9, "ar", order_cap=2048)
-        assert capped.order_cap_reached
-        capped.order_cap_reached = False
+        assert capped["order_cap_reached"]
+        capped["order_cap_reached"] = False
         assert capped == cert
         assert capped_fitted.content_hash() == fitted.content_hash()
 
@@ -504,8 +505,8 @@ class TestApproximateOperator:
         # is not resolved on any grid, and the fit on f + budget/4 passes
         target = SpharmaModel.uniform(2, ma=[1.0], noise=1.0).spectral()
         fitted, cert = approx.approximate_operator(target, 1e-2, "ma")
-        assert cert.passed
-        assert [order for _, order, _ in cert.per_multipole] == [1, 1, 1]
+        assert cert["passed"]
+        assert [row["order"] for row in cert["per_multipole"]] == [1, 1, 1]
         assert check_invertible(fitted).causal
 
     def test_negative_order_cap_rejected(self):
@@ -513,28 +514,42 @@ class TestApproximateOperator:
         with pytest.raises(ValueError, match="order_cap must be nonnegative"):
             approx.approximate_operator(target, 1e-2, "ma", order_cap=-1)
 
-    def test_certificate_json(self):
-        target = SpharmaModel.uniform(1, ar=[0.4], noise=1.0).spectral()
-        _, cert = approx.approximate_operator(target, 0.1, "ma")
-        payload = cert.to_json()
-        assert payload["passed"] is True
-        assert payload["schema"] == 1
-        assert {"l", "order", "sup_error"} <= set(payload["per_multipole"][0])
+    def test_certificate_json(self, tmp_path):
+        # the library's record is what certificate.json holds, less the hash
+        # of the invoking configuration
+        model = SpharmaModel.uniform(1, ar=[0.4], noise=1.0)
+        model.save(tmp_path / "target.json")
+        _, cert = approx.approximate_operator(model.spectral(), 0.1, "ma")
+        assert cli.main(["approximate", "--target", str(tmp_path / "target.json"),
+                         "--eps", "0.1", "--kind", "ma",
+                         "--out", str(tmp_path / "fit")]) == cli.EXIT_OK
+        written = json.loads((tmp_path / "fit" / "certificate.json").read_text())
+        assert written.pop("config_hash")
+        assert written == cert
+        assert json.loads(json.dumps(cert)) == cert
+        assert list(cert) == [
+            "schema", "kind", "epsilon", "norm", "L_trunc", "order",
+            "per_multipole", "tail_error", "total_l2", "total_trace", "passed",
+            "order_cap_reached"]
+        assert cert["passed"] is True and cert["schema"] == 1
+        assert [list(row) for row in cert["per_multipole"]] == [
+            ["l", "order", "sup_error"]] * 2
 
     def test_grid_refinement_stability(self):
         target = SpharmaModel.uniform(2, ar=[0.5], noise=1.0).spectral()
         fitted, cert = approx.approximate_operator(target, 0.05, "ma")
         fine = spectral_distance(target, fitted.spectral(), "l2_kernel",
                                  lams=frequency_grid(4 * 4096))
-        assert abs(fine - cert.total_l2) <= 0.01 * max(cert.total_l2, 1e-30)
+        assert abs(fine - cert["total_l2"]) <= 0.01 * max(cert["total_l2"], 1e-30)
 
     def test_total_bounded_by_per_multipole_errors(self):
         target = SpharmaModel.uniform(3, ar=[0.5], ma=[0.2], noise=1.0).spectral()
         _, cert = approx.approximate_operator(target, 0.02, "ma")
         deg = 2 * np.arange(4) + 1
-        errs = np.array([e for _, _, e in cert.per_multipole])
-        assert cert.total_l2 <= math.sqrt(deg @ errs**2) + cert.tail_error + 1e-15
-        assert cert.total_trace <= deg @ errs + cert.tail_error + 1e-15
+        errs = np.array([row["sup_error"] for row in cert["per_multipole"]])
+        tail = cert["tail_error"]
+        assert cert["total_l2"] <= math.sqrt(deg @ errs**2) + tail + 1e-15
+        assert cert["total_trace"] <= deg @ errs + tail + 1e-15
 
 
 class TestWold:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import spharma
-from spharma import approx, cli, simulate
+from spharma import approx, cli, simulate, spectral
 from spharma.model import SpharmaModel
 
 
@@ -287,6 +287,31 @@ class TestSpectrumCommand:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "must be" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["--model", "--series"])
+    def test_density_evaluated_once(self, tmp_path, model_path, source,
+                                    monkeypatch):
+        # trace_norm.csv is summed from the density spectral_density.csv holds
+        run_dir = tmp_path / "run"
+        run("simulate", "--model", model_path, "--n", 64, "--seed", 2,
+            "--out", run_dir)
+        path = model_path if source == "--model" else run_dir / "series.bin"
+        values = spectral.SpectralEigenvalues.values
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return values(self, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.SpectralEigenvalues, "values", counted)
+        out = tmp_path / "spec"
+        assert run("spectrum", source, path, "--max-lag", 5, "--n-lambda", 32,
+                   "--out", out) == cli.EXIT_OK
+        assert len(calls) == 1
+        lam = spectral.frequency_grid(32)
+        trace = spectral.operator_trace_norm(calls[0], lam)
+        with open(out / "trace_norm.csv", newline="") as fh:
+            assert [float(row["trace"]) for row in csv.DictReader(fh)] == list(trace)
 
 
 class TestApproximateCommand:
@@ -632,9 +657,8 @@ class TestVerifyCommand:
     def test_missing_series_exits_2(self, tmp_path, capsys):
         code = run("verify", "--series", tmp_path / "nope.bin")
         assert code == cli.EXIT_INPUT
-        # the sidecar is opened first, so it is the file named
         assert (capsys.readouterr().err
-                == f"series file not found: {tmp_path / 'nope.json'}\n")
+                == f"series file not found: {tmp_path / 'nope.bin'}\n")
 
     @pytest.mark.filterwarnings("error")
     def test_one_stream_stationarity_is_finite(self, tmp_path):
@@ -749,6 +773,10 @@ def test_malformed_series_exits_2(tmp_path, model_path, command, defect, capsys)
     assert "Traceback" not in err
     if defect.startswith("one-float"):
         assert "series file size does not match sidecar" in err
+    if defect.startswith("missing"):
+        # the missing file is named, the series before its sidecar
+        missing = series if defect == "missing-series" else series.with_suffix(".json")
+        assert err.endswith(f"series file not found: {missing}\n")
 
 
 def test_config_hash_stable_and_distinct(tmp_path, model_path):
@@ -794,7 +822,7 @@ def test_library_surface():
     # only what a command, a kept library function or a tier-1 test reaches;
     # test-only references live in tests/oracles.py
     assert spharma.__all__ == [
-        "ApproximationCertificate", "AutocovarianceSpectrum", "CausalityReport",
+        "AutocovarianceSpectrum", "CausalityReport",
         "FieldSnapshot", "HarmonicCoefficientSeries",
         "SimulationConfig", "SpectralEigenvalues", "SpharmaModel", "SphereGrid",
         "approx", "approximate_operator", "autocov_table", "batch_means_se",
