@@ -4,11 +4,13 @@ Simulation of SPHARMA(p, q) processes per multipole, exact second-order
 spectral calculus (angular power spectra, spectral density eigenvalues,
 trace norms, the lag/frequency pair), and constructive approximation of
 arbitrary target spectral density operators by invertible moving-average or
-causal autoregressive models with certified error, the exact L2(Omega)
-reconstruction error of a fit, and the Wold decomposition as an SPHMA model.
-References that only the tests use (spherical harmonics one (l, m) at a
-time, Legendre polynomials, kernel synthesis, summability sums, spectral
-distances) live in ``tests/oracles.py``.
+causal autoregressive models with certified error, read off each
+multipole's Wold factor, with the exact L2(Omega) reconstruction error of a
+fit. References and quantities that only the tests use (spherical harmonics
+one (l, m) at a time, Legendre polynomials, the forward transform, kernel
+synthesis, summability sums, spectral distances, the harmonic truncation
+error, the Wold decomposition as an SPHMA model and h-step prediction
+errors) live in ``tests/oracles.py``.
 """
 
 from .approx import (
@@ -16,10 +18,8 @@ from .approx import (
     durbin_levinson,
     fit_ar,
     fit_ma,
-    h_step_error,
     l2_omega_error,
     spectral_factor,
-    wold,
 )
 from .model import (
     CausalityReport,
@@ -46,7 +46,6 @@ from .spectral import (
     AutocovarianceSpectrum,
     SpectralEigenvalues,
     autocov_table,
-    ckl_truncation_error,
     frequency_grid,
     operator_trace_norm,
     spectral_from_autocov,
@@ -55,7 +54,6 @@ from .sphere import (
     FieldSnapshot,
     SphereGrid,
     build_grid,
-    sht_forward,
     sht_inverse,
 )
 

@@ -2,12 +2,10 @@
 
 Scalar machinery per multipole (Brockwell & Davis, "Time Series: Theory
 and Methods", chapters 5 and 8): the Wold factor of a spectral density by
-its cepstrum, whose truncations are the MA fits and which gives the Wold
-decomposition of a lag table as an SPHMA(n_psi) ``SpharmaModel``, so its
-spectral density and h-step prediction errors are those of any model; and
-one Schur recursion on a lag sequence, whose reflection coefficients
-Levinson's step-up turns into the AR fits. Its other readout, the last
-innovations row, serves no fit.
+its cepstrum, whose truncations are the MA fits and whose weights give
+``l2_omega_error`` its innovation variances; and one Schur recursion on a
+lag sequence, whose reflection coefficients Levinson's step-up turns into
+the AR fits. Its other readout, the last innovations row, serves no fit.
 
 Operator-level machinery: given target spectral eigenvalues f_l(lambda) and
 a tolerance eps, fit an invertible MA(q) or causal AR(p) per multipole,
@@ -28,13 +26,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
 from .model import (
     SpharmaModel,
-    _require_causal,
     arma_filter,
     check_causal,
     decay_length,
@@ -45,7 +41,6 @@ from .spectral import (
     autocov_table,
     frequency_grid,
     rational_density,
-    spectral_from_autocov,
     trapezoid_lags,
 )
 
@@ -330,44 +325,6 @@ def _wold_weights(spec, c0, length):
         raise ValueError(f"no spectral factor at multipole {missing[0]}")
     psi = np.pad(psi, ((0, 0), (0, max(0, length - psi.shape[1]))))
     return psi, c0 / (psi * psi).sum(axis=1)
-
-
-def wold(acv, n_psi):
-    """Wold decomposition per multipole from an autocovariance table.
-
-    psi_l is the factor (``spectral_factor``) of the lag sum of row l alone
-    (``spectral_from_autocov``; ``tail_bound`` is on multipoles above L),
-    and sigma_l^2 = C_l(0) / sum_j psi_{l;j}^2. Lags whose sum is negative
-    or has no factor, as a deterministic component's, raise ``ValueError``.
-
-    Returns ``(model, residual_per_l)``: the SPHMA(n_psi) model with MA
-    coefficients psi_{l;1..n_psi} and noise powers sigma_l^2, and the
-    dropped tail C_l(0) - sigma_l^2 * sum_{j <= n_psi} psi_{l;j}^2.
-    """
-    if n_psi < 0:
-        raise ValueError("n_psi must be nonnegative")
-    if acv.max_lag < n_psi:
-        raise ValueError("autocovariance table shorter than requested psi count")
-    c0, L = acv.values[:, 0], acv.band_limit
-    spec = spectral_from_autocov(replace(acv, tail_bound=0.0))
-    psi, sigma2 = _wold_weights(spec, c0, n_psi + 1)
-    head = psi[:, : n_psi + 1]
-    return (SpharmaModel(L, [np.empty(0)] * (L + 1), list(head[:, 1:]), sigma2),
-            c0 - sigma2 * (head * head).sum(axis=1))
-
-
-def h_step_error(model, h):
-    """h-step prediction error sum_l (2l+1) sigma_l^2 sum_{j<h} psi_{l;j}^2
-    of a causal model."""
-    if h < 1:
-        raise ValueError("h must be at least 1")
-    L = model.band_limit
-    deg = 2 * np.arange(L + 1) + 1
-    # psi_coefficients per row, with causality decided once per distinct row
-    _require_causal(model, range(L + 1))
-    head = np.vstack([arma_filter(model.ar[l], model.ma[l], np.eye(1, h)[0])
-                      for l in range(L + 1)])
-    return float(deg @ (model.noise * (head * head).sum(axis=1)))
 
 
 def l2_omega_error(target, fitted_model):

@@ -52,7 +52,9 @@ def _read(reader, path, what):
         return reader(path)
     except FileNotFoundError as exc:
         raise ValueError(f"{what} file not found: {exc.filename}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"invalid {what}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"invalid {what}: {exc}") from exc
 
 
@@ -264,6 +266,15 @@ def cmd_verify(args):
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
+def _time_indices(text):
+    """``--snapshots``: comma-separated integer time indices."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integer time indices, got {text!r}") from None
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spharma",
@@ -276,8 +287,8 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
-    p.add_argument("--snapshots", type=lambda s: [int(x) for x in s.split(",")],
-                   default=None, help="comma-separated time indices to render")
+    p.add_argument("--snapshots", type=_time_indices, default=None,
+                   help="comma-separated time indices to render")
     p.add_argument("--lmax", type=int, default=None,
                    help="restrict to multipoles l <= lmax")
     p.add_argument("--out", required=True)

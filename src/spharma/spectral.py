@@ -336,21 +336,3 @@ def autocov_table(spec, max_lag):
     # sum_{l>L} (2l+1) C_l(0) <= 2pi * sup_lambda tail of the trace sum
     acv.tail_bound = TWO_PI * spec.tail_bound
     return acv
-
-
-def ckl_truncation_error(spec, l_trunc):
-    """Mean-square error of truncating the harmonic expansion at l_trunc.
-
-    sum_{l > l_trunc} (2l+1)/(4pi) * integral(f_l), the integrals being the
-    lag-0 row of ``autocov_table``, including the stored above-band tail
-    bound (a sup bound, integrated over [-pi, pi]).
-    """
-    if l_trunc > spec.band_limit:
-        raise ValueError("l_trunc exceeds band limit")
-    if l_trunc < -1:
-        raise ValueError("l_trunc must be at least -1")
-    integrals = autocov_table(spec, 0).values[:, 0]
-    deg = 2 * np.arange(spec.band_limit + 1) + 1
-    inside = deg[l_trunc + 1 :] @ integrals[l_trunc + 1 :] / (4.0 * math.pi)
-    tail = spec.tail_bound * TWO_PI / (4.0 * math.pi)
-    return float(inside + tail)

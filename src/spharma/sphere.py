@@ -1,4 +1,4 @@
-"""Legendre functions, real spherical harmonics and band-limited transforms.
+"""Legendre functions, real spherical harmonics and band-limited synthesis.
 
 Conventions
 -----------
@@ -24,15 +24,15 @@ Grids are Gauss-Legendre in colatitude (nodes in cos theta) crossed with
 equiangular longitudes, the minimal node counts whose quadrature is exact
 for every product ``Y_{l,m} * Y_{l',m'}`` with ``l, l' <= L``.
 
-Each transform call tabulates Q_{l,m} at the grid's colatitude nodes, packed
-by order (a grid caches nothing): block m has shape ``(n_lat, L+1-m)``, one
-contiguous row of Q_{m..L,m} per node, so no storage goes to the zeros at
-m > l. Both transforms work one order at a time on these blocks: the inverse
-forms the per-m cosine and sine sums over l with two matrix-vector products
-per block, then multiplies them by the longitude trigonometric tables, once
-per coefficient column; the forward transform runs the same steps
-backwards. The Legendre polynomials P_l, which only the tests use, are in
-``tests/oracles.py``.
+Each ``sht_inverse`` call tabulates Q_{l,m} at the grid's colatitude nodes,
+packed by order (a grid caches nothing): block m has shape
+``(n_lat, L+1-m)``, one contiguous row of Q_{m..L,m} per node, so no storage
+goes to the zeros at m > l. The transform works one order at a time on
+these blocks: it forms the per-m cosine and sine sums over l with two
+matrix-vector products per block, then multiplies them by the longitude
+trigonometric tables, once per coefficient column. The forward transform,
+grid quadrature and the Legendre polynomials P_l, which only the tests use,
+are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -198,37 +198,6 @@ class FieldSnapshot:
         write_csv(path, ["colat", "lon", "value"],
                   [repr(th) for th in self.grid.colatitudes.tolist()],
                   [repr(ph) for ph in self.grid.longitudes.tolist()], self.values)
-
-
-def sht_forward(fieldsnap, band_limit=None):
-    """Forward spherical harmonic transform by separated quadrature.
-
-    Longitude trigonometric sums first, then Gauss-Legendre colatitude
-    quadrature. Exact for fields band-limited at the grid band limit;
-    spectral content above it aliases into the returned coefficients, a
-    stream-order vector.
-    """
-    grid = fieldsnap.grid
-    L = grid.band_limit if band_limit is None else band_limit
-    if L > grid.band_limit:
-        raise ValueError("requested band limit exceeds grid band limit")
-    Q = grid._legendre_table()
-    cos_t, sin_t = grid._trig_tables()
-    lon_w = 2.0 * math.pi / grid.n_lon
-    # G[m, i] = sum_j f(i, j) * trig(m, j) * lon_w * w_i
-    wv = grid.colat_weights * lon_w
-    Gc = (fieldsnap.values @ cos_t[: L + 1].T).T * wv
-    Gs = (fieldsnap.values @ sin_t[: L + 1].T).T * wv
-    ls = np.arange(L + 1)
-    centre = ls * (ls + 1)  # entry of a_{l,0}
-    out = np.empty((L + 1) ** 2)
-    out[centre] = Gc[0] @ Q[0][:, : L + 1]
-    root2 = math.sqrt(2.0)
-    for m in range(1, L + 1):
-        q = Q[m][:, : L + 1 - m]
-        out[centre[m:] + m] = root2 * (Gc[m] @ q)
-        out[centre[m:] - m] = root2 * (Gs[m] @ q)
-    return out
 
 
 def sht_inverse(coeffs, grid):

@@ -1,23 +1,30 @@
-"""Reference implementations that only the tests use.
+"""Reference implementations and quantities that only the tests use.
 
-Each function here checks a library result by a second route and is reached
-by no command and no library function: spherical harmonics evaluated one
-(l, m) at a time, the Legendre polynomials P_l, grid quadrature, covariance
+No command and no library function reaches anything here. Most functions
+check a library result by a second route: spherical harmonics evaluated one
+(l, m) at a time, the Legendre polynomials P_l, grid quadrature, the forward
+spherical harmonic transform (the inverse of ``sht_inverse``), covariance
 kernel synthesis and norms, short-memory summability sums, the operator
 distance of two spectra, Levinson's recursion for Yule-Walker fits, and
-stream lookup in a coefficient series. A method of a library class is a
-function here that takes the object as its first argument.
+stream lookup in a coefficient series. The rest are quantities of the
+paper that tests state properties of: the mean-square error of truncating
+the harmonic expansion, the Wold decomposition of a lag table as an SPHMA
+model, and the h-step prediction error of a causal model. A method of a
+library class is a function here that takes the object as its first
+argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from spharma.approx import _sup_operator_norm
-from spharma.model import SpharmaModel, check_causal, model_autocovariance_table
+from spharma.approx import _sup_operator_norm, _wold_weights
+from spharma.model import (SpharmaModel, _require_causal, arma_filter, check_causal,
+                           model_autocovariance_table)
+from spharma.spectral import TWO_PI, autocov_table, spectral_from_autocov
 from spharma.sphere import FOUR_PI
 
 
@@ -118,6 +125,37 @@ def integrate(grid, values):
     return float(grid.colat_weights @ values.sum(axis=1)) * lon_w
 
 
+def sht_forward(fieldsnap, band_limit=None):
+    """Forward spherical harmonic transform by separated quadrature.
+
+    Longitude trigonometric sums first, then Gauss-Legendre colatitude
+    quadrature. Exact for fields band-limited at the grid band limit;
+    spectral content above it aliases into the returned coefficients, a
+    stream-order vector.
+    """
+    grid = fieldsnap.grid
+    L = grid.band_limit if band_limit is None else band_limit
+    if L > grid.band_limit:
+        raise ValueError("requested band limit exceeds grid band limit")
+    Q = grid._legendre_table()
+    cos_t, sin_t = grid._trig_tables()
+    lon_w = 2.0 * math.pi / grid.n_lon
+    # G[m, i] = sum_j f(i, j) * trig(m, j) * lon_w * w_i
+    wv = grid.colat_weights * lon_w
+    Gc = (fieldsnap.values @ cos_t[: L + 1].T).T * wv
+    Gs = (fieldsnap.values @ sin_t[: L + 1].T).T * wv
+    ls = np.arange(L + 1)
+    centre = ls * (ls + 1)  # entry of a_{l,0}
+    out = np.empty((L + 1) ** 2)
+    out[centre] = Gc[0] @ Q[0][:, : L + 1]
+    root2 = math.sqrt(2.0)
+    for m in range(1, L + 1):
+        q = Q[m][:, : L + 1 - m]
+        out[centre[m:] + m] = root2 * (Gc[m] @ q)
+        out[centre[m:] - m] = root2 * (Gs[m] @ q)
+    return out
+
+
 # spharma.spectral
 
 def total_variance(acv):
@@ -208,6 +246,24 @@ def summability_report(source, max_lag=200):
     return SummabilityReport(kernel_l2_sum, trace_sum, tail, divergent, acv.max_lag)
 
 
+def ckl_truncation_error(spec, l_trunc):
+    """Mean-square error of truncating the harmonic expansion at l_trunc.
+
+    sum_{l > l_trunc} (2l+1)/(4pi) * integral(f_l), the integrals being the
+    lag-0 row of ``autocov_table``, including the stored above-band tail
+    bound (a sup bound, integrated over [-pi, pi]).
+    """
+    if l_trunc > spec.band_limit:
+        raise ValueError("l_trunc exceeds band limit")
+    if l_trunc < -1:
+        raise ValueError("l_trunc must be at least -1")
+    integrals = autocov_table(spec, 0).values[:, 0]
+    deg = 2 * np.arange(spec.band_limit + 1) + 1
+    inside = deg[l_trunc + 1 :] @ integrals[l_trunc + 1 :] / (4.0 * math.pi)
+    tail = spec.tail_bound * TWO_PI / (4.0 * math.pi)
+    return float(inside + tail)
+
+
 # spharma.simulate
 
 def row_index(l, m):
@@ -255,3 +311,41 @@ def durbin_levinson_dot(c, order):
         phi = np.r_[phi - kappa * phi[::-1], kappa]
         v = v * (1.0 - kappa * kappa)
     return phi, float(v)
+
+
+def wold(acv, n_psi):
+    """Wold decomposition per multipole from an autocovariance table.
+
+    psi_l is the factor (``spectral_factor``) of the lag sum of row l alone
+    (``spectral_from_autocov``; ``tail_bound`` is on multipoles above L),
+    and sigma_l^2 = C_l(0) / sum_j psi_{l;j}^2. Lags whose sum is negative
+    or has no factor, as a deterministic component's, raise ``ValueError``.
+
+    Returns ``(model, residual_per_l)``: the SPHMA(n_psi) model with MA
+    coefficients psi_{l;1..n_psi} and noise powers sigma_l^2, and the
+    dropped tail C_l(0) - sigma_l^2 * sum_{j <= n_psi} psi_{l;j}^2.
+    """
+    if n_psi < 0:
+        raise ValueError("n_psi must be nonnegative")
+    if acv.max_lag < n_psi:
+        raise ValueError("autocovariance table shorter than requested psi count")
+    c0, L = acv.values[:, 0], acv.band_limit
+    spec = spectral_from_autocov(replace(acv, tail_bound=0.0))
+    psi, sigma2 = _wold_weights(spec, c0, n_psi + 1)
+    head = psi[:, : n_psi + 1]
+    return (SpharmaModel(L, [np.empty(0)] * (L + 1), list(head[:, 1:]), sigma2),
+            c0 - sigma2 * (head * head).sum(axis=1))
+
+
+def h_step_error(model, h):
+    """h-step prediction error sum_l (2l+1) sigma_l^2 sum_{j<h} psi_{l;j}^2
+    of a causal model."""
+    if h < 1:
+        raise ValueError("h must be at least 1")
+    L = model.band_limit
+    deg = 2 * np.arange(L + 1) + 1
+    # psi_coefficients per row, with causality decided once per distinct row
+    _require_causal(model, range(L + 1))
+    head = np.vstack([arma_filter(model.ar[l], model.ma[l], np.eye(1, h)[0])
+                      for l in range(L + 1)])
+    return float(deg @ (model.noise * (head * head).sum(axis=1)))

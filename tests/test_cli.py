@@ -110,6 +110,17 @@ class TestSimulateCommand:
         assert code == cli.EXIT_INPUT
         assert not (out / "series.bin").exists()
 
+    def test_snapshot_indices_not_integers_exit_2(self, tmp_path, model_path,
+                                                  capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--model", model_path, "--n", 20, "--out", out,
+                "--snapshots", "1,x")
+        assert exc.value.code == cli.EXIT_INPUT
+        assert not out.exists()
+        assert ("argument --snapshots: expected comma-separated integer time "
+                "indices, got '1,x'") in capsys.readouterr().err
+
     def test_io_failure_exits_3(self, tmp_path, model_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
@@ -827,14 +838,13 @@ def test_library_surface():
         "SimulationConfig", "SpectralEigenvalues", "SpharmaModel", "SphereGrid",
         "approx", "approximate_operator", "autocov_table", "batch_means_se",
         "build_grid", "check_causal", "check_coprime", "check_invertible",
-        "ckl_truncation_error", "durbin_levinson", "empirical_autocov", "fit_ar",
-        "fit_ma", "frequency_grid", "h_step_error", "l2_omega_error",
-        "lag_polynomial_roots", "model", "model_autocovariance",
-        "model_autocovariance_table", "operator_trace_norm", "psi_coefficients",
-        "sht_forward", "sht_inverse", "simulate", "simulate_spharma",
-        "simulate_white_noise", "spectral", "spectral_factor",
+        "durbin_levinson", "empirical_autocov", "fit_ar", "fit_ma",
+        "frequency_grid", "l2_omega_error", "lag_polynomial_roots", "model",
+        "model_autocovariance", "model_autocovariance_table",
+        "operator_trace_norm", "psi_coefficients", "sht_inverse", "simulate",
+        "simulate_spharma", "simulate_white_noise", "spectral", "spectral_factor",
         "spectral_from_autocov", "sphere", "synthesize_field",
-        "verify_cramer_orthogonality", "wold"]
+        "verify_cramer_orthogonality"]
     # spectral.py imports nothing from sphere.py
     tree = ast.parse(inspect.getsource(spharma.spectral))
     imported = {f"{node.module or ''}.{alias.name}" for node in ast.walk(tree)
@@ -879,15 +889,24 @@ class TestMalformedInputs:
         assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
         assert not out.exists()
 
-    @pytest.mark.parametrize("payload", [[1, 2], "abc"], ids=["list", "string"])
-    def test_target_not_an_object_exits_2(self, tmp_path, payload, capsys):
+    @pytest.mark.parametrize("command, payload, message", [
+        ("approximate", [1, 2], "not a JSON object"),
+        ("approximate", "abc", "not a JSON object"),
+        ("approximate", {"schema": 1, "band_limit": 0, "tail_bound": 0.0},
+         "invalid spectral target: missing key 'form'\n"),
+        ("simulate", {"schema": 1, "form": "rational", "band_limit": 0,
+                      "tail_bound": 0.0, "rational": [_entry(0)]},
+         "invalid model: missing key 'entries'\n")],
+        ids=["list", "string", "no-form", "spectrum-as-model"])
+    def test_target_not_an_object_exits_2(self, tmp_path, command, payload,
+                                          message, capsys):
         path = tmp_path / "target.json"
         path.write_text(json.dumps(payload))
         out = tmp_path / "out"
-        assert run(*_command("approximate", path, out)) == cli.EXIT_INPUT
+        assert run(*_command(command, path, out)) == cli.EXIT_INPUT
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "not a JSON object" in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("form", ["rational", "tabulated"])
     @pytest.mark.parametrize("tail", ["NaN", "Infinity"])

@@ -8,9 +8,9 @@ import pytest
 
 from spharma import simulate as sim
 from spharma.model import SpharmaModel, model_autocovariance
-from spharma.sphere import build_grid, sht_forward
+from spharma.sphere import build_grid
 
-from oracles import covariance_kernel_eval, get, row_index
+from oracles import covariance_kernel_eval, get, row_index, sht_forward
 
 FOUR_PI = 4.0 * math.pi
 
