@@ -43,7 +43,6 @@ from .simulate import (
     verify_cramer_orthogonality,
 )
 from .spectral import (
-    AutocovarianceSpectrum,
     SpectralEigenvalues,
     autocov_table,
     frequency_grid,

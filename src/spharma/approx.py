@@ -251,7 +251,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
         if order > resolved:
             warnings.warn("frequency grid is coarse for the requested lag depth")
         if order >= table.shape[1]:
-            table = autocov_table(target, order).values
+            table = autocov_table(target, order)
         phi, sigma2 = fit_ar(table[l, : order + 1], order)
         return (phi, np.empty(0)), sigma2
 
@@ -262,7 +262,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     resolved = math.inf if target.form == "rational" else len(target.lam) // 4
     period = math.inf if target.form == "rational" else len(target.lam) - 1
     table = autocov_table(target, 0 if kind == "ma" else
-                          min(order_cap, DEFAULT_ORDER_CAP)).values
+                          min(order_cap, DEFAULT_ORDER_CAP))
     for l in range(L + 1):
         chosen, reason, capped = None, None, False
         # a pure rational target of the requested kind is a fixed point
@@ -356,7 +356,7 @@ def l2_omega_error(target, fitted_model):
     if fitted_model.band_limit > target.band_limit:
         raise ValueError("fitted band limit exceeds the true model's")
     n = fitted_model.q + 1 + decay_length(fit.min_root_modulus, np.finfo(float).eps)
-    psi, sigma2 = _wold_weights(target, autocov_table(target, 0).values[:, 0], n)
+    psi, sigma2 = _wold_weights(target, autocov_table(target, 0)[:, 0], n)
     ar_fit = fitted_model.q == 0 and fitted_model.p > 0
     impulse = np.eye(1, psi.shape[1])[0]
     total = 0.0

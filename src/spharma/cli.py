@@ -119,7 +119,7 @@ def cmd_spectrum(args):
     if args.model:
         model = _read(SpharmaModel.load, args.model, "model")
         spec = _truncate_model(model, args.lmax).spectral()
-        lags = spectral.autocov_table(spec, args.max_lag).values
+        lags = spectral.autocov_table(spec, args.max_lag)
         divisors = {}
     else:
         series = _read(simulate.HarmonicCoefficientSeries.load, args.series,
@@ -130,8 +130,8 @@ def cmd_spectrum(args):
         # smoothed periodogram, nonnegative at every lambda. The lag table
         # written keeps the n - t divisor
         t = np.arange(args.max_lag + 1)
-        lags = acv.values * (series.n / (series.n - t))
-        acv.values *= 1.0 - t / (args.max_lag + 1)
+        lags = acv * (series.n / (series.n - t))
+        acv *= 1.0 - t / (args.max_lag + 1)
         spec = spectral.spectral_from_autocov(acv)
         divisors = {"series_n": series.n, "lag_divisor": "n - t",
                     "density_lag_divisor": "n", "density_window": "bartlett"}

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (AutocovarianceSpectrum, SpectralEigenvalues, _json_int,
-                       _json_number, _json_numbers)
+from .spectral import (SpectralEigenvalues, _json_int, _json_number,
+                       _json_numbers)
 
 _DEGENERATE = 1e-14
 _COPRIME_TOL = 1e-8  # check_coprime: least distance between AR and MA roots
@@ -105,15 +105,21 @@ class SpharmaModel:
     def from_json(cls, payload):
         """Read ``to_json`` output: each l from 0 to band_limit exactly once.
 
-        ``band_limit`` and each ``l`` are JSON integers and each coefficient
-        and ``noise`` a JSON number, as written; ``ValueError`` otherwise.
+        ``band_limit`` and each ``l`` are JSON integers, ``entries`` a JSON
+        list of JSON objects and each coefficient and ``noise`` a JSON number,
+        as written; ``ValueError`` otherwise.
         """
         L = _json_int(payload["band_limit"], "band_limit")
         ar = [np.empty(0)] * (L + 1)
         ma = [np.empty(0)] * (L + 1)
         noise = np.full(L + 1, np.nan)
         seen = set()
-        for entry in payload["entries"]:
+        entries = payload["entries"]
+        if type(entries) is not list:
+            raise ValueError(f"entries must be a JSON list, got {entries!r}")
+        for entry in entries:
+            if type(entry) is not dict:
+                raise ValueError(f"model entry must be a JSON object, got {entry!r}")
             l = _json_int(entry["l"], "l")
             if not 0 <= l <= L or l in seen:
                 raise ValueError(f"model JSON entry l={l}: each l from 0 to {L} "
@@ -426,7 +432,8 @@ def model_autocovariance(model, l, max_lag):
 
 
 def model_autocovariance_table(model, max_lag):
-    """C_l(0..max_lag) for every l; row l is bit for bit ``model_autocovariance``.
+    """C_l(0..max_lag) for every l, an ``(L+1, max_lag+1)`` array whose row l
+    is bit for bit ``model_autocovariance``.
 
     Causality is decided once per distinct AR row, and the (p+1) x (p+1)
     solve runs per l. The multipoles with one trimmed AR order are the
@@ -442,4 +449,4 @@ def model_autocovariance_table(model, max_lag):
     vals = np.empty((L + 1, max_lag + 1))
     for ls in by_order.values():
         vals[ls] = _drive_lags(model, ls, [drives[l] for l in ls])
-    return AutocovarianceSpectrum(L, max_lag, vals)
+    return vals

@@ -25,7 +25,6 @@ import numpy as np
 
 from .model import (SpharmaModel, _filter_into, _padded_length, check_causal,
                     decay_length)
-from .spectral import AutocovarianceSpectrum
 from .sphere import sht_inverse
 
 _BURN_TARGET = 1e-10
@@ -268,7 +267,7 @@ def _fft_length(m):
 
 
 def empirical_autocov(series, max_lag):
-    """Moment estimator pooling the 2l+1 streams of each multipole.
+    """(L+1, max_lag+1) moment estimator pooling each multipole's 2l+1 streams.
 
     C_hat_l(t) = sum_m sum_{s} a_{l,m}(s+t) a_{l,m}(s) / ((2l+1) n).
 
@@ -300,7 +299,7 @@ def empirical_autocov(series, max_lag):
         power = np.add(sq[..., 0], sq[..., 1], out=sq[..., 0])
         lag_sums = np.fft.irfft(power.sum(axis=0), nfft)[: max_lag + 1]
         out[l] = lag_sums / ((2 * l + 1) * n)
-    return AutocovarianceSpectrum(L, max_lag, out)
+    return out
 
 
 def _window_kernel(n, lo, hi):

@@ -10,8 +10,9 @@ gives the eigenvalues of the frequency-lambda spectral density operator.
 Frequencies live on [-pi, pi]. The lags of a rational spectrum are exact;
 those of a tabulated one use the composite trapezoid rule on
 ``frequency_grid(N)``, where it and the sum over lags are a length-N DFT
-pair. Band tails above the stored band limit are carried
-as explicit ``tail_bound`` metadata rather than silently dropped.
+pair. A lag table is a plain ``(L+1, max_lag+1)`` array, row l holding
+C_l(0..max_lag). Band tails above the stored band limit of a spectrum are
+carried as explicit ``tail_bound`` metadata rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,37 +129,6 @@ def _json_numbers(value, name):
         else:
             _json_number(item, name)
     return value
-
-
-@dataclass
-class AutocovarianceSpectrum:
-    """Angular power spectra C_l(t) for l <= band_limit, |t| <= max_lag.
-
-    Negative lags follow from the real-process symmetry C_l(-t) = C_l(t).
-    ``tail_bound`` bounds sum_{l > band_limit} (2l+1) C_l(0); it is zero for
-    exactly band-limited processes.
-    """
-
-    band_limit: int
-    max_lag: int
-    values: np.ndarray
-    tail_bound: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.band_limit + 1, self.max_lag + 1):
-            raise ValueError("values must have shape (band_limit+1, max_lag+1)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("autocovariances must be finite")
-        if not 0.0 <= self.tail_bound < math.inf:
-            raise ValueError("tail_bound must be finite and nonnegative")
-        lag0 = self.values[:, 0]
-        if np.any(lag0 < -1e-12 * (1.0 + np.abs(self.values).max())):
-            raise ValueError("lag-0 autocovariances must be nonnegative")
-        # Cauchy-Schwarz |C_l(t)| <= C_l(0), up to estimator roundoff
-        slack = 1e-8 * (1.0 + lag0) + 1e-12
-        if np.any(np.abs(self.values) > lag0[:, None] + slack[:, None]):
-            raise ValueError("|C_l(t)| exceeds C_l(0): not a valid autocovariance")
 
 
 class SpectralEigenvalues:
@@ -286,8 +255,9 @@ def operator_trace_norm(spec, lam):
     return float(tr[0]) if np.isscalar(lam) or np.ndim(lam) == 0 else tr
 
 
-def spectral_from_autocov(acv):
-    """Tabulate f_l(lambda) = (1/2pi) sum_{|t|<=max_lag} e^{-it lambda} C_l(t).
+def spectral_from_autocov(lags):
+    """Tabulate f_l(lambda) = (1/2pi) sum_{|t|<=max_lag} e^{-it lambda} C_l(t)
+    from the ``(L+1, max_lag+1)`` lag table ``lags``.
 
     The table is on ``frequency_grid(N)``, N = 4096, and is the exact sum over
     the stored lags: nothing is guessed about the lags past T = max_lag. Lags
@@ -295,44 +265,48 @@ def spectral_from_autocov(acv):
     kernel (as ``spectrum --series`` truncates them), sum to a nonnegative f.
     The FFT rounds each value by about log2(N) eps / 2pi times the lags'
     absolute sum, under 2 (2T + 1) eps max_t |C_l(t)|, so values below twice
-    that, -4 (2T + 1) eps max_t |C_l(t)|, are not rounding: such lags are no
-    autocovariance and raise ``ValueError``. The rest are clipped at zero. A
-    nonzero ``acv.tail_bound`` raises too: it bounds lag-0 sums, not the
-    spectral tail's sup.
+    that, -4 (2T + 1) eps max_t |C_l(t)|, are not rounding: such lags, a
+    negative C_l(0) or a |C_l(t)| above it among them, are no autocovariance
+    and raise ``ValueError``, as does a table that is not 2-D or not finite.
+    The rest are clipped at zero.
     """
-    if acv.tail_bound:
-        raise ValueError("a lag-table tail bound does not bound the spectral tail")
+    lags = np.asarray(lags, dtype=float)
+    if lags.ndim != 2 or not lags.size:
+        raise ValueError("lags must be a nonempty (L+1, max_lag+1) array")
+    if not np.all(np.isfinite(lags)):
+        raise ValueError("autocovariances must be finite")
     n = DEFAULT_FREQ_INTERVALS
     lam = frequency_grid(n)
-    L, T = acv.band_limit, acv.max_lag
+    T = lags.shape[1] - 1
     # f(lambda_k) = (1/2pi) sum_t C(|t|) (-1)^t exp(-2 pi i t k / N): the DFT
     # of the signed lags t = -T..T folded into bins t mod N, read with period N
     t = np.arange(-T, T + 1)
-    folded = np.zeros((L + 1, n))
+    folded = np.zeros((len(lags), n))
     np.add.at(folded, (slice(None), t % n),
-              acv.values[:, np.abs(t)] * np.where(t % 2, -1.0, 1.0))
+              lags[:, np.abs(t)] * np.where(t % 2, -1.0, 1.0))
     f = np.fft.fft(folded, axis=-1).real[:, np.arange(n + 1) % n] / TWO_PI
-    rounding = 4 * (2 * T + 1) * np.finfo(float).eps * np.abs(acv.values).max(axis=1)
+    rounding = 4 * (2 * T + 1) * np.finfo(float).eps * np.abs(lags).max(axis=1)
     if np.any(f < -rounding[:, None]):
         raise ValueError("spectral density significantly negative: invalid input")
     return SpectralEigenvalues.tabulated(lam, np.maximum(f, 0.0))
 
 
 def autocov_table(spec, max_lag):
-    """Lags C_l(t) = integral of e^{i t lambda} f_l(lambda), t = 0..max_lag.
+    """Lags C_l(t) = integral of e^{i t lambda} f_l(lambda), t = 0..max_lag,
+    as an ``(L+1, max_lag+1)`` array.
 
     The one route from a spectrum to its lags: exact for a rational spectrum
     (``model_autocovariance_table``), the trapezoid rule on the stored grid
     for a tabulated one (``trapezoid_lags``). Both are prefix-stable, so a
-    deeper table extends a shallower one bit for bit.
+    deeper table extends a shallower one bit for bit. Lags that overflow
+    (noise powers near the float range) raise ``ValueError``.
     """
     if spec.form == "rational":
         from .model import model_autocovariance_table
 
-        acv = model_autocovariance_table(spec.model, max_lag)
+        lags = model_autocovariance_table(spec.model, max_lag)
     else:
-        acv = AutocovarianceSpectrum(
-            spec.band_limit, max_lag, trapezoid_lags(spec.lam, spec.table, max_lag))
-    # sum_{l>L} (2l+1) C_l(0) <= 2pi * sup_lambda tail of the trace sum
-    acv.tail_bound = TWO_PI * spec.tail_bound
-    return acv
+        lags = trapezoid_lags(spec.lam, spec.table, max_lag)
+    if not np.all(np.isfinite(lags)):
+        raise ValueError("autocovariances must be finite")
+    return lags

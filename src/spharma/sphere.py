@@ -31,8 +31,8 @@ goes to the zeros at m > l. The transform works one order at a time on
 these blocks: it forms the per-m cosine and sine sums over l with two
 matrix-vector products per block, then multiplies them by the longitude
 trigonometric tables, once per coefficient column. The forward transform,
-grid quadrature and the Legendre polynomials P_l, which only the tests use,
-are in ``tests/oracles.py``.
+the Gauss weights, grid quadrature and the Legendre polynomials P_l, which
+only the tests use, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -87,20 +87,18 @@ def harmonic_values_at(l_max, colat, lon):
 
 @dataclass
 class SphereGrid:
-    """Gauss-Legendre x equiangular quadrature grid exact at band limit L.
+    """Gauss-Legendre colatitudes x equiangular longitudes at band limit L.
 
-    ``colat_weights`` are the Gauss weights with respect to x = cos(theta)
-    and sum to 2; longitude quadrature carries a uniform weight 2*pi/n_lon.
+    The Gauss weights of the colatitude nodes are not stored: synthesis
+    does not read them.
     """
 
     colatitudes: np.ndarray
-    colat_weights: np.ndarray
     longitudes: np.ndarray
     band_limit: int
 
     def __post_init__(self):
         self.colatitudes = np.asarray(self.colatitudes, dtype=float)
-        self.colat_weights = np.asarray(self.colat_weights, dtype=float)
         self.longitudes = np.asarray(self.longitudes, dtype=float)
         if self.band_limit < 0:
             raise ValueError("band_limit must be nonnegative")
@@ -108,8 +106,6 @@ class SphereGrid:
             raise ValueError("need at least L+1 colatitude nodes")
         if len(self.longitudes) < max(2 * self.band_limit + 1, 1):
             raise ValueError("need at least 2L+1 longitude nodes")
-        if np.any(self.colat_weights <= 0.0):
-            raise ValueError("quadrature weights must be strictly positive")
 
     @property
     def n_lat(self):
@@ -145,39 +141,17 @@ class SphereGrid:
         return np.cos(m_phi), np.sin(m_phi)
 
 
-def build_grid(band_limit, n_lat=None):
+def build_grid(band_limit):
     """Minimal exact quadrature grid for fields band-limited at ``band_limit``:
-    ``n_lat`` Gauss-Legendre colatitudes (``band_limit + 1`` by default) and
-    ``2 * band_limit + 1`` equiangular longitudes."""
+    ``band_limit + 1`` Gauss-Legendre colatitudes and ``2 * band_limit + 1``
+    equiangular longitudes."""
     if band_limit < 0:
         raise ValueError("band_limit must be nonnegative")
-    n_lat = n_lat if n_lat is not None else band_limit + 1
     n_lon = 2 * band_limit + 1
-    x, _ = np.polynomial.legendre.leggauss(n_lat)
-    # leggauss orders ascending in x; colatitude descends as x grows
-    colats = np.arccos(x)
+    x, _ = np.polynomial.legendre.leggauss(band_limit + 1)
     lons = 2.0 * math.pi * np.arange(n_lon) / n_lon
-    return SphereGrid(colats, _gauss_weights(n_lat, x), lons, band_limit)
-
-
-def _gauss_weights(n, x):
-    """Gauss-Legendre weights 2 / ((1 - r^2) P_n'(r)^2) at the roots r near x.
-
-    ``x`` holds the roots of P_n rounded to float64, as ``leggauss`` returns
-    them; its own weights come from derivatives at the unrefined roots and
-    are off by about 1e-11 relative at n = 129. Here the weight is taken at
-    the exact root r = x + delta, delta = -P_n(x) / P_n'(x), to first order
-    in delta: P_n' varies by about n^2 ulps over the rounding of a root.
-    """
-    # P_{n-1} and P_n by the three-term recurrence
-    p0, p1 = np.ones_like(x), x
-    for l in range(1, n):
-        p0, p1 = p1, ((2 * l + 1) * x * p1 - l * p0) / (l + 1)
-    s = 1.0 - x * x
-    d1 = n * (p0 - x * p1) / s
-    d2 = (2.0 * x * d1 - n * (n + 1) * p1) / s
-    delta = -p1 / d1
-    return 2.0 / ((s - 2.0 * x * delta) * (d1 + delta * d2) ** 2)
+    # leggauss orders ascending in x; colatitude descends as x grows
+    return SphereGrid(np.arccos(x), lons, band_limit)
 
 
 @dataclass

@@ -6,18 +6,19 @@ check a library result by a second route: spherical harmonics evaluated one
 spherical harmonic transform (the inverse of ``sht_inverse``), covariance
 kernel synthesis and norms, short-memory summability sums, the operator
 distance of two spectra, Levinson's recursion for Yule-Walker fits, and
-stream lookup in a coefficient series. The rest are quantities of the
-paper that tests state properties of: the mean-square error of truncating
-the harmonic expansion, the Wold decomposition of a lag table as an SPHMA
-model, and the h-step prediction error of a causal model. A method of a
-library class is a function here that takes the object as its first
-argument.
+stream lookup in a coefficient series. The rest are quantities that tests
+state properties of: the Gauss weights of a grid's colatitudes, the
+mean-square error of truncating the harmonic expansion, the Wold
+decomposition of a lag table as an SPHMA model, and the h-step prediction
+error of a causal model. A lag table is the library's ``(L+1, max_lag+1)``
+array. A method of a library class is a function here that takes the
+object as its first argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,13 +117,36 @@ def real_sph_harm(l, m, colat, lon):
     return float(val[0]) if scalar else val
 
 
+def gauss_weights(grid):
+    """Gauss-Legendre weights 2 / ((1 - r^2) P_n'(r)^2) of a grid whose n
+    colatitude nodes are ``arccos`` of ``leggauss(n)``'s, in that order.
+
+    ``leggauss`` gives the roots r of P_n rounded to float64, x, and weights
+    from derivatives at x, off by about 1e-11 relative at n = 129. Here the
+    weight is taken at the exact root r = x + delta, delta = -P_n(x) /
+    P_n'(x), to first order in delta: P_n' varies by about n^2 ulps over the
+    rounding of a root. The weights sum to 2.
+    """
+    n = grid.n_lat
+    x, _ = np.polynomial.legendre.leggauss(n)
+    # P_{n-1} and P_n by the three-term recurrence
+    p0, p1 = np.ones_like(x), x
+    for l in range(1, n):
+        p0, p1 = p1, ((2 * l + 1) * x * p1 - l * p0) / (l + 1)
+    s = 1.0 - x * x
+    d1 = n * (p0 - x * p1) / s
+    d2 = (2.0 * x * d1 - n * (n + 1) * p1) / s
+    delta = -p1 / d1
+    return 2.0 / ((s - 2.0 * x * delta) * (d1 + delta * d2) ** 2)
+
+
 def integrate(grid, values):
     """Quadrature of node values over the sphere."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.n_lat, grid.n_lon):
         raise ValueError("value array does not match grid shape")
     lon_w = 2.0 * math.pi / grid.n_lon
-    return float(grid.colat_weights @ values.sum(axis=1)) * lon_w
+    return float(gauss_weights(grid) @ values.sum(axis=1)) * lon_w
 
 
 def sht_forward(fieldsnap, band_limit=None):
@@ -141,7 +165,7 @@ def sht_forward(fieldsnap, band_limit=None):
     cos_t, sin_t = grid._trig_tables()
     lon_w = 2.0 * math.pi / grid.n_lon
     # G[m, i] = sum_j f(i, j) * trig(m, j) * lon_w * w_i
-    wv = grid.colat_weights * lon_w
+    wv = gauss_weights(grid) * lon_w
     Gc = (fieldsnap.values @ cos_t[: L + 1].T).T * wv
     Gs = (fieldsnap.values @ sin_t[: L + 1].T).T * wv
     ls = np.arange(L + 1)
@@ -158,10 +182,10 @@ def sht_forward(fieldsnap, band_limit=None):
 
 # spharma.spectral
 
-def total_variance(acv):
-    """sum_l (2l+1) C_l(0) over the stored band."""
-    deg = 2 * np.arange(acv.band_limit + 1) + 1
-    return float(deg @ acv.values[:, 0])
+def total_variance(lags):
+    """sum_l (2l+1) C_l(0) over the rows of an ``(L+1, max_lag+1)`` lag table."""
+    deg = 2 * np.arange(len(lags)) + 1
+    return float(deg @ lags[:, 0])
 
 
 def kernel_from_eigenvalues(eigs, c):
@@ -174,19 +198,19 @@ def kernel_from_eigenvalues(eigs, c):
     return coeff @ P if np.ndim(P) > 1 else float(coeff @ P)
 
 
-def covariance_kernel_eval(acv, t, c):
+def covariance_kernel_eval(lags, t, c):
     """Covariance kernel r_t at inner product c: Legendre synthesis of C_l(t)."""
-    if abs(t) > acv.max_lag:
+    if abs(t) >= lags.shape[1]:
         raise ValueError("lag out of range")
-    return kernel_from_eigenvalues(acv.values[:, abs(t)], c)
+    return kernel_from_eigenvalues(lags[:, abs(t)], c)
 
 
-def kernel_l2_norm(acv, t):
+def kernel_l2_norm(lags, t):
     """L2(S2 x S2) norm of the lag-t kernel: sqrt(sum_l (2l+1) C_l(t)^2)."""
-    if abs(t) > acv.max_lag:
+    if abs(t) >= lags.shape[1]:
         raise ValueError("lag out of range")
-    deg = 2 * np.arange(acv.band_limit + 1) + 1
-    return float(np.sqrt(deg @ acv.values[:, abs(t)] ** 2))
+    deg = 2 * np.arange(len(lags)) + 1
+    return float(np.sqrt(deg @ lags[:, abs(t)] ** 2))
 
 
 @dataclass
@@ -212,7 +236,8 @@ def _geometric_tail(last, prev):
 
 
 def summability_report(source, max_lag=200):
-    """Summability sums over |t| <= max_lag for an acv table or an ARMA model.
+    """Summability sums over |t| <= max_lag for an ``(L+1, max_lag+1)`` lag
+    table, whose own depth is used, or an ARMA model.
 
     For models the geometric tail uses the uniform root margin: the lag
     envelope decays like (1/xi_*)^t, so the tail beyond the last stored lag
@@ -224,16 +249,16 @@ def summability_report(source, max_lag=200):
         # roots strictly outside the closed disk; a unit root diverges
         if not report.causal or report.min_root_modulus <= 1.0:
             return SummabilityReport(math.inf, math.inf, math.inf, True, max_lag)
-        acv = model_autocovariance_table(source, max_lag)
+        lags = model_autocovariance_table(source, max_lag)
         rho = 0.0 if math.isinf(report.min_root_modulus) else 1.0 / report.min_root_modulus
     else:
-        acv = source
-        max_lag = acv.max_lag
+        lags = source
+        max_lag = lags.shape[1] - 1
         rho = None
 
-    deg = 2 * np.arange(acv.band_limit + 1) + 1
-    l2_terms = np.sqrt(deg @ acv.values**2)
-    tr_terms = deg @ np.abs(acv.values)
+    deg = 2 * np.arange(len(lags)) + 1
+    l2_terms = np.sqrt(deg @ lags**2)
+    tr_terms = deg @ np.abs(lags)
     kernel_l2_sum = float(l2_terms[0] + 2.0 * l2_terms[1:].sum())
     trace_sum = float(tr_terms[0] + 2.0 * tr_terms[1:].sum())
 
@@ -241,9 +266,9 @@ def summability_report(source, max_lag=200):
         tail = 0.0 if rho == 0.0 else float(2.0 * tr_terms[-1] * rho / (1.0 - rho))
         divergent = False
     else:
-        tail = 2.0 * _geometric_tail(tr_terms[-1], tr_terms[-2]) if acv.max_lag >= 2 else 0.0
+        tail = 2.0 * _geometric_tail(tr_terms[-1], tr_terms[-2]) if max_lag >= 2 else 0.0
         divergent = not math.isfinite(tail)
-    return SummabilityReport(kernel_l2_sum, trace_sum, tail, divergent, acv.max_lag)
+    return SummabilityReport(kernel_l2_sum, trace_sum, tail, divergent, max_lag)
 
 
 def ckl_truncation_error(spec, l_trunc):
@@ -257,7 +282,7 @@ def ckl_truncation_error(spec, l_trunc):
         raise ValueError("l_trunc exceeds band limit")
     if l_trunc < -1:
         raise ValueError("l_trunc must be at least -1")
-    integrals = autocov_table(spec, 0).values[:, 0]
+    integrals = autocov_table(spec, 0)[:, 0]
     deg = 2 * np.arange(spec.band_limit + 1) + 1
     inside = deg[l_trunc + 1 :] @ integrals[l_trunc + 1 :] / (4.0 * math.pi)
     tail = spec.tail_bound * TWO_PI / (4.0 * math.pi)
@@ -313,13 +338,13 @@ def durbin_levinson_dot(c, order):
     return phi, float(v)
 
 
-def wold(acv, n_psi):
-    """Wold decomposition per multipole from an autocovariance table.
+def wold(lags, n_psi):
+    """Wold decomposition per multipole from an ``(L+1, max_lag+1)`` lag table.
 
     psi_l is the factor (``spectral_factor``) of the lag sum of row l alone
-    (``spectral_from_autocov``; ``tail_bound`` is on multipoles above L),
-    and sigma_l^2 = C_l(0) / sum_j psi_{l;j}^2. Lags whose sum is negative
-    or has no factor, as a deterministic component's, raise ``ValueError``.
+    (``spectral_from_autocov``), and sigma_l^2 = C_l(0) / sum_j psi_{l;j}^2.
+    Lags whose sum is negative or has no factor, as a deterministic
+    component's, raise ``ValueError``.
 
     Returns ``(model, residual_per_l)``: the SPHMA(n_psi) model with MA
     coefficients psi_{l;1..n_psi} and noise powers sigma_l^2, and the
@@ -327,11 +352,10 @@ def wold(acv, n_psi):
     """
     if n_psi < 0:
         raise ValueError("n_psi must be nonnegative")
-    if acv.max_lag < n_psi:
+    if lags.shape[1] <= n_psi:
         raise ValueError("autocovariance table shorter than requested psi count")
-    c0, L = acv.values[:, 0], acv.band_limit
-    spec = spectral_from_autocov(replace(acv, tail_bound=0.0))
-    psi, sigma2 = _wold_weights(spec, c0, n_psi + 1)
+    c0, L = lags[:, 0], len(lags) - 1
+    psi, sigma2 = _wold_weights(spectral_from_autocov(lags), c0, n_psi + 1)
     head = psi[:, : n_psi + 1]
     return (SpharmaModel(L, [np.empty(0)] * (L + 1), list(head[:, 1:]), sigma2),
             c0 - sigma2 * (head * head).sum(axis=1))

@@ -161,7 +161,7 @@ class TestSpectrumCommand:
         acv = model_autocovariance_table(model, 3)
         with open(out / "autocovariance.csv", newline="") as fh:
             for row in csv.DictReader(fh):
-                assert float(row["C"]) == acv.values[int(row["l"]), int(row["t"])]
+                assert float(row["C"]) == acv[int(row["l"]), int(row["t"])]
 
     def test_lmax_truncates(self, tmp_path, model_path):
         out = tmp_path / "run"
@@ -278,7 +278,7 @@ class TestSpectrumCommand:
         acv = model_autocovariance_table(model, 3)
         with open(out / "autocovariance.csv", newline="") as fh:
             for row in csv.DictReader(fh):
-                expect = acv.values[int(row["l"]), int(row["t"])]
+                expect = acv[int(row["l"]), int(row["t"])]
                 assert abs(float(row["C"]) - expect) < 0.05
 
 
@@ -833,8 +833,7 @@ def test_library_surface():
     # only what a command, a kept library function or a tier-1 test reaches;
     # test-only references live in tests/oracles.py
     assert spharma.__all__ == [
-        "AutocovarianceSpectrum", "CausalityReport",
-        "FieldSnapshot", "HarmonicCoefficientSeries",
+        "CausalityReport", "FieldSnapshot", "HarmonicCoefficientSeries",
         "SimulationConfig", "SpectralEigenvalues", "SpharmaModel", "SphereGrid",
         "approx", "approximate_operator", "autocov_table", "batch_means_se",
         "build_grid", "check_causal", "check_coprime", "check_invertible",
@@ -896,8 +895,15 @@ class TestMalformedInputs:
          "invalid spectral target: missing key 'form'\n"),
         ("simulate", {"schema": 1, "form": "rational", "band_limit": 0,
                       "tail_bound": 0.0, "rational": [_entry(0)]},
-         "invalid model: missing key 'entries'\n")],
-        ids=["list", "string", "no-form", "spectrum-as-model"])
+         "invalid model: missing key 'entries'\n"),
+        ("simulate", {"band_limit": 0, "entries": 5},
+         "invalid model: entries must be a JSON list, got 5\n"),
+        ("simulate", {"band_limit": 0, "entries": {"l": 0}},
+         "invalid model: entries must be a JSON list, got {'l': 0}\n"),
+        ("simulate", {"band_limit": 0, "entries": [5]},
+         "invalid model: model entry must be a JSON object, got 5\n")],
+        ids=["list", "string", "no-form", "spectrum-as-model", "entries-number",
+             "entries-object", "entry-number"])
     def test_target_not_an_object_exits_2(self, tmp_path, command, payload,
                                           message, capsys):
         path = tmp_path / "target.json"
@@ -907,6 +913,20 @@ class TestMalformedInputs:
         assert not out.exists()
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model"],
+        ["approximate", "--eps", 0.05, "--kind", "ar", "--target"],
+        ["approximate", "--eps", 0.05, "--kind", "ma", "--target"]],
+        ids=["spectrum", "approximate-ar", "approximate-ma"])
+    def test_overflowing_autocovariances_exit_2(self, tmp_path, argv, capsys):
+        # C_l(0) = 1e308 / (1 - 0.81) overflows, so the model has no lag table
+        path = tmp_path / "model.json"
+        SpharmaModel.uniform(1, ar=[0.9], noise=1e308).save(path)
+        out = tmp_path / "out"
+        assert run(*argv, path, "--out", out) == cli.EXIT_INPUT
+        assert not out.exists()
+        assert "autocovariances must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("form", ["rational", "tabulated"])
     @pytest.mark.parametrize("tail", ["NaN", "Infinity"])
