@@ -30,6 +30,7 @@ import warnings
 import numpy as np
 
 from .model import (
+    _ROOT_MARGIN,
     SpharmaModel,
     arma_filter,
     check_causal,
@@ -156,7 +157,9 @@ def fit_ma(psi, c0, q):
 
     theta = psi_1..psi_q, with the variance-matching noise
     sigma^2 = C(0) / (1 + theta_1^2 + ... + theta_q^2), so the fitted
-    spectral density integrates to C(0) exactly. Returns ``(theta, sigma2)``.
+    spectral density integrates to C(0) exactly. Returns ``(theta, sigma2)``;
+    raises ``RuntimeError`` when ``check_invertible`` would refuse the
+    truncation.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -166,7 +169,7 @@ def fit_ma(psi, c0, q):
     if len(theta) < q or not np.all(np.isfinite(theta)):
         raise ValueError("no spectral factor with the requested order")
     sigma2 = float(c0 / (1.0 + theta @ theta))
-    if min_root_modulus(theta, "ma") < 1.0:
+    if min_root_modulus(theta, "ma") < 1.0 + _ROOT_MARGIN:
         raise RuntimeError("truncated spectral factor is not invertible")
     return theta, sigma2
 
@@ -215,9 +218,11 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     tabulated grid's lag period. A non-invertible fit moves on; lags not
     positive definite, or no factor that long, end an escalation, which
     keeps its fit nearest f_l; a multipole with no fit (C_l(0) = 0, say)
-    raises ``ValueError``. The certificate passes iff the total in the
-    requested norm is at most eps; ``order_cap_reached`` iff a multipole
-    tried the cap's order and still missed its budget.
+    raises ``ValueError``, as does a target with no lag table (not causal,
+    or overflowing), before any density is evaluated. The certificate
+    passes iff the total in the requested norm is at most eps;
+    ``order_cap_reached`` iff a multipole tried the cap's order and still
+    missed its budget.
 
     Returns ``(model, certificate)``: the certificate is the JSON-ready dict
     that the CLI writes as ``certificate.json``, less its ``config_hash``.
@@ -230,6 +235,15 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
         raise ValueError("norm must be 'l2_kernel' or 'trace'")
     if order_cap < 0:
         raise ValueError("order_cap must be nonnegative")
+    # lags first, so their refusal comes before any density. A tabulated
+    # target resolves lags up to a quarter of its grid, and from its period
+    # N on, C(N) = C(0) makes the Toeplitz matrix singular. MA reads C_l(0)
+    # only; each AR order reads a prefix of one table, deeper only past the
+    # default cap
+    resolved = math.inf if target.form == "rational" else len(target.lam) // 4
+    period = math.inf if target.form == "rational" else len(target.lam) - 1
+    table = autocov_table(target, 0 if kind == "ma" else
+                          min(order_cap, DEFAULT_ORDER_CAP))
     L = target.band_limit
     lam = frequency_grid()
     z = np.exp(1j * lam)
@@ -255,14 +269,6 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
         phi, sigma2 = fit_ar(table[l, : order + 1], order)
         return (phi, np.empty(0)), sigma2
 
-    # a tabulated target resolves lags up to a quarter of its grid, and from
-    # its period N on, C(N) = C(0) makes the Toeplitz matrix singular. MA
-    # reads C_l(0) only; each AR order reads a prefix of one table, deeper
-    # only past the default cap
-    resolved = math.inf if target.form == "rational" else len(target.lam) // 4
-    period = math.inf if target.form == "rational" else len(target.lam) - 1
-    table = autocov_table(target, 0 if kind == "ma" else
-                          min(order_cap, DEFAULT_ORDER_CAP))
     for l in range(L + 1):
         chosen, reason, capped = None, None, False
         # a pure rational target of the requested kind is a fixed point

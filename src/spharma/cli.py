@@ -58,17 +58,6 @@ def _read(reader, path, what):
         raise ValueError(f"invalid {what}: {exc}") from exc
 
 
-def _load_target(path):
-    """Spectral target: either a spectrum JSON or a model JSON."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise TypeError("not a JSON object")
-    if "entries" in payload and "form" not in payload:
-        return SpharmaModel.from_json(payload).spectral()
-    return spectral.SpectralEigenvalues.from_json(payload)
-
-
 def _truncate_model(model, lmax):
     if lmax is None or lmax >= model.band_limit:
         return model
@@ -161,7 +150,8 @@ def cmd_spectrum(args):
 
 
 def cmd_approximate(args):
-    target = _read(_load_target, args.target, "spectral target")
+    target = _read(spectral.SpectralEigenvalues.load, args.target,
+                   "spectral target")
     norm = "l2_kernel" if args.norm == "l2" else "trace"
     model, cert = approx.approximate_operator(target, args.eps, args.kind,
                                               norm=norm, order_cap=args.order_cap)

@@ -7,9 +7,10 @@ noise power C_{l;Z} > 0. The associated lag polynomials are
     phi_l(z)   = 1 - phi_{l;1} z - ... - phi_{l;p} z^p
     theta_l(z) = 1 + theta_{l;1} z + ... + theta_{l;q} z^q
 
-and the process is causal (invertible) when all AR (MA) roots lie strictly
-outside the closed unit disk, uniformly over l. Actual degrees may differ
-across multipoles; coefficient arrays are ragged and p, q report the maxima.
+and the process is causal (invertible) when every AR (MA) root has modulus
+at least 1 + ``_ROOT_MARGIN`` = 1 + 1e-6, uniformly over l. Actual degrees
+may differ across multipoles; coefficient arrays are ragged and p, q report
+the maxima.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .spectral import (SpectralEigenvalues, _json_int, _json_number,
                        _json_numbers)
 
 _DEGENERATE = 1e-14
+_ROOT_MARGIN = 1e-6  # causal (invertible): every AR (MA) root at modulus >= 1 + this
 _COPRIME_TOL = 1e-8  # check_coprime: least distance between AR and MA roots
 _FILTER_BLOCK = 128  # arma_filter: blocks of max(p, 128) samples (see _filter_block)
 
@@ -149,12 +151,11 @@ class SpharmaModel:
 
 @dataclass
 class CausalityReport:
-    """Outcome of a root-margin check over all multipoles."""
+    """Outcome of the root rule over all multipoles (see ``_root_report``)."""
 
     causal: bool
     min_root_modulus: float
     offending_multipoles: list = field(default_factory=list)
-    margin: float = 0.0
 
 
 def lag_polynomial_roots(coeffs, kind="ar"):
@@ -190,40 +191,35 @@ def decay_length(root_modulus, tol):
     return int(math.ceil(math.log(tol) / math.log(1.0 / root_modulus)))
 
 
-def _row_moduli(coeff_lists, kind):
-    """Least root modulus of each row's lag polynomial, with one root search
-    per distinct row: one row at every l pays one eigenvalue problem."""
-    rows = {c.tobytes(): c for c in coeff_lists}
-    mods = {row: min_root_modulus(c, kind) for row, c in rows.items()}
-    return [mods[c.tobytes()] for c in coeff_lists]
+def _root_report(rows, kind):
+    """Least root modulus per multipole against 1 + ``_ROOT_MARGIN``, with one
+    root search per distinct row: one row at every l pays one eigenvalue
+    problem."""
+    distinct = {c.tobytes(): c for c in rows}
+    mods = {key: min_root_modulus(c, kind) for key, c in distinct.items()}
+    per_l = [mods[c.tobytes()] for c in rows]
+    offending = [l for l, mod in enumerate(per_l) if mod < 1.0 + _ROOT_MARGIN]
+    return CausalityReport(not offending, min(per_l, default=math.inf), offending)
 
 
-def _require_causal(model, ls):
-    """``ValueError`` naming the first l in ``ls`` with an AR root of modulus
-    at most 1 (see ``_row_moduli``)."""
-    for l, mod in zip(ls, _row_moduli([model.ar[l] for l in ls], "ar")):
-        if mod <= 1.0:
-            raise ValueError(f"multipole {l} is not causal")
+def check_causal(model):
+    """All AR roots at modulus >= 1 + ``_ROOT_MARGIN``, per multipole."""
+    return _root_report(model.ar, "ar")
 
 
-def _root_margin_report(coeff_lists, margin, kind):
-    """Least root modulus per multipole against 1 + margin."""
-    if margin < 0.0:
-        raise ValueError("margin must be nonnegative")
-    mods = _row_moduli(coeff_lists, kind)
-    offending = [l for l, mod in enumerate(mods) if mod < 1.0 + margin]
-    return CausalityReport(not offending, min(mods, default=math.inf),
-                           offending, margin)
+def check_invertible(model):
+    """All MA roots at modulus >= 1 + ``_ROOT_MARGIN``, per multipole."""
+    return _root_report(model.ma, "ma")
 
 
-def check_causal(model, margin=1e-6):
-    """All AR roots at modulus >= 1 + margin, per multipole."""
-    return _root_margin_report(model.ar, margin, "ar")
-
-
-def check_invertible(model, margin=1e-6):
-    """All MA roots at modulus >= 1 + margin, per multipole."""
-    return _root_margin_report(model.ma, margin, "ma")
+def _require_causal(model):
+    """``check_causal(model)``, or ``ValueError`` naming the multipoles that
+    fail it: the one refusal of every call that needs a causal model."""
+    report = check_causal(model)
+    if not report.causal:
+        raise ValueError(
+            f"model is not causal at multipoles {report.offending_multipoles}")
+    return report
 
 
 def check_coprime(model):
@@ -246,7 +242,7 @@ def psi_coefficients(model, l, count):
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    _require_causal(model, [l])
+    _require_causal(model)
     return arma_filter(model.ar[l], model.ma[l], np.eye(1, count + 1)[0])
 
 
@@ -427,7 +423,7 @@ def model_autocovariance(model, l, max_lag):
     truncated, and the solve does not depend on max_lag, so the lags are
     prefix-stable bit for bit.
     """
-    _require_causal(model, [l])
+    _require_causal(model)
     return _drive_lags(model, [l], [_autocovariance_drive(model, l, max_lag)])[0]
 
 
@@ -441,7 +437,7 @@ def model_autocovariance_table(model, max_lag):
     once per order, not once per multipole.
     """
     L = model.band_limit
-    _require_causal(model, range(L + 1))
+    _require_causal(model)
     drives = [_autocovariance_drive(model, l, max_lag) for l in range(L + 1)]
     by_order = {}
     for l, (ar, _) in enumerate(drives):

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import (SpharmaModel, _filter_into, _padded_length, check_causal,
-                    decay_length)
+from .model import (SpharmaModel, _filter_into, _padded_length,
+                    _require_causal, decay_length)
 from .sphere import sht_inverse
 
 _BURN_TARGET = 1e-10
@@ -219,10 +219,7 @@ def simulate_spharma(model, config):
     of its own size; by the ``_RUN_SAMPLES`` cap each holds at most 2 MB
     unless one multipole alone is larger.
     """
-    report = check_causal(model)
-    if not report.causal:
-        raise ValueError(
-            f"model is not causal at multipoles {report.offending_multipoles}")
+    report = _require_causal(model)
     burn = config.burn_in if config.burn_in is not None else _auto_burn_in(model, report)
     total = config.n + burn
     L = model.band_limit

@@ -219,9 +219,15 @@ class SpectralEigenvalues:
         """Read ``to_json`` output. ``band_limit`` is a JSON integer and every
         other number a JSON number; rational rows are model entries, each l
         from 0 to ``band_limit`` once; a tabulated ``f`` has ``band_limit + 1``
-        rows. ``ValueError`` otherwise."""
+        rows. A model payload (``entries`` and no ``form``) reads as the
+        model's rational spectrum. ``ValueError`` otherwise, and for a
+        payload that is not a JSON object."""
         from .model import SpharmaModel
 
+        if not isinstance(payload, dict):
+            raise ValueError("not a JSON object")
+        if "entries" in payload and "form" not in payload:
+            return cls.rational(SpharmaModel.from_json(payload))
         tail = _json_number(payload.get("tail_bound", 0.0), "tail_bound")
         L = _json_int(payload["band_limit"], "band_limit")
         if payload["form"] == "rational":
@@ -301,12 +307,14 @@ def autocov_table(spec, max_lag):
     deeper table extends a shallower one bit for bit. Lags that overflow
     (noise powers near the float range) raise ``ValueError``.
     """
-    if spec.form == "rational":
-        from .model import model_autocovariance_table
+    from .model import model_autocovariance_table
 
-        lags = model_autocovariance_table(spec.model, max_lag)
-    else:
-        lags = trapezoid_lags(spec.lam, spec.table, max_lag)
+    # the finiteness check below is the refusal, so overflow warns nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.form == "rational":
+            lags = model_autocovariance_table(spec.model, max_lag)
+        else:
+            lags = trapezoid_lags(spec.lam, spec.table, max_lag)
     if not np.all(np.isfinite(lags)):
         raise ValueError("autocovariances must be finite")
     return lags

@@ -245,9 +245,9 @@ def summability_report(source, max_lag=200):
     non-decaying table) sets the divergence flag instead of raising.
     """
     if isinstance(source, SpharmaModel):
-        report = check_causal(source, margin=0.0)
-        # roots strictly outside the closed disk; a unit root diverges
-        if not report.causal or report.min_root_modulus <= 1.0:
+        report = check_causal(source)
+        # a model that check_causal refuses, a unit root among them, diverges
+        if not report.causal:
             return SummabilityReport(math.inf, math.inf, math.inf, True, max_lag)
         lags = model_autocovariance_table(source, max_lag)
         rho = 0.0 if math.isinf(report.min_root_modulus) else 1.0 / report.min_root_modulus
@@ -369,7 +369,7 @@ def h_step_error(model, h):
     L = model.band_limit
     deg = 2 * np.arange(L + 1) + 1
     # psi_coefficients per row, with causality decided once per distinct row
-    _require_causal(model, range(L + 1))
+    _require_causal(model)
     head = np.vstack([arma_filter(model.ar[l], model.ma[l], np.eye(1, h)[0])
                       for l in range(L + 1)])
     return float(deg @ (model.noise * (head * head).sum(axis=1)))

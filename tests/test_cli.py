@@ -176,7 +176,7 @@ class TestSpectrumCommand:
         SpharmaModel(1, [[0.5], [1.0]], [[], []], np.ones(2)).save(path)
         out = tmp_path / "spec"
         assert run("spectrum", "--model", path, "--out", out) == cli.EXIT_INPUT
-        assert "multipole 1 is not causal" in capsys.readouterr().err
+        assert "model is not causal at multipoles [1]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["--model", "--series"])
@@ -921,12 +921,31 @@ class TestMalformedInputs:
         ids=["spectrum", "approximate-ar", "approximate-ma"])
     def test_overflowing_autocovariances_exit_2(self, tmp_path, argv, capsys):
         # C_l(0) = 1e308 / (1 - 0.81) overflows, so the model has no lag table
+        # and the refusal comes before any numpy warning
         path = tmp_path / "model.json"
         SpharmaModel.uniform(1, ar=[0.9], noise=1e308).save(path)
         out = tmp_path / "out"
-        assert run(*argv, path, "--out", out) == cli.EXIT_INPUT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(*argv, path, "--out", out) == cli.EXIT_INPUT
         assert not out.exists()
         assert "autocovariances must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--model"],
+        ["simulate", "--n", 10, "--model"],
+        ["approximate", "--eps", 0.05, "--kind", "ar", "--target"],
+        ["approximate", "--eps", 0.05, "--kind", "ma", "--target"]],
+        ids=["spectrum", "simulate", "approximate-ar", "approximate-ma"])
+    def test_root_inside_the_margin_exits_2(self, tmp_path, argv, capsys):
+        # an AR root of modulus 1 + 5e-7 < 1 + 1e-6: one rule refuses the
+        # model wherever it is read
+        path = tmp_path / "model.json"
+        SpharmaModel.uniform(1, ar=[1.0 / (1.0 + 5e-7)]).save(path)
+        out = tmp_path / "out"
+        assert run(*argv, path, "--out", out) == cli.EXIT_INPUT
+        assert not out.exists()
+        assert "model is not causal at multipoles [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("form", ["rational", "tabulated"])
     @pytest.mark.parametrize("tail", ["NaN", "Infinity"])

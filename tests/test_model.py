@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -144,13 +145,11 @@ class TestCausality:
         model = SpharmaModel(len(rows) - 1, ar, ma, np.ones(len(rows)))
         check = md.check_causal if kind == "ar" else md.check_invertible
         mods = [md.min_root_modulus(r, kind) for r in rows]
-        for margin in (0.0, 1e-6, 0.5):
-            rep = check(model, margin)
-            assert rep.min_root_modulus == min(mods)
-            assert rep.offending_multipoles == [
-                l for l, mod in enumerate(mods) if mod < 1.0 + margin]
-            assert rep.causal == (not rep.offending_multipoles)
-            assert rep.margin == margin
+        rep = check(model)
+        assert rep.min_root_modulus == min(mods)
+        assert rep.offending_multipoles == [
+            l for l, mod in enumerate(mods) if mod < 1.0 + md._ROOT_MARGIN]
+        assert rep.causal == (not rep.offending_multipoles)
 
     def test_roots_once_per_distinct_row(self, monkeypatch):
         calls = []
@@ -190,7 +189,8 @@ class TestCausality:
                                            ([[0.5], [0.5], [1.0], [2.0]], 2)])
     def test_lag_table_names_the_first_noncausal_multipole(self, ar, first):
         model = SpharmaModel(3, ar, [[]] * 4, np.ones(4))
-        with pytest.raises(ValueError, match=f"^multipole {first} is not causal$"):
+        message = re.escape(f"model is not causal at multipoles [{first}, 3]")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             md.model_autocovariance_table(model, 3)
 
     def test_coprimality(self):
@@ -224,7 +224,7 @@ class TestPsi:
             phi = rng.uniform(-0.3, 0.3, p)
             theta = rng.uniform(-0.5, 0.5, q)
             m = SpharmaModel(0, [phi], [theta], np.array([1.0]))
-            if not md.check_causal(m, margin=0.0).causal:
+            if not md.check_causal(m).causal:
                 continue
             psi = md.psi_coefficients(m, 0, 30)
             oracle = series_division_oracle(phi, theta, 30)
@@ -237,7 +237,7 @@ class TestPsi:
 
     def test_geometric_decay_envelope(self):
         m = SpharmaModel.uniform(0, ar=[0.4, 0.3], ma=[0.6], noise=1.0)
-        rep = md.check_causal(m, margin=0.0)
+        rep = md.check_causal(m)
         rho = 1.0 / rep.min_root_modulus * 1.05
         psi = np.abs(md.psi_coefficients(m, 0, 120))
         env = (psi[:30] / rho ** np.arange(30)).max()
