@@ -8,7 +8,8 @@ lag sequence, whose reflection coefficients Levinson's step-up turns into
 the AR fits. Its other readout, the last innovations row, serves no fit.
 
 Operator-level machinery: given target spectral eigenvalues f_l(lambda) and
-a tolerance eps, fit an invertible MA(q) or causal AR(p) per multipole,
+a tolerance eps, fit an invertible MA(q) or causal AR(p) per multipole
+(every root at modulus >= 1 + 1e-6, the one rule of ``model._root_report``),
 escalating the order until the per-multipole sup error fits the budget
 eps / (2 (L+1)^2); the band tail above L is charged eps/2. The certificate
 is the plain dict that the CLI writes as ``certificate.json``: per-multipole
@@ -19,7 +20,8 @@ Process-level error: ``l2_omega_error`` is the mean-square error, at any
 point of the sphere, of reconstructing a field from its own Wold innovations
 through a fitted model. For any target, rational or tabulated, it sums the
 squared differences between the weights of the target's Wold factor and
-those of the fit; nothing is simulated.
+those of the fit; nothing is simulated. A model that is not causal, true or
+fitted, is refused with the one "model is not causal at multipoles [...]".
 """
 
 from __future__ import annotations
@@ -29,14 +31,8 @@ import warnings
 
 import numpy as np
 
-from .model import (
-    _ROOT_MARGIN,
-    SpharmaModel,
-    arma_filter,
-    check_causal,
-    decay_length,
-    min_root_modulus,
-)
+from .model import (SpharmaModel, _require_causal, _root_report, arma_filter,
+                    decay_length)
 from .spectral import (
     TWO_PI,
     autocov_table,
@@ -158,8 +154,9 @@ def fit_ma(psi, c0, q):
     theta = psi_1..psi_q, with the variance-matching noise
     sigma^2 = C(0) / (1 + theta_1^2 + ... + theta_q^2), so the fitted
     spectral density integrates to C(0) exactly. Returns ``(theta, sigma2)``;
-    raises ``RuntimeError`` when ``check_invertible`` would refuse the
-    truncation.
+    raises ``RuntimeError`` when the truncation has an MA root of modulus
+    below 1 + 1e-6, the verdict of ``model._root_report`` that
+    ``check_invertible`` gives.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
@@ -169,7 +166,7 @@ def fit_ma(psi, c0, q):
     if len(theta) < q or not np.all(np.isfinite(theta)):
         raise ValueError("no spectral factor with the requested order")
     sigma2 = float(c0 / (1.0 + theta @ theta))
-    if min_root_modulus(theta, "ma") < 1.0 + _ROOT_MARGIN:
+    if not _root_report([theta], "ma").causal:
         raise RuntimeError("truncated spectral factor is not invertible")
     return theta, sigma2
 
@@ -348,20 +345,18 @@ def l2_omega_error(target, fitted_model):
     weights that outlast the factor are summed in full. For an invertible
     model the innovations are its driving noise. A row with no factor (f_l
     not positive at every node) raises ``ValueError``, and so does a nonzero
-    ``tail_bound``: a sup bound on the tail gives no Wold weights.
+    ``tail_bound``: a sup bound on the tail gives no Wold weights. A true or
+    fitted model that is not causal raises ``_require_causal``'s one
+    ``ValueError``, the true one from its lag table (``autocov_table``).
     """
     if isinstance(target, SpharmaModel):
-        if not check_causal(target).causal:
-            raise ValueError("true model is not causal")
         target = target.spectral()
     if target.tail_bound:
         raise ValueError("a spectral tail bound gives no Wold weights")
-    fit = check_causal(fitted_model)
-    if not fit.causal:
-        raise ValueError("fitted model is not causal")
+    fit = _require_causal(fitted_model)
     if fitted_model.band_limit > target.band_limit:
         raise ValueError("fitted band limit exceeds the true model's")
-    n = fitted_model.q + 1 + decay_length(fit.min_root_modulus, np.finfo(float).eps)
+    n = fitted_model.q + 1 + decay_length(fit, np.finfo(float).eps)
     psi, sigma2 = _wold_weights(target, autocov_table(target, 0)[:, 0], n)
     ar_fit = fitted_model.q == 0 and fitted_model.p > 0
     impulse = np.eye(1, psi.shape[1])[0]

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import approx, simulate, spectral, sphere
-from .model import SpharmaModel, canonical_hash, check_causal
+from .model import SpharmaModel, _require_causal, canonical_hash
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -80,13 +80,14 @@ def _truncate_series(series, lmax):
 def cmd_simulate(args):
     model = _truncate_model(_read(SpharmaModel.load, args.model, "model"),
                             args.lmax)
-    report = check_causal(model)
-    print(f"causality: min root modulus {report.min_root_modulus:.6g}")
     for t in args.snapshots or ():
         if not (0 <= t < args.n):
             raise ValueError(f"snapshot index {t} out of range")
     config = simulate.SimulationConfig(seed=args.seed, n=args.n,
                                        burn_in=args.burn_in)
+    # a snapshot, config or model refusal comes before the first stdout line
+    report = _require_causal(model)
+    print(f"causality: min root modulus {report.min_root_modulus:.6g}")
     series = simulate.simulate_spharma(model, config)
     series.provenance["config_hash"] = _config_hash(args, "simulate")
     os.makedirs(args.out, exist_ok=True)

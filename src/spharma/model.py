@@ -181,14 +181,16 @@ def min_root_modulus(coeffs, kind="ar"):
     return math.inf if len(roots) == 0 else float(np.abs(roots).min())
 
 
-def decay_length(root_modulus, tol):
-    """Smallest J with (1/root_modulus)^J <= tol: ceil(log tol / log rho).
+def decay_length(report, tol):
+    """Smallest J with (1/xi)^J <= tol for the least root modulus xi of a
+    ``CausalityReport``: ceil(log tol / log(1/xi)).
 
     An infinite modulus (no AR roots) means no AR memory, so the length is 0.
     """
-    if math.isinf(root_modulus):
+    xi = report.min_root_modulus
+    if math.isinf(xi):
         return 0
-    return int(math.ceil(math.log(tol) / math.log(1.0 / root_modulus)))
+    return int(math.ceil(math.log(tol) / math.log(1.0 / xi)))
 
 
 def _root_report(rows, kind):

@@ -169,7 +169,7 @@ def simulate_white_noise(noise_spectrum, config):
 
 
 def _auto_burn_in(model, report):
-    burn = decay_length(report.min_root_modulus, _BURN_TARGET)
+    burn = decay_length(report, _BURN_TARGET)
     if burn > _BURN_CAP:
         warnings.warn("root margin implies a huge burn-in; capping at 1e6")
         burn = _BURN_CAP

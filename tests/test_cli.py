@@ -103,12 +103,16 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(fh))
         assert {"colat", "lon", "value"} == set(rows[0])
 
-    def test_snapshot_out_of_range_writes_nothing(self, tmp_path, model_path):
+    def test_snapshot_out_of_range_writes_nothing(self, tmp_path, model_path,
+                                                  capsys):
         out = tmp_path / "run"
         code = run("simulate", "--model", model_path, "--n", 20, "--seed", 1,
                    "--out", out, "--snapshots", "0,20")
         assert code == cli.EXIT_INPUT
         assert not (out / "series.bin").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "snapshot index 20 out of range" in captured.err
 
     def test_snapshot_indices_not_integers_exit_2(self, tmp_path, model_path,
                                                   capsys):
@@ -939,13 +943,15 @@ class TestMalformedInputs:
         ids=["spectrum", "simulate", "approximate-ar", "approximate-ma"])
     def test_root_inside_the_margin_exits_2(self, tmp_path, argv, capsys):
         # an AR root of modulus 1 + 5e-7 < 1 + 1e-6: one rule refuses the
-        # model wherever it is read
+        # model wherever it is read, before anything is printed
         path = tmp_path / "model.json"
         SpharmaModel.uniform(1, ar=[1.0 / (1.0 + 5e-7)]).save(path)
         out = tmp_path / "out"
         assert run(*argv, path, "--out", out) == cli.EXIT_INPUT
         assert not out.exists()
-        assert "model is not causal at multipoles [0, 1]" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "model is not causal at multipoles [0, 1]" in captured.err
 
     @pytest.mark.parametrize("form", ["rational", "tabulated"])
     @pytest.mark.parametrize("tail", ["NaN", "Infinity"])

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from spharma import approx, cli, simulate, spectral, sphere
@@ -23,8 +23,10 @@ except ImportError:  # oracles for the innovations recursion and arma_filter
     solve_triangular = toeplitz = lfilter = None
 from spharma.model import (
     _FILTER_BLOCK,
+    _ROOT_MARGIN,
     SpharmaModel,
     arma_filter,
+    check_invertible,
     min_root_modulus,
     model_autocovariance,
     model_autocovariance_table,
@@ -428,6 +430,45 @@ def test_l2_omega_error_matches_the_psi_sum(case):
     exact = approx.l2_omega_error(truth, fit)
     value, scale = reconstruction_oracle(truth, fit, 600)
     assert abs(exact - value) <= 1e-10 * value + 1e-14 * scale
+
+
+@st.composite
+def ma_row_near_the_rule(draw):
+    """An MA row of order <= 4 and the least modulus of its roots, drawn
+    within 1e-7 of 1 + ``_ROOT_MARGIN``, in [0.3, 0.99] or in [1.01, 3]; the
+    other roots lie at moduli from it up to 3."""
+    edge = 1.0 + _ROOT_MARGIN
+    least = draw(st.one_of(st.floats(edge - 1e-7, edge + 1e-7),
+                           st.floats(0.3, 0.99), st.floats(1.01, 3.0)))
+    w = draw(st.floats(0.0, math.pi))
+    # a real root of either sign, or a conjugate pair, at the least modulus
+    coeffs = draw(st.sampled_from([
+        np.array([1.0, -1.0 / least]), np.array([1.0, 1.0 / least]),
+        np.array([1.0, -2.0 * math.cos(w) / least, 1.0 / least**2])]))
+    rest = draw(lag_poly(max_order=4 - (len(coeffs) - 1),
+                         min_root=max(least, 1.25), max_root=3.0))
+    return np.convolve(coeffs, rest)[1:], least
+
+
+@seed(3901)
+@settings(max_examples=200, deadline=None)
+@given(ma_row_near_the_rule())
+@example((np.array([-1.0 / (1.0 + 9e-7)]), 1.0 + 9e-7))
+@example((np.array([-1.0 / (1.0 + 1.1e-6)]), 1.0 + 1.1e-6))
+def test_fit_ma_refuses_what_check_invertible_names(case):
+    # one rule: the truncation is refused exactly when the one-multipole
+    # model with that MA row fails check_invertible at multipole 0
+    theta, least = case
+    model = SpharmaModel(0, [np.empty(0)], [theta], np.array([1.0]))
+    named = check_invertible(model).offending_multipoles == [0]
+    try:
+        approx.fit_ma(np.r_[1.0, theta], 1.0, len(theta))
+        refused = False
+    except RuntimeError:
+        refused = True
+    assert refused == named
+    if abs(least - (1.0 + _ROOT_MARGIN)) > 1e-3:
+        assert refused == (least < 1.0)
 
 
 def lfilter_oracle(ar, ma, x):
