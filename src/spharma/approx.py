@@ -31,8 +31,8 @@ import warnings
 
 import numpy as np
 
-from .model import (SpharmaModel, _require_causal, _root_report, arma_filter,
-                    decay_length)
+from .model import (SpharmaModel, _distinct_rows, _require_causal, _root_report,
+                    arma_filter, decay_length)
 from .spectral import (
     TWO_PI,
     autocov_table,
@@ -117,11 +117,8 @@ def spectral_factor(spec, shift=0.0):
     sooner are zero-padded). A row not positive at every node is NaN. Each
     distinct row (a table row, or a model's ar, ma and noise) is factored once.
     """
-    m, first = spec.model, {}
-    keys = ([r.tobytes() for r in spec.table] if m is None else
-            zip([a.tobytes() for a in m.ar], [a.tobytes() for a in m.ma], m.noise))
-    owner = [first.setdefault(key, len(first)) for key in keys]
-    reps = np.unique(owner, return_index=True)[1]
+    m = spec.model
+    owner, reps = _distinct_rows(*(m.ar, m.ma, m.noise) if m else (spec.table,))
     lam = spec.lambda_grid()
     pending = np.arange(len(reps))
     psi = np.zeros((len(pending), 0))
@@ -219,7 +216,8 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     or overflowing), before any density is evaluated. The certificate
     passes iff the total in the requested norm is at most eps;
     ``order_cap_reached`` iff a multipole tried the cap's order and still
-    missed its budget.
+    missed its budget. Each distinct target row, keyed as ``spectral_factor``
+    keys rows, is escalated once; its repeats take its fit and record.
 
     Returns ``(model, certificate)``: the certificate is the JSON-ready dict
     that the CLI writes as ``certificate.json``, less its ``config_hash``.
@@ -251,6 +249,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
         warnings.warn("stored band tail exceeds the eps/2 budget; cannot certify")
 
     fits, factors, m = [], {}, target.model
+    owner, reps = _distinct_rows(*(m.ar, m.ma, m.noise) if m else (target.table,))
 
     def fit(order):
         nonlocal table
@@ -266,7 +265,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
         phi, sigma2 = fit_ar(table[l, : order + 1], order)
         return (phi, np.empty(0)), sigma2
 
-    for l in range(L + 1):
+    for l in reps:
         chosen, reason, capped = None, None, False
         # a pure rational target of the requested kind is a fixed point
         pure = m is not None and not len((m.ar if kind == "ma" else m.ma)[l])
@@ -302,7 +301,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
             raise ValueError(f"no fit at multipole {l}: {reason}")
         fits.append((*chosen, capped and chosen[0] > budget))
 
-    errs, kept, coeffs, noise, rows, missed_at_cap = zip(*fits)
+    errs, kept, coeffs, noise, rows, missed_at_cap = zip(*[fits[k] for k in owner])
     model = SpharmaModel(L, [c[0] for c in coeffs], [c[1] for c in coeffs],
                          np.array(noise))
     diff = np.array(rows) - F

@@ -87,7 +87,7 @@ def cmd_simulate(args):
                                        burn_in=args.burn_in)
     # a snapshot, config or model refusal comes before the first stdout line
     report = _require_causal(model)
-    print(f"causality: min root modulus {report.min_root_modulus:.6g}")
+    print(f"causality: min root modulus {report.min_root_modulus:.10g}")
     series = simulate.simulate_spharma(model, config)
     series.provenance["config_hash"] = _config_hash(args, "simulate")
     os.makedirs(args.out, exist_ok=True)

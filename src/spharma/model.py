@@ -193,13 +193,22 @@ def decay_length(report, tol):
     return int(math.ceil(math.log(tol) / math.log(1.0 / xi)))
 
 
+def _distinct_rows(*columns):
+    """``(owner, reps)`` for columns of one entry (array or number) per
+    multipole: multipole l repeats multipole ``reps[owner[l]]``, the first
+    whose entry in every column has the same bits."""
+    first = {}
+    keys = zip(*[[np.asarray(x).tobytes() for x in c] for c in columns])
+    owner = np.array([first.setdefault(key, len(first)) for key in keys])
+    return owner, np.unique(owner, return_index=True)[1]
+
+
 def _root_report(rows, kind):
     """Least root modulus per multipole against 1 + ``_ROOT_MARGIN``, with one
-    root search per distinct row: one row at every l pays one eigenvalue
-    problem."""
-    distinct = {c.tobytes(): c for c in rows}
-    mods = {key: min_root_modulus(c, kind) for key, c in distinct.items()}
-    per_l = [mods[c.tobytes()] for c in rows]
+    root search per distinct row (``_distinct_rows``)."""
+    owner, reps = _distinct_rows(rows)
+    mods = [min_root_modulus(rows[l], kind) for l in reps]
+    per_l = [mods[k] for k in owner]
     offending = [l for l, mod in enumerate(per_l) if mod < 1.0 + _ROOT_MARGIN]
     return CausalityReport(not offending, min(per_l, default=math.inf), offending)
 
@@ -382,8 +391,8 @@ def _filter_into(ar, ma, rows, pad, work):
 
 def _autocovariance_drive(model, l, max_lag):
     """Multipole l's trimmed AR row and the input from which a zero-state AR
-    recursion with it gives C_l(0..max_lag) / C_{l;Z} (see ``_drive_lags``).
-    The caller has checked that l is causal."""
+    recursion with it gives C_l(0..max_lag) / C_{l;Z} (see
+    ``model_autocovariance_table``). The caller has checked that l is causal."""
     ar = np.trim_zeros(model.ar[l], "b")
     p, q = len(ar), len(model.ma[l])
     phi_poly = np.r_[1.0, -ar]
@@ -403,48 +412,38 @@ def _autocovariance_drive(model, l, max_lag):
     return ar, np.r_[e, np.zeros(max_lag + 1)][: max_lag + 1]
 
 
-def _drive_lags(model, ls, drives):
-    """C_l(0..max_lag), one row per multipole in ``ls``, from their
-    ``_autocovariance_drive`` pairs, which share one trimmed AR order: the
-    drives are the columns of one zero-state ``_ar_in_blocks`` run down the
-    lag axis, each with its own column of AR coefficients."""
-    ar = np.array([a for a, _ in drives]).T
-    w = np.array([e for _, e in drives]).T.copy()
-    _ar_in_blocks(ar, w, len(w))
-    return model.noise[ls, None] * w.T
-
-
 def model_autocovariance(model, l, max_lag):
-    """Exact C_l(0..max_lag) of a causal multipole (Brockwell & Davis 3.3, method 3).
+    """Exact C_l(0..max_lag) of multipole l of a causal model: row l of
+    ``model_autocovariance_table``, bit for bit."""
+    return model_autocovariance_table(model, max_lag)[l]
+
+
+def model_autocovariance_table(model, max_lag):
+    """Exact C_l(0..max_lag) for every l of a causal model, an
+    ``(L+1, max_lag+1)`` array (Brockwell & Davis 3.3, method 3).
 
     With phi_0 = -1 and theta_0 = 1, C(k) - sum_i phi_i C(k-i) = C_{l;Z} r_k,
     where r_k = sum_{j>=k} theta_j psi_{j-k} is zero for k > q. The equations
     for k = 0..p, with C(-k) = C(k), are a (p+1) x (p+1) system for C(0..p)
     that needs only psi_0..psi_q; the later lags run the same equations as a
-    zero-state AR recursion down the lag axis (``_drive_lags``). Nothing is
-    truncated, and the solve does not depend on max_lag, so the lags are
-    prefix-stable bit for bit.
+    zero-state AR recursion down the lag axis. Nothing is truncated, and the
+    solve does not depend on max_lag, so the lags are prefix-stable bit for
+    bit.
+
+    Causality is decided once per distinct AR row and the solve once per
+    distinct ``(ar, ma)`` row (``_distinct_rows``), at C_{l;Z} = 1, with the
+    noise power applied last. Solved rows of one trimmed AR order are the
+    columns of one recursion, so its per-lag steps are paid once per order.
     """
     _require_causal(model)
-    return _drive_lags(model, [l], [_autocovariance_drive(model, l, max_lag)])[0]
-
-
-def model_autocovariance_table(model, max_lag):
-    """C_l(0..max_lag) for every l, an ``(L+1, max_lag+1)`` array whose row l
-    is bit for bit ``model_autocovariance``.
-
-    Causality is decided once per distinct AR row, and the (p+1) x (p+1)
-    solve runs per l. The multipoles with one trimmed AR order are the
-    columns of one ``_drive_lags`` recursion, so its per-lag steps are paid
-    once per order, not once per multipole.
-    """
-    L = model.band_limit
-    _require_causal(model)
-    drives = [_autocovariance_drive(model, l, max_lag) for l in range(L + 1)]
-    by_order = {}
-    for l, (ar, _) in enumerate(drives):
-        by_order.setdefault(len(ar), []).append(l)
-    vals = np.empty((L + 1, max_lag + 1))
-    for ls in by_order.values():
-        vals[ls] = _drive_lags(model, ls, [drives[l] for l in ls])
-    return vals
+    owner, reps = _distinct_rows(model.ar, model.ma)
+    drives = [_autocovariance_drive(model, l, max_lag) for l in reps]
+    group, _ = _distinct_rows([len(ar) for ar, _ in drives])  # by AR order
+    lags = np.empty((len(reps), max_lag + 1))
+    for k in range(group.max() + 1):
+        ks = np.flatnonzero(group == k)
+        # (lag or AR term, drive): one column per drive
+        ar, w = (np.stack(c, axis=1) for c in zip(*[drives[i] for i in ks]))
+        _ar_in_blocks(ar, w, len(w))
+        lags[ks] = w.T
+    return model.noise[:, None] * lags[owner]

@@ -452,6 +452,29 @@ class TestApproximateOperator:
         assert deep_cert == cert
         assert deep_fitted.content_hash() == fitted.content_hash()
 
+    @pytest.mark.parametrize("kind", ["ma", "ar"])
+    def test_one_escalation_per_distinct_row(self, monkeypatch, kind):
+        # a uniform target escalates its one row once: the orders tried are
+        # those of the one-multipole target with that row and the same
+        # per-multipole budget, eps / (2 (L+1)^2)
+        name = "fit_" + kind
+        fit, orders = getattr(approx, name), []
+
+        def counted(*args):
+            orders.append(args[-1])
+            return fit(*args)
+
+        monkeypatch.setattr(approx, name, counted)
+        uniform = SpharmaModel.uniform(8, ar=[0.8], ma=[0.4])
+        _, cert = approx.approximate_operator(uniform.spectral(), 1e-3, kind)
+        tried, orders[:] = orders[:], []
+        alone = SpharmaModel.uniform(0, ar=[0.8], ma=[0.4])
+        _, alone_cert = approx.approximate_operator(alone.spectral(), 1e-3 / 81,
+                                                    kind)
+        assert tried == orders and len(orders) > 1
+        assert cert["per_multipole"] == [
+            dict(alone_cert["per_multipole"][0], l=l) for l in range(9)]
+
     def test_lag_table_rows_are_the_per_multipole_fetches(self):
         # the table each escalation reads, for both target forms: exact lags
         # of a rational target, trapezoid lags of a tabulated one

@@ -71,6 +71,16 @@ class TestSimulateCommand:
         assert code == cli.EXIT_INPUT
         assert "multipoles" in capsys.readouterr().err
 
+    def test_causality_line_shows_the_margin(self, tmp_path, capsys):
+        # an accepted AR root of modulus 1 + 2e-6 prints its margin, not "1",
+        # which would read as a unit root under the 1 + 1e-6 rule
+        path = tmp_path / "edge.json"
+        SpharmaModel.uniform(1, ar=[1.0 / (1.0 + 2e-6)]).save(path)
+        assert run("simulate", "--model", path, "--n", 8, "--burn-in", 0,
+                   "--out", tmp_path / "x") == cli.EXIT_OK
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "causality: min root modulus 1.000002"
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_nonpositive_n_exits_2(self, tmp_path, model_path, n, capsys):
         out = tmp_path / "x"

@@ -375,6 +375,34 @@ class TestAutocovariance:
         err = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
         assert err <= 4 * np.finfo(float).eps * c0
 
+    def test_one_drive_per_distinct_row(self, monkeypatch):
+        calls = []
+        drive = md._autocovariance_drive
+
+        def counted(model, l, max_lag):
+            calls.append(l)
+            return drive(model, l, max_lag)
+
+        monkeypatch.setattr(md, "_autocovariance_drive", counted)
+        md.model_autocovariance_table(
+            SpharmaModel.uniform(64, ar=[0.5, -0.2], ma=[0.3]), 10)
+        assert calls == [0]
+        # rows repeat out of order; l = 3 differs from l = 0 in its noise
+        # alone, so it shares the drive, and l = 4 from l = 1 in its MA row
+        rows = [([0.5], [0.3], 1.0), ([], [0.4], 2.0), ([0.5], [0.3], 1.0),
+                ([0.5], [0.3], 1.5), ([], [0.2], 2.0), ([], [0.4], 2.0),
+                ([0.9, -0.2], [], 1.0), ([0.5], [0.3], 1.0)]
+        model = SpharmaModel(len(rows) - 1, *[list(c) for c in zip(*rows)])
+        calls.clear()
+        table = md.model_autocovariance_table(model, 300)
+        assert calls == [0, 1, 4, 6]
+        monkeypatch.undo()
+        for l, (ar, ma, noise) in enumerate(rows):
+            alone = SpharmaModel(0, [ar], [ma], [noise])
+            assert (table[l].tobytes()
+                    == md.model_autocovariance(model, l, 300).tobytes()
+                    == md.model_autocovariance(alone, 0, 300).tobytes())
+
     def test_psi_square_sum_identity(self):
         m = SpharmaModel.uniform(0, ar=[0.5, 0.2], ma=[0.4], noise=2.0)
         psi = md.psi_coefficients(m, 0, 400)

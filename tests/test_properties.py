@@ -341,6 +341,57 @@ def test_exact_pure_targets_are_fixed_points(case):
     assert np.abs(fitted.noise / target.noise - 1.0).max() <= 1e-10
 
 
+def _tabulated(model):
+    lam = spectral.frequency_grid(1024)
+    return spectral.SpectralEigenvalues.tabulated(lam, model.spectral().values(lam))
+
+
+@st.composite
+def repeated_row_target(draw):
+    """A target of L <= 3 whose multipoles repeat two rows, each a causal,
+    invertible ARMA(p, q) with p, q <= 2 drawn as in ``causal_arma``: the
+    rational target, or its densities tabulated on ``frequency_grid(1024)``."""
+    rows = [(-draw(lag_poly(max_order=2))[1:], draw(lag_poly(max_order=2))[1:],
+             draw(st.floats(0.1, 10.0))) for _ in range(2)]
+    pick = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=4))
+    model = SpharmaModel(len(pick) - 1, *[list(c) for c in zip(*pick)])
+    return _tabulated(model) if draw(st.booleans()) else model.spectral()
+
+
+def _row_alone(target, l):
+    if target.form == "tabulated":
+        return spectral.SpectralEigenvalues.tabulated(target.lam,
+                                                      target.table[l : l + 1])
+    m = target.model
+    return SpharmaModel(0, [m.ar[l]], [m.ma[l]], [m.noise[l]]).spectral()
+
+
+_REPEATS = SpharmaModel(3, [[0.8], [], [0.8], [0.8]], [[0.4], [0.5], [0.4], [0.4]],
+                        np.array([1.0, 2.0, 1.0, 3.0]))
+
+
+@seed(4040)
+@settings(max_examples=25, deadline=None)
+@given(repeated_row_target(), st.sampled_from(["ma", "ar"]),
+       st.sampled_from([1e-2, 1e-3]))
+@example(SpharmaModel.uniform(8, ar=[0.8], ma=[0.4]).spectral(), "ma", 1e-3)
+@example(_REPEATS.spectral(), "ar", 1e-3)
+@example(_tabulated(_REPEATS), "ma", 1e-2)
+def test_each_multipole_is_the_fit_of_its_row_alone(target, kind, eps):
+    # the fit of a multipole reads only its own row, so it is the fit of a
+    # one-multipole target with that row and the same per-multipole budget:
+    # eps / (2 (L+1)^2) here is eps / (L+1)^2 / 2 there, bit for bit
+    L = target.band_limit
+    fitted, cert = approx.approximate_operator(target, eps, kind)
+    for l in range(L + 1):
+        one, one_cert = approx.approximate_operator(_row_alone(target, l),
+                                                    eps / (L + 1) ** 2, kind)
+        assert cert["per_multipole"][l] == dict(one_cert["per_multipole"][0], l=l)
+        assert fitted.ar[l].tobytes() == one.ar[0].tobytes()
+        assert fitted.ma[l].tobytes() == one.ma[0].tobytes()
+        assert fitted.noise[l] == one.noise[0]
+
+
 @st.composite
 def arma_any_ma(draw):
     """A causal ARMA with p, q <= 3 whose MA roots lie on either side of the
