@@ -205,19 +205,20 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     The stored band's tail must already fit the eps/2 tail budget. Each
     multipole's order is doubled until the sup error over ``frequency_grid()``
     fits the budget eps / (2 (L+1)^2) or the order cap is hit. MA(q) fits
-    truncate ``spectral_factor``; a multipole that misses its budget tries
-    again on the factor of f_l + budget/4, which exists where f_l touches 0,
-    with noise matched to C_l(0) + 2 pi budget/4, and that fit stands if it
-    meets the budget or f_l has none. AR(p) fits read lags, short of a
-    tabulated grid's lag period. A non-invertible fit moves on; lags not
-    positive definite, or no factor that long, end an escalation, which
-    keeps its fit nearest f_l; a multipole with no fit (C_l(0) = 0, say)
-    raises ``ValueError``, as does a target with no lag table (not causal,
-    or overflowing), before any density is evaluated. The certificate
-    passes iff the total in the requested norm is at most eps;
-    ``order_cap_reached`` iff a multipole tried the cap's order and still
-    missed its budget. Each distinct target row, keyed as ``spectral_factor``
-    keys rows, is escalated once; its repeats take its fit and record.
+    truncate ``spectral_factor``; a multipole that misses its budget, with
+    C_l(0) > 0, escalates again on the factor of f_l + budget/4, which exists
+    where f_l touches 0, with noise matched to C_l(0) + 2 pi budget/4. AR(p)
+    fits read lags, short of a tabulated grid's lag period. A non-invertible
+    fit moves on; lags not positive definite, or no factor that long, end an
+    escalation. One rule picks the fit: the first that meets the budget,
+    else the fit nearest f_l of all that either factor gave. A multipole
+    with no fit (C_l(0) = 0, say) raises ``ValueError``, as does a target
+    with no lag table (not causal, or overflowing), before any density is
+    evaluated. The certificate passes iff the total in the requested norm is
+    at most eps; ``order_cap_reached`` iff a multipole tried the cap's order
+    and still missed its budget. Each distinct target row, keyed as
+    ``spectral_factor`` keys rows, is escalated once; its repeats take its
+    fit and record.
 
     Returns ``(model, certificate)``: the certificate is the JSON-ready dict
     that the CLI writes as ``certificate.json``, less its ``config_hash``.
@@ -250,35 +251,31 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
 
     fits, factors, m = [], {}, target.model
     owner, reps = _distinct_rows(*(m.ar, m.ma, m.noise) if m else (target.table,))
-
-    def fit(order):
-        nonlocal table
-        if kind == "ma":
-            if shift not in factors:
-                factors[shift] = spectral_factor(target, shift)
-            theta, s2 = fit_ma(factors[shift][l], table[l, 0] + TWO_PI * shift, order)
-            return (np.empty(0), theta), s2
-        if order > resolved:
-            warnings.warn("frequency grid is coarse for the requested lag depth")
-        if order >= table.shape[1]:
-            table = autocov_table(target, order)
-        phi, sigma2 = fit_ar(table[l, : order + 1], order)
-        return (phi, np.empty(0)), sigma2
-
     for l in reps:
-        chosen, reason, capped = None, None, False
+        best, reason, capped = None, None, False
         # a pure rational target of the requested kind is a fixed point
         pure = m is not None and not len((m.ar if kind == "ma" else m.ma)[l])
         start = len((m.ma if kind == "ma" else m.ar)[l]) if pure else 0
         orders = _order_schedule(order_cap, start)
         orders = [o for o in orders if kind == "ma" or o == 0 or o < period]
         for shift in (0.0, budget / 4.0) if kind == "ma" else (0.0,):
-            if shift and (table[l, 0] <= 0.0 or chosen and chosen[0] <= budget):
+            if shift and (table[l, 0] <= 0.0 or best and best[0] <= budget):
                 break
-            best = None
+            if kind == "ma" and shift not in factors:
+                factors[shift] = spectral_factor(target, shift)
             for order in orders:
+                phi, theta = np.empty(0), np.empty(0)
                 try:
-                    coeffs, sigma2 = fit(order)
+                    if kind == "ma":
+                        theta, sigma2 = fit_ma(factors[shift][l],
+                                               table[l, 0] + TWO_PI * shift, order)
+                    else:
+                        if order > resolved:
+                            warnings.warn("frequency grid is coarse for the "
+                                          "requested lag depth")
+                        if order >= table.shape[1]:
+                            table = autocov_table(target, order)
+                        phi, sigma2 = fit_ar(table[l, : order + 1], order)
                 except RuntimeError as exc:
                     # a non-invertible fit certifies nothing; try the next order
                     reason = exc
@@ -287,19 +284,17 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
                     # every later order fails too: the best fit so far stands
                     reason = exc
                     break
-                row = rational_density(coeffs[0], coeffs[1], sigma2, z)
+                row = rational_density(phi, theta, sigma2, z)
                 err = float(np.abs(row - F[l]).max())
                 if best is None or err < best[0]:
-                    best = (err, order, coeffs, sigma2, row)
+                    best = (err, order, (phi, theta), sigma2, row)
                 if err <= budget:
                     break
             else:
                 capped = orders[-1] == order_cap
-            if chosen is None or best and best[0] <= budget:
-                chosen = best
-        if chosen is None:
+        if best is None:
             raise ValueError(f"no fit at multipole {l}: {reason}")
-        fits.append((*chosen, capped and chosen[0] > budget))
+        fits.append((*best, capped and best[0] > budget))
 
     errs, kept, coeffs, noise, rows, missed_at_cap = zip(*[fits[k] for k in owner])
     model = SpharmaModel(L, [c[0] for c in coeffs], [c[1] for c in coeffs],

@@ -403,7 +403,10 @@ def _autocovariance_drive(model, l, max_lag):
     system = np.zeros((p + 1, p + 1))
     np.add.at(system, (k[:, None], np.abs(k[:, None] - k)), phi_poly)
     rhs = np.r_[r, np.zeros(p)][: p + 1]
-    head = np.linalg.solve(system, rhs)
+    try:
+        head = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:  # a root too near the circle for float64
+        raise ValueError("AR polynomial vanishes on the unit circle") from None
     # the pivot 1 - phi^2 forms by cancellation: refine once, residual in long double
     resid = rhs - system.astype(np.longdouble) @ head
     head += np.linalg.solve(system, resid.astype(float))

@@ -22,7 +22,7 @@ from spharma.approx import durbin_levinson
 from spharma.simulate import (SimulationConfig, batch_means_se, empirical_autocov,
                               simulate_spharma, simulate_white_noise)
 from spharma.spectral import (SpectralEigenvalues, autocov_table,
-                              frequency_grid, trapezoid_lags)
+                              frequency_grid, rational_density, trapezoid_lags)
 from spharma.sphere import harmonic_values_at
 
 from oracles import durbin_levinson_dot, h_step_error, spectral_distance, wold
@@ -532,6 +532,30 @@ class TestApproximateOperator:
         assert cert["passed"]
         assert [row["order"] for row in cert["per_multipole"]] == [1, 1, 1]
         assert check_invertible(fitted).causal
+
+    def test_missed_budget_keeps_the_nearest_fit_of_either_factor(self,
+                                                                  monkeypatch):
+        # f = lambda^2 is 0 at the node lambda = 0, so its factor row is NaN
+        # and its one fit is order-0 white noise, sup error 6.58. The factor
+        # of f + budget/4 fits far nearer, none within the budget; the
+        # record is the nearest fit that either factor gave
+        lam = frequency_grid()
+        target = SpectralEigenvalues.tabulated(lam, (lam**2)[None])
+        fit_ma, errors = approx.fit_ma, []
+
+        def traced(psi, c0, q):
+            theta, sigma2 = fit_ma(psi, c0, q)
+            row = rational_density(np.empty(0), theta, sigma2, np.exp(1j * lam))
+            errors.append(float(np.abs(row - lam**2).max()))
+            return theta, sigma2
+
+        monkeypatch.setattr(approx, "fit_ma", traced)
+        with pytest.warns(UserWarning, match="grid is coarse"):
+            _, cert = approx.approximate_operator(target, 1e-2, "ma")
+        record, = cert["per_multipole"]
+        assert not cert["passed"] and cert["order_cap_reached"]
+        assert record["order"] > 0 and len(errors) > 1
+        assert record["sup_error"] <= min(errors) < 0.1
 
     def test_negative_order_cap_rejected(self):
         target = SpharmaModel.uniform(0, ar=[0.5], noise=1.0).spectral()
