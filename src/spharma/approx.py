@@ -182,20 +182,16 @@ def _order_schedule(cap, start=0):
     return [start] + [o for o in orders if o > start]
 
 
-def _sup_operator_norm(diff, norm):
-    """sup over lambda of the operator norm of per-multipole differences.
+def _sup_totals(diff):
+    """sup over lambda of the operator norms of per-multipole differences,
+    ``(l2_kernel, trace)``.
 
     ``diff`` has shape (L+1, n_lams); ``l2_kernel`` is
     sqrt(sum_l (2l+1) diff_l^2) and ``trace`` is sum_l (2l+1) |diff_l|.
     """
     deg = (2 * np.arange(len(diff)) + 1)[:, None]
-    if norm == "l2_kernel":
-        per_lam = np.sqrt((deg * diff**2).sum(axis=0))
-    elif norm == "trace":
-        per_lam = (deg * np.abs(diff)).sum(axis=0)
-    else:
-        raise ValueError("norm must be 'l2_kernel' or 'trace'")
-    return float(per_lam.max())
+    return (float(np.sqrt((deg * diff**2).sum(axis=0)).max()),
+            float((deg * np.abs(diff)).sum(axis=0).max()))
 
 
 def approximate_operator(target, eps, kind, norm="l2_kernel",
@@ -299,9 +295,7 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     errs, kept, coeffs, noise, rows, missed_at_cap = zip(*[fits[k] for k in owner])
     model = SpharmaModel(L, [c[0] for c in coeffs], [c[1] for c in coeffs],
                          np.array(noise))
-    diff = np.array(rows) - F
-    total_l2 = _sup_operator_norm(diff, "l2_kernel") + tail_error
-    total_trace = _sup_operator_norm(diff, "trace") + tail_error
+    total_l2, total_trace = (s + tail_error for s in _sup_totals(np.array(rows) - F))
     total = total_l2 if norm == "l2_kernel" else total_trace
     cert = {"schema": 1, "kind": kind, "epsilon": eps, "norm": norm, "L_trunc": L,
             "order": max(kept),

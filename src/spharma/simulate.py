@@ -1,4 +1,4 @@
-"""Simulation of spherical white noise and SPHARMA coefficient series.
+"""SPHARMA coefficient series: simulation, and the estimators ``verify`` reads.
 
 Every (l, m) coefficient stream draws from its own counter-based RNG stream
 (Philox keyed by ``(seed, l*(l+1)+m)``), so output is bit-reproducible for a
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .model import (SpharmaModel, _filter_into, _padded_length,
+from .model import (SpharmaModel, _distinct_rows, _filter_into, _padded_length,
                     _require_causal, decay_length)
 from .sphere import sht_inverse
 
@@ -32,7 +32,6 @@ _BURN_CAP = 1_000_000
 _CRAMER_CHUNK_ROWS = 32  # streams per chunk of the band-split Gram matrix
 _CRAMER_BLOCK = 1 << 18  # _band_gram: floats per block of products or weights
 _CRAMER_GRAM_MAX_BYTES = 1 << 30  # _band_gram: largest table of summed products
-_CRAMER_FACTOR = 1.5  # verify_cramer_orthogonality: threshold 3 * factor / sqrt(n)
 _RUN_SAMPLES = 1 << 18  # cap on one filter call's padded buffer in simulate_spharma
 _NOISE_LAW = "gaussian"  # the only innovation law; recorded in every sidecar
 
@@ -180,23 +179,21 @@ def _filter_runs(model, total):
     """Consecutive multipoles, as ``range``s, that share one ``arma_filter``
     call, each with its trimmed AR row.
 
-    Multipoles join a run while their trimmed AR and their MA coefficients
-    are bitwise equal to the run's and the filter's padded work array for
-    the run stays within ``_RUN_SAMPLES``: rows x total samples, with p > 0
-    rounded up to whole blocks of ``arma_filter``'s block length. A
-    multipole above the cap is a run of its own.
+    Multipoles join a run while they repeat the run's row, trimmed AR and
+    MA coefficients keyed by ``_distinct_rows``, and the filter's padded
+    work array for the run stays within ``_RUN_SAMPLES``: rows x total
+    samples, with p > 0 rounded up to whole blocks of ``arma_filter``'s
+    block length. A multipole above the cap is a run of its own.
     """
-    starts, ars, prev = [], [], None
-    for l in range(model.band_limit + 1):
-        ar = np.trim_zeros(model.ar[l], "b")
-        row = (ar.tobytes(), model.ma[l].tobytes())
-        width = _padded_length(len(ar), total)
-        if row != prev or ((l + 1) ** 2 - starts[-1] ** 2) * width > _RUN_SAMPLES:
+    ars = [np.trim_zeros(ar, "b") for ar in model.ar]
+    owner, _ = _distinct_rows(ars, model.ma)
+    starts = [0]
+    for l in range(1, len(ars)):
+        size = ((l + 1) ** 2 - starts[-1] ** 2) * _padded_length(len(ars[l]), total)
+        if owner[l] != owner[l - 1] or size > _RUN_SAMPLES:
             starts.append(l)
-            ars.append(ar)
-        prev = row
     ends = starts[1:] + [model.band_limit + 1]
-    return [(range(lo, hi), ar) for lo, hi, ar in zip(starts, ends, ars)]
+    return [(range(lo, hi), ars[lo]) for lo, hi in zip(starts, ends)]
 
 
 def simulate_spharma(model, config):
@@ -397,15 +394,13 @@ def _band_gram(values, n_bands):
 
 def verify_cramer_orthogonality(series, n_bands):
     """How far distinct-band components of the series are from uncorrelated:
-    ``(max_abs_correlation, threshold)``.
+    the largest absolute correlation between two bands.
 
     [-pi, pi] is split into ``n_bands`` symmetric bands of |lambda|; each
     stream is band-passed by DFT masking and correlations are pooled over
     streams on the middle half of the window (the full window correlation
-    vanishes identically by Parseval, carrying no information). The
-    orthogonality of the Cramer representation holds while the largest
-    absolute correlation is below the threshold ``3 * _CRAMER_FACTOR /
-    sqrt(n)``; one band has no pair, so its correlation is 0.
+    vanishes identically by Parseval, carrying no information). One band
+    has no pair, so its correlation is 0.
     ``ValueError`` above n // 2 + 1 bands, the bins of a real FFT: more
     would leave some band empty; and, before anything that size is
     allocated, when the table of summed band products would exceed
@@ -424,9 +419,8 @@ def verify_cramer_orthogonality(series, n_bands):
     if n_bands > n // 2 + 1:
         raise ValueError(f"at most n // 2 + 1 = {n // 2 + 1} bands for "
                          f"{n} samples, got {n_bands}")
-    threshold = 3.0 * _CRAMER_FACTOR / math.sqrt(n)
     if n_bands == 1:
-        return 0.0, threshold
+        return 0.0
 
     gram = _band_gram(series.values, n_bands)
     # an exactly empty band sums to 0; rounding must not make a norm NaN
@@ -434,7 +428,7 @@ def verify_cramer_orthogonality(series, n_bands):
     upper = np.triu_indices(n_bands, 1)
     denom = np.outer(norms, norms)[upper]
     corr = np.abs(gram[upper])[denom != 0.0] / denom[denom != 0.0]
-    return float(corr.max(initial=0.0)), threshold
+    return float(corr.max(initial=0.0))
 
 
 def batch_means_se(x, n_batches=64):

@@ -189,7 +189,7 @@ class SpectralEigenvalues:
         """f_l on ``lams`` (default: the natural grid), shape (L+1, n_lams),
         or one row per multipole in ``ls`` when given.
 
-        Tabulated spectra are linearly interpolated off their stored grid.
+        Tabulated spectra are linearly interpolated, exactly at stored nodes.
         """
         if lams is None:
             lams = self.lambda_grid()
@@ -200,8 +200,6 @@ class SpectralEigenvalues:
             return np.vstack([rational_density(m.ar[l], m.ma[l], m.noise[l], z)
                               for l in ls])
         table = self.table if ls is None else self.table[ls]
-        if lams.shape == self.lam.shape and np.allclose(lams, self.lam):
-            return table
         return np.vstack([np.interp(lams, self.lam, row) for row in table])
 
     def to_json(self):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spharma.approx import _sup_operator_norm, _wold_weights
+from spharma.approx import _sup_totals, _wold_weights
 from spharma.model import (SpharmaModel, _require_causal, arma_filter, check_causal,
                            model_autocovariance_table)
 from spharma.spectral import TWO_PI, autocov_table, spectral_from_autocov
@@ -320,8 +320,8 @@ def spectral_distance(f1, f2, norm="l2_kernel", lams=None):
             lams = f1.lam
         else:
             lams = f1.lambda_grid() if f1.form == "tabulated" else f2.lambda_grid()
-    diff = f1.values(lams) - f2.values(lams)
-    return _sup_operator_norm(diff, norm) + f1.tail_bound + f2.tail_bound
+    l2, trace = _sup_totals(f1.values(lams) - f2.values(lams))
+    return {"l2_kernel": l2, "trace": trace}[norm] + f1.tail_bound + f2.tail_bound
 
 
 def durbin_levinson_dot(c, order):

@@ -371,6 +371,23 @@ def lag_fetches(monkeypatch):
     return fetches
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: durbin_levinson([1.0], -1), "depth must be nonnegative"),
+    (lambda: durbin_levinson([1.0, 0.5], 3),
+     "autocovariance sequence shorter than recursion depth"),
+    (lambda: approx.fit_ma(np.ones(3), 1.0, -1), "q must be nonnegative"),
+    (lambda: approx.approximate_operator(SpharmaModel.uniform(0).spectral(),
+                                         0.1, "arma"),
+     "kind must be 'ma' or 'ar'"),
+    (lambda: approx.approximate_operator(SpharmaModel.uniform(0).spectral(),
+                                         0.1, "ma", norm="l1"),
+     "norm must be 'l2_kernel' or 'trace'"),
+])
+def test_refused_arguments(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 class TestApproximateOperator:
     def test_fixed_point_on_exact_ma2(self):
         target_model = SpharmaModel.uniform(3, ma=[0.5, 0.2], noise=1.1)

@@ -100,6 +100,22 @@ class TestValidation:
             spectral.SpectralEigenvalues.from_json(payload)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SpharmaModel(1, [[]], [[], []], np.ones(2)),
+     "need one AR and one MA coefficient array per l"),
+    (lambda: SpharmaModel(1, [[], []], [[], []], np.ones(3)),
+     "noise must hold one positive power per l"),
+    (lambda: SpharmaModel.from_json(
+        {"band_limit": 1, "entries": [{"l": 1, "ar": [], "ma": [], "noise": 1.0}]}),
+     "model JSON missing entries for some multipoles"),
+    (lambda: md.psi_coefficients(SpharmaModel.uniform(0, ar=[0.5]), 0, -1),
+     "count must be nonnegative"),
+])
+def test_refused_arguments(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 class TestCausality:
     def test_ar1_root(self):
         rep = md.check_causal(SpharmaModel.uniform(3, ar=[0.5], noise=1.0))

@@ -728,6 +728,18 @@ def test_short_runs_are_not_padded():
     assert_runs_match_per_multipole(model, 3, 20, 5)
 
 
+def test_runs_start_where_the_row_key_changes():
+    # rows A A B A A: rows are keyed after trimming AR zeros, the repeat of A
+    # after B starts a run of its own, and an MA coefficient of -0.0 is a
+    # different row from 0.0, since rows are keyed by their bits
+    model = SpharmaModel(4, [[0.5, 0.0], [0.5], [0.5], [0.5], [0.5]],
+                         [[0.0], [0.0], [-0.0], [0.0], [0.0]], np.ones(5))
+    runs = simulate._filter_runs(model, 20 + 5)
+    assert [(run, ar.tolist()) for run, ar in runs] == [
+        (range(0, 2), [0.5]), (range(2, 3), [0.5]), (range(3, 5), [0.5])]
+    assert_runs_match_per_multipole(model, 3, 20, 5)
+
+
 def lag_loop_oracle(series, max_lag):
     """The direct moment estimator: one pass over the streams per lag."""
     L, n = series.band_limit, series.n

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -265,18 +266,18 @@ class TestCramerOrthogonality:
     def test_white_noise_bands(self):
         series = sim.simulate_white_noise(np.ones(9),
                                           sim.SimulationConfig(seed=29, n=8192))
-        corr, threshold = sim.verify_cramer_orthogonality(series, 8)
-        assert corr < threshold and corr < 0.05
+        corr = sim.verify_cramer_orthogonality(series, 8)
+        assert corr < 4.5 / math.sqrt(series.n) and corr < 0.05
 
     def test_ar1_bands(self, ar1_series):
-        corr, threshold = sim.verify_cramer_orthogonality(ar1_series, 6)
-        assert corr < threshold
+        corr = sim.verify_cramer_orthogonality(ar1_series, 6)
+        assert corr < 4.5 / math.sqrt(ar1_series.n)
 
     def test_single_band_vacuous(self):
         series = sim.simulate_white_noise(np.ones(1),
                                           sim.SimulationConfig(seed=31, n=2048))
-        corr, threshold = sim.verify_cramer_orthogonality(series, 1)
-        assert corr < threshold and corr == 0.0
+        corr = sim.verify_cramer_orthogonality(series, 1)
+        assert corr < 4.5 / math.sqrt(series.n) and corr == 0.0
 
     def test_chunked_gram_matches_dense_band_split(self):
         # 49 streams span several chunks; compare with the direct pairwise
@@ -297,7 +298,7 @@ class TestCramerOrthogonality:
                     abs((comps[b] * comps[c]).sum())
                     / math.sqrt((comps[b] ** 2).sum() * (comps[c] ** 2).sum())
                     for b in range(n_bands) for c in range(b + 1, n_bands))
-                got, _ = sim.verify_cramer_orthogonality(series, n_bands)
+                got = sim.verify_cramer_orthogonality(series, n_bands)
                 assert abs(got - expected) <= 1e-12 * expected
 
     def test_short_series_rejected(self):
@@ -392,6 +393,33 @@ def test_sidecar_may_not_overwrite_the_data(tmp_path):
     with pytest.raises(ValueError):
         series.save(tmp_path / "series.json")
     assert not (tmp_path / "series.json").exists()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sim.SimulationConfig(seed=0, n=4, burn_in=-1),
+     "burn_in must be nonnegative"),
+    (lambda: sim.SimulationConfig(seed=2**64, n=4), "seed must fit in 64 bits"),
+    (lambda: sim.SimulationConfig(seed=-1, n=4), "seed must fit in 64 bits"),
+    (lambda: sim.HarmonicCoefficientSeries(1, np.zeros((3, 4))),
+     "values must have (band_limit+1)^2 stream rows"),
+    (lambda: sim.HarmonicCoefficientSeries(0, np.zeros((1, 0))),
+     "series length must be at least 1"),
+    (lambda: sim.verify_cramer_orthogonality(
+        sim.HarmonicCoefficientSeries(0, np.zeros((1, 2048))), 0),
+     "n_bands must be at least 1"),
+])
+def test_refused_arguments(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_burn_in_cap_warns_and_is_recorded():
+    # a root at modulus 1 + 1e-5 passes the root rule, but (1/xi)^burn <= 1e-10
+    # needs about 2.3e6 steps
+    model = SpharmaModel.uniform(0, ar=[1.0 / (1.0 + 1e-5)])
+    with pytest.warns(UserWarning, match="huge burn-in; capping at 1e6"):
+        series = sim.simulate_spharma(model, sim.SimulationConfig(seed=1, n=4))
+    assert series.provenance["burn_in"] == 1_000_000 and series.n == 4
 
 
 def test_burn_in_is_a_pure_shift():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -371,6 +372,40 @@ class TestGridCheck:
         assert not np.array_equal(lam, spectral.frequency_grid(n))
         spec = SpectralEigenvalues.tabulated(lam, ar1_half_density(lam))
         assert abs(spectral.autocov_table(spec, 0)[0, 0] - 4.0 / 3.0) < 1e-12
+
+
+class TestTabulatedValues:
+    def test_stored_nodes_give_the_table(self):
+        lam = spectral.frequency_grid(64)
+        spec = SpectralEigenvalues.tabulated(lam, (2.0 + np.cos(lam))[None])
+        assert np.array_equal(spec.values(lam), spec.table)
+        assert np.array_equal(spec.values(), spec.table)
+
+    def test_a_nearby_grid_is_interpolated(self):
+        # 1e-9 off the stored nodes is within np.allclose of them, but the
+        # values move with the slope of 2 + cos
+        lam = spectral.frequency_grid(64)
+        spec = SpectralEigenvalues.tabulated(lam, (2.0 + np.cos(lam))[None])
+        got = spec.values(lam + 1e-9)
+        assert got is not spec.table
+        diff = np.abs(got - spec.table).max()
+        assert 5e-10 < diff < 1.1e-9, diff
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SpectralEigenvalues(1, "rational"),
+     "rational form needs a model of the same band limit"),
+    (lambda: SpectralEigenvalues(1, "rational", model=SpharmaModel.uniform(0)),
+     "rational form needs a model of the same band limit"),
+    (lambda: SpectralEigenvalues.tabulated(spectral.frequency_grid(8),
+                                           -np.ones((1, 9))),
+     "spectral eigenvalues must be nonnegative"),
+    (lambda: SpectralEigenvalues(0, "cepstral"),
+     "form must be 'rational' or 'tabulated'"),
+])
+def test_refused_arguments(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestCircleEvaluation:

@@ -1,5 +1,7 @@
 import csv
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -404,6 +406,23 @@ def _spectrum_series_tables(tmp_path):
 
 _CSV_WRITERS = {"field": _field_table, "spectrum-model": _spectrum_model_tables,
                 "spectrum-series": _spectrum_series_tables}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sphere.SphereGrid(np.ones(1), np.ones(1), -1),
+     "band_limit must be nonnegative"),
+    (lambda: sphere.SphereGrid(np.ones(1), np.ones(3), 1),
+     "need at least L+1 colatitude nodes"),
+    (lambda: sphere.build_grid(-1), "band_limit must be nonnegative"),
+    (lambda: sphere.FieldSnapshot(sphere.build_grid(1), np.zeros((3, 3))),
+     "field values do not match grid dimensions"),
+    (lambda: sphere.write_csv(os.devnull, ["a", "b", "c"], ["0"], ["0", "1"],
+                              np.zeros((1, 1))),
+     "labels do not match the value array"),
+])
+def test_refused_arguments(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestCsv:
