@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import approx, simulate, spectral, sphere
-from .model import SpharmaModel, _require_causal, canonical_hash
+from .model import SpharmaModel, canonical_hash, check_causal
 from .verify import (check_ckl as _check_ckl, check_cramer as _check_cramer,
                      check_isotropy as _check_isotropy,
                      check_stationarity as _check_stationarity)
@@ -77,12 +77,10 @@ def cmd_simulate(args):
     for t in args.snapshots or ():
         if not (0 <= t < args.n):
             raise ValueError(f"snapshot index {t} out of range")
-    config = simulate.SimulationConfig(seed=args.seed, n=args.n,
-                                       burn_in=args.burn_in)
-    # a snapshot, config or model refusal comes before the first stdout line
-    report = _require_causal(model)
-    print(f"causality: min root modulus {report.min_root_modulus:.10g}")
+    config = simulate.SimulationConfig(seed=args.seed, n=args.n)
     series = simulate.simulate_spharma(model, config)
+    # printed after the simulation, so a refusal leaves stdout empty
+    print(f"causality: min root modulus {check_causal(model).min_root_modulus:.10g}")
     series.provenance["config_hash"] = _config_hash(args, "simulate")
     os.makedirs(args.out, exist_ok=True)
     series.save(os.path.join(args.out, "series.bin"))
@@ -207,7 +205,6 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
     p.add_argument("--snapshots", type=_time_indices, default=None,
                    help="comma-separated time indices to render")
     p.add_argument("--lmax", type=int, default=None,

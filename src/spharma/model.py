@@ -317,7 +317,7 @@ def arma_filter(ar, ma, x):
     return out.reshape(x.shape)
 
 
-def _filter_into(ar, ma, rows, pad, work):
+def _filter_into(ar, ma, rows, pad, work, start=None):
     """``arma_filter`` of the 2-D ``rows`` in caller-owned work arrays.
 
     ``ar`` and ``ma`` are 1-D float rows, ``ar`` without trailing zero
@@ -326,7 +326,8 @@ def _filter_into(ar, ma, rows, pad, work):
     entries whose contents are never read: ``pad`` takes the rows,
     zero-padded to whole blocks, and is filtered in place; ``work`` holds
     each MA product and then the transposed blocks. Returns the output
-    rows, a view of ``pad``.
+    rows, a view of ``pad``. ``start``, if given, is what a past before
+    t = 0 adds to each row's first AR inputs, added after the MA step.
     """
     n_rows, n = rows.shape
     p = len(ar)
@@ -349,6 +350,8 @@ def _filter_into(ar, ma, rows, pad, work):
             u[:, k:n] += prod[:, : n - k]
     else:
         u[:, :n] = rows
+    if start is not None:
+        u[:, : min(n, start.shape[1])] += start[:, :n]
     if p == 0 or n == 0:
         return u
     # (position in block, row, block): each step is one contiguous slice;
@@ -405,11 +408,13 @@ def _autocovariance_drive(model, l, max_lag):
     rhs = np.r_[r, np.zeros(p)][: p + 1]
     try:
         head = np.linalg.solve(system, rhs)
+        # the pivot 1 - phi^2 forms by cancellation: refine once, residual in long double
+        resid = rhs - system.astype(np.longdouble) @ head
+        head += np.linalg.solve(system, resid.astype(float))
+        if not head[0] > 0.0:  # no causal row has C(0) <= 0
+            raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:  # a root too near the circle for float64
         raise ValueError("AR polynomial vanishes on the unit circle") from None
-    # the pivot 1 - phi^2 forms by cancellation: refine once, residual in long double
-    resid = rhs - system.astype(np.longdouble) @ head
-    head += np.linalg.solve(system, resid.astype(float))
     # the recursion's input: the left-hand sides, kept to their nonnegative lags
     e = np.r_[np.convolve(head, phi_poly)[: p + 1], r[p + 1 :]]
     return ar, np.r_[e, np.zeros(max_lag + 1)][: max_lag + 1]

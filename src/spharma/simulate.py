@@ -3,8 +3,8 @@
 Every (l, m) coefficient stream draws from its own counter-based RNG stream
 (Philox keyed by ``(seed, l*(l+1)+m)``), so output is bit-reproducible for a
 given seed no matter how the per-multipole work is scheduled. One Philox
-object is re-keyed for each stream rather than built anew. ARMA recursions
-start from a zero state and discard a certified geometric burn-in.
+object is re-keyed for each stream rather than built anew. Each stream
+starts in its stationary law, exact up to rounding (``simulate_spharma``).
 
 Series layout: rows indexed by ``l*(l+1)+m`` (l ascending, m from -l to l),
 time along the second axis. That row order is the package's one coefficient
@@ -18,17 +18,14 @@ from __future__ import annotations
 import json
 import math
 import os
-import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
 from .model import (SpharmaModel, _distinct_rows, _filter_into, _padded_length,
-                    _require_causal, decay_length)
+                    model_autocovariance_table)
 from .sphere import sht_inverse
 
-_BURN_TARGET = 1e-10
-_BURN_CAP = 1_000_000
 _CRAMER_CHUNK_ROWS = 32  # streams per chunk of the band-split Gram matrix
 _CRAMER_BLOCK = 1 << 18  # _band_gram: floats per block of products or weights
 _CRAMER_GRAM_MAX_BYTES = 1 << 30  # _band_gram: largest table of summed products
@@ -38,21 +35,18 @@ _NOISE_LAW = "gaussian"  # the only innovation law; recorded in every sidecar
 
 @dataclass
 class SimulationConfig:
-    """Reproducible simulation parameters.
-
-    ``burn_in=None`` requests the automatic choice: for a causal model with
-    root margin xi the burn-in satisfies (1/xi)^burn <= 1e-10 (zero for pure
-    moving averages beyond the MA order). Innovations are Gaussian.
-    """
+    """Reproducible simulation parameters. Every stream starts stationary;
+    ``burn_in`` samples are simulated after the start and dropped, before
+    the ``n`` kept. Innovations are Gaussian."""
 
     seed: int
     n: int
-    burn_in: int | None = None
+    burn_in: int = 0
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.burn_in is not None and self.burn_in < 0:
+        if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in 64 bits")
@@ -160,80 +154,83 @@ def _stream_normals(keys, out, scales):
 
 
 def simulate_white_noise(noise_spectrum, config):
-    """Strong Gaussian spherical white noise with per-l variances C_{l;Z}.
-
-    Simulated as the SPHARMA(0, 0) model of those noise powers.
-    """
+    """Strong Gaussian spherical white noise with per-l variances C_{l;Z}:
+    the SPHARMA(0, 0) model of those noise powers."""
     return simulate_spharma(SpharmaModel.white_noise(noise_spectrum), config)
-
-
-def _auto_burn_in(model, report):
-    burn = decay_length(report, _BURN_TARGET)
-    if burn > _BURN_CAP:
-        warnings.warn("root margin implies a huge burn-in; capping at 1e6")
-        burn = _BURN_CAP
-    return max(burn, model.p, model.q)
 
 
 def _filter_runs(model, total):
     """Consecutive multipoles, as ``range``s, that share one ``arma_filter``
-    call, each with its trimmed AR row.
+    call, each with its trimmed AR row and start factor F.
 
     Multipoles join a run while they repeat the run's row, trimmed AR and
     MA coefficients keyed by ``_distinct_rows``, and the filter's padded
     work array for the run stays within ``_RUN_SAMPLES``: rows x total
     samples, with p > 0 rounded up to whole blocks of ``arma_filter``'s
     block length. A multipole above the cap is a run of its own.
+
+    F, once per distinct row, is the symmetric square root (from eigh, with
+    eigenvalues clipped at 0) of the covariance of r, what the past before
+    t = 0 adds to the first m = max(p, q) inputs of the zero-state recursion.
+    As Phi x = Theta z + r with r independent of the noise z, F^2 = Phi T
+    Phi^T - Theta Theta^T: Phi, Theta the lower-triangular Toeplitz matrices
+    of phi(z), theta(z); T that of the unit-noise lags, whose table refuses
+    what is not causal.
     """
     ars = [np.trim_zeros(ar, "b") for ar in model.ar]
-    owner, _ = _distinct_rows(ars, model.ma)
+    owner, reps = _distinct_rows(ars, model.ma)
+    unit = replace(model, noise=np.ones(len(ars)))
+    acv = model_autocovariance_table(unit, max(model.p, model.q))
+    factors = []
+    for l in reps:
+        polys = np.r_[1.0, -ars[l]], np.r_[1.0, np.trim_zeros(model.ma[l], "b")]
+        m = max(map(len, polys)) - 1
+        lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        phi, theta = (np.tril(np.r_[c, np.zeros(m)][lag]) for c in polys)
+        vals, vecs = np.linalg.eigh(phi @ acv[l, lag] @ phi.T - theta @ theta.T)
+        factors.append((vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T)
     starts = [0]
     for l in range(1, len(ars)):
         size = ((l + 1) ** 2 - starts[-1] ** 2) * _padded_length(len(ars[l]), total)
         if owner[l] != owner[l - 1] or size > _RUN_SAMPLES:
             starts.append(l)
     ends = starts[1:] + [model.band_limit + 1]
-    return [(range(lo, hi), ars[lo]) for lo, hi in zip(starts, ends)]
+    return [(range(lo, hi), ars[lo], factors[owner[lo]]) for lo, hi in zip(starts, ends)]
 
 
 def simulate_spharma(model, config):
     """Simulate a causal SPHARMA model as a coefficient series.
 
     Per stream the recursion a(t) = sum phi_k a(t-k) + z(t) + sum theta_k
-    z(t-k) runs from a zero state; the burn-in prefix (explicit or automatic,
-    recorded as ``provenance["burn_in"]``) is discarded, after which the
-    marginal variance agrees with C_l(0) to within the geometric burn-in
-    bound. The innovations z are ``simulate_white_noise(model.noise, ...)``
-    with the same seed and that burn-in. Consecutive multipoles with the
-    same coefficients are filtered together, in runs of bounded size
-    (``_filter_runs``); ``arma_filter`` treats each row on its own, so the
-    series is bit for bit the one a filter call per multipole gives.
-
-    Besides the series, the call allocates three work arrays once, each
-    sized by its largest run: the noise, and the filter's padded and
-    transposed arrays (``model._filter_into``). Every run draws, filters and
-    copies its output into place within them, so no run allocates an array
-    of its own size; by the ``_RUN_SAMPLES`` cap each holds at most 2 MB
-    unless one multipole alone is larger.
+    z(t-k) starts in its stationary law, exact up to rounding: the stream's
+    first m = max(p, q) normals w give r = F w (``_filter_runs``), which
+    ``model._filter_into`` adds to the first m inputs of the zero-state
+    recursion. The next n + ``config.burn_in`` normals times sqrt(C_{l;Z})
+    are the innovations; the first ``burn_in`` outputs are dropped. Runs of
+    equal multipoles share a filter call (``_filter_runs``), with the bits
+    of one call per multipole. The noise and two filter work arrays are
+    allocated once, at most 2 MB each unless one multipole is larger.
     """
-    report = _require_causal(model)
-    burn = config.burn_in if config.burn_in is not None else _auto_burn_in(model, report)
-    total = config.n + burn
+    total = config.n + config.burn_in
     L = model.band_limit
     seed = int(config.seed)
-    runs = [(run[0] ** 2, (run[-1] + 1) ** 2, ar, model.ma[run[0]])
-            for run, ar in _filter_runs(model, total)]
-    noise = np.empty((max(hi - lo for lo, hi, _, _ in runs), total))
+    runs = [(run[0] ** 2, (run[-1] + 1) ** 2, ar, model.ma[run[0]], factor)
+            for run, ar, factor in _filter_runs(model, total)]
+    noise = np.empty((max(hi - lo for lo, hi, *_ in runs),
+                      max(len(f) for *_, f in runs) + total))
     size = max((hi - lo) * _padded_length(len(ar), total)
-               for lo, hi, ar, _ in runs)
+               for lo, hi, ar, *_ in runs)
     pad, work = np.empty(size), np.empty(size)
     values = np.empty(((L + 1) ** 2, config.n))
     scales = np.repeat(np.sqrt(model.noise), 2 * np.arange(L + 1) + 1)
-    for lo, hi, ar, ma in runs:
-        z = _stream_normals([(seed, row) for row in range(lo, hi)],
-                            noise[: hi - lo], scales[lo:hi])
-        values[lo:hi] = _filter_into(ar, ma, z, pad, work)[:, burn:]
-    prov = {"seed": seed, "burn_in": int(burn),
+    for lo, hi, ar, ma, factor in runs:
+        m = len(factor)
+        w = _stream_normals([(seed, row) for row in range(lo, hi)],
+                            noise[: hi - lo, : m + total], scales[lo:hi])
+        # r = F w, one product at a time, so no row's bits depend on its run
+        r = sum((w[:, j, None] * factor[j] for j in range(m)), np.zeros((hi - lo, m)))
+        values[lo:hi] = _filter_into(ar, ma, w[:, m:], pad, work, r)[:, config.burn_in:]
+    prov = {"seed": seed, "start": "stationary", "burn_in": int(config.burn_in),
             "noise_law": _NOISE_LAW, "model_hash": model.content_hash()}
     return HarmonicCoefficientSeries(L, values, prov)
 

@@ -859,8 +859,9 @@ def monte_carlo_l2_omega(true_model, fitted_model, n_mc, seed):
     """Monte Carlo oracle of ``approx.l2_omega_error``: ``(mse, stderr)``.
 
     The true model is simulated, and its innovations are drawn again from
-    the same Philox streams and burn-in as white noise of its noise powers;
-    the fitted model is then driven by those innovation streams:
+    the same Philox streams as white noise of its noise powers, each
+    multipole's past its m = max(p, q) start draws (``burn_in = m``); the
+    fitted model is then driven by those innovation streams:
 
     * pure MA fit: reconstruction z(t) + sum_j theta_j z(t-j) per stream
       (plus the bare z(t) for multipoles above the fitted band limit);
@@ -874,8 +875,10 @@ def monte_carlo_l2_omega(true_model, fitted_model, n_mc, seed):
     standard error comes from batch means.
     """
     series = simulate_spharma(true_model, SimulationConfig(seed=seed, n=n_mc))
-    innov = simulate_white_noise(true_model.noise, SimulationConfig(
-        seed=seed, n=n_mc, burn_in=series.provenance["burn_in"]))
+    starts = [max(len(np.trim_zeros(a, "b")) for a in (ar, ma))
+              for ar, ma in zip(true_model.ar, true_model.ma)]
+    innov = {m: simulate_white_noise(true_model.noise, SimulationConfig(
+        seed=seed, n=n_mc, burn_in=m)) for m in set(starts)}
     L_true, L_fit = true_model.band_limit, fitted_model.band_limit
     ar_fit = fitted_model.q == 0 and fitted_model.p > 0
     if ar_fit:
@@ -890,7 +893,7 @@ def monte_carlo_l2_omega(true_model, fitted_model, n_mc, seed):
     for l in range(L_true + 1):
         rows = slice(l * l, l * l + 2 * l + 1)
         a = series.values[rows]
-        z = innov.values[rows]
+        z = innov[starts[l]].values[rows]
         if l > L_fit:
             err[rows] = a - z
         elif ar_fit:

@@ -76,7 +76,7 @@ class TestSimulateCommand:
         # which would read as a unit root under the 1 + 1e-6 rule
         path = tmp_path / "edge.json"
         SpharmaModel.uniform(1, ar=[1.0 / (1.0 + 2e-6)]).save(path)
-        assert run("simulate", "--model", path, "--n", 8, "--burn-in", 0,
+        assert run("simulate", "--model", path, "--n", 8,
                    "--out", tmp_path / "x") == cli.EXIT_OK
         first = capsys.readouterr().out.splitlines()[0]
         assert first == "causality: min root modulus 1.000002"
@@ -832,10 +832,9 @@ def test_config_hash_stable_and_distinct(tmp_path, model_path):
 
 @pytest.mark.parametrize("argv", [
     ("simulate", "--n", 10**12),
-    ("simulate", "--n", 10, "--burn-in", 10**12),
     ("spectrum", "--max-lag", 10**12),
     ("spectrum", "--n-lambda", 10**12),
-], ids=["simulate-n", "simulate-burn-in", "spectrum-max-lag", "spectrum-n-lambda"])
+], ids=["simulate-n", "spectrum-max-lag", "spectrum-n-lambda"])
 def test_sizes_too_large_to_allocate_exit_2(tmp_path, model_path, argv, capsys):
     # each asks numpy for terabytes, which it refuses before touching memory
     out = tmp_path / "out"
@@ -996,23 +995,27 @@ class TestMalformedInputs:
         assert captured.out == ""
         assert "model is not causal at multipoles [0, 1]" in captured.err
 
-    @pytest.mark.parametrize("gap", [1e-4, 1e-5])
+    @pytest.mark.parametrize("gap", [1e-4, 1e-5, 2e-4])
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--model"],
-        ["approximate", "--eps", 0.01, "--kind", "ar", "--target"]],
-        ids=["spectrum", "approximate-ar"])
+        ["approximate", "--eps", 0.01, "--kind", "ar", "--target"],
+        ["simulate", "--n", 10, "--model"]],
+        ids=["spectrum", "approximate-ar", "simulate"])
     def test_near_unit_ar_root_exits_2(self, tmp_path, argv, gap, capsys):
         # a triple AR root at 1 + gap passes the root rule, but its density
-        # vanishes on the circle in float64 (gap 1e-4) or its lag system is
-        # singular (gap 1e-5): one message either way
+        # vanishes on the circle in float64 (gap 1e-4), its lag system is
+        # singular (gap 1e-5) or solves to a negative C(0) (gap 2e-4): one
+        # message each time, from simulate too, whose exact start reads the
+        # lags, and nothing on stdout
         r = 1.0 + gap
         path = tmp_path / "model.json"
         SpharmaModel.uniform(1, ar=[3 / r, -3 / r**2, 1 / r**3]).save(path)
         out = tmp_path / "out"
         assert run(*argv, path, "--out", out) == cli.EXIT_INPUT
         assert not out.exists()
-        assert ("AR polynomial vanishes on the unit circle"
-                in capsys.readouterr().err)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "AR polynomial vanishes on the unit circle" in captured.err
 
     @pytest.mark.parametrize("form", ["rational", "tabulated"])
     @pytest.mark.parametrize("tail", ["NaN", "Infinity"])

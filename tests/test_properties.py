@@ -25,6 +25,8 @@ from spharma.model import (
     _FILTER_BLOCK,
     _ROOT_MARGIN,
     SpharmaModel,
+    _filter_into,
+    _padded_length,
     arma_filter,
     check_invertible,
     min_root_modulus,
@@ -663,15 +665,29 @@ def run_model(draw):
     return SpharmaModel(L, ar, ma, np.array(noise))
 
 
+def start_sum(w, factor):
+    """r = F w for each row of the start draws ``w``, summed in
+    ``simulate_spharma``'s order: a product at a time, from zero."""
+    return sum((w[:, j, None] * factor[j] for j in range(len(factor))),
+               np.zeros((len(w), len(factor))))
+
+
 def per_multipole_series(model, seed, n, burn):
-    """The series of fresh noise streams and one filter call per multipole."""
+    """The series of fresh noise streams and one filter call per multipole,
+    in fresh work arrays: each stream's m start draws, then its innovations."""
     total = n + burn
+    factors = {l: f for run, _, f in simulate._filter_runs(model, total) for l in run}
     blocks = []
     for l in range(model.band_limit + 1):
-        z = np.array([fresh_philox_oracle(seed, row, total)
-                      for row in range(l * l, (l + 1) ** 2)])
-        z *= math.sqrt(model.noise[l])
-        blocks.append(arma_filter(model.ar[l], model.ma[l], z)[:, burn:])
+        m = len(factors[l])
+        draws = np.array([fresh_philox_oracle(seed, row, m + total)
+                          for row in range(l * l, (l + 1) ** 2)])
+        draws *= math.sqrt(model.noise[l])
+        ar = np.trim_zeros(model.ar[l], "b")
+        size = len(draws) * _padded_length(len(ar), total)
+        out = _filter_into(ar, model.ma[l], draws[:, m:], np.empty(size),
+                           np.empty(size), start_sum(draws[:, :m], factors[l]))
+        blocks.append(out[:, burn:])
     return np.vstack(blocks)
 
 
@@ -684,13 +700,13 @@ def assert_runs_match_per_multipole(model, seed, n, burn_in):
 
 @settings(max_examples=60, deadline=None)
 @given(run_model(), st.integers(0, 2**64 - 1), st.integers(1, 40),
-       st.sampled_from([0, 3, None]),
+       st.sampled_from([0, 3]),
        st.sampled_from([1, 300, 2000, simulate._RUN_SAMPLES]))
 @example(SpharmaModel(2, [[0.5], [0.5, 0.0], [0.5]], [[], [], []], np.ones(3)),
          2**64 - 1, 5, 0, simulate._RUN_SAMPLES)
-@example(SpharmaModel.white_noise([2.0]), 0, 1, None, 1)
+@example(SpharmaModel.white_noise([2.0]), 0, 1, 0, 1)
 @example(SpharmaModel.uniform(4, ma=[0.4]), 7, 30, 0, 300)
-@example(SpharmaModel.white_noise(np.ones(5)), 7, 30, None, 300)
+@example(SpharmaModel.white_noise(np.ones(5)), 7, 30, 0, 300)
 # runs of 16, 9, 11, 13 and 15 rows, whose AR order (2, 0, 1, 0, 1) and MA
 # length (1, 1, 2, 0, 0) change from run to run, over 300 samples padded to
 # 384 when p > 0: each run after the first reuses work arrays that a larger
@@ -715,7 +731,7 @@ def test_runs_longer_than_the_cap_are_split():
     model = SpharmaModel.uniform(45, ar=[0.5, 0.0], ma=[0.3])
     runs = simulate._filter_runs(model, 200 + 5)
     assert len(runs) > 1
-    assert [l for run, _ in runs for l in run] == list(range(46))
+    assert [l for run, *_ in runs for l in run] == list(range(46))
     assert_runs_match_per_multipole(model, 3, 200, 5)
 
 
@@ -723,7 +739,7 @@ def test_short_runs_are_not_padded():
     # 25 samples are one block of 25, not a padded block of 128: 46^2 streams
     # of them stay within the cap of 2^18 and share one filter call
     model = SpharmaModel.uniform(45, ar=[0.5, 0.0], ma=[0.3])
-    [(run, ar)] = simulate._filter_runs(model, 20 + 5)
+    [(run, ar, _)] = simulate._filter_runs(model, 20 + 5)
     assert run == range(46) and ar.tolist() == [0.5]
     assert_runs_match_per_multipole(model, 3, 20, 5)
 
@@ -735,9 +751,41 @@ def test_runs_start_where_the_row_key_changes():
     model = SpharmaModel(4, [[0.5, 0.0], [0.5], [0.5], [0.5], [0.5]],
                          [[0.0], [0.0], [-0.0], [0.0], [0.0]], np.ones(5))
     runs = simulate._filter_runs(model, 20 + 5)
-    assert [(run, ar.tolist()) for run, ar in runs] == [
+    assert [(run, ar.tolist()) for run, ar, _ in runs] == [
         (range(0, 2), [0.5]), (range(2, 3), [0.5]), (range(3, 5), [0.5])]
     assert_runs_match_per_multipole(model, 3, 20, 5)
+
+
+def start_response(model):
+    """Multipole 0's outputs x_0..x_{m+7} for unit inputs, one row per input:
+    the m start draws of ``simulate_spharma``'s exact start, then m + 8
+    innovations. Every input is a standard normal, so the covariance of the
+    outputs is the product of the responses."""
+    [(_, _, factor)] = simulate._filter_runs(model, 1)
+    m = len(factor)
+    inputs = np.eye(2 * m + 8)
+    ar = np.trim_zeros(model.ar[0], "b")
+    size = len(inputs) * _padded_length(len(ar), m + 8)
+    return _filter_into(ar, model.ma[0], inputs[:, m:], np.empty(size),
+                        np.empty(size), start_sum(inputs[:, :m], factor))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lag_poly(max_order=2, min_root=1.001, max_root=5.0),
+       st.lists(st.floats(-3.0, 3.0), max_size=2))
+# the cancelling row phi = -theta = 0.5, whose start covariance is 0, and a
+# persistent ARMA(1,1)
+@example(np.array([1.0, -0.5]), [-0.5])
+@example(np.array([1.0, -0.999]), [0.3])
+def test_stationary_start_is_exact(phi_poly, ma):
+    # no sampling: the start makes x_0..x_{m+7} exactly stationary, with
+    # the Toeplitz covariance of the model's lags, for causal rows with p,
+    # q <= 2 and any MA part, non-invertible included
+    model = SpharmaModel.uniform(0, ar=-phi_poly[1:], ma=ma)
+    x = start_response(model)
+    acv = model_autocovariance_table(model, x.shape[1] - 1)[0]
+    lag = np.abs(np.subtract.outer(np.arange(len(acv)), np.arange(len(acv))))
+    assert np.abs(x.T @ x - acv[lag]).max() <= 1e-10 * acv[0]
 
 
 def lag_loop_oracle(series, max_lag):

@@ -64,15 +64,18 @@ class TestWhiteNoise:
 class TestRngStreams:
     # sha256 of series.bin for uniform ARMA(2,1), L=6, n=50: the 64-bit seed
     # has its top bit set and is exact in float64, so the digest was the same
-    # before and after the generator was reused and the key made exact
+    # before and after the generator was reused and the key made exact. The
+    # exact stationary start, which replaced a 39-sample burn-in from a zero
+    # state, gave the digest below
     GOLDEN_SEED = 2**63 + 12288
-    GOLDEN_SHA256 = "dcbdbdfd3c9d59f547af29ae2370a87979a39a3cbf63a35d41270f0bcd4606dd"
+    GOLDEN_SHA256 = "8a141825cbcd1f85d56a671ab0e678775c61c561e483953677efceaf0fb8a8f4"
 
     def test_golden_series_bytes(self, tmp_path):
         model = SpharmaModel.uniform(6, ar=[0.5, -0.3], ma=[0.4])
         series = sim.simulate_spharma(
             model, sim.SimulationConfig(seed=self.GOLDEN_SEED, n=50))
-        assert series.provenance["burn_in"] == 39
+        assert series.provenance["burn_in"] == 0
+        assert series.provenance["start"] == "stationary"
         path = tmp_path / "series.bin"
         series.save(path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_SHA256
@@ -145,8 +148,10 @@ class TestSpharmaRecursion:
         assert abs(est - 2.0 / 3.0) < 3.0 * se
 
     def test_marginal_variance_after_burn_in(self, ar1_model):
+        # no sample is dropped: the stationary start is the whole burn-in
         series = sim.simulate_spharma(ar1_model,
                                       sim.SimulationConfig(seed=7, n=60000))
+        assert series.provenance["burn_in"] == 0
         var = float((series.block(0) ** 2).mean())
         c0 = model_autocovariance(ar1_model, 0, 0)[0]
         prods = series.block(0)[0] ** 2
@@ -369,14 +374,15 @@ def test_streams_do_not_depend_on_the_band_limit():
 
 
 def test_all_zero_ar_has_no_ar_memory():
-    # p = 1 but phi(z) = 1 has no roots: burn-in is max(p, q), not log(0)
-    model = SpharmaModel.uniform(2, ar=[0.0])
+    # p = 1 but phi(z) = 1 (and theta(z) = 1): the trimmed rows are empty, so
+    # the stream draws no start and is white noise from its first draw
     cfg = sim.SimulationConfig(seed=9, n=40)
-    series = sim.simulate_spharma(model, cfg)
-    assert series.provenance["burn_in"] == 1
-    white = sim.simulate_white_noise(model.noise,
-                                     sim.SimulationConfig(seed=9, n=40, burn_in=1))
-    assert np.array_equal(series.values, white.values)
+    for model in (SpharmaModel.uniform(2, ar=[0.0]),
+                  SpharmaModel.uniform(2, ar=[0.0, 0.0], ma=[0.0])):
+        series = sim.simulate_spharma(model, cfg)
+        assert series.provenance["burn_in"] == 0
+        white = sim.simulate_white_noise(model.noise, cfg)
+        assert np.array_equal(series.values, white.values)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -413,19 +419,44 @@ def test_refused_arguments(call, message):
         call()
 
 
-def test_burn_in_cap_warns_and_is_recorded():
-    # a root at modulus 1 + 1e-5 passes the root rule, but (1/xi)^burn <= 1e-10
-    # needs about 2.3e6 steps
+def test_near_unit_root_needs_no_burn_in():
+    # a root at modulus 1 + 1e-5 passes the root rule; a zero start would
+    # need about 2.3e6 dropped steps to forget itself to 1e-10, the exact
+    # start none, and nothing warns
     model = SpharmaModel.uniform(0, ar=[1.0 / (1.0 + 1e-5)])
-    with pytest.warns(UserWarning, match="huge burn-in; capping at 1e6"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         series = sim.simulate_spharma(model, sim.SimulationConfig(seed=1, n=4))
-    assert series.provenance["burn_in"] == 1_000_000 and series.n == 4
+    assert series.provenance["burn_in"] == 0 and series.n == 4
 
 
 def test_burn_in_is_a_pure_shift():
-    # same seed, longer burn-in: surviving samples are a shifted view of the
-    # same innovation stream filtered from the same zero state
+    # same seed, longer burn-in: the same start draw and innovation stream,
+    # so the surviving samples are a shifted view, bit for bit
     model = SpharmaModel.uniform(0, ar=[0.5], noise=1.0)
     a = sim.simulate_spharma(model, sim.SimulationConfig(seed=3, n=50, burn_in=0))
     b = sim.simulate_spharma(model, sim.SimulationConfig(seed=3, n=50, burn_in=10))
-    assert np.allclose(a.values[0, 10:50], b.values[0, 0:40])
+    assert np.array_equal(a.values[0, 10:50], b.values[0, 0:40])
+
+
+POOLED_Z_MAX = 4.5  # bound on |pooled lag - exact lag| in standard errors
+
+
+@pytest.mark.parametrize("ar, ma, seed", [
+    ([0.999], [0.3], 1),
+    # complex AR roots at modulus 1.001, non-invertible MA
+    ([2 * math.cos(0.3) / 1.001, -1 / 1.001**2], [0.5, -2.0], 2),
+    ([0.5, -0.3], [0.4, 0.2], 3),
+    ([], [0.4, 0.3], 4)])
+def test_pooled_lags_at_both_ends_match_the_model(ar, ma, seed):
+    # 1681 independent streams: E x(t) x(t - h) at t = n - 1 and E x(0) x(h)
+    # at t = 0, pooled over streams, for h = 0..p+q. A zero start with no
+    # burn-in would put the phi = 0.999 row's C(0) at t = 0 near 1, not 591
+    model = SpharmaModel.uniform(40, ar=ar, ma=ma)
+    x = sim.simulate_spharma(model, sim.SimulationConfig(seed=seed, n=12)).values
+    lags = len(ar) + len(ma) + 1
+    exact = model_autocovariance(model, 0, lags - 1)
+    for prods in (x[:, :1] * x[:, :lags], x[:, -1:] * x[:, ::-1][:, :lags]):
+        se = np.sqrt((exact[0] ** 2 + exact**2) / len(x))
+        z = np.abs(prods.mean(axis=0) - exact) / se
+        assert z.max() <= POOLED_Z_MAX, z
