@@ -24,15 +24,8 @@ Grids are Gauss-Legendre in colatitude (nodes in cos theta) crossed with
 equiangular longitudes, the minimal node counts whose quadrature is exact
 for every product ``Y_{l,m} * Y_{l',m'}`` with ``l, l' <= L``.
 
-Each ``sht_inverse`` call tabulates Q_{l,m} at the grid's colatitude nodes,
-packed by order (a grid caches nothing): block m has shape
-``(n_lat, L+1-m)``, one contiguous row of Q_{m..L,m} per node, so no storage
-goes to the zeros at m > l. The transform works one order at a time on
-these blocks: it forms the per-m cosine and sine sums over l with two
-matrix-vector products per block, then multiplies them by the longitude
-trigonometric tables, once per coefficient column. The forward transform,
-the Gauss weights, grid quadrature and the Legendre polynomials P_l, which
-only the tests use, are in ``tests/oracles.py``.
+The forward transform, the Gauss weights, grid quadrature and the Legendre
+polynomials P_l, which only the tests use, are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -44,44 +37,49 @@ import numpy as np
 
 FOUR_PI = 4.0 * math.pi
 
-def _legendre_by_degree(l_max, x):
-    """Yield Q_{l,0..l}(x), shape ``(l+1,) + shape(x)``, for l = 0..l_max.
 
-    Q_{m,m} comes from the sectoral recurrence seeded at Q_{0,0}, and the
-    stable upward recurrence in l at fixed m runs for every order at once,
-    one array step per degree. The floating-point operations are those of the
-    per-order reference in ``tests/oracles.py``, in the same order, so each
-    value is bit-identical to it.
+def _legendre_by_order(l_max, x):
+    """Yield Q_{m..l_max,m} at the nodes ``x`` for m = 0..l_max.
+
+    Block m is C-contiguous, shape ``(len(x), l_max+1-m)``, one row per node.
+    The stable upward recurrence in l runs at fixed m, seeded at Q_{m,m},
+    which the sectoral recurrence carries from order to order. The
+    floating-point operations are those of the per-order reference in
+    ``tests/oracles.py``, in the same order, so each value is bit-identical
+    to it.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    prev = q = np.full((1,) + x.shape, 1.0 / math.sqrt(FOUR_PI))
-    yield q
-    for l in range(1, l_max + 1):
-        nxt = np.empty((l + 1,) + x.shape)
-        m = np.arange(l - 1).reshape((-1,) + (1,) * x.ndim)
+    q = np.full_like(x, 1.0 / math.sqrt(FOUR_PI))
+    for m in range(l_max + 1):
+        if m:
+            q = math.sqrt((2 * m + 1) / (2.0 * m)) * s * q
+        out = np.empty((l_max + 1 - m, len(x)))
+        out[0] = q
+        if m < l_max:
+            out[1] = math.sqrt(2 * m + 3.0) * x * q
+        l = np.arange(m + 2, l_max + 1)
         a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
         b = np.sqrt(((2.0 * l + 1.0) * (l - 1.0 + m) * (l - 1.0 - m))
                     / ((2.0 * l - 3.0) * (l * l - m * m)))
-        nxt[: l - 1] = a * x * q[: l - 1] - b * prev[: l - 1]
-        nxt[l - 1] = math.sqrt(2 * (l - 1) + 3.0) * x * q[l - 1]
-        nxt[l] = math.sqrt((2 * l + 1) / (2.0 * l)) * s * q[l - 1]
-        prev, q = q, nxt
-        yield q
+        rows = list(out)
+        for k, (ax, bk) in enumerate(zip(a[:, None] * x, b.tolist()), 2):
+            np.subtract(ax * rows[k - 1], bk * rows[k - 2], out=rows[k])
+        yield np.ascontiguousarray(out.T)
 
 
 def harmonic_values_at(l_max, colat, lon):
     """All Y_{l,m}(colat, lon) for l <= l_max, a vector in stream order."""
     out = np.empty((l_max + 1) ** 2)
+    centre = np.arange(l_max + 1) * np.arange(1, l_max + 2)
     root2 = math.sqrt(2.0)
-    c = np.array([root2 * math.cos(m * lon) for m in range(1, l_max + 1)])
-    s = np.array([root2 * math.sin(m * lon) for m in range(1, l_max + 1)])
-    for l, q in enumerate(_legendre_by_degree(l_max, np.cos(float(colat)))):
-        q = q[:, 0]
-        centre = l * (l + 1)
-        out[centre] = q[0]
-        out[centre + 1 : centre + l + 1] = q[1:] * c[:l]
-        out[centre - l : centre] = (q[1:] * s[:l])[::-1]
+    for m, q in enumerate(_legendre_by_order(l_max, np.cos(float(colat)))):
+        q = q[0]
+        if m == 0:
+            out[centre] = q
+        else:
+            out[centre[m:] + m] = q * (root2 * math.cos(m * lon))
+            out[centre[m:] - m] = q * (root2 * math.sin(m * lon))
     return out
 
 
@@ -114,26 +112,6 @@ class SphereGrid:
     @property
     def n_lon(self):
         return len(self.longitudes)
-
-    def _legendre_table(self):
-        """Q_{l,m} at the colatitude nodes, packed by order m.
-
-        A list of L+1 blocks, views into one buffer of
-        ``n_lat (L+1)(L+2)/2`` floats: block m has shape ``(n_lat, L+1-m)``
-        and row i holds Q_{m,m}, ..., Q_{L,m} at node i, contiguous. Built
-        on each call, one degree at a time for every order at once.
-        """
-        L, n = self.band_limit, self.n_lat
-        m = np.arange(L + 1)
-        width = L + 1 - m
-        start = np.concatenate(([0], np.cumsum(n * width)))
-        flat = np.empty(start[-1])
-        # flat position of Q_{l,m} at node i is base[m, i] + l
-        base = start[:-1, None] + width[:, None] * np.arange(n) - m[:, None]
-        for l, q in enumerate(_legendre_by_degree(L, np.cos(self.colatitudes))):
-            flat[base[: l + 1] + l] = q
-        return [flat[start[k] : start[k + 1]].reshape(n, L + 1 - k)
-                for k in range(L + 1)]
 
     def _trig_tables(self):
         """cos(m*phi), sin(m*phi) matrices of shape (L+1, n_lon)."""
@@ -179,8 +157,10 @@ def sht_inverse(coeffs, grid):
 
     ``coeffs`` is a stream-order vector, which gives one FieldSnapshot, or a
     block of such columns, which gives a list with one FieldSnapshot per
-    column; the tables are built once for the whole block, and each column
-    takes the products a vector would.
+    column. The Legendre blocks are built once per call, one order at a time,
+    and shared by every column: each column takes the products a vector
+    would, two matrix-vector products per order for the cosine and sine sums
+    over l, then the longitude trigonometric tables sum over m.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     rows = len(coeffs) if coeffs.ndim in (1, 2) else 0
@@ -189,21 +169,23 @@ def sht_inverse(coeffs, grid):
         raise ValueError("coefficients must be (L+1)^2 rows in stream order")
     if L > grid.band_limit:
         raise ValueError("coefficient multipole exceeds grid band limit")
-    Q = [q[:, : L + 1 - m] for m, q in enumerate(grid._legendre_table()[: L + 1])]
-    cos_t, sin_t = (t[: L + 1] for t in grid._trig_tables())
+    cols = coeffs.T if coeffs.ndim == 2 else [coeffs]
     ls = np.arange(L + 1)
     centre = ls * (ls + 1)  # entry of a_{l,0}
     root2 = math.sqrt(2.0)
     # per-order sums over l at each colatitude, then over m by one matmul each
-    cos_sums = np.zeros((L + 1, grid.n_lat))
-    sin_sums = np.zeros((L + 1, grid.n_lat))
-    snaps = []
-    for a in coeffs.T if coeffs.ndim == 2 else [coeffs]:
-        cos_sums[0] = Q[0] @ a[centre]
-        for m in range(1, L + 1):
-            cos_sums[m] = root2 * (Q[m] @ a[centre[m:] + m])
-            sin_sums[m] = root2 * (Q[m] @ a[centre[m:] - m])
-        snaps.append(FieldSnapshot(grid, cos_sums.T @ cos_t + sin_sums.T @ sin_t))
+    cos_sums = np.zeros((len(cols), L + 1, grid.n_lat))
+    sin_sums = np.zeros((len(cols), L + 1, grid.n_lat))
+    for m, q in enumerate(_legendre_by_order(L, np.cos(grid.colatitudes))):
+        for j, a in enumerate(cols):
+            if m == 0:
+                cos_sums[j, 0] = q @ a[centre]
+            else:
+                cos_sums[j, m] = root2 * (q @ a[centre[m:] + m])
+                sin_sums[j, m] = root2 * (q @ a[centre[m:] - m])
+    cos_t, sin_t = (t[: L + 1] for t in grid._trig_tables())
+    snaps = [FieldSnapshot(grid, c.T @ cos_t + s.T @ sin_t)
+             for c, s in zip(cos_sums, sin_sums)]
     return snaps if coeffs.ndim == 2 else snaps[0]
 
 

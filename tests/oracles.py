@@ -161,7 +161,7 @@ def sht_forward(fieldsnap, band_limit=None):
     L = grid.band_limit if band_limit is None else band_limit
     if L > grid.band_limit:
         raise ValueError("requested band limit exceeds grid band limit")
-    Q = grid._legendre_table()
+    x = np.cos(grid.colatitudes)
     cos_t, sin_t = grid._trig_tables()
     lon_w = 2.0 * math.pi / grid.n_lon
     # G[m, i] = sum_j f(i, j) * trig(m, j) * lon_w * w_i
@@ -171,10 +171,10 @@ def sht_forward(fieldsnap, band_limit=None):
     ls = np.arange(L + 1)
     centre = ls * (ls + 1)  # entry of a_{l,0}
     out = np.empty((L + 1) ** 2)
-    out[centre] = Gc[0] @ Q[0][:, : L + 1]
+    out[centre] = Gc[0] @ _normalized_assoc_legendre(L, 0, x).T
     root2 = math.sqrt(2.0)
     for m in range(1, L + 1):
-        q = Q[m][:, : L + 1 - m]
+        q = _normalized_assoc_legendre(L, m, x).T
         out[centre[m:] + m] = root2 * (Gc[m] @ q)
         out[centre[m:] - m] = root2 * (Gs[m] @ q)
     return out

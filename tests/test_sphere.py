@@ -2,6 +2,7 @@ import csv
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,23 +207,26 @@ class TestGrid:
 class TestPackedLegendreTable:
     @pytest.mark.parametrize("L", [0, 1, 2, 17, 128])
     def test_blocks_match_per_order_recurrence(self, L):
-        g = sphere.build_grid(L)
-        blocks = g._legendre_table()
-        x = np.cos(g.colatitudes)
+        x = np.cos(sphere.build_grid(L).colatitudes)
+        blocks = list(sphere._legendre_by_order(L, x))
         assert len(blocks) == L + 1
         for m, block in enumerate(blocks):
-            assert block.shape == (g.n_lat, L + 1 - m)
+            assert block.shape == (len(x), L + 1 - m)
             assert block.flags.c_contiguous
             assert np.array_equal(block, _normalized_assoc_legendre(L, m, x).T)
 
-    def test_blocks_share_one_packed_buffer(self):
-        L = 20
-        x, _ = np.polynomial.legendre.leggauss(23)
-        g = sphere.SphereGrid(np.arccos(x), sphere.build_grid(L).longitudes, L)
-        blocks = g._legendre_table()
-        base = blocks[0].base
-        assert all(b.base is base for b in blocks)
-        assert base.nbytes == g.n_lat * (L + 1) * (L + 2) // 2 * 8
+    def test_synthesis_holds_one_order_at_a_time(self):
+        # every order at once is 68 MB at L = 256, one order at most 0.5 MB
+        L = 256
+        g = sphere.build_grid(L)
+        coeffs = np.random.default_rng(256).standard_normal((L + 1) ** 2)
+        tracemalloc.start()
+        try:
+            sphere.sht_inverse(coeffs, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_roundtrip_at_band_limit_128(self):
         rng = np.random.default_rng(128)
