@@ -1,33 +1,18 @@
 """Constructive MA/AR approximation of spectral density operators.
 
-Scalar machinery per multipole (Brockwell & Davis, "Time Series: Theory
-and Methods", chapters 5 and 8): the Wold factor of a spectral density by
-its cepstrum, whose truncations are the MA fits and whose weights give
-``l2_omega_error`` its innovation variances; and one Schur recursion on a
-lag sequence, whose reflection coefficients Levinson's step-up turns into
-the AR fits. Its other readout, the last innovations row, serves no fit.
-
-Operator-level machinery: given target spectral eigenvalues f_l(lambda) and
-a tolerance eps, fit an invertible MA(q) or causal AR(p) per multipole
-(every root at modulus >= 1 + 1e-6, the one rule of ``model._root_report``),
-escalating the order until the per-multipole sup error fits the budget
-eps / (2 (L+1)^2); the band tail above L is charged eps/2. The certificate
-is the plain dict that the CLI writes as ``certificate.json``: per-multipole
-and total errors in the kernel-L2 and trace norms, with the sup over
-frequency evaluated on a shared grid.
-
-Process-level error: ``l2_omega_error`` is the mean-square error, at any
-point of the sphere, of reconstructing a field from its own Wold innovations
-through a fitted model. For any target, rational or tabulated, it sums the
-squared differences between the weights of the target's Wold factor and
-those of the fit; nothing is simulated. A model that is not causal, true or
-fitted, is refused with the one "model is not causal at multipoles [...]".
+Per multipole (Brockwell & Davis, "Time Series: Theory and Methods",
+chapters 5 and 8), MA fits truncate the Wold factor and AR fits come from
+one Schur recursion on the lags; ``approximate_operator`` scans the orders
+and certifies the fit, and ``l2_omega_error`` is a fit's process-level
+error. A model that is not causal, true or fitted, is refused with the one
+"model is not causal at multipoles [...]".
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from itertools import islice
 
 import numpy as np
 
@@ -46,21 +31,18 @@ _CEPSTRUM_TOL = 1e-13  # spectral_factor: cepstral tail of a converged factor
 _FACTOR_MAX_PANELS = 2**17  # spectral_factor: finest grid of a rational target
 
 
-def _schur(c, depth):
-    """theta_{depth, 1..depth}, v_0..v_depth and kappa_1..kappa_depth.
+def _schur_steps(c, depth):
+    """``(kappa_k, a_k)``, k = 0..depth, of Schur's algorithm on C(0..depth).
 
-    The innovations rows of C(0..depth) are the rows of T = L diag(v) L^T,
-    T[i, j] = C(|i - j|), L unit lower triangular, theta_{i, i-k} = L[i, k];
-    row i is the last row at depth i. Schur's algorithm (Kailath & Sayed,
-    "Fast Reliable Algorithms for Matrices with Structure", SIAM 1999,
-    ch. 1) computes L column by column in O(depth^2) time and O(depth)
-    memory: ``a`` starts as C(0..depth) and ``b`` as C(1..depth); at step k,
-    ``a`` is column k of L diag(v) on rows k..depth, so v_k = a[0] and
-    theta_{depth, depth-k} = a[-1] / v_k, and the reflection coefficient
-    kappa_{k+1} = b[0] / v_k gives the next pair, v_{k+1} = v_k (1 -
-    kappa_{k+1}^2). A step with |kappa| >= 1 means T is not positive
-    definite: ``ValueError`` names step k + 1, which reads only C(0..k + 1),
-    so a sequence fails there at every depth >= k + 1.
+    T[i, j] = C(|i - j|) is L diag(v) L^T, L unit lower triangular, whose
+    rows are the innovations rows, theta_{i, i-k} = L[i, k]. Schur's
+    algorithm (Kailath & Sayed, "Fast Reliable Algorithms for Matrices with
+    Structure", SIAM 1999, ch. 1) gives a_k, column k of L diag(v) on rows
+    k..depth, in O(depth) memory: v_k = a_k[0], theta_{depth, depth-k} =
+    a_k[-1] / v_k, and v_{k+1} = v_k (1 - kappa_{k+1}^2), kappa_0 = 0. A
+    |kappa| >= 1 means T is not positive definite: ``ValueError`` names step
+    k + 1, which reads only C(0..k + 1). Every step is elementwise, so the
+    first d steps are the same bits at every depth >= d.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -70,22 +52,24 @@ def _schur(c, depth):
     if c[0] <= 0.0:
         raise ValueError("C(0) must be positive")
     a = c[: depth + 1].copy()
-    b = a[1:]
-    last = np.empty(depth)
-    v = np.empty(depth + 1)
-    kappa = np.empty(depth)
+    b, g = a[1:], 0.0
     for k in range(depth):
-        head, vk = a[:-1], a[0]
-        last[k] = a[-1]
-        v[k] = vk
-        g = kappa[k] = b[0] / vk
+        yield g, a
+        head = a[:-1]
+        g = b[0] / a[0]
         if not abs(g) < 1.0:
             raise ValueError(
                 f"prediction variance nonpositive at step {k + 1}: "
                 "input is not a positive definite autocovariance")
         a, b = head - g * b, (b - g * head)[1:]
-    v[depth] = a[0]
-    return (last / v[:depth])[::-1], v, kappa
+    yield g, a
+
+
+def _schur(c, depth):
+    """theta_{depth, 1..depth}, v_0..v_depth, kappa_1..kappa_depth (above)."""
+    kappa, v, last = (np.array(x) for x in zip(
+        *((g, a[0], a[-1]) for g, a in _schur_steps(c, depth))))
+    return (last[:-1] / v[:depth])[::-1], v, kappa[1:]
 
 
 def _innovations_last_row(c, depth):
@@ -173,13 +157,35 @@ def fit_ar(c, p):
     return durbin_levinson(c, p)
 
 
-def _order_schedule(cap, start=0):
-    if cap <= start:
-        return [min(start, cap)]
-    orders = [0, 1]
-    while orders[-1] < cap:
-        orders.append(min(2 * orders[-1], cap))
-    return [start] + [o for o in orders if o > start]
+def _ma_densities(psi, c0, z, last):
+    """``(q, f_q(z))`` for q = 0..last, f_q the density of ``fit_ma(psi, c0,
+    q)``, by theta_q(z) = theta_{q-1}(z) + psi_q z^q in O(len(z)) per order,
+    while ``psi`` lasts and is finite."""
+    s, zq = np.ones_like(z), np.ones_like(z)
+    for q in range(min(last, len(psi) - 1 if np.isfinite(psi[0]) else 0) + 1):
+        if q:
+            zq *= z
+            s += psi[q] * zq
+        sigma2 = c0 / (1.0 + psi[1 : q + 1] @ psi[1 : q + 1])
+        yield q, sigma2 / TWO_PI * (s.real**2 + s.imag**2)
+
+
+def _ar_densities(lags, z, last):
+    """``(p, f_p(z))`` for p = 0..last, f_p = v_p / (2 pi |A_p(z)|^2) the
+    density of ``fit_ar`` at order p, by the Levinson-Szego step A_p(z) =
+    A_{p-1}(z) - kappa_p z^p conj(A_{p-1}(z)) in O(len(z)) per order.
+    ``lags(p)`` holds C(0..p) at least; a longer row restarts the Schur pass,
+    whose first steps it repeats bit for bit."""
+    A, zp = np.ones_like(z), np.ones_like(z)
+    c = ()
+    for p in range(last + 1):
+        if p == len(c):
+            c = lags(p)
+            steps = islice(_schur_steps(c, len(c) - 1), p, None)
+        kappa, a = next(steps)
+        A -= kappa * zp * A.conj()
+        zp *= z
+        yield p, a[0] / TWO_PI / (A.real**2 + A.imag**2)
 
 
 def _sup_totals(diff):
@@ -198,26 +204,25 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
                          order_cap=DEFAULT_ORDER_CAP):
     """Fit an invertible SPHMA(q) or causal SPHAR(p) within eps of the target.
 
-    The stored band's tail must already fit the eps/2 tail budget. Each
-    multipole's order is doubled until the sup error over ``frequency_grid()``
-    fits the budget eps / (2 (L+1)^2) or the order cap is hit. MA(q) fits
-    truncate ``spectral_factor``; a multipole that misses its budget, with
-    C_l(0) > 0, escalates again on the factor of f_l + budget/4, which exists
-    where f_l touches 0, with noise matched to C_l(0) + 2 pi budget/4. AR(p)
-    fits read lags, short of a tabulated grid's lag period. A non-invertible
-    fit moves on; lags not positive definite, or no factor that long, end an
-    escalation. One rule picks the fit: the first that meets the budget,
-    else the fit nearest f_l of all that either factor gave. A multipole
-    with no fit (C_l(0) = 0, say) raises ``ValueError``, as does a target
-    with no lag table (not causal, or overflowing), before any density is
-    evaluated. The certificate passes iff the total in the requested norm is
-    at most eps; ``order_cap_reached`` iff a multipole tried the cap's order
-    and still missed its budget. Each distinct target row, keyed as
-    ``spectral_factor`` keys rows, is escalated once; its repeats take its
-    fit and record.
+    The band tail above L must fit eps/2; each multipole gets eps / (2
+    (L+1)^2) of sup error over ``frequency_grid()``. Each distinct row (keyed
+    as in ``spectral_factor``) scans its orders from its start (its own order
+    for a pure target of the kind, else 0) to the cap, in O(N) each, and is
+    fitted once, at the first order within budget whose fit is valid. MA
+    fits truncate ``spectral_factor`` and must be invertible; past a scan's
+    first root test, only the candidates (the start, the powers of two and
+    the cap) are tested. An MA miss scans the factor of f_l + budget/4 too,
+    which exists where f_l touches 0, with noise C_l(0) + 2 pi budget/4. The
+    factor's end, lags not positive definite or a tabulated grid's lag
+    period end a scan. A miss keeps the first valid fit of the nearest
+    scanned order, then the candidates, nearest first. No lag table (not
+    causal, or overflowing) raises ``ValueError`` before any density, and a
+    row with no fit (C_l(0) = 0, say) when it is reached. ``passed`` iff the
+    total in ``norm`` is at most eps; ``order_cap_reached`` iff a multipole
+    scanned the cap and missed.
 
-    Returns ``(model, certificate)``: the certificate is the JSON-ready dict
-    that the CLI writes as ``certificate.json``, less its ``config_hash``.
+    Returns ``(model, certificate)``, the certificate as the CLI writes it to
+    ``certificate.json``, less its ``config_hash``.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -230,10 +235,10 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     # lags first, so their refusal comes before any density. A tabulated
     # target resolves lags up to a quarter of its grid, and from its period
     # N on, C(N) = C(0) makes the Toeplitz matrix singular. MA reads C_l(0)
-    # only; each AR order reads a prefix of one table, deeper only past the
-    # default cap
-    resolved = math.inf if target.form == "rational" else len(target.lam) // 4
-    period = math.inf if target.form == "rational" else len(target.lam) - 1
+    # only; the AR scans share one table, deeper only past the default cap
+    resolved, last = math.inf, order_cap
+    if target.form == "tabulated":
+        resolved, last = len(target.lam) // 4, min(order_cap, len(target.lam) - 2)
     table = autocov_table(target, 0 if kind == "ma" else
                           min(order_cap, DEFAULT_ORDER_CAP))
     L = target.band_limit
@@ -245,52 +250,66 @@ def approximate_operator(target, eps, kind, norm="l2_kernel",
     if tail_error > eps / 2.0:
         warnings.warn("stored band tail exceeds the eps/2 budget; cannot certify")
 
+    def lag_row(l, p):  # row l of the shared table, twice as deep past its end
+        nonlocal table
+        if p >= table.shape[1]:
+            table = autocov_table(target, min(2 * (table.shape[1] - 1), last))
+        return table[l]
+
+    def valid_fit(l, shift, order):  # (coefficients, sigma2), None if not invertible
+        try:
+            return (fit_ar(table[l, : order + 1], order) if kind == "ar" else
+                    fit_ma(factors[shift][l], table[l, 0] + TWO_PI * shift, order))
+        except RuntimeError:
+            return None
+
     fits, factors, m = [], {}, target.model
     owner, reps = _distinct_rows(*(m.ar, m.ma, m.noise) if m else (target.table,))
     for l in reps:
-        best, reason, capped = None, None, False
+        if table[l, 0] <= 0.0:
+            raise ValueError(f"no fit at multipole {l}: C(0) must be positive")
         # a pure rational target of the requested kind is a fixed point
         pure = m is not None and not len((m.ar if kind == "ma" else m.ma)[l])
-        start = len((m.ma if kind == "ma" else m.ar)[l]) if pure else 0
-        orders = _order_schedule(order_cap, start)
-        orders = [o for o in orders if kind == "ma" or o == 0 or o < period]
+        start = min(len(getattr(m, kind)[l]) if pure else 0, order_cap)
+        candidates = {0, start, order_cap}
+        candidates.update(2**k for k in range(order_cap.bit_length()))
+        scanned, fit, reason = {}, None, None
         for shift in (0.0, budget / 4.0) if kind == "ma" else (0.0,):
-            if shift and (table[l, 0] <= 0.0 or best and best[0] <= budget):
-                break
             if kind == "ma" and shift not in factors:
                 factors[shift] = spectral_factor(target, shift)
-            for order in orders:
-                phi, theta = np.empty(0), np.empty(0)
-                try:
-                    if kind == "ma":
-                        theta, sigma2 = fit_ma(factors[shift][l],
-                                               table[l, 0] + TWO_PI * shift, order)
-                    else:
-                        if order > resolved:
-                            warnings.warn("frequency grid is coarse for the "
-                                          "requested lag depth")
-                        if order >= table.shape[1]:
-                            table = autocov_table(target, order)
-                        phi, sigma2 = fit_ar(table[l, : order + 1], order)
-                except RuntimeError as exc:
-                    # a non-invertible fit certifies nothing; try the next order
-                    reason = exc
-                    continue
-                except ValueError as exc:
-                    # every later order fails too: the best fit so far stands
-                    reason = exc
-                    break
-                row = rational_density(phi, theta, sigma2, z)
-                err = float(np.abs(row - F[l]).max())
-                if best is None or err < best[0]:
-                    best = (err, order, (phi, theta), sigma2, row)
-                if err <= budget:
+            scan = (_ar_densities(lambda p: lag_row(l, p), z, last) if kind == "ar"
+                    else _ma_densities(factors[shift][l],
+                                       table[l, 0] + TWO_PI * shift, z, last))
+            retest = False
+            try:
+                for order, row in islice(scan, start, None):
+                    if kind == "ar" and order == resolved + 1:
+                        warnings.warn("frequency grid is coarse for the "
+                                      "requested lag depth")
+                    err = scanned[shift, order] = float(np.abs(row - F[l]).max())
+                    if err <= budget and (not retest or order in candidates):
+                        if fit := valid_fit(l, shift, order):
+                            break
+                        retest = True
+            except ValueError as exc:
+                # lags not positive definite: every later order fails too
+                reason = exc
+            if fit:
+                break
+        else:
+            # a miss: the nearest scanned order, then the candidates
+            ranked = sorted(scanned, key=scanned.get)
+            for shift, order in ranked[:1] + [k for k in ranked[1:]
+                                              if k[1] in candidates]:
+                if fit := valid_fit(l, shift, order):
                     break
             else:
-                capped = orders[-1] == order_cap
-        if best is None:
-            raise ValueError(f"no fit at multipole {l}: {reason}")
-        fits.append((*best, capped and best[0] > budget))
+                raise ValueError(f"no fit at multipole {l}: {reason}")
+        coeffs = (fit[0], np.empty(0)) if kind == "ar" else (np.empty(0), fit[0])
+        row = rational_density(*coeffs, fit[1], z)
+        err = float(np.abs(row - F[l]).max())
+        fits.append((err, order, coeffs, fit[1], row,
+                     err > budget and any(o == order_cap for _, o in scanned)))
 
     errs, kept, coeffs, noise, rows, missed_at_cap = zip(*[fits[k] for k in owner])
     model = SpharmaModel(L, [c[0] for c in coeffs], [c[1] for c in coeffs],

@@ -166,9 +166,10 @@ def cmd_verify(args):
              "cramer": lambda: _check_cramer(series, args.bands),
              "ckl": lambda: _check_ckl(series)}
     names = list(known) if args.checks is None else args.checks.split(",")
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise ValueError(f"unknown check {unknown[0]!r}")
+    for i, name in enumerate(names):
+        if name not in known or name in names[:i]:
+            why = "repeated" if name in known else "unknown"
+            raise ValueError(f"{why} check {name!r}")
     results = [known[name]() for name in names]
     report = {"schema": 1, "config_hash": _config_hash(args, "verify"),
               "checks": results, "passed": all(r["passed"] for r in results)}

@@ -440,9 +440,8 @@ class TestApproximateOperator:
     @pytest.mark.parametrize("kind, cap", [("ma", approx.DEFAULT_ORDER_CAP),
                                            ("ma", 10**9), ("ar", 64), ("ar", 10**5)])
     def test_one_lag_fetch_per_multipole(self, lag_fetches, kind, cap):
-        # no escalation here goes past order 16, so whatever the cap, one
-        # fetch covers both multipoles, as deep as the default AR cap's
-        # schedule needs
+        # no scan here goes past order 16, so whatever the cap, one fetch
+        # covers both multipoles, as deep as the default AR cap reaches
         target = SpharmaModel.uniform(1, ar=[0.5], noise=1.0).spectral()
         _, cert = approx.approximate_operator(target, 1e-2, kind, order_cap=cap)
         assert cert["passed"] and cert["order"] <= 16
@@ -452,14 +451,14 @@ class TestApproximateOperator:
 
     def test_escalation_past_the_default_cap_fetches_deeper(self, lag_fetches,
                                                             monkeypatch):
-        # multipole 0 escalates to AR order 512, past the table's 256 lags,
-        # and fetches a deeper table; multipole 1 stops at order 16 and
+        # multipole 0 scans to AR order 459, past the table's 256 lags, and
+        # fetches a table twice as deep; multipole 1 stops at order 11 and
         # reads that one
         model = SpharmaModel(1, [np.empty(0)] * 2, [np.array([0.99]),
                                                     np.array([0.5])], np.ones(2))
         target = model.spectral()
         fitted, cert = approx.approximate_operator(target, 1e-3, "ar", order_cap=1024)
-        assert [row["order"] for row in cert["per_multipole"]] == [512, 16]
+        assert [row["order"] for row in cert["per_multipole"]] == [459, 11]
         assert lag_fetches == [("table", 2, 256), ("table", 2, 512)]
         # the same fit as from one table at the deepest depth the cap allows
         monkeypatch.setattr(approx, "autocov_table",
@@ -471,8 +470,8 @@ class TestApproximateOperator:
 
     @pytest.mark.parametrize("kind", ["ma", "ar"])
     def test_one_escalation_per_distinct_row(self, monkeypatch, kind):
-        # a uniform target escalates its one row once: the orders tried are
-        # those of the one-multipole target with that row and the same
+        # a uniform target scans its one row once and fits it once, at the
+        # order of the one-multipole target with that row and the same
         # per-multipole budget, eps / (2 (L+1)^2)
         name = "fit_" + kind
         fit, orders = getattr(approx, name), []
@@ -488,12 +487,12 @@ class TestApproximateOperator:
         alone = SpharmaModel.uniform(0, ar=[0.8], ma=[0.4])
         _, alone_cert = approx.approximate_operator(alone.spectral(), 1e-3 / 81,
                                                     kind)
-        assert tried == orders and len(orders) > 1
+        assert tried == orders == [cert["order"]]
         assert cert["per_multipole"] == [
             dict(alone_cert["per_multipole"][0], l=l) for l in range(9)]
 
     def test_lag_table_rows_are_the_per_multipole_fetches(self):
-        # the table each escalation reads, for both target forms: exact lags
+        # the table each scan reads, for both target forms: exact lags
         # of a rational target, trapezoid lags of a tabulated one
         model = SpharmaModel(2, [[0.5], [], [0.9, -0.2]], [[], [0.4], [0.3]],
                              np.ones(3))
@@ -508,7 +507,8 @@ class TestApproximateOperator:
             assert (table[l].tobytes()
                     == trapezoid_lags(lam, f[l], 300).tobytes())
 
-    def test_tabulated_escalation_stops_before_the_lag_period(self, monkeypatch):
+    def test_tabulated_escalation_stops_before_the_lag_period(self, lag_fetches,
+                                                               monkeypatch):
         # the trapezoid lags of the 4097-node grid have period 4096; the AR
         # order 4096 would be fitted on a singular Toeplitz matrix
         lam = frequency_grid()
@@ -524,18 +524,19 @@ class TestApproximateOperator:
         monkeypatch.setattr(approx, "fit_ar", fit)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            fitted, cert = approx.approximate_operator(target, 1e-9, "ar",
+            fitted, cert = approx.approximate_operator(target, 1e-12, "ar",
                                                        order_cap=10**4)
         assert max(orders) < len(lam) - 1 == 4096
+        assert max(depth for *_, depth in lag_fetches) == 4095
         assert [w for w in caught if "grid is coarse" in str(w.message)]
-        # the cap was never tried, so it was not what stopped the escalation
-        assert cert["order"] == 2048 and not cert["order_cap_reached"]
+        # the cap was never scanned, so it was not what stopped the scan; the
+        # miss keeps the nearest order below the period
+        assert cert["order"] == 4094 and not cert["order_cap_reached"]
         assert not cert["passed"]
-        # the same fit as an escalation capped at order 2048, which did try
-        # its cap
+        # the same fit as a scan capped at order 4095, which did reach its cap
         with pytest.warns(UserWarning, match="grid is coarse"):
             capped_fitted, capped = approx.approximate_operator(
-                target, 1e-9, "ar", order_cap=2048)
+                target, 1e-12, "ar", order_cap=4095)
         assert capped["order_cap_reached"]
         capped["order_cap_reached"] = False
         assert capped == cert
@@ -550,27 +551,31 @@ class TestApproximateOperator:
         assert [row["order"] for row in cert["per_multipole"]] == [1, 1, 1]
         assert check_invertible(fitted).causal
 
-    def test_missed_budget_keeps_the_nearest_fit_of_either_factor(self,
-                                                                  monkeypatch):
+    def test_missed_budget_keeps_the_nearest_fit_of_either_factor(self):
         # f = lambda^2 is 0 at the node lambda = 0, so its factor row is NaN
         # and its one fit is order-0 white noise, sup error 6.58. The factor
         # of f + budget/4 fits far nearer, none within the budget; the
-        # record is the nearest fit that either factor gave
+        # record is at least as near f as every invertible fit of either
+        # factor at order 0, the powers of two and the cap
         lam = frequency_grid()
         target = SpectralEigenvalues.tabulated(lam, (lam**2)[None])
-        fit_ma, errors = approx.fit_ma, []
-
-        def traced(psi, c0, q):
-            theta, sigma2 = fit_ma(psi, c0, q)
-            row = rational_density(np.empty(0), theta, sigma2, np.exp(1j * lam))
-            errors.append(float(np.abs(row - lam**2).max()))
-            return theta, sigma2
-
-        monkeypatch.setattr(approx, "fit_ma", traced)
         with pytest.warns(UserWarning, match="grid is coarse"):
             _, cert = approx.approximate_operator(target, 1e-2, "ma")
         record, = cert["per_multipole"]
         assert not cert["passed"] and cert["order_cap_reached"]
+        budget, errors = 1e-2 / 2, []
+        c0 = autocov_table(target, 0)[0, 0]
+        for shift in (0.0, budget / 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                psi = approx.spectral_factor(target, shift)[0]
+            for q in (0, 1, 2, 4, 8, 16, 32, 64, 128, 256):
+                try:
+                    theta, sigma2 = approx.fit_ma(psi, c0 + 2 * np.pi * shift, q)
+                except (RuntimeError, ValueError):
+                    continue
+                row = rational_density(np.empty(0), theta, sigma2, np.exp(1j * lam))
+                errors.append(float(np.abs(row - lam**2).max()))
         assert record["order"] > 0 and len(errors) > 1
         assert record["sup_error"] <= min(errors) < 0.1
 

@@ -413,8 +413,8 @@ class TestApproximateCommand:
         assert "certificate FAILED" in capsys.readouterr().out
 
     def test_huge_order_cap_same_certificate(self, tmp_path):
-        # lags are fetched as deep as the escalation goes, not as deep as the
-        # cap would allow (149 GiB of lags at this cap)
+        # lags are fetched as deep as the scan goes, not as deep as the cap
+        # would allow (149 GiB of lags at this cap)
         target = tmp_path / "ar1.json"
         SpharmaModel.uniform(1, ar=[0.5], noise=1.0).save(target)
         certs = []
@@ -452,7 +452,7 @@ class TestApproximateCommand:
 
     def test_non_invertible_ma_orders_are_skipped(self, tmp_path):
         # psi_1 = 1.2 makes the order-1 truncated factor non-invertible; the
-        # escalation moves past it instead of ending in a traceback
+        # scan moves past it instead of ending in a traceback
         target = tmp_path / "arma.json"
         SpharmaModel.uniform(2, ar=[0.8], ma=[0.4], noise=1.0).save(target)
         out = tmp_path / "fit"
@@ -464,11 +464,11 @@ class TestApproximateCommand:
 
     def test_lags_not_positive_definite_stop_both_kinds(self, tmp_path):
         # f = 1 on |lambda| < 0.5 has spectral zeros. Its lags stop being
-        # positive definite, which ends the AR escalation at the first order
-        # whose recursion fails, with the best fit so far, order 0. f has no
+        # positive definite, which ends the AR scan at the first order whose
+        # recursion fails, with the nearest fit so far, order 0. f has no
         # spectral factor, so MA fits past order 0 come from the factor of
-        # f + budget/4; none meets the budget, and the nearest fit of either
-        # factor, order 2 of the shifted one, stands
+        # f + budget/4; none meets the budget, and the nearest valid fit of
+        # either factor, order 2 of the shifted one, stands
         lam = spharma.frequency_grid()
         target = tmp_path / "box.json"
         spharma.SpectralEigenvalues.tabulated(
@@ -481,9 +481,9 @@ class TestApproximateCommand:
                 assert run("approximate", "--target", target, "--eps", 0.05,
                            "--kind", kind, "--out", out) == cli.EXIT_BUDGET
             certs[kind] = json.loads((out / "certificate.json").read_text())
-        # the AR escalation stopped at order 1, far below the cap; the MA one
-        # on f + budget/4 tried the cap's order (every truncation from order
-        # 4 on is non-invertible)
+        # the AR scan stopped at order 1, far below the cap; the MA one on
+        # f + budget/4 scanned to the cap (every truncation from order 4 on
+        # is non-invertible)
         assert certs["ar"]["order_cap_reached"] is False
         assert certs["ma"]["order_cap_reached"] is True
         ar, = certs["ar"]["per_multipole"]
@@ -638,6 +638,25 @@ class TestVerifyCommand:
         code = run("verify", "--series", tmp_path / "run" / "series.bin",
                    "--checks", "cramer,bogus")
         assert code == cli.EXIT_INPUT
+
+    def test_repeated_check_exits_2_before_any_check_runs(self, tmp_path,
+                                                          model_path, monkeypatch,
+                                                          capsys):
+        run("simulate", "--model", model_path, "--n", 2048, "--seed", 19,
+            "--out", tmp_path / "run")
+
+        def never(*args):
+            raise AssertionError("a check ran before the names were validated")
+
+        monkeypatch.setattr(cli, "_check_cramer", never)
+        monkeypatch.setattr(cli, "_check_stationarity", never)
+        capsys.readouterr()
+        for checks in ("cramer,cramer,stationarity", "stationarity,cramer,cramer"):
+            code = run("verify", "--series", tmp_path / "run" / "series.bin",
+                       "--checks", checks, "--out", tmp_path / "report")
+            assert code == cli.EXIT_INPUT
+            assert "repeated check 'cramer'" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
     def test_more_bands_than_frequency_bins_exits_2(self, tmp_path):
         # a real FFT of 1024 samples has 513 bins, one per band at most

@@ -228,7 +228,7 @@ def _failures(recursion, c):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12))
 def test_a_failed_step_fails_at_every_later_depth(tail):
-    # the escalation in approximate_operator stops at the first order whose
+    # the AR scan in approximate_operator stops at the first order whose
     # recursion fails, because step k reads only C(0..k)
     c = np.r_[1.0, tail]
     for recursion in (approx._innovations_last_row, approx.durbin_levinson):
@@ -341,6 +341,61 @@ def test_exact_pure_targets_are_fixed_points(case):
     for l in range(target.band_limit + 1):
         assert np.abs(got[l] - own[l]).max(initial=0.0) <= 1e-10
     assert np.abs(fitted.noise / target.noise - 1.0).max() <= 1e-10
+
+
+# how far the scan's grid error may sit from the recorded sup error of the
+# same fit, in units of the target's largest value; fixed before the first
+# run (a scratch sweep of 80 fits found 3.6e-15)
+_SCAN_ROUNDING = 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(causal_sphere_arma(), st.sampled_from(["ma", "ar"]),
+       st.sampled_from([1e-1, 1e-2, 1e-3]))
+def test_the_scan_certifies_the_least_order_within_budget(model, kind, eps):
+    # the chosen order's scanned error is its recorded sup error, and every
+    # lower order from the start misses the budget or is not invertible
+    target = model.spectral()
+    _, cert = approx.approximate_operator(target, eps, kind)
+    budget = eps / (2 * (model.band_limit + 1) ** 2)
+    lam = spectral.frequency_grid()
+    z = np.exp(1j * lam)
+    f = target.values(lam)
+    tol = _SCAN_ROUNDING * f.max()
+    psi = approx.spectral_factor(target)
+    for l, record in enumerate(cert["per_multipole"]):
+        order = record["order"]
+        lags = spectral.autocov_table(target, order)[l]
+        scan = dict(approx._ma_densities(psi[l], lags[0], z, order) if kind == "ma"
+                    else approx._ar_densities(lambda p: lags, z, order))
+        assert abs(np.abs(scan[order] - f[l]).max() - record["sup_error"]) <= tol
+        assert record["sup_error"] <= budget + tol
+        pure = not len((model.ar if kind == "ma" else model.ma)[l])
+        for lower in range(len(getattr(model, kind)[l]) if pure else 0, order):
+            if kind == "ar":
+                phi, sigma2 = approx.fit_ar(lags[: lower + 1], lower)
+                coeffs = phi, np.empty(0)
+            else:
+                try:
+                    theta, sigma2 = approx.fit_ma(psi[l], lags[0], lower)
+                except RuntimeError:
+                    continue
+                coeffs = np.empty(0), theta
+            row = spectral.rational_density(*coeffs, sigma2, z)
+            assert np.abs(row - f[l]).max() > budget - tol, lower
+
+
+@settings(max_examples=40, deadline=None)
+@given(causal_arma(), st.integers(1, 300), st.data())
+def test_schur_steps_are_a_prefix_of_every_deeper_pass(model, deep, data):
+    # the scan and the deeper lag fetch past the default cap read the first
+    # steps of a deeper pass as those of a shallower one
+    depth = data.draw(st.integers(0, deep - 1))
+    c = model_autocovariance(model, 0, deep)
+    _, v, kappa = approx._schur(c, depth)
+    _, deep_v, deep_kappa = approx._schur(c, deep)
+    assert v.tobytes() == deep_v[: depth + 1].tobytes()
+    assert kappa.tobytes() == deep_kappa[:depth].tobytes()
 
 
 def _tabulated(model):

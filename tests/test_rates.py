@@ -36,16 +36,16 @@ TARGETS = {
 }
 
 ATLAS = {
-    ("arma11", "ar"): (8, 16, 16, 16, 32),
-    ("arma11", "ma"): (128, 128, 128, 256, 256),
-    ("gauss", "ar"): (4, 16, 16, 32, 32),
-    ("gauss", "ma"): (8, 8, 8, 16, 16),
-    ("kink", "ar"): (32, 256, None, None, None),
-    ("kink", "ma"): (16, 256, None, None, None),
-    ("square", "ar"): (256, None, None, None, None),
-    ("square", "ma"): (128, None, None, None, None),
+    ("arma11", "ar"): (8, 10, 13, 15, 18),
+    ("arma11", "ma"): (67, 89, 111, 133, 155),
+    ("gauss", "ar"): (4, 10, 14, 20, 25),
+    ("gauss", "ma"): (5, 6, 8, 9, 10),
+    ("kink", "ar"): (21, 149, None, None, None),
+    ("kink", "ma"): (11, 125, None, None, None),
+    ("square", "ar"): (189, None, None, None, None),
+    ("square", "ma"): (65, None, None, None, None),
     ("cos2", "ar"): (None, None, None, None, None),
-    ("cos2", "ma"): (8, 16, 64, 128, None),
+    ("cos2", "ma"): (3, 12, 37, 120, None),
 }
 
 
