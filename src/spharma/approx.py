@@ -65,28 +65,23 @@ def _schur_steps(c, depth):
     yield g, a
 
 
-def _schur(c, depth):
-    """theta_{depth, 1..depth}, v_0..v_depth, kappa_1..kappa_depth (above)."""
-    kappa, v, last = (np.array(x) for x in zip(
-        *((g, a[0], a[-1]) for g, a in _schur_steps(c, depth))))
-    return (last[:-1] / v[:depth])[::-1], v, kappa[1:]
-
-
 def _innovations_last_row(c, depth):
-    """theta_{depth, 1..depth} and v_0..v_depth of C(0..depth) (``_schur``)."""
-    return _schur(c, depth)[:2]
+    """theta_{depth, 1..depth} and v_0..v_depth of C(0..depth) (above)."""
+    v, last = np.array([(a[0], a[-1]) for _, a in _schur_steps(c, depth)]).T
+    return (last[:-1] / v[:depth])[::-1], v
 
 
 def durbin_levinson(c, order):
     """Yule-Walker AR(order) fit ``(phi, v_order)``: Levinson's step-up on the
-    reflection coefficients of ``_schur``, in place,
+    reflection coefficients of ``_schur_steps`` as they are yielded, in place,
     phi_k = [phi_{k-1} - kappa_k reversed(phi_{k-1}), kappa_k]."""
-    _, v, kappa = _schur(c, order)
+    steps = _schur_steps(c, order)
+    _, a = next(steps)  # kappa_0 = 0; checks the input before phi is made
     phi = np.empty(order)
-    for k in range(order):
-        phi[:k] -= kappa[k] * phi[:k][::-1]
-        phi[k] = kappa[k]
-    return phi, float(v[-1])
+    for k, (kappa, a) in enumerate(steps):
+        phi[:k] -= kappa * phi[:k][::-1]
+        phi[k] = kappa
+    return phi, float(a[0])
 
 
 def spectral_factor(spec, shift=0.0):

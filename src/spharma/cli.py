@@ -74,9 +74,11 @@ def _truncate_series(series, lmax):
 def cmd_simulate(args):
     model = _truncate_model(_read(SpharmaModel.load, args.model, "model"),
                             args.lmax)
-    for t in args.snapshots or ():
+    for i, t in enumerate(args.snapshots or ()):
         if not (0 <= t < args.n):
             raise ValueError(f"snapshot index {t} out of range")
+        if t in args.snapshots[:i]:
+            raise ValueError(f"repeated snapshot index {t}")
     config = simulate.SimulationConfig(seed=args.seed, n=args.n)
     series = simulate.simulate_spharma(model, config)
     # printed after the simulation, so a refusal leaves stdout empty

@@ -124,6 +124,17 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert "snapshot index 20 out of range" in captured.err
 
+    def test_repeated_snapshot_index_writes_nothing(self, tmp_path, model_path,
+                                                   capsys):
+        out = tmp_path / "run"
+        code = run("simulate", "--model", model_path, "--n", 20, "--seed", 1,
+                   "--out", out, "--snapshots", "3,5,3")
+        assert code == cli.EXIT_INPUT
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeated snapshot index 3" in captured.err
+
     def test_snapshot_indices_not_integers_exit_2(self, tmp_path, model_path,
                                                   capsys):
         out = tmp_path / "run"

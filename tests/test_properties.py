@@ -392,10 +392,11 @@ def test_schur_steps_are_a_prefix_of_every_deeper_pass(model, deep, data):
     # steps of a deeper pass as those of a shallower one
     depth = data.draw(st.integers(0, deep - 1))
     c = model_autocovariance(model, 0, deep)
-    _, v, kappa = approx._schur(c, depth)
-    _, deep_v, deep_kappa = approx._schur(c, deep)
+    (kappa, v), (deep_kappa, deep_v) = (
+        np.array([(g, a[0]) for g, a in approx._schur_steps(c, d)]).T
+        for d in (depth, deep))
     assert v.tobytes() == deep_v[: depth + 1].tobytes()
-    assert kappa.tobytes() == deep_kappa[:depth].tobytes()
+    assert kappa.tobytes() == deep_kappa[: depth + 1].tobytes()
 
 
 def _tabulated(model):
