@@ -52,8 +52,12 @@ def _read(reader, path, what):
         raise ValueError(f"invalid {what}: {exc}") from exc
 
 
-def _truncate_model(model, lmax):
+def _truncate_model(model, args):
+    """The multipoles l <= ``args.lmax``. An ``--lmax`` that keeps every
+    multipole is reset to None, so the config hash reads it as absent."""
+    lmax = args.lmax
     if lmax is None or lmax >= model.band_limit:
+        args.lmax = None
         return model
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
@@ -61,8 +65,11 @@ def _truncate_model(model, lmax):
                         model.noise[: lmax + 1])
 
 
-def _truncate_series(series, lmax):
+def _truncate_series(series, args):
+    """As ``_truncate_model``, for a series."""
+    lmax = args.lmax
     if lmax is None or lmax >= series.band_limit:
+        args.lmax = None
         return series
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
@@ -72,8 +79,7 @@ def _truncate_series(series, lmax):
 
 
 def cmd_simulate(args):
-    model = _truncate_model(_read(SpharmaModel.load, args.model, "model"),
-                            args.lmax)
+    model = _truncate_model(_read(SpharmaModel.load, args.model, "model"), args)
     for i, t in enumerate(args.snapshots or ()):
         if not (0 <= t < args.n):
             raise ValueError(f"snapshot index {t} out of range")
@@ -102,13 +108,13 @@ def cmd_spectrum(args):
         raise ValueError("n-lambda must be at least 1")
     if args.model:
         model = _read(SpharmaModel.load, args.model, "model")
-        spec = _truncate_model(model, args.lmax).spectral()
+        spec = _truncate_model(model, args).spectral()
         lags = spectral.autocov_table(spec, args.max_lag)
         divisors = {}
     else:
         series = _read(simulate.HarmonicCoefficientSeries.load, args.series,
                        "series")
-        series = _truncate_series(series, args.lmax)
+        series = _truncate_series(series, args)
         acv = simulate.empirical_autocov(series, args.max_lag)
         # the 1/n lags under the Bartlett window of width max_lag: a Fejer-
         # smoothed periodogram, nonnegative at every lambda. The lag table

@@ -44,6 +44,10 @@ class SimulationConfig:
     burn_in: int = 0
 
     def __post_init__(self):
+        for name in ("seed", "n", "burn_in"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.burn_in < 0:
@@ -268,8 +272,8 @@ def empirical_autocov(series, max_lag):
 
     The lag sums are one real FFT per multipole: the power spectra of the
     streams, zero-padded to at least n + max_lag so that no lag wraps round,
-    are summed over m and transformed back. The spectra and their squares go
-    into two arrays sized for the top multipole and reused by every l.
+    are summed over m and transformed back. The spectra go into one array
+    sized for the top multipole and reused by every l.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
@@ -278,17 +282,11 @@ def empirical_autocov(series, max_lag):
     L, n = series.band_limit, series.n
     nfft = _fft_length(n + max_lag)
     out = np.empty((L + 1, max_lag + 1))
-    n_bins = nfft // 2 + 1
-    spectra = np.empty((2 * L + 1, n_bins), dtype=complex)
-    squares = np.empty((2 * L + 1, n_bins, 2))
+    spectra = np.empty((2 * L + 1, nfft // 2 + 1), dtype=complex)
     for l in range(L + 1):
         spec = np.fft.rfft(series.block(l), nfft, axis=-1, out=spectra[: 2 * l + 1])
-        # squares[m, k] holds (Re X_k)^2, (Im X_k)^2 of stream m; the first
-        # part then takes their sum, |X_k|^2
-        sq = np.square(spec.view(float).reshape(-1, n_bins, 2),
-                       out=squares[: 2 * l + 1])
-        power = np.add(sq[..., 0], sq[..., 1], out=sq[..., 0])
-        lag_sums = np.fft.irfft(power.sum(axis=0), nfft)[: max_lag + 1]
+        power = (spec.real**2 + spec.imag**2).sum(axis=0)
+        lag_sums = np.fft.irfft(power, nfft)[: max_lag + 1]
         out[l] = lag_sums / ((2 * l + 1) * n)
     return out
 

@@ -38,18 +38,14 @@ def abs2_on_circle(coeffs, z):
     """|p(z)|^2 for the real polynomial p(z) = sum_k coeffs[k] z^k at the
     unit-circle points ``z = exp(i*lambda)``.
 
-    Horner's rule: one multiply-add per coefficient, with ``z`` formed once
-    per grid by the caller. The rounding error is about
+    Horner's rule (``np.polyval``): one multiply-add per coefficient, with
+    ``z`` formed once per grid by the caller. The rounding error is about
     (deg+1) eps (sum_k |coeffs[k]|)^2, so values far below that scale (near
     a root on the circle) carry little relative accuracy. Empty ``coeffs``
     give zeros.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    z = np.asarray(z, dtype=complex)
-    p = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        p *= z
-        p += c
+    p = np.polyval(coeffs[::-1], np.asarray(z, dtype=complex))
     return p.real**2 + p.imag**2
 
 

@@ -87,8 +87,8 @@ def harmonic_values_at(l_max, colat, lon):
 class SphereGrid:
     """Gauss-Legendre colatitudes x equiangular longitudes at band limit L.
 
-    The Gauss weights of the colatitude nodes are not stored: synthesis
-    does not read them.
+    Only the nodes are stored: synthesis reads no Gauss weights, and
+    ``sht_inverse`` forms its own longitude tables.
     """
 
     colatitudes: np.ndarray
@@ -112,11 +112,6 @@ class SphereGrid:
     @property
     def n_lon(self):
         return len(self.longitudes)
-
-    def _trig_tables(self):
-        """cos(m*phi), sin(m*phi) matrices of shape (L+1, n_lon)."""
-        m_phi = np.arange(self.band_limit + 1)[:, None] * self.longitudes[None, :]
-        return np.cos(m_phi), np.sin(m_phi)
 
 
 def build_grid(band_limit):
@@ -160,7 +155,8 @@ def sht_inverse(coeffs, grid):
     column. The Legendre blocks are built once per call, one order at a time,
     and shared by every column: each column takes the products a vector
     would, two matrix-vector products per order for the cosine and sine sums
-    over l, then the longitude trigonometric tables sum over m.
+    over l. The sums over m then take one product each with cos(m phi) and
+    sin(m phi), m <= L, formed once per call from ``grid.longitudes``.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     rows = len(coeffs) if coeffs.ndim in (1, 2) else 0
@@ -183,7 +179,8 @@ def sht_inverse(coeffs, grid):
             else:
                 cos_sums[j, m] = root2 * (q @ a[centre[m:] + m])
                 sin_sums[j, m] = root2 * (q @ a[centre[m:] - m])
-    cos_t, sin_t = (t[: L + 1] for t in grid._trig_tables())
+    m_phi = ls[:, None] * grid.longitudes
+    cos_t, sin_t = np.cos(m_phi), np.sin(m_phi)
     snaps = [FieldSnapshot(grid, c.T @ cos_t + s.T @ sin_t)
              for c, s in zip(cos_sums, sin_sums)]
     return snaps if coeffs.ndim == 2 else snaps[0]

@@ -162,12 +162,13 @@ def sht_forward(fieldsnap, band_limit=None):
     if L > grid.band_limit:
         raise ValueError("requested band limit exceeds grid band limit")
     x = np.cos(grid.colatitudes)
-    cos_t, sin_t = grid._trig_tables()
+    # the longitude tables by their own route: exp(i m phi), not cos and sin
+    trig = np.exp(1j * np.outer(np.arange(L + 1), grid.longitudes))
     lon_w = 2.0 * math.pi / grid.n_lon
     # G[m, i] = sum_j f(i, j) * trig(m, j) * lon_w * w_i
     wv = gauss_weights(grid) * lon_w
-    Gc = (fieldsnap.values @ cos_t[: L + 1].T).T * wv
-    Gs = (fieldsnap.values @ sin_t[: L + 1].T).T * wv
+    Gc = (fieldsnap.values @ trig.real.T).T * wv
+    Gs = (fieldsnap.values @ trig.imag.T).T * wv
     ls = np.arange(L + 1)
     centre = ls * (ls + 1)  # entry of a_{l,0}
     out = np.empty((L + 1) ** 2)

@@ -196,6 +196,28 @@ class TestSpectrumCommand:
         series = simulate.HarmonicCoefficientSeries.load(out / "series.bin")
         assert series.band_limit == 1
 
+    def test_lmax_that_keeps_everything_is_hashed_as_absent(self, tmp_path,
+                                                            model_path):
+        # model_path has L = 3: --lmax 3 and 9 keep every multipole, 2 does not;
+        # every spectrum --series reads the first run's series
+        flags = {"none": (), "3": ("--lmax", 3), "9": ("--lmax", 9),
+                 "2": ("--lmax", 2)}
+        files = {}
+        for name, extra in flags.items():
+            out = tmp_path / name
+            assert run("simulate", "--model", model_path, "--n", 16, "--seed", 1,
+                       *extra, "--out", out / "sim") == cli.EXIT_OK
+            for source, path in (("model", model_path),
+                                 ("series", tmp_path / "none" / "sim" / "series.bin")):
+                assert run("spectrum", f"--{source}", path, "--max-lag", 4,
+                           "--n-lambda", 8, *extra,
+                           "--out", out / source) == cli.EXIT_OK
+            files[name] = [(out / sub / f).read_bytes() for sub, f in (
+                ("sim", "series.bin"), ("sim", "series.json"),
+                ("model", "spectrum_meta.json"), ("series", "spectrum_meta.json"))]
+        assert files["3"] == files["9"] == files["none"]
+        assert all(a != b for a, b in zip(files["2"], files["none"]))
+
     def test_noncausal_model_exits_2_before_any_output(self, tmp_path, capsys):
         path = tmp_path / "model.json"
         SpharmaModel(1, [[0.5], [1.0]], [[], []], np.ones(2)).save(path)

@@ -1080,6 +1080,23 @@ def test_abs2_on_circle_matches_a_40_digit_evaluation(coeffs, picks):
     assert np.abs(got - want).max() <= bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8),
+       st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=48),
+       st.integers(0, 8), st.sampled_from([1, 3, 512, 4096]))
+def test_abs2_on_circle_keeps_horners_bits(lead, body, trail, N):
+    # rows of 0-64 coefficients, with zeros at either end, against Horner's
+    # rule written out: one multiply and one add per coefficient in place
+    coeffs = np.r_[np.zeros(lead), body, np.zeros(trail)]
+    z = np.exp(1j * spectral.frequency_grid(N))
+    p = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        p *= z
+        p += c
+    want = p.real**2 + p.imag**2
+    assert spectral.abs2_on_circle(coeffs, z).tobytes() == want.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 40), st.integers(0, 8), st.integers(0, 8),
        st.integers(0, 2**32 - 1), st.integers(-10, 10),

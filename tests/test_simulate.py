@@ -404,6 +404,16 @@ def test_sidecar_may_not_overwrite_the_data(tmp_path):
 @pytest.mark.parametrize("call, message", [
     (lambda: sim.SimulationConfig(seed=0, n=4, burn_in=-1),
      "burn_in must be nonnegative"),
+    (lambda: sim.SimulationConfig(seed=1.5, n=4), "seed must be an integer"),
+    (lambda: sim.SimulationConfig(seed=True, n=4), "seed must be an integer"),
+    (lambda: sim.SimulationConfig(seed=np.float64(1.0), n=4),
+     "seed must be an integer"),
+    (lambda: sim.SimulationConfig(seed=1, n=2.5), "n must be an integer"),
+    (lambda: sim.SimulationConfig(seed=1, n=np.bool_(True)), "n must be an integer"),
+    (lambda: sim.SimulationConfig(seed=1, n=4, burn_in=1.0),
+     "burn_in must be an integer"),
+    (lambda: sim.SimulationConfig(seed=1, n=4, burn_in=False),
+     "burn_in must be an integer"),
     (lambda: sim.SimulationConfig(seed=2**64, n=4), "seed must fit in 64 bits"),
     (lambda: sim.SimulationConfig(seed=-1, n=4), "seed must fit in 64 bits"),
     (lambda: sim.HarmonicCoefficientSeries(1, np.zeros((3, 4))),
@@ -417,6 +427,14 @@ def test_sidecar_may_not_overwrite_the_data(tmp_path):
 def test_refused_arguments(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_numpy_integer_config_is_the_python_one():
+    noise = np.array([1.0, 4.0])
+    a = sim.simulate_white_noise(noise, sim.SimulationConfig(seed=3, n=8, burn_in=2))
+    b = sim.simulate_white_noise(noise, sim.SimulationConfig(
+        seed=np.uint64(3), n=np.int32(8), burn_in=np.int64(2)))
+    assert np.array_equal(a.values, b.values) and a.provenance == b.provenance
 
 
 def test_near_unit_root_needs_no_burn_in():
